@@ -35,7 +35,6 @@ from .kernel import (
     divergence_check,
     induced_bowen_root,
     induced_loops,
-    kernel_counts,
 )
 from .pressure import LinearGdmsSpec, bowen_root, pressure_curve
 from .render import (
@@ -90,8 +89,12 @@ def _caps(params: dict) -> dict:
         ("points", "GDMS_POINT_CAP"),
         ("loops", "GDMS_LOOP_CAP"),
     ):
-        if os.environ.get(env):
-            caps[key] = int(os.environ[env])
+        raw = os.environ.get(env)
+        if raw:
+            try:
+                caps[key] = int(raw)
+            except ValueError:
+                raise ConfigError(f"{env} must be an integer, got {raw!r}") from None
     return caps
 
 
@@ -163,12 +166,11 @@ def cmd_delta_kernel(cfg: dict, outdir: Path) -> dict:
     }
     if spec.symmetric and not G.kernel_is_trivial():
         div = divergence_check(spec, G, n_max=n_max, ball_cap=caps["ball"])
-        table = kernel_counts(spec, G, div.s_half, n_max, ball_cap=caps["ball"])
         write_csv(
             outdir / "kernel_table_half.csv",
             ["n", "log_a_n", "exact"],
             [
-                (n + 1, table.log_a[n], table.exact)
+                (n + 1, div.table.log_a[n], div.table.exact)
                 for n in range(n_max)
             ],
         )

@@ -28,8 +28,9 @@ from __future__ import annotations
 
 import itertools
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Iterator, Sequence
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -207,15 +208,29 @@ class QuotientGroup(ABC):
         """True iff N = {id}, in which case no nonempty word is a kernel word."""
         return False
 
-    def generating_images(self) -> list[Hashable]:
-        """Distinct non-identity letter images (the Cayley generating set)."""
-        seen: list[Hashable] = []
+    def generating_codes(self) -> list[int]:
+        """Letter codes with distinct non-identity images, first code per image.
+
+        Their images form the Cayley generating set.
+        """
+        codes: list[int] = []
+        seen = set()
         e = self.identity()
         for letter in alphabet(self.d):
             img = self.letter_image(letter)
             if img != e and img not in seen:
-                seen.append(img)
-        return seen
+                seen.add(img)
+                codes.append(letter.code)
+        return codes
+
+    @cached_property
+    def _balls(self) -> dict[int, "Ball"]:
+        """Memo of ``ball``: radius -> Ball (the group is immutable)."""
+        return {}
+
+    def _build_ball(self, radius: int, cap: int) -> "Ball":
+        """Uncached ball construction; ``ball`` memoises it."""
+        return bfs_ball(self, radius, cap)
 
 
 class FinitePermQuotient(QuotientGroup):
@@ -413,44 +428,115 @@ class FreeQuotient(QuotientGroup):
     def surviving_rank(self) -> int:
         return len(self.surviving)
 
+    def _build_ball(self, radius: int, cap: int) -> "Ball":
+        """The Cayley tree ball by array indexing, one sphere at a time.
+
+        Each element of sphere r has one child per surviving letter except
+        the inverse of its last letter; listing the children element by
+        element, letters in code order, reproduces the breadth-first order of
+        ``bfs_ball``.  Moves: a child maps back to its parent under the
+        inverse of its last letter, killed letters fix every element, and
+        children beyond the radius fall off the ball (-1).
+        """
+        codes = np.array(
+            [2 * (g - 1) + b for g in self.surviving for b in (0, 1)], dtype=np.int64
+        )
+        sizes = [1]
+        # stop one sphere past the cap so that huge radii cost nothing
+        while len(sizes) <= radius and codes.size and sum(sizes) <= max(cap, 1):
+            sizes.append(codes.size * (codes.size - 1) ** (len(sizes) - 1))
+        _check_cap(sizes, radius, cap)
+        n = sum(sizes)
+        starts = np.cumsum([0] + sizes)
+        parent = np.full(n, -1, dtype=np.int64)
+        last = np.full(n, -1, dtype=np.int64)
+        moves = np.full((2 * self.d, n), -1, dtype=np.int64)
+        killed = [c for c in range(2 * self.d) if c // 2 + 1 in self.kill]
+        moves[killed] = np.arange(n)
+        for r in range(len(sizes) - 1):
+            lo, hi = starts[r], starts[r + 1]
+            # identity: last = -1, and -1 ^ 1 = -2 matches no code
+            rows, cols = np.nonzero(codes[None, :] != (last[lo:hi, None] ^ 1))
+            child = np.arange(hi, starts[r + 2])
+            parent[child] = lo + rows
+            last[child] = codes[cols]
+            moves[codes[cols], lo + rows] = child
+            moves[codes[cols] ^ 1, child] = lo + rows
+        dist = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
+
+        def elements() -> list:
+            out: list[tuple[int, ...]] = [()]
+            for p, c in zip(parent[1:].tolist(), last[1:].tolist()):
+                out.append(out[p] + (c,))
+            return out
+
+        return Ball(self, radius, dist, elements, moves)
+
 
 # ---------------------------------------------------------------------------
 # Balls and indexing
 # ---------------------------------------------------------------------------
 
-@dataclass
 class Ball:
     """A word-metric ball around the identity with stable dense indexing.
 
     Elements are listed in breadth-first order, ties broken by generator
-    code, so index 0 is the identity and indices are reproducible across
+    code, so index 0 is the identity, ``dist`` is nondecreasing (every
+    sphere is a contiguous index range) and indices are reproducible across
     runs.  ``letter_moves`` gives, per letter, the index map of right
-    multiplication (-1 when the product leaves the ball).
+    multiplication (-1 when the product leaves the ball).  The hot paths
+    read only ``dist`` and the move table; ``elements`` is listed on first
+    use by the zero-argument function the builder passes.  Both arrays are
+    read-only because memoised balls are shared by every caller.
     """
 
-    group: QuotientGroup
-    radius: int
-    elements: list = field(repr=False)
-    index: dict = field(repr=False)
-    dist: np.ndarray = field(repr=False)
+    def __init__(
+        self,
+        group: QuotientGroup,
+        radius: int,
+        dist: np.ndarray,
+        list_elements: Callable[[], list],
+        moves: np.ndarray | None = None,
+    ):
+        self.group = group
+        self.radius = radius
+        self.dist = _read_only(dist)
+        self._list_elements = list_elements
+        self._moves = None if moves is None else _read_only(moves)
 
     def __len__(self):
-        return len(self.elements)
+        return len(self.dist)
+
+    def __repr__(self):
+        return f"Ball(group={self.group!r}, radius={self.radius}, size={len(self)})"
+
+    @cached_property
+    def elements(self) -> list:
+        return self._list_elements()
+
+    @cached_property
+    def index(self) -> dict:
+        return {g: i for i, g in enumerate(self.elements)}
 
     def sphere_sizes(self) -> list[int]:
-        return [int(np.sum(self.dist == r)) for r in range(self.radius + 1)]
+        return np.bincount(self.dist, minlength=self.radius + 1).tolist()
 
     def letter_moves(self) -> np.ndarray:
-        """Array of shape (2d, |ball|): moves[c][i] = index of elem_i * Psi(letter c)."""
-        G = self.group
-        letters = alphabet(G.d)
-        moves = np.full((len(letters), len(self)), -1, dtype=np.int64)
-        for c, letter in enumerate(letters):
-            col = moves[c]
-            for i, g in enumerate(self.elements):
-                h = G.apply_letter(g, letter)
-                col[i] = self.index.get(h, -1)
-        return moves
+        """Array of shape (2d, |ball|): moves[c][i] = index of elem_i * Psi(letter c).
+
+        Computed once per ball.
+        """
+        if self._moves is None:
+            G = self.group
+            letters = alphabet(G.d)
+            moves = np.full((len(letters), len(self)), -1, dtype=np.int64)
+            for c, letter in enumerate(letters):
+                col = moves[c]
+                for i, g in enumerate(self.elements):
+                    h = G.apply_letter(g, letter)
+                    col[i] = self.index.get(h, -1)
+            self._moves = _read_only(moves)
+        return self._moves
 
     def inverse_index(self) -> np.ndarray:
         """Index of each element's inverse (always inside the ball)."""
@@ -461,15 +547,51 @@ class Ball:
         return out
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _check_cap(sizes: Sequence[int], radius: int, cap: int) -> None:
+    """Raise where a breadth-first build with these sphere sizes would.
+
+    The build adds the identity unconditionally and refuses every later
+    element once ``cap`` elements exist.
+    """
+    total = 0
+    for r, size in enumerate(sizes):
+        total += size
+        if r and total > cap:
+            raise CapExceededError(
+                f"ball of radius {radius} exceeds cap {cap} (stopped at radius {r})"
+            )
+
+
 def ball(G: QuotientGroup, radius: int, cap: int = DEFAULT_BALL_CAP) -> Ball:
     """All elements at word-metric distance <= radius, BFS-indexed.
 
     For finite backends a radius at or beyond the diameter returns the whole
-    group.  Raises ``CapExceededError`` before materializing more than
-    ``cap`` elements.
+    group.  Raises ``CapExceededError`` when the ball has more than ``cap``
+    elements, before materializing them.  Balls are memoised per group and
+    radius, so repeated calls return the same ``Ball``; a memoised ball
+    larger than a later, smaller ``cap`` still raises.
     """
     if radius < 0:
         raise ConfigError("ball radius must be >= 0")
+    B = G._balls.get(radius)
+    if B is None:
+        B = G._balls[radius] = G._build_ball(radius, cap)
+    else:
+        _check_cap(B.sphere_sizes(), radius, cap)
+    return B
+
+
+def bfs_ball(G: QuotientGroup, radius: int, cap: int = DEFAULT_BALL_CAP) -> Ball:
+    """Breadth-first ball over group elements, uncached.
+
+    The construction for backends without an array builder, and the
+    reference the array builders are tested against.
+    """
     letters = alphabet(G.d)
     e = G.identity()
     index = {e: 0}
@@ -494,7 +616,7 @@ def ball(G: QuotientGroup, radius: int, cap: int = DEFAULT_BALL_CAP) -> Ball:
         if not nxt:
             break
         frontier = nxt
-    return Ball(G, radius, elements, index, np.array(dist, dtype=np.int64))
+    return Ball(G, radius, np.array(dist, dtype=np.int64), lambda: elements)
 
 
 def quotient_from_config(cfg: dict, d: int) -> QuotientGroup:

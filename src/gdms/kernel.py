@@ -16,7 +16,12 @@ first-return loops through the identity coset.
 The dynamic program is exact, not heuristic: a state at word-metric distance
 D from the identity with r steps left cannot contribute to any count once
 D > r, because one letter changes the distance by at most one.  Discarding
-those states bounds the live ball radius by ceil(n_max / 2).
+those states bounds the live ball radius by ceil(n_max / 2).  Each step
+also runs only on its live window: prefixes of length n - 1 lie within
+distance min(n - 1, n_max - n + 1) of the identity, which is a prefix of
+the breadth-first ball order, so the step reads that prefix of the state
+array and writes the prefix one sphere wider.  Every state left out is an
+exact zero, so the sums are bit-identical to a full-width step.
 """
 
 from __future__ import annotations
@@ -67,17 +72,26 @@ def _pruning_ball(G: QuotientGroup, n_max: int, ball_cap: int) -> tuple[Ball, bo
     raise CapExceededError("even the identity does not fit the ball cap")
 
 
-def forward_word_step(X: np.ndarray, moves: np.ndarray, weights: np.ndarray) -> np.ndarray:
+def forward_word_step(
+    X: np.ndarray,
+    moves: np.ndarray,
+    weights: np.ndarray,
+    n_out: int | None = None,
+) -> np.ndarray:
     """One letter-append step of the word dynamic program.
 
     X[v, i] holds the weight of prefixes ending with letter v at ball
     element i; appending letter w multiplies by weights[w], forbids
     w = v^-1, and moves the group coordinate along ``moves[w]`` (-1 drops
-    the transition).
+    the transition).  ``moves`` has one column per column of X; the result
+    has ``n_out`` columns (default: as many as X), which must exceed every
+    move target.
     """
     n_letters, n_ball = X.shape
+    if n_out is None:
+        n_out = n_ball
     col_sum = X.sum(axis=0)
-    Y = np.zeros_like(X)
+    Y = np.zeros((n_letters, n_out))
     for w in range(n_letters):
         mv = moves[w]
         valid = mv >= 0
@@ -88,7 +102,7 @@ def forward_word_step(X: np.ndarray, moves: np.ndarray, weights: np.ndarray) -> 
             contrib = contrib[valid]
             idx = mv[valid]
         if contrib.size:
-            Y[w] = np.bincount(idx, weights=contrib, minlength=n_ball)
+            Y[w] = np.bincount(idx, weights=contrib, minlength=n_out)
     return Y
 
 
@@ -112,14 +126,17 @@ def kernel_counts(
         raise ConfigError("quotient and GDMS rank mismatch")
     B, exact = _pruning_ball(G, n_max, ball_cap)
     moves = B.letter_moves()
-    dist = B.dist
     n_letters = 2 * spec.d
-    n_ball = len(B)
     weights = spec.ratio_array ** s
 
+    def within(r: int) -> int:
+        """Number of ball elements at distance <= r (a BFS prefix)."""
+        return int(np.searchsorted(B.dist, r, side="right"))
+
     # X[v, i] = (rescaled) total weight of admissible length-n prefixes
-    # ending with letter v whose image is ball element i.
-    X = np.zeros((n_letters, n_ball))
+    # ending with letter v whose image is ball element i; columns past the
+    # live window are exact zeros and are not stored.
+    X = np.zeros((n_letters, within(1)))
     for v in range(n_letters):
         j = moves[v][0]
         if j >= 0:
@@ -134,11 +151,11 @@ def kernel_counts(
 
     record(1)
     for n in range(2, n_max + 1):
-        # Prune states that can no longer return within the horizon.
-        dead = dist > (n_max - (n - 1))
-        if dead.any():
-            X[:, dead] = 0.0
-        X = forward_word_step(X, moves, weights)
+        # Live inputs: reached in n - 1 letters and able to return in the
+        # n_max - (n - 1) letters left.
+        live = min(n - 1, n_max - n + 1)
+        k = within(live)
+        X = forward_word_step(X[:, :k], moves[:, :k], weights, within(live + 1))
         peak = float(X.max())
         if peak <= 0.0:
             break
@@ -380,6 +397,7 @@ class DivergenceReport:
     log_terms: np.ndarray
     tail_nondecreasing: bool
     tail_min_step: float
+    table: KernelCountTable
 
 
 def divergence_check(
@@ -405,6 +423,7 @@ def divergence_check(
         log_terms=terms,
         tail_nondecreasing=bool(np.all(steps >= -1e-9)),
         tail_min_step=float(steps.min()) if steps.size else 0.0,
+        table=table,
     )
 
 

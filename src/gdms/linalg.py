@@ -85,23 +85,6 @@ def perron_value_dense(
     return perron_value(lambda v: m @ v, m.shape[0], tol=tol, max_iter=max_iter, v0=v0)
 
 
-def aitken_extrapolate(values) -> float:
-    """Aitken delta-squared acceleration of the last three sequence entries.
-
-    Used on monotone truncation ladders (which approach their limit at a
-    polynomial rate) to produce the reported final estimate.  Falls back to
-    the last value when the differences are degenerate.
-    """
-    x = [float(v) for v in values]
-    if len(x) < 3:
-        return x[-1]
-    x0, x1, x2 = x[-3], x[-2], x[-1]
-    denom = (x2 - x1) - (x1 - x0)
-    if denom == 0.0:
-        return x2
-    return x2 - (x2 - x1) ** 2 / denom
-
-
 def richardson_r2_extrapolate(radii, values) -> float:
     """Limit estimate assuming value(R) = limit - c / R**2.
 

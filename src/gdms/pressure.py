@@ -29,7 +29,6 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import ConfigError
 from .groups import Letter, QuotientGroup, ReducedWord, inverse_code
@@ -335,9 +334,7 @@ class PartialSums:
 
     @property
     def log_partials(self) -> np.ndarray:
-        return np.array(
-            [logsumexp(self.log_terms[: k + 1]) for k in range(len(self.log_terms))]
-        )
+        return np.logaddexp.accumulate(self.log_terms)
 
 
 def poincare_partial(

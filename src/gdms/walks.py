@@ -28,7 +28,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConfigError
-from .groups import Ball, FreeQuotient, QuotientGroup, alphabet, ball
+from .groups import Ball, FreeQuotient, QuotientGroup, ball
 from .kernel import DEFAULT_BALL_CAP
 from .linalg import perron_value, perron_value_dense, richardson_r2_extrapolate
 
@@ -73,15 +73,7 @@ def cayley_ball(
     """
     B = ball(G, R, ball_cap)
     moves = B.letter_moves()
-    e = G.identity()
-    image_codes = []
-    seen = set()
-    for letter in alphabet(G.d):
-        img = G.letter_image(letter)
-        if img == e or img in seen:
-            continue
-        seen.add(img)
-        image_codes.append(letter.code)
+    image_codes = G.generating_codes()
     n = len(B)
     pairs = []
     for c in image_codes:
@@ -201,15 +193,7 @@ def isoperimetric_scan(
         raise ConfigError("radius must be >= 1")
     B = ball(G, R + 1, ball_cap)
     moves = B.letter_moves()
-    e = G.identity()
-    image_codes = []
-    seen = set()
-    for letter in alphabet(G.d):
-        img = G.letter_image(letter)
-        if img == e or img in seen:
-            continue
-        seen.add(img)
-        image_codes.append(letter.code)
+    image_codes = G.generating_codes()
     dist = B.dist
     ratios = []
     for r in range(1, R + 1):

@@ -200,6 +200,14 @@ class TestDeterminism:
             out2 / "kernel_table_half.csv"
         ).read_bytes()
 
+    @pytest.mark.parametrize("env", ["GDMS_BALL_CAP", "GDMS_POINT_CAP", "GDMS_LOOP_CAP"])
+    def test_malformed_env_cap_is_config_error(self, tmp_path, monkeypatch, capsys, env):
+        monkeypatch.setenv(env, "abc")
+        cfg = {"gdms": GDMS_THIRD, "quotient": Z2_QUOTIENT, "params": {"n_max": 8}}
+        code, _ = run_cli("delta-kernel", cfg, tmp_path)
+        assert code == 2
+        assert env in capsys.readouterr().err
+
     def test_env_cap_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("GDMS_BALL_CAP", "10")
         cfg = {

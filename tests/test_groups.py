@@ -22,6 +22,8 @@ from gdms import (
     word,
 )
 
+from gdms.groups import bfs_ball
+
 from conftest import all_reduced_words_upto, codes_to_word, iter_reduced_words, naive_reduce
 
 
@@ -230,8 +232,46 @@ class TestBalls:
 
     def test_deterministic_indexing(self, zz):
         a = ball(zz, 3)
-        b = ball(zz, 3)
+        b = bfs_ball(zz, 3)
         assert a.elements == b.elements
+
+    @pytest.mark.parametrize(
+        "d,kill", [(2, []), (3, [3]), (3, [1, 3]), (3, [1, 2, 3]), (4, [2])]
+    )
+    def test_free_tree_ball_matches_bfs(self, d, kill):
+        G = FreeQuotient(d, kill)
+        for r in range(7):
+            ref = bfs_ball(G, r)
+            B = G._build_ball(r, 10**9)
+            assert B.elements == ref.elements
+            assert (B.dist == ref.dist).all()
+            assert (B.letter_moves() == ref.letter_moves()).all()
+
+    def test_free_tree_cap_matches_bfs(self):
+        G = FreeQuotient(3, [3])
+        for cap in (0, 1, 5, 16, 17, 53, 160):
+            errors = []
+            for build in (lambda: bfs_ball(G, 4, cap), lambda: G._build_ball(4, cap)):
+                try:
+                    build()
+                    errors.append(None)
+                except CapExceededError as exc:
+                    errors.append(str(exc))
+            assert errors[0] == errors[1]
+
+    def test_memo_returns_same_ball(self):
+        G = FreeAbelianQuotient(2, [[1, 0], [0, 1]])
+        B = ball(G, 3)
+        assert ball(G, 3) is B
+        assert B.letter_moves() is B.letter_moves()
+        assert not B.letter_moves().flags.writeable
+
+    def test_memoised_ball_still_capped(self):
+        G = FreeQuotient(2)
+        B = ball(G, 3)
+        with pytest.raises(CapExceededError, match="stopped at radius 3"):
+            ball(G, 3, cap=len(B) - 1)
+        assert ball(G, 3, cap=len(B)) is B
 
 
 class TestBackendsMisc:

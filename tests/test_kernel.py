@@ -8,6 +8,8 @@ import pytest
 from gdms import (
     CapExceededError,
     ConfigError,
+    FreeAbelianQuotient,
+    FreeQuotient,
     GdmsError,
     LinearGdmsSpec,
     bowen_root,
@@ -20,7 +22,7 @@ from gdms import (
     kernel_pressure,
     pressure,
 )
-from gdms.kernel import loop_composition_log_counts
+from gdms.kernel import _pruning_ball, forward_word_step, loop_composition_log_counts
 
 from conftest import brute_kernel_sums
 
@@ -91,6 +93,61 @@ class TestKernelCounts:
                     if n + m + ell <= 16 and np.isfinite(a[n + m + ell - 1])
                 ]
                 assert max(lhs_candidates) >= a[n - 1] + a[m - 1] + log_w_min - 1e-9
+
+
+def full_width_kernel_counts(spec, G, s, n_max):
+    """The kernel DP over the whole pruning ball, zeroing dead states."""
+    B, _ = _pruning_ball(G, n_max, 2_000_000)
+    moves = B.letter_moves()
+    weights = spec.ratio_array ** s
+    X = np.zeros((2 * spec.d, len(B)))
+    for v in range(2 * spec.d):
+        if moves[v][0] >= 0:
+            X[v, moves[v][0]] += weights[v]
+    log_scale = 0.0
+    log_a = np.full(n_max, -np.inf)
+    for n in range(1, n_max + 1):
+        if n > 1:
+            X[:, B.dist > n_max - (n - 1)] = 0.0
+            X = forward_word_step(X, moves, weights)
+            peak = float(X.max())
+            X /= peak
+            log_scale += math.log(peak)
+        total = float(X[:, 0].sum())
+        if total > 0.0:
+            log_a[n - 1] = log_scale + math.log(total)
+    return log_a
+
+
+class TestLiveWindow:
+    @pytest.mark.parametrize(
+        "G,spec_fixture,n_max",
+        [
+            (FreeQuotient(3, kill=[3]), "spec_fifth_d3", 15),
+            (FreeAbelianQuotient(2, [[1, 0], [0, 1]]), "spec_mixed", 22),
+        ],
+    )
+    def test_bit_identical_to_full_width(self, G, spec_fixture, n_max, request):
+        spec = request.getfixturevalue(spec_fixture)
+        for s in (0.5, 1.0):
+            got = kernel_counts(spec, G, s, n_max).log_a
+            assert got.tobytes() == full_width_kernel_counts(spec, G, s, n_max).tobytes()
+
+    def test_delta_kernel_builds_ball_once(self, spec_fifth_d3, monkeypatch):
+        builds = []
+        build = FreeQuotient._build_ball
+
+        def counting(self, radius, cap):
+            builds.append(radius)
+            return build(self, radius, cap)
+
+        monkeypatch.setattr(FreeQuotient, "_build_ball", counting)
+        G = FreeQuotient(3, kill=[3])
+        res = delta_kernel(spec_fifth_d3, G, n_max=12)
+        assert len(res.evaluations) > 1
+        assert builds == [6]
+        divergence_check(spec_fifth_d3, G, 12)
+        assert builds == [6]
 
 
 class TestKernelPressure:
@@ -176,6 +233,8 @@ class TestDivergence:
     def test_zz_tail(self, spec_third, zz):
         rep = divergence_check(spec_third, zz, 24)
         assert rep.tail_nondecreasing
+        assert rep.table.s == rep.s_half
+        assert (rep.table.log_a[rep.lengths - 1] == rep.log_terms).all()
 
     def test_requires_symmetry(self, spec_nonsym, z2):
         with pytest.raises(ConfigError, match="symmetric"):
