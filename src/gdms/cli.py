@@ -13,6 +13,7 @@ non-convergence, 5 inconsistent cross-check.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -29,8 +30,9 @@ from .errors import (
     GdmsError,
     InconsistentReportError,
 )
-from .groups import QuotientGroup, quotient_from_config
+from .groups import DEFAULT_BALL_CAP, QuotientGroup, alphabet, quotient_from_config
 from .kernel import (
+    DEFAULT_LOOP_CAP,
     delta_kernel,
     divergence_check,
     induced_bowen_root,
@@ -38,6 +40,7 @@ from .kernel import (
 )
 from .pressure import LinearGdmsSpec, bowen_root, pressure_curve
 from .render import (
+    DEFAULT_POINT_CAP,
     attractor_points,
     auto_layout,
     box_counting,
@@ -45,7 +48,7 @@ from .render import (
     write_pgm,
 )
 from .reports import RunReport, estimate, exact, write_csv
-from .skew import EPS_VERDICT, VERDICT_AMENABLE, VERDICT_NON_AMENABLE, amenability_report
+from .skew import VERDICT_AMENABLE, amenability_report, ladder_verdict
 from .walks import isoperimetric_scan, srw_spectral_radius
 
 EXIT_OK = 0
@@ -82,7 +85,7 @@ def load_config(path: str | Path) -> dict:
 
 
 def _caps(params: dict) -> dict:
-    caps = {"ball": 2_000_000, "points": 2_000_000, "loops": 500_000}
+    caps = {"ball": DEFAULT_BALL_CAP, "points": DEFAULT_POINT_CAP, "loops": DEFAULT_LOOP_CAP}
     caps.update(params.get("caps", {}))
     for key, env in (
         ("ball", "GDMS_BALL_CAP"),
@@ -109,9 +112,12 @@ def _quotient(cfg: dict, spec: LinearGdmsSpec) -> QuotientGroup:
 
 
 def _word_str(codes) -> str:
-    from .groups import Letter
+    return " ".join(_letter_names(max(codes, default=0) // 2 + 1)[c] for c in codes)
 
-    return " ".join(repr(Letter.from_code(c)) for c in codes)
+
+@functools.lru_cache
+def _letter_names(d: int) -> tuple[str, ...]:
+    return tuple(repr(letter) for letter in alphabet(d))
 
 
 # ---------------------------------------------------------------------------
@@ -186,12 +192,8 @@ def cmd_delta_kernel(cfg: dict, outdir: Path) -> dict:
     return results
 
 
-def _walk_verdict(final_estimate: float) -> str:
-    return (
-        VERDICT_AMENABLE
-        if final_estimate >= 1.0 - EPS_VERDICT
-        else VERDICT_NON_AMENABLE
-    )
+# The walk ladder's verdict follows the same rule as the skew ladder's.
+_walk_verdict = ladder_verdict
 
 
 def combine_verdicts(dichotomy_verdict: str, walk_verdict: str | None):

@@ -158,10 +158,6 @@ def kappa(w: ReducedWord) -> ReducedWord:
     return w.inverse()
 
 
-def is_reduced(codes: Sequence[int]) -> bool:
-    return all(b != (a ^ 1) for a, b in itertools.pairwise(codes))
-
-
 # ---------------------------------------------------------------------------
 # Quotient groups
 # ---------------------------------------------------------------------------

@@ -13,6 +13,15 @@ convergence of N), checks the divergence of the kernel Poincare series at
 half the full exponent, and builds the induced system whose edges are
 first-return loops through the identity coset.
 
+The group-extended transfer operator factors into two primitives on
+(letter, ball element) arrays: the group step T (``_scatter``) moves each
+letter row v along the move table of v with weight c(v)^s, and the
+non-backtracking letter sum L (``_complement``) replaces row w by the sum
+of all rows v != w^-1.  Appending a letter to a word is T o L
+(``forward_word_step``); the skew operator of ``skew.py`` is L o T.  The two
+are the cyclic products of the same pair, so T o (L o T) = (T o L) o T and
+they share their nonzero spectrum; they are not adjoints.
+
 The dynamic program is exact, not heuristic: a state at word-metric distance
 D from the identity with r steps left cannot contribute to any count once
 D > r, because one letter changes the distance by at most one.  Discarding
@@ -31,11 +40,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapExceededError, ConfigError, GdmsError
-from .groups import Ball, QuotientGroup, alphabet, ball
+from .groups import DEFAULT_BALL_CAP, Ball, QuotientGroup, alphabet, ball
 from .linalg import perron_value_dense
 from .pressure import LinearGdmsSpec, bowen_root
 
-DEFAULT_BALL_CAP = 2_000_000
 DEFAULT_LOOP_CAP = 500_000
 
 
@@ -72,13 +80,44 @@ def _pruning_ball(G: QuotientGroup, n_max: int, ball_cap: int) -> tuple[Ball, bo
     raise CapExceededError("even the identity does not fit the ball cap")
 
 
+def _scatter(
+    X: np.ndarray, moves: np.ndarray, weights: np.ndarray, n_out: int
+) -> np.ndarray:
+    """The group step T: Z[v] = weights[v] * X[v] pushed along ``moves[v]``.
+
+    Column i of row v lands in column ``moves[v, i]`` of the result, which
+    has ``n_out`` columns; a move of -1 drops the entry.  ``moves`` has one
+    column per column of X.
+    """
+    Z = np.zeros((len(X), n_out))
+    for v in range(len(X)):
+        mv = moves[v]
+        t = X[v] * weights[v]
+        valid = mv >= 0
+        if not valid.all():
+            t = t[valid]
+            mv = mv[valid]
+        if t.size:
+            Z[v] = np.bincount(mv, weights=t, minlength=n_out)
+    return Z
+
+
+def _complement(Z: np.ndarray) -> np.ndarray:
+    """The non-backtracking letter sum L: Y[w] = sum over v != w^-1 of Z[v]."""
+    total = Z.sum(axis=0)
+    Y = np.empty_like(Z)
+    for w in range(len(Z)):
+        Y[w] = total - Z[w ^ 1]
+    return Y
+
+
 def forward_word_step(
     X: np.ndarray,
     moves: np.ndarray,
     weights: np.ndarray,
     n_out: int | None = None,
 ) -> np.ndarray:
-    """One letter-append step of the word dynamic program.
+    """One letter-append step of the word dynamic program, T o L.
 
     X[v, i] holds the weight of prefixes ending with letter v at ball
     element i; appending letter w multiplies by weights[w], forbids
@@ -87,23 +126,9 @@ def forward_word_step(
     has ``n_out`` columns (default: as many as X), which must exceed every
     move target.
     """
-    n_letters, n_ball = X.shape
     if n_out is None:
-        n_out = n_ball
-    col_sum = X.sum(axis=0)
-    Y = np.zeros((n_letters, n_out))
-    for w in range(n_letters):
-        mv = moves[w]
-        valid = mv >= 0
-        contrib = (col_sum - X[w ^ 1]) * weights[w]
-        if valid.all():
-            idx = mv
-        else:
-            contrib = contrib[valid]
-            idx = mv[valid]
-        if contrib.size:
-            Y[w] = np.bincount(idx, weights=contrib, minlength=n_out)
-    return Y
+        n_out = X.shape[1]
+    return _scatter(_complement(X), moves, weights, n_out)
 
 
 def kernel_counts(
@@ -135,12 +160,9 @@ def kernel_counts(
 
     # X[v, i] = (rescaled) total weight of admissible length-n prefixes
     # ending with letter v whose image is ball element i; columns past the
-    # live window are exact zeros and are not stored.
-    X = np.zeros((n_letters, within(1)))
-    for v in range(n_letters):
-        j = moves[v][0]
-        if j >= 0:
-            X[v, j] += weights[v]
+    # live window are exact zeros and are not stored.  The one-letter words
+    # are T applied to the identity in every letter row.
+    X = _scatter(np.ones((n_letters, 1)), moves[:, :1], weights, within(1))
     log_scale = 0.0
     log_a = np.full(n_max, -np.inf)
 
@@ -513,18 +535,10 @@ def loop_transfer_matrix(sys: InducedSystem, s: float) -> np.ndarray:
     the induced-system pressure at exponent s.
     """
     n = 2 * sys.spec.d
-    m = np.zeros((n, n))
-    if len(sys) == 0:
-        return m
-    firsts = sys.first_letters()
-    lasts = sys.last_letters()
-    w = np.exp(s * sys.log_weights)
     by_pair = np.zeros((n, n))
-    np.add.at(by_pair, (firsts, lasts), w)
-    totals = by_pair.sum(axis=0)
-    for u in range(n):
-        m[u] = totals - by_pair[u ^ 1]
-    return m
+    w = np.exp(s * sys.log_weights)
+    np.add.at(by_pair, (sys.first_letters(), sys.last_letters()), w)
+    return _complement(by_pair)
 
 
 def induced_bowen_root(sys: InducedSystem, tol: float = 1e-10) -> float:
@@ -563,8 +577,9 @@ def loop_composition_log_counts(sys: InducedSystem, s: float, n_max: int) -> np.
     n <= L_max every kernel word of length n is a unique composition.
     """
     n = 2 * sys.spec.d
-    # state: (total length, last letter) -> accumulated weight
-    acc = [np.zeros(n) for _ in range(n_max + 1)]
+    # follow[t][v]: weight of compositions of total length t that letter v
+    # may follow, i.e. L applied to their weights by last letter.
+    follow = [np.zeros(n) for _ in range(n_max + 1)]
     out = np.full(n_max, -np.inf)
     firsts = sys.first_letters()
     lasts = sys.last_letters()
@@ -580,10 +595,8 @@ def loop_composition_log_counts(sys: InducedSystem, s: float, n_max: int) -> np.
             if L == total:
                 vec[lasts[k]] += w[k]
             else:
-                prev = acc[total - L]
-                allowed = prev.sum() - prev[firsts[k] ^ 1]
-                vec[lasts[k]] += w[k] * allowed
-        acc[total] = vec
+                vec[lasts[k]] += w[k] * follow[total - L][firsts[k]]
+        follow[total] = _complement(vec)
         tot = vec.sum()
         if tot > 0:
             out[total - 1] = math.log(tot)

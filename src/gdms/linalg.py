@@ -4,17 +4,21 @@ All spectral radii in this package are computed by the same routine: power
 iteration with a unit diagonal shift (which removes periodicity of the
 underlying nonnegative matrix without moving its Perron vector), a
 deterministic uniform start vector, and a sup-norm eigen-residual as the
-stopping criterion.
+stopping criterion.  Every Dirichlet truncation ladder of those spectral
+radii is read by the same limit rule, ``truncation_limit``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import ConvergenceError
+
+# A truncation ladder has plateaued when its last rung moved less than this.
+PLATEAU_TOL = 1e-3
 
 
 @dataclass
@@ -31,7 +35,6 @@ def perron_value(
     tol: float = 1e-12,
     max_iter: int = 1_000_000,
     v0: np.ndarray | None = None,
-    raise_on_failure: bool = True,
 ) -> PerronResult:
     """Perron value and vector of a nonnegative operator given by ``matvec``.
 
@@ -47,16 +50,14 @@ def perron_value(
     if nrm == 0.0:
         raise ValueError("start vector must be nonzero")
     v /= nrm
-    lam = 0.0
-    best = (np.inf, 0.0, v)
+    best = np.inf
     for k in range(1, max_iter + 1):
         av = matvec(v)
         lam = float(v @ av)  # Rayleigh quotient; v is kept at unit 2-norm
         residual = float(np.max(np.abs(av - lam * v))) / max(
             float(np.max(np.abs(v))), 1e-300
         )
-        if residual < best[0]:
-            best = (residual, lam, v.copy())
+        best = min(best, residual)
         if residual <= tol * max(1.0, abs(lam)):
             return PerronResult(lam, v, k, residual)
         w = av + v
@@ -66,13 +67,11 @@ def perron_value(
             # update means A annihilates v and the shift keeps v fixed.
             return PerronResult(0.0, v, k, 0.0)
         v = w / nrm
-    if raise_on_failure:
-        raise ConvergenceError(
-            f"power iteration did not reach tol={tol} in {max_iter} iterations "
-            f"(best residual {best[0]:.3e})",
-            residual=best[0],
-        )
-    return PerronResult(best[1], best[2], max_iter, best[0])
+    raise ConvergenceError(
+        f"power iteration did not reach tol={tol} in {max_iter} iterations "
+        f"(best residual {best:.3e})",
+        residual=best,
+    )
 
 
 def perron_value_dense(
@@ -85,18 +84,29 @@ def perron_value_dense(
     return perron_value(lambda v: m @ v, m.shape[0], tol=tol, max_iter=max_iter, v0=v0)
 
 
-def richardson_r2_extrapolate(radii, values) -> float:
-    """Limit estimate assuming value(R) = limit - c / R**2.
+def truncation_limit(
+    radii: Sequence[int], rho: Sequence[float], min_rungs: int
+) -> tuple[float, bool]:
+    """Limit estimate and plateau flag of a Dirichlet truncation ladder.
 
-    The Dirichlet-truncation ladders of this package converge at that rate;
-    the two largest radii determine the limit.  Falls back to the last value
-    for degenerate input.
+    ``rho[i]`` is the truncated spectral radius at ``radii[i]``, radii
+    ascending.  A ladder of at least ``min_rungs`` rungs that never falls
+    (up to 1e-10) and still rises at its last rung is extrapolated from its
+    last two rungs, assuming rho(R) = limit - c / R**2; any other ladder
+    gives its supremum.  Either way the limit is capped at 1, which bounds
+    every ladder of this package.  ``plateau`` is true when the last rung is
+    within PLATEAU_TOL of the largest earlier rung at least two radii below
+    it.
     """
-    if len(values) < 2 or len(radii) != len(values):
-        return float(values[-1])
-    r1, r2 = float(radii[-2]), float(radii[-1])
-    v1, v2 = float(values[-2]), float(values[-1])
-    if r1 <= 0 or r2 <= r1:
-        return v2
-    w1, w2 = 1.0 / r1**2, 1.0 / r2**2
-    return (v2 * w1 - v1 * w2) / (w1 - w2)
+    limit = max(rho)
+    rising = all(b >= a - 1e-10 for a, b in zip(rho, rho[1:]))
+    if len(rho) >= max(min_rungs, 2) and rising and rho[-1] > rho[-2]:
+        r1, r2 = float(radii[-2]), float(radii[-1])
+        if 0 < r1 < r2:
+            w1, w2 = 1.0 / r1**2, 1.0 / r2**2
+            limit = (rho[-1] * w1 - rho[-2] * w2) / (w1 - w2)
+    plateau = False
+    prev = [i for i, r in enumerate(radii[:-1]) if r <= radii[-1] - 2]
+    if prev:
+        plateau = abs(rho[-1] - rho[prev[-1]]) < PLATEAU_TOL
+    return min(float(limit), 1.0), plateau

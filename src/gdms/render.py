@@ -424,10 +424,8 @@ def render_image(cloud: PointCloud, resolution: int = 512) -> np.ndarray:
 
 def write_pgm(img: np.ndarray, path) -> None:
     """Binary (P5) PGM with maxval 255."""
-    h, w = img.shape
     with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(img.astype(np.uint8).tobytes())
+        fh.write(pgm_bytes(img))
 
 
 def pgm_bytes(img: np.ndarray) -> bytes:

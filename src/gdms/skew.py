@@ -12,12 +12,19 @@ otherwise.  For symmetric ratio data the kernel pressure equals the log of
 this spectral radius, which ties the operator ladder to the kernel-count
 tables.
 
+The operator is L o T in the notation of ``kernel.py``: the group step T
+moves row v along the move table of letter v with weight c(v)^s, then the
+letter sum L gives row w the sum of all rows v != w^-1.  The kernel-word
+dynamic program ``forward_word_step`` is the other cyclic product T o L, so
+T o matvec = forward_word_step o T and both have the same nonzero spectrum.
+
 Infinite groups are handled by Dirichlet truncation to a word-metric ball:
 transitions leaving the ball are dropped, which makes the truncated spectral
 radius a lower bound that is nondecreasing in the radius.  No convergence
 rate is available for the truncation on infinite amenable groups; verdicts
-therefore combine the raw ladder with a 1/R^2 Richardson extrapolation and
-record the heuristic in the report.
+therefore read the ladder through ``linalg.truncation_limit`` (the supremum,
+or a 1/R^2 Richardson extrapolation of a rising ladder) and record the
+heuristic in the report.
 """
 
 from __future__ import annotations
@@ -29,15 +36,19 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, ConvergenceError, GdmsError
-from .groups import Ball, FinitePermQuotient, QuotientGroup, ball
-from .kernel import DEFAULT_BALL_CAP, forward_word_step, kernel_counts, kernel_pressure
-from .linalg import PerronResult, perron_value, richardson_r2_extrapolate
+from .groups import DEFAULT_BALL_CAP, Ball, FinitePermQuotient, QuotientGroup, ball
+from .kernel import _complement, _scatter, forward_word_step, kernel_counts, kernel_pressure
+from .linalg import PerronResult, perron_value, truncation_limit
 from .pressure import LinearGdmsSpec, bowen_root, pressure
 
 VERDICT_AMENABLE = "consistent-with-amenable"
 VERDICT_NON_AMENABLE = "consistent-with-non-amenable"
 EPS_VERDICT = 0.005
-PLATEAU_TOL = 1e-3
+
+
+def ladder_verdict(limit: float) -> str:
+    """Amenable when a ladder's limit estimate reaches 1 - EPS_VERDICT."""
+    return VERDICT_AMENABLE if limit >= 1.0 - EPS_VERDICT else VERDICT_NON_AMENABLE
 
 
 # ---------------------------------------------------------------------------
@@ -74,26 +85,10 @@ class SkewOperator:
         return self.n_letters * len(self.ball)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """Apply the operator to a flat vector (state = letter * |ball| + i)."""
+        """Apply L o T to a flat vector (state = letter * |ball| + i)."""
         n_ball = len(self.ball)
         X = x.reshape(self.n_letters, n_ball)
-        Z = np.zeros_like(X)
-        for v in range(self.n_letters):
-            mv = self._moves[v]
-            valid = mv >= 0
-            t = X[v] * self._weights[v]
-            if not valid.all():
-                t = t[valid]
-                idx = mv[valid]
-            else:
-                idx = mv
-            if t.size:
-                Z[v] = np.bincount(idx, weights=t, minlength=n_ball)
-        ztot = Z.sum(axis=0)
-        Y = np.empty_like(X)
-        for w in range(self.n_letters):
-            Y[w] = ztot - Z[w ^ 1]
-        return Y.reshape(-1)
+        return _complement(_scatter(X, self._moves, self._weights, n_ball)).reshape(-1)
 
     def dense(self) -> np.ndarray:
         """Materialize the matrix; intended for small operators and tests."""
@@ -168,8 +163,8 @@ class DichotomyReport:
     """Spectral-radius ladder at the Bowen root with an amenability verdict.
 
     ``rho_skew`` is nondecreasing in the radius and bounded by 1 + tolerance;
-    ``gap`` is 1 - sup_R rho.  The verdict compares both the raw supremum and
-    a 1/R^2 extrapolation of the ladder against 1 - eps; the plateau flag
+    ``gap`` is 1 - sup_R rho.  The verdict compares the ladder's limit
+    estimate (``linalg.truncation_limit``) against 1 - eps; the plateau flag
     records whether the ladder had visibly stopped moving.
     """
 
@@ -230,22 +225,7 @@ def amenability_report(
             # full-group value.
             rho_vals += [rho_vals[-1]] * (len(radii) - len(rho_vals))
             break
-    sup_rho = max(rho_vals)
-    increasing = all(b >= a - 1e-10 for a, b in zip(rho_vals, rho_vals[1:]))
-    if len(rho_vals) >= 3 and increasing and rho_vals[-1] > rho_vals[-2]:
-        limit_est = richardson_r2_extrapolate(radii, rho_vals)
-    else:
-        limit_est = sup_rho
-    limit_est = min(limit_est, 1.0)
-
-    plateau = False
-    want = radii[-1] - 2
-    prev = [r for r in radii[:-1] if r <= want]
-    if prev:
-        r_cmp = max(prev)
-        plateau = abs(rho_vals[-1] - rho_vals[radii.index(r_cmp)]) < PLATEAU_TOL
-    amenable = sup_rho >= 1.0 - EPS_VERDICT or limit_est >= 1.0 - EPS_VERDICT
-    verdict = VERDICT_AMENABLE if amenable else VERDICT_NON_AMENABLE
+    limit_est, plateau = truncation_limit(radii, rho_vals, min_rungs=3)
 
     kp = None
     try:
@@ -264,9 +244,9 @@ def amenability_report(
         rho_full=rho_full,
         radii=radii,
         rho_skew=tuple(rho_vals),
-        verdict=verdict,
-        gap=1.0 - sup_rho,
-        rho_limit_estimate=float(limit_est),
+        verdict=ladder_verdict(limit_est),
+        gap=1.0 - max(rho_vals),
+        rho_limit_estimate=limit_est,
         plateau=plateau,
         kernel_pressure_estimate=kp,
         notes=notes,
@@ -321,11 +301,7 @@ def check_asymptotic_symmetry(
     in_R = np.flatnonzero(B.dist <= R)
     inv_of_in_R = inv_idx[in_R]
 
-    X = np.zeros((n_letters, len(B)))
-    for v in range(n_letters):
-        j = moves[v][0]
-        if j >= 0:
-            X[v, j] += weights[v]
+    X = _scatter(np.ones((n_letters, 1)), moves[:, :1], weights, len(B))
     rel = np.zeros(n_max)
     lo = np.ones(n_max)
     hi = np.ones(n_max)

@@ -22,17 +22,16 @@ amenability.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ConfigError
-from .groups import Ball, FreeQuotient, QuotientGroup, ball
-from .kernel import DEFAULT_BALL_CAP
-from .linalg import perron_value, perron_value_dense, richardson_r2_extrapolate
+from .groups import DEFAULT_BALL_CAP, Ball, FreeQuotient, QuotientGroup, ball
+from .linalg import perron_value, perron_value_dense, truncation_limit
 
-PLATEAU_TOL = 1e-3
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 @dataclass
@@ -71,6 +70,10 @@ def cayley_ball(
     image; duplicate images (several letters with the same image) contribute
     a single edge.
     """
+    # Imported here: scipy.sparse costs a quarter second, and only the
+    # generic walk path needs it.
+    import scipy.sparse as sp
+
     B = ball(G, R, ball_cap)
     moves = B.letter_moves()
     image_codes = G.generating_codes()
@@ -115,9 +118,9 @@ def _tree_radial_rho(k: int, R: int, tol: float) -> float:
 class WalkLadder:
     """Dirichlet walk spectral radii per radius with a limit estimate.
 
-    ``final_estimate`` extrapolates the 1/R^2 truncation tail from the last
-    two rungs; ``plateau`` records whether the ladder had stopped moving at
-    the plateau tolerance.
+    ``final_estimate`` and ``plateau`` come from ``linalg.truncation_limit``
+    (a 1/R^2 extrapolation of a rising ladder, else its supremum, capped at
+    1).
     """
 
     radii: tuple[int, ...]
@@ -159,16 +162,8 @@ def srw_spectral_radius(
             rho_vals.append(
                 perron_value(lambda v: p @ v, graph.n_vertices, tol=tol).value
             )
-    increasing = all(b >= a - 1e-10 for a, b in zip(rho_vals, rho_vals[1:]))
-    if len(rho_vals) >= 2 and increasing and rho_vals[-1] > rho_vals[-2]:
-        final = min(richardson_r2_extrapolate(radii, rho_vals), 1.0)
-    else:
-        final = rho_vals[-1]
-    plateau = False
-    prev = [r for r in radii[:-1] if r <= radii[-1] - 2]
-    if prev:
-        plateau = abs(rho_vals[-1] - rho_vals[radii.index(max(prev))]) < PLATEAU_TOL
-    return WalkLadder(radii, tuple(rho_vals), float(final), plateau, degree, method)
+    final, plateau = truncation_limit(radii, rho_vals, min_rungs=2)
+    return WalkLadder(radii, tuple(rho_vals), final, plateau, degree, method)
 
 
 @dataclass(frozen=True)

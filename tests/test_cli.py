@@ -1,6 +1,9 @@
 """CLI subcommands: happy paths, exit codes, determinism, fault injection."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -174,6 +177,14 @@ class TestExitCodes:
         assert res["verdict"] == "INCONSISTENT"
         assert res["inconsistent"]
 
+    @pytest.mark.parametrize(
+        "dead", [{"seed": 1}, {"tolerances": {"spectral": 1e-6}}], ids=["seed", "tolerances"]
+    )
+    def test_removed_params_rejected(self, tmp_path, dead):
+        cfg = {"gdms": GDMS_THIRD, "params": dead}
+        code, _ = run_cli("delta-full", cfg, tmp_path)
+        assert code == 2
+
     def test_combine_verdicts(self):
         v, bad = cli.combine_verdicts("a", "a")
         assert v == "a" and not bad
@@ -217,3 +228,24 @@ class TestDeterminism:
         }
         code, _ = run_cli("amenability", cfg, tmp_path)
         assert code == 3
+
+
+class TestStartup:
+    def test_import_leaves_scipy_sparse_unloaded(self):
+        # Only the generic walk path needs scipy.sparse; every other
+        # subcommand must not pay for importing it.
+        src = str(Path(cli.__file__).resolve().parents[1])
+        probe = "import sys, gdms.cli; print('scipy.sparse' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert out.stdout.strip() == "False"
+
+    def test_word_names(self):
+        assert cli._word_str((0, 1, 2, 3)) == "g1 g1~ g2 g2~"
+        assert cli._word_str(()) == ""
+        assert cli._word_str((5,)) == "g3~"

@@ -19,6 +19,8 @@ from gdms import (
     spectral_data,
     transfer_matrix,
 )
+from gdms.kernel import _scatter, forward_word_step
+from gdms.linalg import perron_value
 from gdms.skew import VERDICT_AMENABLE, VERDICT_NON_AMENABLE
 
 
@@ -178,3 +180,36 @@ class TestAsymptoticSymmetry:
     def test_radius_cannot_exceed_n_max(self, spec_third, zz):
         with pytest.raises(ConfigError):
             check_asymptotic_symmetry(spec_third, zz, n_max=4, R=6)
+
+
+class TestFactorisation:
+    """matvec is L o T and forward_word_step is T o L, so T intertwines them."""
+
+    CASES = [
+        ("spec_third", "zz", 6),
+        ("spec_fifth_d3", "f2_of_f3", 3),
+        ("spec_third", "s3", 0),
+    ]
+
+    @pytest.mark.parametrize("spec_name, group_name, R", CASES)
+    def test_group_step_intertwines(self, request, spec_name, group_name, R):
+        spec = request.getfixturevalue(spec_name)
+        G = request.getfixturevalue(group_name)
+        op = build_skew_operator(spec, G, 1.0, R)
+        shape = (op.n_letters, len(op.ball))
+        moves = op.ball.letter_moves()
+        weights = spec.ratio_array
+        x = np.random.default_rng(11).random(op.n_states)
+
+        def T(v):
+            return _scatter(v.reshape(shape), moves, weights, shape[1])
+
+        assert np.array_equal(T(op.matvec(x)), forward_word_step(T(x), moves, weights))
+
+        def forward(v):
+            return forward_word_step(v.reshape(shape), moves, weights).reshape(-1)
+
+        rho_skew = skew_spectral_radius(op).value
+        rho_forward = perron_value(forward, op.n_states).value
+        assert rho_skew > 0.0
+        assert abs(rho_skew - rho_forward) <= 1e-12

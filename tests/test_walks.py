@@ -101,3 +101,12 @@ class TestIsoperimetric:
         rep = isoperimetric_scan(z2, 2)
         assert rep.ratios[-1] == 0.0
         assert rep.min_ratio == 0.0
+
+
+def test_finite_group_ladder_capped_at_one(s3):
+    # Past the diameter every rung is the whole (stochastic) walk, rho = 1
+    # up to rounding; the limit estimate never exceeds 1.
+    ladder = srw_spectral_radius(s3, [3, 4, 5])
+    assert ladder.final_estimate <= 1.0
+    assert ladder.final_estimate == pytest.approx(1.0, abs=1e-10)
+    assert ladder.plateau
