@@ -40,7 +40,6 @@ from .kernel import (
     divergence_check,
     induced_bowen_root,
     induced_loops,
-    kernel_connector,
     kernel_counts,
     kernel_pressure,
 )

@@ -238,6 +238,8 @@ def cmd_amenability(cfg: dict, outdir: Path) -> dict:
         else {
             "radii": list(walk.radii),
             "rho": list(walk.rho),
+            "iterations": list(walk.iterations),
+            "residuals": list(walk.residuals),
             "final_estimate": walk.final_estimate,
             "plateau": walk.plateau,
             "method": walk.method,
@@ -330,6 +332,8 @@ def cmd_walks(cfg: dict, outdir: Path) -> dict:
         ),
         "method": ladder.method,
         "degree": ladder.degree,
+        "iterations": list(ladder.iterations),
+        "residuals": list(ladder.residuals),
         "isoperimetric": {
             "radii": list(iso.radii),
             "ratios": list(iso.ratios),

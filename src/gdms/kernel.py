@@ -197,9 +197,7 @@ class KernelPressureEstimate:
 
     ``estimate`` is the last stride-p ratio; ``dead_band`` the spread of the
     final two ratios (the honesty margin used by the bisection); ``trend``
-    one of increasing / decreasing / mixed; ``lower_bound`` a conservative
-    supermultiplicative (Fekete-style) bound when connector data is
-    available.
+    one of increasing / decreasing / mixed.
     """
 
     estimate: float
@@ -207,13 +205,12 @@ class KernelPressureEstimate:
     ratios: np.ndarray
     trend: str
     dead_band: float
-    lower_bound: float | None
     n_used: int
 
 
-def kernel_pressure(table: KernelCountTable,
-                    min_entries: int = 8,
-                    connector: tuple[int, float] | None = None) -> KernelPressureEstimate:
+def kernel_pressure(
+    table: KernelCountTable, min_entries: int = 8
+) -> KernelPressureEstimate:
     """Estimate the kernel pressure at the table's exponent.
 
     Requires at least ``min_entries`` nonzero counts.  The stride is 2 when
@@ -248,88 +245,14 @@ def kernel_pressure(table: KernelCountTable,
     else:
         trend = "mixed"
     dead_band = abs(float(ratios[-1] - ratios[-2]))
-    lower = None
-    if connector is not None:
-        max_len, log_w_min = connector
-        cand = [
-            (log_a[n - 1] + log_w_min - math.log(max_len + 2)) / (n + max_len)
-            for n in support
-        ]
-        lower = float(max(cand))
     return KernelPressureEstimate(
         estimate=float(ratios[-1]),
         period=period,
         ratios=ratios,
         trend=trend,
         dead_band=dead_band,
-        lower_bound=lower,
         n_used=int(support[-1]),
     )
-
-
-def kernel_connector(
-    spec: LinearGdmsSpec,
-    G: QuotientGroup,
-    s: float,
-    max_len: int = 16,
-    ball_cap: int = DEFAULT_BALL_CAP,
-) -> tuple[int, float] | None:
-    """Shortest kernel connectors joining every backtracking letter pair.
-
-    For each letter i, searches for a kernel word tau with first letter
-    != i^-1 and last letter != i, so that i tau i^-1 is admissible; every
-    other letter pair concatenates directly (empty connector).  Returns
-    (max length, min log weight at exponent s) over the chosen connectors,
-    or None when some letter has no connector within ``max_len``.
-    """
-    if G.kernel_is_trivial():
-        return None
-    try:
-        B, exact = _pruning_ball(G, max_len, ball_cap)
-    except CapExceededError:
-        return None
-    if not exact:
-        return None
-    moves = B.letter_moves()
-    n_letters = 2 * spec.d
-    log_w = spec.log_ratios * s
-    found: dict[int, tuple[int, float]] = {}
-    # One max-weight DP per letter i, over words avoiding first letter i^-1;
-    # a witness ending at the identity with last letter != i is a connector.
-    for i in range(n_letters):
-        banned_first = i ^ 1
-        best = np.full((n_letters, len(B)), -np.inf)
-        for v in range(n_letters):
-            if v == banned_first:
-                continue
-            j = moves[v][0]
-            if j >= 0:
-                best[v, j] = log_w[v]
-        got = None
-        for length in range(1, max_len + 1):
-            if length > 1:
-                nxt = np.full_like(best, -np.inf)
-                for w in range(n_letters):
-                    mv = moves[w]
-                    valid = mv >= 0
-                    src = best.copy()
-                    src[w ^ 1] = -np.inf
-                    col = src.max(axis=0)
-                    np.maximum.at(nxt[w], mv[valid], col[valid] + log_w[w])
-                best = nxt
-            ok = [
-                best[v, 0] for v in range(n_letters)
-                if v != i and np.isfinite(best[v, 0])
-            ]
-            if ok:
-                got = (length, float(max(ok)))
-                break
-        if got is None:
-            return None
-        found[i] = got
-    max_l = max(l for l, _ in found.values())
-    min_w = min(w for _, w in found.values())
-    return (max_l, min_w)
 
 
 # ---------------------------------------------------------------------------

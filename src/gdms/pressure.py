@@ -175,6 +175,7 @@ class SpectralData:
     """Perron value with positive left/right eigenvectors.
 
     Normalization: the right vector has maximum entry 1 and left . right = 1.
+    ``iterations`` counts the matvecs of the right and the left solve.
     """
 
     rho: float
@@ -366,7 +367,12 @@ def poincare_partial(
 
 
 def pressure_curve(spec: LinearGdmsSpec, s_values: Iterable[float]):
-    """Rows (s, P(s), rho, iterations, residual) for CSV emission."""
+    """Rows (s, P(s), rho, iterations, residual) for ``pressure_curve.csv``.
+
+    ``iterations`` is the number of matvecs of the right and left Perron
+    solves (``linalg.perron_value``); ``residual`` the larger of their two
+    final eigen-residuals.
+    """
     rows = []
     for s in s_values:
         sd = spectral_data(transfer_matrix(spec, float(s)))

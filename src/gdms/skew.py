@@ -35,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ConvergenceError, GdmsError
+from .errors import ConfigError, GdmsError
 from .groups import DEFAULT_BALL_CAP, Ball, FinitePermQuotient, QuotientGroup, ball
 from .kernel import _complement, _scatter, forward_word_step, kernel_counts, kernel_pressure
 from .linalg import PerronResult, perron_value, truncation_limit
@@ -101,11 +101,6 @@ class SkewOperator:
             e[j] = 0.0
         return m
 
-    def identity_start_vector(self) -> np.ndarray:
-        v = np.zeros((self.n_letters, len(self.ball)))
-        v[:, 0] = 1.0
-        return v.reshape(-1)
-
 
 def build_skew_operator(
     spec: LinearGdmsSpec,
@@ -137,21 +132,13 @@ def skew_spectral_radius(
     tol: float = 1e-12,
     max_iter: int = 100_000,
 ) -> PerronResult:
-    """Perron value by power iteration with a deterministic uniform start.
+    """Perron value of the operator by ``linalg.perron_value``.
 
-    Badly reducible truncations can starve the uniform start; those retry
-    from the basis vector supported on the identity coset before giving up.
+    A truncation on a tree (a free quotient with nothing killed) is
+    nilpotent and gets rho = 0 exactly; every other operator gets the
+    restarted Arnoldi iteration from the deterministic uniform start.
     """
-    try:
-        return perron_value(op.matvec, op.n_states, tol=tol, max_iter=max_iter)
-    except ConvergenceError:
-        return perron_value(
-            op.matvec,
-            op.n_states,
-            tol=tol,
-            max_iter=max_iter,
-            v0=op.identity_start_vector(),
-        )
+    return perron_value(op.matvec, op.n_states, tol=tol, max_iter=max_iter)
 
 
 # ---------------------------------------------------------------------------
@@ -165,13 +152,18 @@ class DichotomyReport:
     ``rho_skew`` is nondecreasing in the radius and bounded by 1 + tolerance;
     ``gap`` is 1 - sup_R rho.  The verdict compares the ladder's limit
     estimate (``linalg.truncation_limit``) against 1 - eps; the plateau flag
-    records whether the ladder had visibly stopped moving.
+    records whether the ladder had visibly stopped moving.  ``iterations``
+    and ``residuals`` give each rung's matvec count and final eigen-residual;
+    a rung copied from an exact (untruncated) operator took 0 matvecs and
+    keeps its residual.
     """
 
     s_star: float
     rho_full: float
     radii: tuple[int, ...]
     rho_skew: tuple[float, ...]
+    iterations: tuple[int, ...]
+    residuals: tuple[float, ...]
     verdict: str
     gap: float
     rho_limit_estimate: float
@@ -185,6 +177,8 @@ class DichotomyReport:
             "rho_full": self.rho_full,
             "radii": list(self.radii),
             "rho": list(self.rho_skew),
+            "iterations": list(self.iterations),
+            "residuals": list(self.residuals),
             "verdict": self.verdict,
             "gap": self.gap,
             "rho_limit_estimate": self.rho_limit_estimate,
@@ -216,15 +210,18 @@ def amenability_report(
     radii = tuple(sorted(int(r) for r in radii))
     s_star = bowen_root(spec)
     rho_full = math.exp(pressure(spec, s_star))
-    rho_vals: list[float] = []
+    rungs: list[PerronResult] = []
     for R in radii:
         op = build_skew_operator(spec, G, s_star, R, ball_cap)
-        rho_vals.append(skew_spectral_radius(op, tol=tol).value)
+        rungs.append(skew_spectral_radius(op, tol=tol))
         if not op.truncated:
             # Exact operator: the remaining radii would recompute the same
             # full-group value.
-            rho_vals += [rho_vals[-1]] * (len(radii) - len(rho_vals))
+            last = rungs[-1]
+            copy = PerronResult(last.value, last.vector, 0, last.residual)
+            rungs += [copy] * (len(radii) - len(rungs))
             break
+    rho_vals = [r.value for r in rungs]
     limit_est, plateau = truncation_limit(radii, rho_vals, min_rungs=3)
 
     kp = None
@@ -244,6 +241,8 @@ def amenability_report(
         rho_full=rho_full,
         radii=radii,
         rho_skew=tuple(rho_vals),
+        iterations=tuple(r.iterations for r in rungs),
+        residuals=tuple(r.residual for r in rungs),
         verdict=ladder_verdict(limit_est),
         gap=1.0 - max(rho_vals),
         rho_limit_estimate=limit_est,

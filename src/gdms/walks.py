@@ -12,7 +12,9 @@ nondecreasing in the radius and converge to the true value from below at a
 1/R^2 rate.  Free quotients of rank >= 2 have regular-tree Cayley graphs
 whose truncated Perron vector is radial, so their ladder is computed exactly
 from the radial reduction; the closed-form limit sqrt(2k-1)/k serves as the
-test target.
+test target.  Every rung's Perron value comes from ``linalg.perron_value``,
+restarted Arnoldi on the sparse transition matrix or the dense radial chain,
+and each rung keeps its matvec count and final residual.
 
 The isoperimetric scan reports boundary-to-volume ratios of nested balls; it
 is a Folner-style diagnostic only, since finite balls cannot decide
@@ -28,7 +30,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .groups import DEFAULT_BALL_CAP, Ball, FreeQuotient, QuotientGroup, ball
-from .linalg import perron_value, perron_value_dense, truncation_limit
+from .linalg import PerronResult, perron_value, perron_value_dense, truncation_limit
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -95,23 +97,23 @@ def cayley_ball(
     return CayleyBallGraph(B, adj, len(image_codes))
 
 
-def _tree_radial_rho(k: int, R: int, tol: float) -> float:
-    """Dirichlet spectral radius of the 2k-regular tree ball, radialized.
+def _tree_radial_chain(k: int, R: int) -> np.ndarray:
+    """Dirichlet walk on the 2k-regular tree ball, radialized.
 
     The truncated walk commutes with the sphere-transitive automorphisms, so
-    its Perron vector is radial and the (R+1)-state radial chain has the
-    same Perron value.
+    its Perron vector is radial and this (R+1)-state chain on the spheres
+    has the same Perron value.
     """
-    if R == 0:
-        return 0.0
     deg = 2 * k
     m = np.zeros((R + 1, R + 1))
+    if R == 0:
+        return m
     m[0, 1] = 1.0
     for r in range(1, R):
         m[r, r - 1] = 1.0 / deg
         m[r, r + 1] = (deg - 1) / deg
     m[R, R - 1] = 1.0 / deg
-    return perron_value_dense(m, tol=tol).value
+    return m
 
 
 @dataclass(frozen=True)
@@ -120,11 +122,14 @@ class WalkLadder:
 
     ``final_estimate`` and ``plateau`` come from ``linalg.truncation_limit``
     (a 1/R^2 extrapolation of a rising ladder, else its supremum, capped at
-    1).
+    1).  ``iterations`` and ``residuals`` give each rung's matvec count and
+    final eigen-residual.
     """
 
     radii: tuple[int, ...]
     rho: tuple[float, ...]
+    iterations: tuple[int, ...]
+    residuals: tuple[float, ...]
     final_estimate: float
     plateau: bool
     degree: int
@@ -146,12 +151,12 @@ def srw_spectral_radius(
         if isinstance(G, FreeQuotient) and G.surviving_rank() >= 2
         else None
     )
-    rho_vals: list[float] = []
+    rungs: list[PerronResult] = []
     if tree_rank is not None:
         method = "tree-radial"
         degree = 2 * tree_rank
         for R in radii:
-            rho_vals.append(_tree_radial_rho(tree_rank, R, tol))
+            rungs.append(perron_value_dense(_tree_radial_chain(tree_rank, R), tol=tol))
     else:
         method = "generic"
         degree = 0
@@ -159,11 +164,19 @@ def srw_spectral_radius(
             graph = cayley_ball(G, R, ball_cap)
             degree = graph.degree
             p = graph.transition_matrix()
-            rho_vals.append(
-                perron_value(lambda v: p @ v, graph.n_vertices, tol=tol).value
-            )
+            rungs.append(perron_value(lambda v: p @ v, graph.n_vertices, tol=tol))
+    rho_vals = [r.value for r in rungs]
     final, plateau = truncation_limit(radii, rho_vals, min_rungs=2)
-    return WalkLadder(radii, tuple(rho_vals), final, plateau, degree, method)
+    return WalkLadder(
+        radii,
+        tuple(rho_vals),
+        tuple(r.iterations for r in rungs),
+        tuple(r.residual for r in rungs),
+        final,
+        plateau,
+        degree,
+        method,
+    )
 
 
 @dataclass(frozen=True)

@@ -64,6 +64,36 @@ class TestHappyPaths:
         assert (outdir / "skew_ladder.csv").exists()
         assert (outdir / "walk_ladder.csv").exists()
 
+    def test_amenability_nilpotent_tree(self, tmp_path):
+        # G = F_2 itself: every truncated skew operator lives on a tree and
+        # is nilpotent, so each rung is exactly 0.
+        cfg = {
+            "gdms": GDMS_THIRD,
+            "quotient": {"type": "free_quotient", "kill": []},
+            "params": {"radii": [2, 4]},
+        }
+        code, outdir = run_cli("amenability", cfg, tmp_path)
+        assert code == 0
+        res = json.loads((outdir / "report.json").read_text())["results"]
+        assert res["dichotomy"]["rho"] == [0.0, 0.0]
+        assert res["dichotomy"]["residuals"] == [0.0, 0.0]
+        assert res["dichotomy"]["verdict"] == "consistent-with-non-amenable"
+        assert res["verdict"] == "consistent-with-non-amenable"
+
+    def test_amenability_solver_diagnostics(self, tmp_path):
+        cfg = {
+            "gdms": GDMS_THIRD,
+            "quotient": ZZ_QUOTIENT,
+            "params": {"radii": [2, 4, 6], "kernel_n_max": 8},
+        }
+        code, outdir = run_cli("amenability", cfg, tmp_path)
+        assert code == 0
+        res = json.loads((outdir / "report.json").read_text())["results"]
+        for ladder in (res["dichotomy"], res["walk"]):
+            assert len(ladder["iterations"]) == len(ladder["residuals"]) == 3
+            assert all(isinstance(n, int) and n > 0 for n in ladder["iterations"])
+            assert all(0.0 <= r <= 1e-11 for r in ladder["residuals"])
+
     def test_pressure_curve(self, tmp_path):
         cfg = {"gdms": GDMS_THIRD, "params": {"s_grid": [0.0, 0.5, 1.0]}}
         code, outdir = run_cli("pressure-curve", cfg, tmp_path)
@@ -94,6 +124,7 @@ class TestHappyPaths:
         res = json.loads((outdir / "report.json").read_text())["results"]
         assert res["final_estimate"]["kind"] == "estimate"
         assert res["method"] == "tree-radial"
+        assert len(res["iterations"]) == len(res["residuals"]) == 3
 
     def test_render_full(self, tmp_path):
         cfg = {"gdms": GDMS_THIRD, "params": {"depth": 8, "resolution": 128}}
@@ -244,6 +275,30 @@ class TestStartup:
             check=True,
         )
         assert out.stdout.strip() == "False"
+
+    def test_amenability_leaves_sparse_eigensolvers_unloaded(self, tmp_path):
+        # The Perron solver is plain numpy; ARPACK is never imported.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "gdms": GDMS_THIRD,
+            "quotient": ZZ_QUOTIENT,
+            "params": {"radii": [2, 4], "kernel_n_max": 8},
+        }))
+        src = str(Path(cli.__file__).resolve().parents[1])
+        probe = (
+            "import sys, gdms.cli; "
+            f"code = gdms.cli.main(['amenability', '--config', {str(cfg)!r}, "
+            f"'--output-dir', {str(tmp_path / 'out')!r}]); "
+            "print(code, 'scipy.sparse.linalg' in sys.modules)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert out.stdout.strip() == "0 False"
 
     def test_word_names(self):
         assert cli._word_str((0, 1, 2, 3)) == "g1 g1~ g2 g2~"

@@ -17,7 +17,6 @@ from gdms import (
     divergence_check,
     induced_bowen_root,
     induced_loops,
-    kernel_connector,
     kernel_counts,
     kernel_pressure,
     pressure,
@@ -78,21 +77,6 @@ class TestKernelCounts:
         full = kernel_counts(spec_fifth_d3, f2_of_f3, 1.0, 12)
         # undercount only
         assert (table.log_a <= full.log_a + 1e-12).all()
-
-    def test_supermultiplicativity_with_connector(self, spec_third, zz):
-        conn = kernel_connector(spec_third, zz, 1.0, max_len=8)
-        assert conn is not None
-        max_len, log_w_min = conn
-        table = kernel_counts(spec_third, zz, 1.0, 16)
-        a = table.log_a
-        for n in (4, 6):
-            for m in (4, 6):
-                lhs_candidates = [
-                    a[n + m + ell - 1]
-                    for ell in range(0, max_len + 1)
-                    if n + m + ell <= 16 and np.isfinite(a[n + m + ell - 1])
-                ]
-                assert max(lhs_candidates) >= a[n - 1] + a[m - 1] + log_w_min - 1e-9
 
 
 def full_width_kernel_counts(spec, G, s, n_max):
@@ -187,12 +171,6 @@ class TestKernelPressure:
             assert est.estimate <= pressure(spec_third, s) + 1e-9
         est = kernel_pressure(kernel_counts(spec_third, zz, s, 24))
         assert est.estimate <= pressure(spec_third, s) + 1e-9
-
-    def test_fekete_lower_bound_is_a_lower_bound(self, spec_third, z2):
-        conn = kernel_connector(spec_third, z2, 1.0, max_len=6)
-        est = kernel_pressure(kernel_counts(spec_third, z2, 1.0, 20), connector=conn)
-        assert est.lower_bound is not None
-        assert est.lower_bound <= est.estimate + 1e-12
 
 
 class TestDeltaKernel:

@@ -1,8 +1,119 @@
-"""The truncation-ladder limit rule shared by the skew and walk ladders."""
+"""The Perron solver and the truncation-ladder rule of the skew and walk ladders."""
 
+import numpy as np
 import pytest
 
-from gdms.linalg import PLATEAU_TOL, truncation_limit
+from gdms import ConvergenceError, build_skew_operator
+from gdms.linalg import PLATEAU_TOL, perron_value, perron_value_dense, truncation_limit
+from gdms.walks import _tree_radial_chain
+
+
+def dense_perron(m):
+    """Reference: the eigenvalue of largest real part from LAPACK."""
+    return float(max(np.linalg.eigvals(m).real))
+
+
+def counted(m):
+    """Matvec of a dense matrix that counts its calls."""
+    calls = []
+
+    def matvec(v):
+        calls.append(1)
+        return m @ v
+
+    return matvec, calls
+
+
+def assert_perron(m, tol=1e-12):
+    matvec, calls = counted(m)
+    res = perron_value(matvec, m.shape[0])
+    assert res.value == pytest.approx(dense_perron(m), abs=tol)
+    assert res.iterations == len(calls)
+    assert res.residual <= 1e-12 * max(1.0, res.value)
+    assert np.max(np.abs(m @ res.vector - res.value * res.vector)) <= 1e-11
+    assert res.vector.sum() > 0.0
+    return res
+
+
+class TestPerronValue:
+    def test_z2_skew_operator(self, spec_third, zz):
+        m = build_skew_operator(spec_third, zz, 1.0, 6).dense()
+        assert_perron(m)
+
+    @pytest.mark.parametrize("R", range(4, 13))
+    def test_tree_radial_chain(self, R):
+        assert_perron(_tree_radial_chain(2, R))
+
+    def test_period_two(self):
+        # Bipartite incidence: -rho is an eigenvalue of the same modulus.
+        rng = np.random.default_rng(3)
+        m = np.zeros((9, 9))
+        m[:4, 4:] = rng.random((4, 5))
+        m[4:, :4] = rng.random((5, 4))
+        rho = dense_perron(m)
+        assert min(np.linalg.eigvals(m).real) == pytest.approx(-rho, abs=1e-12)
+        assert_perron(m)
+
+    def test_reducible_perron_block_last(self):
+        # Block upper triangular; the second diagonal block carries the
+        # spectral radius, and the uniform start reaches it.
+        rng = np.random.default_rng(5)
+        m = np.zeros((10, 10))
+        m[:6, :6] = 0.2 * rng.random((6, 6))
+        m[6:, 6:] = rng.random((4, 4))
+        m[:6, 6:] = rng.random((6, 4))
+        assert dense_perron(m[6:, 6:]) > dense_perron(m[:6, :6])
+        res = assert_perron(m)
+        assert res.value == pytest.approx(dense_perron(m[6:, 6:]), abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "m", [[[2.5]], [[0.0]], [[1.0, 2.0], [3.0, 0.5]], [[0.0, 4.0], [1.0, 0.0]]]
+    )
+    def test_small(self, m):
+        assert_perron(np.array(m))
+
+    def test_zero_matrix(self):
+        res = perron_value_dense(np.zeros((5, 5)))
+        assert res.value == 0.0
+        assert res.residual == 0.0
+        assert res.iterations == 1
+
+    def test_nilpotent_is_exactly_zero(self):
+        # A single Jordan block: every shifted vector has a tiny residual
+        # for pseudo-eigenvalues up to residual**(1/n), but rho is 0.
+        m = np.diag(np.full(7, 0.5), 1)
+        res = perron_value_dense(m)
+        assert res.value == 0.0
+        assert res.residual == 0.0
+        assert res.iterations == 8
+        assert not np.any(m @ res.vector)
+        assert np.linalg.norm(res.vector) == pytest.approx(1.0)
+
+    def test_tree_skew_operator_is_nilpotent(self, spec_third, free_f2):
+        op = build_skew_operator(spec_third, free_f2, 1.0, 4)
+        res = perron_value(op.matvec, op.n_states)
+        assert res.value == 0.0
+        assert res.iterations == 2 * 4 + 1
+
+    def test_empty(self):
+        res = perron_value(lambda v: v, 0)
+        assert (res.value, res.iterations, res.residual) == (0.0, 0, 0.0)
+
+    def test_max_iter_reports_best_residual(self):
+        m = np.random.default_rng(7).random((20, 20))
+        # A positive matrix takes one matvec for the nilpotency test and one
+        # for the residual of the uniform start; then the budget is spent.
+        v = np.full(20, 20**-0.5)
+        lam = v @ m @ v
+        first = np.max(np.abs(m @ v - lam * v)) / np.max(v)
+        with pytest.raises(ConvergenceError, match="best residual") as exc:
+            perron_value_dense(m, max_iter=2)
+        assert exc.value.residual == pytest.approx(first, rel=1e-12)
+        matvec, calls = counted(m)
+        with pytest.raises(ConvergenceError) as exc:
+            perron_value(matvec, 20, max_iter=6)
+        assert len(calls) == 6
+        assert 0.0 < exc.value.residual <= first
 
 
 def model(R):
