@@ -80,12 +80,11 @@ from .skew import (
     skew_spectral_radius,
 )
 from .walks import (
-    CayleyBallGraph,
     IsoperimetricReport,
     WalkLadder,
-    cayley_ball,
     isoperimetric_scan,
     srw_spectral_radius,
+    walk_step,
 )
 
 __version__ = "0.1.0"

@@ -19,14 +19,17 @@ Quotients G = F_d / N are represented by one of three backends:
   survivors generate a free group and elements are reduced words in them.
 
 Every backend exposes the semigroup homomorphism from letter sequences to G,
-inversion, equality/hash on elements, and the word metric to the identity.
-All objects are immutable after construction and safe to share across
-workers.
+inversion and equality/hash on elements.  The numerics see G only through
+``ball``: a word-metric ball around the identity, indexed breadth-first, with
+its distances to the identity (the word metric) and its move table (the
+Cayley graph cut to the ball).  All objects are immutable after construction
+and safe to share across workers.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import cached_property
@@ -183,10 +186,6 @@ class QuotientGroup(ABC):
     def inverse(self, g: Hashable) -> Hashable:
         ...
 
-    @abstractmethod
-    def distance(self, g: Hashable) -> int:
-        """Word-metric distance to the identity (with respect to the letter images)."""
-
     def apply_word(self, g: Hashable, w: Iterable[Letter]) -> Hashable:
         for letter in w:
             g = self.apply_letter(g, letter)
@@ -256,24 +255,10 @@ class FinitePermQuotient(QuotientGroup):
                 inv[b] = a
             self._images[2 * i] = perm
             self._images[2 * i + 1] = tuple(inv)
-        self._elements, self._dist = self._close()
-
-    def _close(self):
-        e = self.identity()
-        dist = {e: 0}
-        order: list[tuple[int, ...]] = [e]
-        frontier = [e]
-        while frontier:
-            nxt = []
-            for g in frontier:
-                for code in range(2 * self.d):
-                    h = self._mul(g, self._images[code])
-                    if h not in dist:
-                        dist[h] = dist[g] + 1
-                        order.append(h)
-                        nxt.append(h)
-            frontier = nxt
-        return order, dist
+        # The whole group: it has at most degree! elements, so neither that
+        # radius nor that cap stops the search early.
+        bound = math.factorial(degree)
+        self._whole = bfs_ball(self, bound, bound)
 
     @staticmethod
     def _mul(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
@@ -295,22 +280,27 @@ class FinitePermQuotient(QuotientGroup):
             inv[b] = a
         return tuple(inv)
 
-    def distance(self, g) -> int:
-        return self._dist[g]
-
     def order(self) -> int:
-        return len(self._elements)
+        return len(self._whole)
 
     def diameter(self) -> int:
-        return max(self._dist.values())
+        return int(self._whole.dist[-1])
+
+    def _build_ball(self, radius: int, cap: int) -> "Ball":
+        """A breadth-first prefix of the whole group; moves leaving it are -1."""
+        dist = self._whole.dist[self._whole.dist <= radius]
+        _check_cap(np.bincount(dist).tolist(), radius, cap)
+        n = len(dist)
+        moves = self._whole.letter_moves()[:, :n].copy()
+        moves[moves >= n] = -1
+        return Ball(self, radius, dist, lambda: self._whole.elements[:n], moves)
 
 
 class FreeAbelianQuotient(QuotientGroup):
     """Quotient landing in Z^rank; generator images are integer vectors.
 
-    For standard-basis images this is the abelianization of F_d.  The word
-    metric is the L1 norm when every image is a signed standard basis vector;
-    otherwise distances fall back to a cached breadth-first search.
+    For standard-basis images this is the abelianization of F_d, whose word
+    metric is the L1 norm.  Balls come from ``bfs_ball`` for any images.
     """
 
     def __init__(self, rank: int, images: Sequence[Sequence[int]]):
@@ -327,18 +317,6 @@ class FreeAbelianQuotient(QuotientGroup):
                 raise ConfigError(f"image of g{i + 1} must have {rank} entries")
             self._images[2 * i] = vec
             self._images[2 * i + 1] = tuple(-x for x in vec)
-        self._l1_exact = self._images_are_signed_basis()
-        self._dist_cache: dict[tuple[int, ...], int] = {self.identity(): 0}
-        self._bfs_radius = 0
-
-    def _images_are_signed_basis(self) -> bool:
-        hit = set()
-        for i in range(self.d):
-            vec = self._images[2 * i]
-            if sum(abs(x) for x in vec) != 1:
-                return False
-            hit.add(max(range(self.rank), key=lambda j: abs(vec[j])))
-        return hit == set(range(self.rank))
 
     def identity(self):
         return (0,) * self.rank
@@ -352,27 +330,6 @@ class FreeAbelianQuotient(QuotientGroup):
 
     def inverse(self, g):
         return tuple(-x for x in g)
-
-    def distance(self, g) -> int:
-        if self._l1_exact:
-            return sum(abs(x) for x in g)
-        while g not in self._dist_cache:
-            self._grow_bfs()
-        return self._dist_cache[g]
-
-    def _grow_bfs(self):
-        # Extend the cached metric by one ring.  Non-basis images keep the
-        # reachable set a sublattice; the cache stays modest for small radii.
-        radius = self._bfs_radius
-        frontier = [g for g, r in self._dist_cache.items() if r == radius]
-        if not frontier:
-            raise ConfigError("element not reachable from the letter images")
-        for g in frontier:
-            for code in range(2 * self.d):
-                h = tuple(a + b for a, b in zip(g, self._images[code]))
-                if h not in self._dist_cache:
-                    self._dist_cache[h] = radius + 1
-        self._bfs_radius = radius + 1
 
 
 class FreeQuotient(QuotientGroup):
@@ -411,9 +368,6 @@ class FreeQuotient(QuotientGroup):
 
     def inverse(self, g):
         return tuple((c ^ 1) for c in reversed(g))
-
-    def distance(self, g) -> int:
-        return len(g)
 
     def order(self) -> int | None:
         return 1 if not self.surviving else None
@@ -479,11 +433,12 @@ class Ball:
     Elements are listed in breadth-first order, ties broken by generator
     code, so index 0 is the identity, ``dist`` is nondecreasing (every
     sphere is a contiguous index range) and indices are reproducible across
-    runs.  ``letter_moves`` gives, per letter, the index map of right
-    multiplication (-1 when the product leaves the ball).  The hot paths
-    read only ``dist`` and the move table; ``elements`` is listed on first
-    use by the zero-argument function the builder passes.  Both arrays are
-    read-only because memoised balls are shared by every caller.
+    runs.  ``dist`` is the word metric to the identity, and ``letter_moves``
+    gives, per letter, the index map of right multiplication (-1 when the
+    product leaves the ball): together they are the Cayley graph cut to the
+    ball.  The hot paths read only these two arrays; ``elements`` is listed
+    on first use by the zero-argument function the builder passes.  Both
+    arrays are read-only because memoised balls are shared by every caller.
     """
 
     def __init__(
@@ -492,13 +447,13 @@ class Ball:
         radius: int,
         dist: np.ndarray,
         list_elements: Callable[[], list],
-        moves: np.ndarray | None = None,
+        moves: np.ndarray,
     ):
         self.group = group
         self.radius = radius
         self.dist = _read_only(dist)
         self._list_elements = list_elements
-        self._moves = None if moves is None else _read_only(moves)
+        self._moves = _read_only(moves)
 
     def __len__(self):
         return len(self.dist)
@@ -518,20 +473,7 @@ class Ball:
         return np.bincount(self.dist, minlength=self.radius + 1).tolist()
 
     def letter_moves(self) -> np.ndarray:
-        """Array of shape (2d, |ball|): moves[c][i] = index of elem_i * Psi(letter c).
-
-        Computed once per ball.
-        """
-        if self._moves is None:
-            G = self.group
-            letters = alphabet(G.d)
-            moves = np.full((len(letters), len(self)), -1, dtype=np.int64)
-            for c, letter in enumerate(letters):
-                col = moves[c]
-                for i, g in enumerate(self.elements):
-                    h = G.apply_letter(g, letter)
-                    col[i] = self.index.get(h, -1)
-            self._moves = _read_only(moves)
+        """Array of shape (2d, |ball|): moves[c][i] = index of elem_i * Psi(letter c)."""
         return self._moves
 
     def inverse_index(self) -> np.ndarray:
@@ -586,33 +528,40 @@ def bfs_ball(G: QuotientGroup, radius: int, cap: int = DEFAULT_BALL_CAP) -> Ball
     """Breadth-first ball over group elements, uncached.
 
     The construction for backends without an array builder, and the
-    reference the array builders are tested against.
+    reference the array builders are tested against.  The move table is
+    recorded from the products the search forms anyway; only the last
+    sphere's products are formed just to tell which stay in the ball.
     """
     letters = alphabet(G.d)
     e = G.identity()
     index = {e: 0}
     elements = [e]
     dist = [0]
-    frontier = [e]
-    for r in range(1, radius + 1):
-        nxt = []
-        for g in frontier:
-            for letter in letters:
-                h = G.apply_letter(g, letter)
-                if h not in index:
-                    if len(elements) >= cap:
-                        raise CapExceededError(
-                            f"ball of radius {radius} exceeds cap {cap} "
-                            f"(stopped at radius {r})"
-                        )
-                    index[h] = len(elements)
-                    elements.append(h)
-                    dist.append(r)
-                    nxt.append(h)
-        if not nxt:
-            break
-        frontier = nxt
-    return Ball(G, radius, np.array(dist, dtype=np.int64), lambda: elements)
+    moves: list[int] = []  # moves[2d * i + c]: index of elements[i] * letter c
+    # the growing element list is the breadth-first queue
+    for i, g in enumerate(elements):
+        r = dist[i] + 1
+        for letter in letters:
+            h = G.apply_letter(g, letter)
+            j = index.get(h, -1)
+            if j < 0 and r <= radius:
+                if len(elements) >= cap:
+                    raise CapExceededError(
+                        f"ball of radius {radius} exceeds cap {cap} "
+                        f"(stopped at radius {r})"
+                    )
+                j = index[h] = len(elements)
+                elements.append(h)
+                dist.append(r)
+            moves.append(j)
+    table = np.array(moves, dtype=np.int64).reshape(len(elements), len(letters))
+    return Ball(
+        G,
+        radius,
+        np.array(dist, dtype=np.int64),
+        lambda: elements,
+        np.ascontiguousarray(table.T),
+    )
 
 
 def quotient_from_config(cfg: dict, d: int) -> QuotientGroup:

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapExceededError, ConfigError, GdmsError
-from .groups import DEFAULT_BALL_CAP, Ball, QuotientGroup, alphabet, ball
+from .groups import DEFAULT_BALL_CAP, Ball, QuotientGroup, ball
 from .linalg import perron_value_dense
 from .pressure import LinearGdmsSpec, bowen_root
 
@@ -410,26 +410,31 @@ def induced_loops(
 ) -> InducedSystem:
     """Enumerate all first-return loops of length <= L_max, depth-first.
 
-    The search prunes states whose word-metric distance exceeds the
-    remaining step budget, so the enumeration is exact for the given cutoff.
+    The search runs on the indices of the radius-(L_max // 2) ball, reading
+    its move table and distances.  It prunes a prefix of length k whose image
+    lies farther from the identity than the L_max - k letters left, so every
+    kept prefix has distance <= min(k, L_max - k) <= L_max / 2 and stays in
+    the ball; a move off the ball is pruned too.  The enumeration is exact
+    for the given cutoff, and loops come in lexicographic order of codes.
     """
     if L_max < 1:
         raise ConfigError("L_max must be >= 1")
-    letters = alphabet(spec.d)
-    log_c = spec.log_ratios
-    e = G.identity()
+    B = ball(G, L_max // 2, ball_cap)
+    moves = B.letter_moves().T.tolist()
+    dist = B.dist.tolist()
+    log_c = spec.log_ratios.tolist()
+    codes = range(2 * spec.d)
     loops: list[tuple[int, ...]] = []
     weights: list[float] = []
 
-    def extend(g, path: list[int], logw: float):
+    def extend(i: int, path: list[int], logw: float):
         depth = len(path)
-        for letter in letters:
-            code = letter.code
+        for code in codes:
             if path and code == (path[-1] ^ 1):
                 continue
-            h = G.apply_letter(g, letter)
-            w = logw + float(log_c[code])
-            if h == e:
+            j = moves[i][code]
+            w = logw + log_c[code]
+            if j == 0:
                 if len(loops) >= loop_cap:
                     raise CapExceededError(
                         f"more than {loop_cap} induced loops at L_max={L_max}"
@@ -438,13 +443,13 @@ def induced_loops(
                 weights.append(w)
                 continue  # first visit to id ends the loop; do not extend
             remaining = L_max - depth - 1
-            if remaining <= 0 or G.distance(h) > remaining:
+            if j < 0 or remaining <= 0 or dist[j] > remaining:
                 continue
             path.append(code)
-            extend(h, path, w)
+            extend(j, path, w)
             path.pop()
 
-    extend(e, [], 0.0)
+    extend(0, [], 0.0)
     return InducedSystem(
         spec, L_max, tuple(loops), np.array(weights, dtype=float)
     )

@@ -13,8 +13,8 @@ nondecreasing in the radius and converge to the true value from below at a
 whose truncated Perron vector is radial, so their ladder is computed exactly
 from the radial reduction; the closed-form limit sqrt(2k-1)/k serves as the
 test target.  Every rung's Perron value comes from ``linalg.perron_value``,
-restarted Arnoldi on the sparse transition matrix or the dense radial chain,
-and each rung keeps its matvec count and final residual.
+restarted Arnoldi on the walk step read off the ball's move table or on the
+dense radial chain, and each rung keeps its matvec count and final residual.
 
 The isoperimetric scan reports boundary-to-volume ratios of nested balls; it
 is a Folner-style diagnostic only, since finite balls cannot decide
@@ -24,7 +24,7 @@ amenability.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -32,69 +32,24 @@ from .errors import ConfigError
 from .groups import DEFAULT_BALL_CAP, Ball, FreeQuotient, QuotientGroup, ball
 from .linalg import PerronResult, perron_value, perron_value_dense, truncation_limit
 
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
+def walk_step(B: Ball, codes: Sequence[int]) -> Callable[[np.ndarray], np.ndarray]:
+    """The Dirichlet simple random walk on the Cayley ball B, as a matvec.
 
-@dataclass
-class CayleyBallGraph:
-    """A Cayley ball with symmetric adjacency and a full-graph degree bound.
-
-    Degrees inside the ball are at most the number of distinct non-identity
-    letter images; interior vertices attain it.
+    ``codes`` give the distinct non-identity letter images, the generating
+    set; the step averages x over the neighbours g * image(c), one per code,
+    and drops the moves that leave the ball.  Distinct images never give the
+    same neighbour or a self-loop, so the step is the ball's adjacency matrix
+    divided by the degree ``len(codes)``.
     """
+    moves = B.letter_moves()[list(codes)]
+    degree = float(len(codes))
 
-    ball: Ball
-    adjacency: sp.csr_matrix
-    degree: int
+    def step(x: np.ndarray) -> np.ndarray:
+        # index -1 reads the appended zero: a move off the ball contributes 0
+        return np.append(x, 0.0)[moves].sum(axis=0) / degree
 
-    @property
-    def n_vertices(self) -> int:
-        return len(self.ball)
-
-    @property
-    def n_edges(self) -> int:
-        return self.adjacency.nnz // 2
-
-    def transition_matrix(self) -> sp.csr_matrix:
-        """Row-substochastic Dirichlet walk matrix A / degree."""
-        if self.degree == 0:
-            raise ConfigError("trivial group has no Cayley edges")
-        return self.adjacency / float(self.degree)
-
-
-def cayley_ball(
-    G: QuotientGroup, R: int, ball_cap: int = DEFAULT_BALL_CAP
-) -> CayleyBallGraph:
-    """Materialize the radius-R Cayley ball of G.
-
-    Edges join elements differing by one distinct non-identity generator
-    image; duplicate images (several letters with the same image) contribute
-    a single edge.
-    """
-    # Imported here: scipy.sparse costs a quarter second, and only the
-    # generic walk path needs it.
-    import scipy.sparse as sp
-
-    B = ball(G, R, ball_cap)
-    moves = B.letter_moves()
-    image_codes = G.generating_codes()
-    n = len(B)
-    pairs = []
-    for c in image_codes:
-        mv = moves[c]
-        src = np.flatnonzero(mv >= 0)
-        pairs.append(src.astype(np.int64) * n + mv[src])
-    if pairs:
-        keys = np.unique(np.concatenate(pairs))
-        rows, cols = keys // n, keys % n
-        # letter images come in inverse pairs, so the key set is symmetric
-        adj = sp.csr_matrix(
-            (np.ones(len(keys)), (rows, cols)), shape=(n, n)
-        )
-    else:
-        adj = sp.csr_matrix((n, n))
-    return CayleyBallGraph(B, adj, len(image_codes))
+    return step
 
 
 def _tree_radial_chain(k: int, R: int) -> np.ndarray:
@@ -159,12 +114,13 @@ def srw_spectral_radius(
             rungs.append(perron_value_dense(_tree_radial_chain(tree_rank, R), tol=tol))
     else:
         method = "generic"
-        degree = 0
+        codes = G.generating_codes()
+        if not codes:
+            raise ConfigError("trivial group has no Cayley edges")
+        degree = len(codes)
         for R in radii:
-            graph = cayley_ball(G, R, ball_cap)
-            degree = graph.degree
-            p = graph.transition_matrix()
-            rungs.append(perron_value(lambda v: p @ v, graph.n_vertices, tol=tol))
+            B = ball(G, R, ball_cap)
+            rungs.append(perron_value(walk_step(B, codes), len(B), tol=tol))
     rho_vals = [r.value for r in rungs]
     final, plateau = truncation_limit(radii, rho_vals, min_rungs=2)
     return WalkLadder(
@@ -200,24 +156,14 @@ def isoperimetric_scan(
     if R < 1:
         raise ConfigError("radius must be >= 1")
     B = ball(G, R + 1, ball_cap)
-    moves = B.letter_moves()
-    image_codes = G.generating_codes()
+    moves = B.letter_moves()[G.generating_codes()]
     dist = B.dist
-    ratios = []
-    for r in range(1, R + 1):
-        volume = int(np.sum(dist <= r))
-        on_sphere = np.flatnonzero(dist == r)
-        boundary = 0
-        for i in on_sphere:
-            out = False
-            for c in image_codes:
-                j = moves[c][i]
-                if j < 0 or dist[j] == r + 1:
-                    out = True
-                    break
-            if out:
-                boundary += 1
-        ratios.append(boundary / volume)
+    # an element of A = B(id, r) is on its boundary when a generator takes
+    # it out of A, i.e. to the next sphere (or off the ball)
+    leaves = ((moves < 0) | (dist[moves] == dist + 1)).any(axis=0)
+    boundary = np.bincount(dist[leaves], minlength=R + 2)
+    volume = np.cumsum(np.bincount(dist, minlength=R + 2))
+    ratios = [int(boundary[r]) / int(volume[r]) for r in range(1, R + 1)]
     return IsoperimetricReport(
         tuple(range(1, R + 1)), tuple(ratios), float(min(ratios))
     )

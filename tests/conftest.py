@@ -119,6 +119,23 @@ def brute_kernel_sums(spec, G, s, n_max):
     return np.array([acc.value() for acc in out])
 
 
+def brute_first_returns(G, d, L_max):
+    """Reduced words of length <= L_max whose image is the identity while no
+    proper nonempty prefix's is, sorted lexicographically in codes."""
+    e = G.identity()
+    loops = []
+    for n in range(1, L_max + 1):
+        for w in iter_reduced_words(d, n):
+            g = e
+            images = []
+            for c in w:
+                g = G.apply_letter(g, Letter.from_code(c))
+                images.append(g)
+            if images[-1] == e and e not in images[:-1]:
+                loops.append(w)
+    return sorted(loops)
+
+
 def codes_to_word(codes):
     from gdms import ReducedWord
 

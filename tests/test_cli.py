@@ -188,6 +188,16 @@ class TestExitCodes:
         code, _ = run_cli("amenability", cfg, tmp_path)
         assert code == 3
 
+    def test_induced_render_respects_ball_cap(self, tmp_path, capsys):
+        cfg = {
+            "gdms": GDMS_THIRD,
+            "quotient": ZZ_QUOTIENT,
+            "params": {"subset": "induced", "L_max": 6, "caps": {"ball": 5}},
+        }
+        code, _ = run_cli("render", cfg, tmp_path)
+        assert code == 3
+        assert "ball of radius 3 exceeds cap 5" in capsys.readouterr().err
+
     def test_infeasible_layout(self, tmp_path):
         code, _ = run_cli("render", {"gdms": {"d": 2, "ratio": 0.6}}, tmp_path)
         assert code == 2
@@ -262,22 +272,11 @@ class TestDeterminism:
 
 
 class TestStartup:
-    def test_import_leaves_scipy_sparse_unloaded(self):
-        # Only the generic walk path needs scipy.sparse; every other
-        # subcommand must not pay for importing it.
-        src = str(Path(cli.__file__).resolve().parents[1])
-        probe = "import sys, gdms.cli; print('scipy.sparse' in sys.modules)"
-        out = subprocess.run(
-            [sys.executable, "-c", probe],
-            env={**os.environ, "PYTHONPATH": src},
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        assert out.stdout.strip() == "False"
-
-    def test_amenability_leaves_sparse_eigensolvers_unloaded(self, tmp_path):
-        # The Perron solver is plain numpy; ARPACK is never imported.
+    def test_import_leaves_scipy_sparse_unloaded(self, tmp_path):
+        # Nothing needs scipy.sparse: the walk on a Cayley ball reads the
+        # ball's move table, and the Perron solver is plain numpy, so
+        # neither importing the CLI nor the generic walk path of the Z^2
+        # amenability op loads it (nor ARPACK in scipy.sparse.linalg).
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
             "gdms": GDMS_THIRD,
@@ -287,9 +286,10 @@ class TestStartup:
         src = str(Path(cli.__file__).resolve().parents[1])
         probe = (
             "import sys, gdms.cli; "
+            "print('scipy.sparse' in sys.modules); "
             f"code = gdms.cli.main(['amenability', '--config', {str(cfg)!r}, "
             f"'--output-dir', {str(tmp_path / 'out')!r}]); "
-            "print(code, 'scipy.sparse.linalg' in sys.modules)"
+            "print(code, [m for m in sys.modules if m.startswith('scipy.sparse')])"
         )
         out = subprocess.run(
             [sys.executable, "-c", probe],
@@ -298,7 +298,9 @@ class TestStartup:
             text=True,
             check=True,
         )
-        assert out.stdout.strip() == "0 False"
+        assert out.stdout.split("\n")[:2] == ["False", "0 []"]
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["results"]["walk"]["method"] == "generic"
 
     def test_word_names(self):
         assert cli._word_str((0, 1, 2, 3)) == "g1 g1~ g2 g2~"

@@ -156,10 +156,16 @@ class TestQuotientApply:
             assert G.apply_letter(g, letter.inverse()) == G.identity()
 
 
+def word_metric(G, radius):
+    """Distance to the identity read off ``ball(G, radius)``."""
+    B = ball(G, radius)
+    return lambda g: int(B.dist[B.index[g]])
+
+
 class TestWordMetric:
     def test_identity_distance_zero(self, zz, z2, f2_of_f3):
         for G in (zz, z2, f2_of_f3):
-            assert G.distance(G.identity()) == 0
+            assert word_metric(G, 3)(G.identity()) == 0
 
     def test_one_step_changes_distance_by_at_most_one(self, zz, s3, f2_of_f3):
         for G in (zz, s3, f2_of_f3):
@@ -172,23 +178,61 @@ class TestWordMetric:
 
     def test_triangle_inequality_sampled(self, zz, s3, f2_of_f3, rng):
         for G in (zz, s3, f2_of_f3):
+            dist = word_metric(G, 10)
             words = all_reduced_words_upto(G.d, 5)
             for _ in range(200):
                 a, b = rng.choice(words), rng.choice(words)
                 ga = G.word_image(codes_to_word(a))
                 gab = G.apply_word(ga, codes_to_word(b))
                 gb = G.word_image(codes_to_word(b))
-                assert G.distance(gab) <= G.distance(ga) + G.distance(gb)
+                assert dist(gab) <= dist(ga) + dist(gb)
 
     def test_abelian_l1_formula(self, zz):
-        assert zz.distance((3, -2)) == 5
-        assert zz.distance((0, 0)) == 0
+        dist = word_metric(zz, 5)
+        assert dist((3, -2)) == 5
+        assert dist((0, 0)) == 0
 
-    def test_abelian_bfs_fallback(self):
-        G = FreeAbelianQuotient(2, [[1, 0], [1, 1]])
+    def test_abelian_bfs_fallback(self, skew_zz):
+        dist = word_metric(skew_zz, 2)
         # (1,1) is one generator image away from the identity
-        assert G.distance((1, 1)) == 1
-        assert G.distance((2, 1)) == 2
+        assert dist((1, 1)) == 1
+        assert dist((2, 1)) == 2
+
+
+def assert_builder_matches_bfs(G, radii):
+    """The backend's ball builder reproduces ``bfs_ball`` exactly."""
+    for r in radii:
+        ref = bfs_ball(G, r)
+        B = G._build_ball(r, 10**9)
+        assert B.elements == ref.elements
+        assert (B.dist == ref.dist).all()
+        assert (B.letter_moves() == ref.letter_moves()).all()
+
+
+def assert_caps_match_bfs(G, radius, caps):
+    """The builder refuses the same caps as ``bfs_ball``, word for word."""
+    for cap in caps:
+        errors = []
+        builds = (lambda: bfs_ball(G, radius, cap), lambda: G._build_ball(radius, cap))
+        for build in builds:
+            try:
+                build()
+                errors.append(None)
+            except CapExceededError as exc:
+                errors.append(str(exc))
+        assert errors[0] == errors[1]
+
+
+@pytest.fixture(scope="module")
+def s4():
+    """S4 on degree 4: a transposition, a 4-cycle and a double transposition."""
+    return FinitePermQuotient(4, [[1, 0, 2, 3], [1, 2, 3, 0], [1, 0, 3, 2]])
+
+
+@pytest.fixture(scope="module")
+def skew_zz():
+    """Z^2 with the non-basis images (1, 0) and (1, 1)."""
+    return FreeAbelianQuotient(2, [[1, 0], [1, 1]])
 
 
 class TestBalls:
@@ -239,25 +283,31 @@ class TestBalls:
         "d,kill", [(2, []), (3, [3]), (3, [1, 3]), (3, [1, 2, 3]), (4, [2])]
     )
     def test_free_tree_ball_matches_bfs(self, d, kill):
-        G = FreeQuotient(d, kill)
-        for r in range(7):
-            ref = bfs_ball(G, r)
-            B = G._build_ball(r, 10**9)
-            assert B.elements == ref.elements
-            assert (B.dist == ref.dist).all()
-            assert (B.letter_moves() == ref.letter_moves()).all()
+        assert_builder_matches_bfs(FreeQuotient(d, kill), range(7))
 
     def test_free_tree_cap_matches_bfs(self):
-        G = FreeQuotient(3, [3])
-        for cap in (0, 1, 5, 16, 17, 53, 160):
-            errors = []
-            for build in (lambda: bfs_ball(G, 4, cap), lambda: G._build_ball(4, cap)):
-                try:
-                    build()
-                    errors.append(None)
-                except CapExceededError as exc:
-                    errors.append(str(exc))
-            assert errors[0] == errors[1]
+        assert_caps_match_bfs(FreeQuotient(3, [3]), 4, (0, 1, 5, 16, 17, 53, 160))
+
+    @pytest.mark.parametrize("backend", ["s3", "z2", "z3", "s4"])
+    def test_finite_table_ball_matches_bfs(self, backend, request):
+        G = request.getfixturevalue(backend)
+        assert_builder_matches_bfs(G, range(G.diameter() + 3))
+
+    @pytest.mark.parametrize("backend", ["s3", "z2", "z3", "s4"])
+    def test_finite_table_cap_matches_bfs(self, backend, request):
+        G = request.getfixturevalue(backend)
+        for radius in range(G.diameter() + 3):
+            assert_caps_match_bfs(G, radius, range(G.order() + 2))
+
+    @pytest.mark.parametrize("backend", ["zz", "skew_zz", "s3", "f2_of_f3"])
+    def test_bfs_moves_match_products(self, backend, request):
+        G = request.getfixturevalue(backend)
+        for r in range(6):
+            B = bfs_ball(G, r)
+            moves = B.letter_moves()
+            for c, letter in enumerate(alphabet(G.d)):
+                for i, g in enumerate(B.elements):
+                    assert moves[c][i] == B.index.get(G.apply_letter(g, letter), -1)
 
     def test_memo_returns_same_ball(self):
         G = FreeAbelianQuotient(2, [[1, 0], [0, 1]])

@@ -23,7 +23,7 @@ from gdms import (
 )
 from gdms.kernel import _pruning_ball, forward_word_step, loop_composition_log_counts
 
-from conftest import brute_kernel_sums
+from conftest import brute_first_returns, brute_kernel_sums
 
 
 class TestKernelCounts:
@@ -249,6 +249,22 @@ class TestInducedSystem:
                 if i < len(codes) - 1:
                     assert g != zz.identity()
             assert g == zz.identity()
+
+    @pytest.mark.parametrize(
+        "backend,ratios,L_max",
+        [
+            ("zz", (1 / 3, 1 / 3, 0.2, 0.2), 8),
+            ("s3", (1 / 3, 1 / 3, 0.2, 0.2), 6),
+            ("f2_of_f3", (0.2, 0.2, 0.15, 0.15, 0.1, 0.1), 6),
+        ],
+    )
+    def test_matches_brute_force_first_returns(self, backend, ratios, L_max, request):
+        G = request.getfixturevalue(backend)
+        spec = LinearGdmsSpec(G.d, ratios)
+        sys = induced_loops(spec, G, L_max)
+        assert list(sys.loops) == brute_first_returns(G, G.d, L_max)
+        expected = [sum(math.log(ratios[c]) for c in w) for w in sys.loops]
+        assert sys.log_weights == pytest.approx(expected, rel=1e-14)
 
     def test_renewal_consistency(self, spec_third, z2, zz):
         for G, L in ((z2, 4), (zz, 6)):
