@@ -272,11 +272,23 @@ class TestDeterminism:
 
 
 class TestStartup:
-    def test_import_leaves_scipy_sparse_unloaded(self, tmp_path):
-        # Nothing needs scipy.sparse: the walk on a Cayley ball reads the
-        # ball's move table, and the Perron solver is plain numpy, so
-        # neither importing the CLI nor the generic walk path of the Z^2
-        # amenability op loads it (nor ARPACK in scipy.sparse.linalg).
+    def test_import_leaves_scipy_sparse_unloaded(self):
+        # Nothing needs scipy.sparse: importing the CLI must not load it.
+        src = str(Path(cli.__file__).resolve().parents[1])
+        probe = "import sys, gdms.cli; print('scipy.sparse' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert out.stdout.strip() == "False"
+
+    def test_amenability_leaves_sparse_eigensolvers_unloaded(self, tmp_path):
+        # The walk on a Cayley ball reads the ball's move table and the
+        # Perron solver is plain numpy, so the generic walk path of the Z^2
+        # amenability op loads no scipy.sparse module (so no ARPACK).
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
             "gdms": GDMS_THIRD,
@@ -286,7 +298,6 @@ class TestStartup:
         src = str(Path(cli.__file__).resolve().parents[1])
         probe = (
             "import sys, gdms.cli; "
-            "print('scipy.sparse' in sys.modules); "
             f"code = gdms.cli.main(['amenability', '--config', {str(cfg)!r}, "
             f"'--output-dir', {str(tmp_path / 'out')!r}]); "
             "print(code, [m for m in sys.modules if m.startswith('scipy.sparse')])"
@@ -298,7 +309,7 @@ class TestStartup:
             text=True,
             check=True,
         )
-        assert out.stdout.split("\n")[:2] == ["False", "0 []"]
+        assert out.stdout.strip() == "0 []"
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["results"]["walk"]["method"] == "generic"
 
