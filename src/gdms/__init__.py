@@ -77,13 +77,13 @@ from .skew import (
     amenability_report,
     build_skew_operator,
     check_asymptotic_symmetry,
-    skew_spectral_radius,
 )
 from .walks import (
     IsoperimetricReport,
     WalkLadder,
     isoperimetric_scan,
     srw_spectral_radius,
+    walk_ladder,
     walk_step,
 )
 

@@ -192,10 +192,6 @@ def cmd_delta_kernel(cfg: dict, outdir: Path) -> dict:
     return results
 
 
-# The walk ladder's verdict follows the same rule as the skew ladder's.
-_walk_verdict = ladder_verdict
-
-
 def combine_verdicts(dichotomy_verdict: str, walk_verdict: str | None):
     """Overall verdict plus inconsistency flag for the cross-checked report."""
     if walk_verdict is None or walk_verdict == dichotomy_verdict:
@@ -215,9 +211,9 @@ def cmd_amenability(cfg: dict, outdir: Path) -> dict:
         spec, G, radii, ball_cap=caps["ball"], kernel_n_max=kernel_n_max
     )
     write_csv(
-        outdir / "skew_ladder.csv",
+        outdir / "dichotomy_ladder.csv",
         ["R", "rho_R"],
-        zip(dich.radii, dich.rho_skew),
+        zip(dich.ladder.radii, dich.ladder.rho),
     )
     if G.order() == 1:
         walk = None
@@ -225,7 +221,7 @@ def cmd_amenability(cfg: dict, outdir: Path) -> dict:
         walk_note = "trivial quotient: no Cayley edges, walk cross-check skipped"
     else:
         walk = srw_spectral_radius(G, radii, ball_cap=caps["ball"])
-        walk_verdict = _walk_verdict(walk.final_estimate)
+        walk_verdict = ladder_verdict(walk.final_estimate)
         walk_note = ""
         write_csv(
             outdir / "walk_ladder.csv", ["R", "rho_R"], zip(walk.radii, walk.rho)
@@ -331,7 +327,7 @@ def cmd_walks(cfg: dict, outdir: Path) -> dict:
             ladder.final_estimate, ladder.rho[-1], 1.0, plateau=ladder.plateau
         ),
         "method": ladder.method,
-        "degree": ladder.degree,
+        "degree": len(G.generating_codes()),
         "iterations": list(ladder.iterations),
         "residuals": list(ladder.residuals),
         "isoperimetric": {

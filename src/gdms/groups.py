@@ -477,11 +477,23 @@ class Ball:
         return self._moves
 
     def inverse_index(self) -> np.ndarray:
-        """Index of each element's inverse (always inside the ball)."""
-        G = self.group
-        out = np.empty(len(self), dtype=np.int64)
-        for i, g in enumerate(self.elements):
-            out[i] = self.index[G.inverse(g)]
+        """Index of each element's inverse (always inside the ball).
+
+        An element g at distance r > 0 is parent * c for a code c whose
+        inverse move reaches the sphere below; so g is a geodesic word
+        c_1 ... c_r, and g^-1 is the identity moved along c_r^-1, ..., c_1^-1,
+        one move per radius for all elements at once.
+        """
+        moves, dist = self._moves, self.dist
+        back = moves[np.arange(len(moves)) ^ 1]
+        last = ((back >= 0) & (dist[back] == dist - 1)).argmax(axis=0)
+        parent = back[last, np.arange(len(self))]
+        node = np.arange(len(self))
+        out = np.zeros(len(self), dtype=np.int64)
+        for _ in range(int(dist[-1])):
+            live = dist[node] > 0
+            out[live] = moves[last[node[live]] ^ 1, out[live]]
+            node[live] = parent[node[live]]
         return out
 
 

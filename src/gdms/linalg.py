@@ -42,7 +42,6 @@ def perron_value(
     dim: int,
     tol: float = 1e-12,
     max_iter: int = 1_000_000,
-    v0: np.ndarray | None = None,
 ) -> PerronResult:
     """Perron value and vector of a nonnegative operator given by ``matvec``.
 
@@ -66,11 +65,8 @@ def perron_value(
     null, calls = _null_indicator(matvec, dim)
     if null is not None:
         return PerronResult(0.0, null / np.linalg.norm(null), calls, 0.0)
-    v = np.full(dim, 1.0 / dim) if v0 is None else np.asarray(v0, dtype=float).copy()
-    nrm = np.linalg.norm(v)
-    if nrm == 0.0:
-        raise ValueError("start vector must be nonzero")
-    v /= nrm
+    v = np.full(dim, 1.0 / dim)
+    v /= np.linalg.norm(v)
     m = min(KRYLOV_DIM, dim)
     basis = np.empty((m + 1, dim))
     hess = np.zeros((m + 1, m))
@@ -152,29 +148,26 @@ def perron_value_dense(
     matrix: np.ndarray,
     tol: float = 1e-12,
     max_iter: int = 1_000_000,
-    v0: np.ndarray | None = None,
 ) -> PerronResult:
     m = np.asarray(matrix, dtype=float)
-    return perron_value(lambda v: m @ v, m.shape[0], tol=tol, max_iter=max_iter, v0=v0)
+    return perron_value(lambda v: m @ v, m.shape[0], tol=tol, max_iter=max_iter)
 
 
-def truncation_limit(
-    radii: Sequence[int], rho: Sequence[float], min_rungs: int
-) -> tuple[float, bool]:
+def truncation_limit(radii: Sequence[int], rho: Sequence[float]) -> tuple[float, bool]:
     """Limit estimate and plateau flag of a Dirichlet truncation ladder.
 
     ``rho[i]`` is the truncated spectral radius at ``radii[i]``, radii
-    ascending.  A ladder of at least ``min_rungs`` rungs that never falls
-    (up to 1e-10) and still rises at its last rung is extrapolated from its
-    last two rungs, assuming rho(R) = limit - c / R**2; any other ladder
-    gives its supremum.  Either way the limit is capped at 1, which bounds
+    ascending.  A ladder that never falls (up to 1e-10) and still rises at
+    its last rung is extrapolated from its last two rungs, assuming
+    rho(R) = limit - c / R**2; any other ladder, one rung included, gives
+    its supremum.  Either way the limit is capped at 1, which bounds
     every ladder of this package.  ``plateau`` is true when the last rung is
     within PLATEAU_TOL of the largest earlier rung at least two radii below
     it.
     """
     limit = max(rho)
     rising = all(b >= a - 1e-10 for a, b in zip(rho, rho[1:]))
-    if len(rho) >= max(min_rungs, 2) and rising and rho[-1] > rho[-2]:
+    if len(rho) >= 2 and rising and rho[-1] > rho[-2]:
         r1, r2 = float(radii[-2]), float(radii[-1])
         if 0 < r1 < r2:
             w1, w2 = 1.0 / r1**2, 1.0 / r2**2

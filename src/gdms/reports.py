@@ -9,7 +9,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy
-import scipy
 
 
 def exact(value, tolerance: float | None = None) -> dict:
@@ -67,7 +66,6 @@ class RunReport:
             "versions": {
                 "gdms": "0.1.0",
                 "numpy": numpy.__version__,
-                "scipy": scipy.__version__,
                 "python": platform.python_version(),
             },
             "wall_time_s": time.perf_counter() - self.started,

@@ -18,13 +18,12 @@ letter sum L gives row w the sum of all rows v != w^-1.  The kernel-word
 dynamic program ``forward_word_step`` is the other cyclic product T o L, so
 T o matvec = forward_word_step o T and both have the same nonzero spectrum.
 
-Infinite groups are handled by Dirichlet truncation to a word-metric ball:
-transitions leaving the ball are dropped, which makes the truncated spectral
-radius a lower bound that is nondecreasing in the radius.  No convergence
-rate is available for the truncation on infinite amenable groups; verdicts
-therefore read the ladder through ``linalg.truncation_limit`` (the supremum,
-or a 1/R^2 Richardson extrapolation of a rising ladder) and record the
-heuristic in the report.
+The dichotomy is decided by Kesten's criterion for the walk mu_{s*} on G
+instead: by the weighted Ihara-Bass identity and the Bowen equation (see
+the ``walks`` module), this operator at s* has spectral radius 1 exactly
+when mu_{s*} does.  ``amenability_report`` runs ``walks.walk_ladder`` on
+|ball| symmetric states; the 2d * |ball| operator here is the reference
+the identity is tested against.
 """
 
 from __future__ import annotations
@@ -36,10 +35,10 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, GdmsError
-from .groups import DEFAULT_BALL_CAP, Ball, FinitePermQuotient, QuotientGroup, ball
+from .groups import DEFAULT_BALL_CAP, Ball, QuotientGroup, ball
 from .kernel import _complement, _scatter, forward_word_step, kernel_counts, kernel_pressure
-from .linalg import PerronResult, perron_value, truncation_limit
 from .pressure import LinearGdmsSpec, bowen_root, pressure
+from .walks import WalkLadder, walk_ladder
 
 VERDICT_AMENABLE = "consistent-with-amenable"
 VERDICT_NON_AMENABLE = "consistent-with-non-amenable"
@@ -116,29 +115,10 @@ def build_skew_operator(
     """
     if G.d != spec.d:
         raise ConfigError("quotient and GDMS rank mismatch")
-    truncated = True
-    if isinstance(G, FinitePermQuotient):
-        R = G.diameter()
-        truncated = False
-    elif G.order() == 1:
-        R = 0
-        truncated = False
-    B = ball(G, R, ball_cap)
-    return SkewOperator(spec, G, float(s), B, truncated)
-
-
-def skew_spectral_radius(
-    op: SkewOperator,
-    tol: float = 1e-12,
-    max_iter: int = 100_000,
-) -> PerronResult:
-    """Perron value of the operator by ``linalg.perron_value``.
-
-    A truncation on a tree (a free quotient with nothing killed) is
-    nilpotent and gets rho = 0 exactly; every other operator gets the
-    restarted Arnoldi iteration from the deterministic uniform start.
-    """
-    return perron_value(op.matvec, op.n_states, tol=tol, max_iter=max_iter)
+    truncated = G.order() is None
+    if not truncated:
+        R = G.order() - 1  # a group of n elements has diameter at most n - 1
+    return SkewOperator(spec, G, float(s), ball(G, R, ball_cap), truncated)
 
 
 # ---------------------------------------------------------------------------
@@ -147,27 +127,20 @@ def skew_spectral_radius(
 
 @dataclass(frozen=True)
 class DichotomyReport:
-    """Spectral-radius ladder at the Bowen root with an amenability verdict.
+    """The walk mu_{s*} ladder at the Bowen root with an amenability verdict.
 
-    ``rho_skew`` is nondecreasing in the radius and bounded by 1 + tolerance;
-    ``gap`` is 1 - sup_R rho.  The verdict compares the ladder's limit
-    estimate (``linalg.truncation_limit``) against 1 - eps; the plateau flag
-    records whether the ladder had visibly stopped moving.  ``iterations``
-    and ``residuals`` give each rung's matvec count and final eigen-residual;
-    a rung copied from an exact (untruncated) operator took 0 matvecs and
-    keeps its residual.
+    ``weights`` is mu_{s*} per letter code and ``ladder`` its Dirichlet
+    truncation ladder, nondecreasing in the radius and at most 1.  ``gap``
+    is 1 - sup_R rho; the verdict compares the ladder's limit estimate
+    against 1 - EPS_VERDICT.
     """
 
     s_star: float
     rho_full: float
-    radii: tuple[int, ...]
-    rho_skew: tuple[float, ...]
-    iterations: tuple[int, ...]
-    residuals: tuple[float, ...]
+    weights: tuple[float, ...]
+    ladder: WalkLadder
     verdict: str
     gap: float
-    rho_limit_estimate: float
-    plateau: bool
     kernel_pressure_estimate: float | None
     notes: str
 
@@ -175,14 +148,16 @@ class DichotomyReport:
         return {
             "s_star": self.s_star,
             "rho_full": self.rho_full,
-            "radii": list(self.radii),
-            "rho": list(self.rho_skew),
-            "iterations": list(self.iterations),
-            "residuals": list(self.residuals),
+            "weights": list(self.weights),
+            "method": self.ladder.method,
+            "radii": list(self.ladder.radii),
+            "rho": list(self.ladder.rho),
+            "iterations": list(self.ladder.iterations),
+            "residuals": list(self.ladder.residuals),
             "verdict": self.verdict,
             "gap": self.gap,
-            "rho_limit_estimate": self.rho_limit_estimate,
-            "plateau": self.plateau,
+            "rho_limit_estimate": self.ladder.final_estimate,
+            "plateau": self.ladder.plateau,
             "kernel_pressure_estimate": self.kernel_pressure_estimate,
             "notes": self.notes,
         }
@@ -196,33 +171,23 @@ def amenability_report(
     kernel_n_max: int = 20,
     tol: float = 1e-12,
 ) -> DichotomyReport:
-    """Evaluate the dichotomy at s* = Bowen root over a radius ladder.
+    """Evaluate the dichotomy at s* = Bowen root by Kesten's criterion.
 
     Requires a symmetric system (the equality side of the dichotomy needs
-    the reversal-inversion weight symmetry).  The kernel-pressure estimate
-    from the counting dynamic program is attached as a cross-check; it must
-    stay below log rho of the largest truncation up to estimator noise.
+    the reversal-inversion weight symmetry).  The verdict reads the ladder
+    of the walk mu_{s*}; the kernel-pressure estimate from the counting
+    dynamic program is attached as a cross-check.
     """
     if not spec.symmetric:
         raise ConfigError("dichotomy requires symmetric GDMS")
-    if not radii:
-        raise ConfigError("need at least one truncation radius")
-    radii = tuple(sorted(int(r) for r in radii))
+    if G.d != spec.d:
+        raise ConfigError("quotient and GDMS rank mismatch")
     s_star = bowen_root(spec)
     rho_full = math.exp(pressure(spec, s_star))
-    rungs: list[PerronResult] = []
-    for R in radii:
-        op = build_skew_operator(spec, G, s_star, R, ball_cap)
-        rungs.append(skew_spectral_radius(op, tol=tol))
-        if not op.truncated:
-            # Exact operator: the remaining radii would recompute the same
-            # full-group value.
-            last = rungs[-1]
-            copy = PerronResult(last.value, last.vector, 0, last.residual)
-            rungs += [copy] * (len(radii) - len(rungs))
-            break
-    rho_vals = [r.value for r in rungs]
-    limit_est, plateau = truncation_limit(radii, rho_vals, min_rungs=3)
+    u = spec.ratio_array ** s_star
+    w = u / (1.0 - u**2)
+    weights = w / w.sum()
+    ladder = walk_ladder(G, weights, radii, ball_cap, tol)
 
     kp = None
     try:
@@ -232,21 +197,19 @@ def amenability_report(
     except GdmsError:
         pass
     notes = (
-        "verdict from sup rho_R and a 1/R^2 Richardson extrapolation of the "
-        "ladder; no truncation convergence rate is available, so the "
-        "extrapolation is a recorded heuristic"
+        "Kesten's criterion for the walk mu_{s*}, weights ~ u/(1-u^2) with "
+        "u = c^{s*}: by the weighted Ihara-Bass identity and the Bowen equation "
+        "sum u/(1+u) = 1 the skew operator at s* has spectral radius 1 exactly "
+        "when this walk does; verdict from sup rho_R and a 1/R^2 Richardson "
+        "extrapolation of its ladder, a recorded heuristic"
     )
     return DichotomyReport(
         s_star=s_star,
         rho_full=rho_full,
-        radii=radii,
-        rho_skew=tuple(rho_vals),
-        iterations=tuple(r.iterations for r in rungs),
-        residuals=tuple(r.residual for r in rungs),
-        verdict=ladder_verdict(limit_est),
-        gap=1.0 - max(rho_vals),
-        rho_limit_estimate=limit_est,
-        plateau=plateau,
+        weights=tuple(weights.tolist()),
+        ladder=ladder,
+        verdict=ladder_verdict(ladder.final_estimate),
+        gap=1.0 - max(ladder.rho),
         kernel_pressure_estimate=kp,
         notes=notes,
     )

@@ -1,20 +1,30 @@
-"""Simple random walks on Cayley balls and the Kesten amenability criterion.
+"""Symmetric random walks on Cayley balls and the Kesten amenability criterion.
 
-The Cayley graph of a quotient G uses the distinct non-identity letter
-images as its (symmetric) generating set; the simple random walk moves to a
-uniformly random neighbor.  The walk's spectral radius equals 1 exactly when
-the group is amenable, which provides an independent cross-check of the
-skew-operator dichotomy.
+A walk on G = F_d / N has one weight per letter code: a step from g goes to
+g * image(c) with weight ``weights[c]``, so identity images make the walk
+lazy and repeated images add up.  By Kesten's criterion such a symmetric
+walk has spectral radius 1 exactly when G is amenable.  ``walk_ladder`` is
+the only truncation ladder; two walks run on it:
 
-Infinite groups are truncated to word-metric balls with Dirichlet boundary
-(transitions leaving the ball are dropped), giving spectral radii that are
-nondecreasing in the radius and converge to the true value from below at a
-1/R^2 rate.  Free quotients of rank >= 2 have regular-tree Cayley graphs
-whose truncated Perron vector is radial, so their ladder is computed exactly
-from the radial reduction; the closed-form limit sqrt(2k-1)/k serves as the
-test target.  Every rung's Perron value comes from ``linalg.perron_value``,
-restarted Arnoldi on the walk step read off the ball's move table or on the
-dense radial chain, and each rung keeps its matvec count and final residual.
+* the dichotomy walk mu_{s*}, weights proportional to w_v = u_v / (1 - u_v^2)
+  with u_v = c(v)^{s*}.  The weighted Ihara-Bass identity (Bass 1992) gives
+  det(I - B_s) = det H_s * prod_edges (1 - u_v^2) for the group-extended
+  transfer operator B_s, with H_s = I + D - A symmetric on G and A the
+  walk of weights w_v.  On the whole group D is constant, so rho(B_s) = 1
+  exactly where (sum_v w_v) rho_G(mu_s) = 1 + sum_v u_v^2 / (1 - u_v^2);
+  at rho_G = 1 this is the Bowen equation sum_v u_v / (1 + u_v) = 1, which
+  holds at s*.  So rho(B_{s*}) = 1 exactly when rho_G(mu_{s*}) = 1.
+* the simple random walk (``srw_spectral_radius``), uniform on the distinct
+  non-identity letter images.
+
+Infinite groups are truncated to word-metric balls with Dirichlet boundary,
+giving spectral radii that are nondecreasing in the radius and converge
+from below at a 1/R^2 rate; ``linalg.truncation_limit`` reads the ladder.
+A finite group is walked once on the whole group.  On a free quotient of
+rank k >= 2 with equal surviving weights the walk lives on the 2k-regular
+tree (lazily when killed letters carry weight) and its truncated Perron
+vector is radial, so an (R+1)-state chain on the spheres gives each rung;
+sqrt(2k-1)/k is the simple walk's limit.
 
 The isoperimetric scan reports boundary-to-volume ratios of nested balls; it
 is a Folner-style diagnostic only, since finite balls cannot decide
@@ -33,41 +43,42 @@ from .groups import DEFAULT_BALL_CAP, Ball, FreeQuotient, QuotientGroup, ball
 from .linalg import PerronResult, perron_value, perron_value_dense, truncation_limit
 
 
-def walk_step(B: Ball, codes: Sequence[int]) -> Callable[[np.ndarray], np.ndarray]:
-    """The Dirichlet simple random walk on the Cayley ball B, as a matvec.
+def walk_step(B: Ball, weights: Sequence[float]) -> Callable[[np.ndarray], np.ndarray]:
+    """The Dirichlet walk sum_c weights[c] * x[moves[c]] on the ball B.
 
-    ``codes`` give the distinct non-identity letter images, the generating
-    set; the step averages x over the neighbours g * image(c), one per code,
-    and drops the moves that leave the ball.  Distinct images never give the
-    same neighbour or a self-loop, so the step is the ball's adjacency matrix
-    divided by the degree ``len(codes)``.
+    ``weights`` holds one weight per letter code; the step reads x at
+    g * image(c) for every code of nonzero weight and drops the moves that
+    leave the ball.  An identity image reads x at g itself (laziness), and
+    codes with the same image add their weights.
     """
-    moves = B.letter_moves()[list(codes)]
-    degree = float(len(codes))
+    weights = np.asarray(weights, dtype=float)
+    codes = np.flatnonzero(weights)
+    moves = B.letter_moves()[codes]
+    w = weights[codes]
 
     def step(x: np.ndarray) -> np.ndarray:
         # index -1 reads the appended zero: a move off the ball contributes 0
-        return np.append(x, 0.0)[moves].sum(axis=0) / degree
+        return w @ np.append(x, 0.0)[moves]
 
     return step
 
 
-def _tree_radial_chain(k: int, R: int) -> np.ndarray:
+def _tree_radial_chain(k: int, R: int, p: float, lazy: float) -> np.ndarray:
     """Dirichlet walk on the 2k-regular tree ball, radialized.
 
-    The truncated walk commutes with the sphere-transitive automorphisms, so
-    its Perron vector is radial and this (R+1)-state chain on the spheres
-    has the same Perron value.
+    Each of the 2k tree edges at a vertex carries weight ``p`` and the walk
+    stays put with weight ``lazy``.  The truncated walk commutes with the
+    sphere-transitive automorphisms, so its Perron vector is radial and this
+    (R+1)-state chain on the spheres has the same Perron value.
     """
-    deg = 2 * k
-    m = np.zeros((R + 1, R + 1))
+    m = lazy * np.eye(R + 1)
     if R == 0:
         return m
-    m[0, 1] = 1.0
+    m[0, 1] = 2 * k * p
     for r in range(1, R):
-        m[r, r - 1] = 1.0 / deg
-        m[r, r + 1] = (deg - 1) / deg
-    m[R, R - 1] = 1.0 / deg
+        m[r, r - 1] = p
+        m[r, r + 1] = (2 * k - 1) * p
+    m[R, R - 1] = p
     return m
 
 
@@ -78,7 +89,8 @@ class WalkLadder:
     ``final_estimate`` and ``plateau`` come from ``linalg.truncation_limit``
     (a 1/R^2 extrapolation of a rising ladder, else its supremum, capped at
     1).  ``iterations`` and ``residuals`` give each rung's matvec count and
-    final eigen-residual.
+    final eigen-residual; a rung copied from the whole finite group took 0
+    matvecs.  ``method`` is "finite", "tree-radial" or "generic".
     """
 
     radii: tuple[int, ...]
@@ -87,8 +99,62 @@ class WalkLadder:
     residuals: tuple[float, ...]
     final_estimate: float
     plateau: bool
-    degree: int
     method: str
+
+
+def walk_ladder(
+    G: QuotientGroup,
+    weights: Sequence[float],
+    radii: Sequence[int],
+    ball_cap: int = DEFAULT_BALL_CAP,
+    tol: float = 1e-11,
+) -> WalkLadder:
+    """Spectral-radius ladder of the walk with these letter weights.
+
+    A finite group is walked once, on the whole group, and that rung stands
+    for every radius; a free quotient of surviving rank >= 2 with equal
+    surviving weights uses the radial chain; any other group runs
+    ``walk_step`` on each radius-R ball.
+    """
+    if not radii:
+        raise ConfigError("need at least one radius")
+    radii = tuple(sorted(int(r) for r in radii))
+    weights = np.asarray(weights, dtype=float)
+    tree = None
+    if isinstance(G, FreeQuotient) and G.surviving_rank() >= 2:
+        alive = np.array([c // 2 + 1 not in G.kill for c in range(2 * G.d)])
+        p = weights[alive]
+        if (p == p[0]).all():
+            tree = G.surviving_rank(), float(p[0]), float(weights[~alive].sum())
+    rungs: list[PerronResult] = []
+    if G.order() is not None:
+        method = "finite"
+        # a group of n elements has diameter at most n - 1
+        B = ball(G, G.order() - 1, ball_cap)
+        exact = perron_value(walk_step(B, weights), len(B), tol=tol)
+        copy = PerronResult(exact.value, exact.vector, 0, exact.residual)
+        rungs = [exact] + [copy] * (len(radii) - 1)
+    elif tree is not None:
+        method = "tree-radial"
+        k, p, lazy = tree
+        for R in radii:
+            rungs.append(perron_value_dense(_tree_radial_chain(k, R, p, lazy), tol=tol))
+    else:
+        method = "generic"
+        for R in radii:
+            B = ball(G, R, ball_cap)
+            rungs.append(perron_value(walk_step(B, weights), len(B), tol=tol))
+    rho_vals = [r.value for r in rungs]
+    final, plateau = truncation_limit(radii, rho_vals)
+    return WalkLadder(
+        radii,
+        tuple(rho_vals),
+        tuple(r.iterations for r in rungs),
+        tuple(r.residual for r in rungs),
+        final,
+        plateau,
+        method,
+    )
 
 
 def srw_spectral_radius(
@@ -98,41 +164,12 @@ def srw_spectral_radius(
     tol: float = 1e-11,
 ) -> WalkLadder:
     """Spectral-radius ladder of the simple random walk on Cayley balls."""
-    if not R_list:
-        raise ConfigError("need at least one radius")
-    radii = tuple(sorted(int(r) for r in R_list))
-    tree_rank = (
-        G.surviving_rank()
-        if isinstance(G, FreeQuotient) and G.surviving_rank() >= 2
-        else None
-    )
-    rungs: list[PerronResult] = []
-    if tree_rank is not None:
-        method = "tree-radial"
-        degree = 2 * tree_rank
-        for R in radii:
-            rungs.append(perron_value_dense(_tree_radial_chain(tree_rank, R), tol=tol))
-    else:
-        method = "generic"
-        codes = G.generating_codes()
-        if not codes:
-            raise ConfigError("trivial group has no Cayley edges")
-        degree = len(codes)
-        for R in radii:
-            B = ball(G, R, ball_cap)
-            rungs.append(perron_value(walk_step(B, codes), len(B), tol=tol))
-    rho_vals = [r.value for r in rungs]
-    final, plateau = truncation_limit(radii, rho_vals, min_rungs=2)
-    return WalkLadder(
-        radii,
-        tuple(rho_vals),
-        tuple(r.iterations for r in rungs),
-        tuple(r.residual for r in rungs),
-        final,
-        plateau,
-        degree,
-        method,
-    )
+    codes = G.generating_codes()
+    if not codes:
+        raise ConfigError("trivial group has no Cayley edges")
+    weights = np.zeros(2 * G.d)
+    weights[codes] = 1.0 / len(codes)
+    return walk_ladder(G, weights, R_list, ball_cap, tol)
 
 
 @dataclass(frozen=True)

@@ -194,6 +194,12 @@ def s3():
 
 
 @pytest.fixture(scope="session")
+def z_repeated():
+    """Z with both generators mapping to 1: a repeated image."""
+    return FreeAbelianQuotient(1, [[1], [1]])
+
+
+@pytest.fixture(scope="session")
 def zz():
     """Abelianization of F_2."""
     return FreeAbelianQuotient(2, [[1, 0], [0, 1]])

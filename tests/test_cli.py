@@ -1,6 +1,7 @@
 """CLI subcommands: happy paths, exit codes, determinism, fault injection."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -61,12 +62,14 @@ class TestHappyPaths:
         res = json.loads((outdir / "report.json").read_text())["results"]
         assert res["verdict"] == "consistent-with-amenable"
         assert not res["inconsistent"]
-        assert (outdir / "skew_ladder.csv").exists()
+        assert (outdir / "dichotomy_ladder.csv").exists()
         assert (outdir / "walk_ladder.csv").exists()
+        assert res["dichotomy"]["method"] == res["walk"]["method"] == "finite"
 
     def test_amenability_nilpotent_tree(self, tmp_path):
         # G = F_2 itself: every truncated skew operator lives on a tree and
-        # is nilpotent, so each rung is exactly 0.
+        # is nilpotent, but the walk mu_{s*} that decides the dichotomy is
+        # the simple random walk on the tree, with a positive ladder.
         cfg = {
             "gdms": GDMS_THIRD,
             "quotient": {"type": "free_quotient", "kill": []},
@@ -75,10 +78,33 @@ class TestHappyPaths:
         code, outdir = run_cli("amenability", cfg, tmp_path)
         assert code == 0
         res = json.loads((outdir / "report.json").read_text())["results"]
-        assert res["dichotomy"]["rho"] == [0.0, 0.0]
-        assert res["dichotomy"]["residuals"] == [0.0, 0.0]
-        assert res["dichotomy"]["verdict"] == "consistent-with-non-amenable"
+        dich = res["dichotomy"]
+        assert dich["method"] == "tree-radial"
+        assert dich["weights"] == [0.25] * 4
+        assert dich["rho"] == pytest.approx(res["walk"]["rho"], abs=1e-14)
+        assert 0.0 < dich["rho"][0] < dich["rho"][1] < math.sqrt(3) / 2
+        assert dich["verdict"] == "consistent-with-non-amenable"
         assert res["verdict"] == "consistent-with-non-amenable"
+
+    @pytest.mark.parametrize(
+        "quotient, radii",
+        [
+            # S_4: both ladders run once, on the whole group
+            ({"type": "finite_perm", "degree": 4,
+              "images": [[1, 2, 3, 0], [1, 0, 2, 3]]}, [1, 2]),
+            # Z^2: two rungs are enough to extrapolate
+            (ZZ_QUOTIENT, [12, 16]),
+        ],
+        ids=["s4", "zz"],
+    )
+    def test_amenability_ladders_agree(self, tmp_path, quotient, radii):
+        cfg = {"gdms": GDMS_THIRD, "quotient": quotient,
+               "params": {"radii": radii, "kernel_n_max": 8}}
+        code, outdir = run_cli("amenability", cfg, tmp_path)
+        assert code == 0
+        res = json.loads((outdir / "report.json").read_text())["results"]
+        assert not res["inconsistent"]
+        assert res["verdict"] == "consistent-with-amenable"
 
     def test_amenability_solver_diagnostics(self, tmp_path):
         cfg = {
@@ -205,7 +231,7 @@ class TestExitCodes:
     def test_inconsistent_cross_check(self, tmp_path, monkeypatch):
         # force the walk verdict to disagree with the dichotomy verdict
         monkeypatch.setattr(
-            cli, "_walk_verdict", lambda est: "consistent-with-non-amenable"
+            cli, "ladder_verdict", lambda est: "consistent-with-non-amenable"
         )
         cfg = {
             "gdms": GDMS_THIRD,
@@ -273,9 +299,12 @@ class TestDeterminism:
 
 class TestStartup:
     def test_import_leaves_scipy_sparse_unloaded(self):
-        # Nothing needs scipy.sparse: importing the CLI must not load it.
+        # Nothing needs scipy: importing the CLI must not load any of it.
         src = str(Path(cli.__file__).resolve().parents[1])
-        probe = "import sys, gdms.cli; print('scipy.sparse' in sys.modules)"
+        probe = (
+            "import sys, gdms.cli; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+        )
         out = subprocess.run(
             [sys.executable, "-c", probe],
             env={**os.environ, "PYTHONPATH": src},
@@ -283,12 +312,12 @@ class TestStartup:
             text=True,
             check=True,
         )
-        assert out.stdout.strip() == "False"
+        assert out.stdout.strip() == "[]"
 
     def test_amenability_leaves_sparse_eigensolvers_unloaded(self, tmp_path):
         # The walk on a Cayley ball reads the ball's move table and the
         # Perron solver is plain numpy, so the generic walk path of the Z^2
-        # amenability op loads no scipy.sparse module (so no ARPACK).
+        # amenability op loads no scipy module at all (so no ARPACK).
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
             "gdms": GDMS_THIRD,
@@ -300,7 +329,7 @@ class TestStartup:
             "import sys, gdms.cli; "
             f"code = gdms.cli.main(['amenability', '--config', {str(cfg)!r}, "
             f"'--output-dir', {str(tmp_path / 'out')!r}]); "
-            "print(code, [m for m in sys.modules if m.startswith('scipy.sparse')])"
+            "print(code, [m for m in sys.modules if m.split('.')[0] == 'scipy'])"
         )
         out = subprocess.run(
             [sys.executable, "-c", probe],
@@ -312,6 +341,7 @@ class TestStartup:
         assert out.stdout.strip() == "0 []"
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["results"]["walk"]["method"] == "generic"
+        assert report["results"]["dichotomy"]["method"] == "generic"
 
     def test_word_names(self):
         assert cli._word_str((0, 1, 2, 3)) == "g1 g1~ g2 g2~"

@@ -274,6 +274,14 @@ class TestBalls:
             assert (inv >= 0).all()
             assert inv[0] == 0
 
+    @pytest.mark.parametrize("backend", ["z2", "s3", "s4", "zz", "free_f2", "f2_of_f3"])
+    def test_inverse_index_matches_group_inverse(self, backend, request):
+        G = request.getfixturevalue(backend)
+        for radius in range(6):
+            B = ball(G, radius)
+            want = [B.index[G.inverse(g)] for g in B.elements]
+            assert B.inverse_index().tolist() == want
+
     def test_deterministic_indexing(self, zz):
         a = ball(zz, 3)
         b = bfs_ball(zz, 3)

@@ -1,4 +1,4 @@
-"""The Perron solver and the truncation-ladder rule of the skew and walk ladders."""
+"""The Perron solver and the truncation-ladder rule of the walk ladders."""
 
 import numpy as np
 import pytest
@@ -42,7 +42,7 @@ class TestPerronValue:
 
     @pytest.mark.parametrize("R", range(4, 13))
     def test_tree_radial_chain(self, R):
-        assert_perron(_tree_radial_chain(2, R))
+        assert_perron(_tree_radial_chain(2, R, 0.25, 0.0))
 
     def test_period_two(self):
         # Bipartite incidence: -rho is an eigenvalue of the same modulus.
@@ -122,24 +122,23 @@ def model(R):
 
 
 CASES = {
-    # name: (radii, rho, min_rungs, limit, plateau)
-    "rising-richardson": ((4, 6, 8), [model(4), model(6), model(8)], 3, 0.98, False),
-    "flat": ((4, 6, 8), [0.7, 0.7, 0.7], 3, 0.7, True),
-    "too-few-rungs": ((4, 6), [model(4), model(6)], 3, model(6), False),
-    "two-rungs-enough": ((4, 6), [model(4), model(6)], 2, 0.98, False),
-    "single-rung": ((5,), [0.6], 2, 0.6, False),
-    "non-monotone": ((4, 6, 8), [0.9, 0.95, 0.94], 3, 0.95, False),
-    "plateau-on": ((2, 4, 6, 8), [0.5, 0.9, 0.9995, 0.9999], 3, 1.0, True),
-    "plateau-skips-near-rung": ((4, 5, 6), [0.8, 0.9995, 0.9999], 3, 1.0, False),
-    "rho-above-one-capped": ((4, 6), [1.0 + 1e-12, 1.0 + 1e-12], 2, 1.0, True),
-    "radius-zero-rung": ((0, 2), [0.0, 0.5], 2, 0.5, False),
+    # name: (radii, rho, limit, plateau)
+    "rising-richardson": ((4, 6, 8), [model(4), model(6), model(8)], 0.98, False),
+    "flat": ((4, 6, 8), [0.7, 0.7, 0.7], 0.7, True),
+    "two-rungs-enough": ((4, 6), [model(4), model(6)], 0.98, False),
+    "single-rung": ((5,), [0.6], 0.6, False),
+    "non-monotone": ((4, 6, 8), [0.9, 0.95, 0.94], 0.95, False),
+    "plateau-on": ((2, 4, 6, 8), [0.5, 0.9, 0.9995, 0.9999], 1.0, True),
+    "plateau-skips-near-rung": ((4, 5, 6), [0.8, 0.9995, 0.9999], 1.0, False),
+    "rho-above-one-capped": ((4, 6), [1.0 + 1e-12, 1.0 + 1e-12], 1.0, True),
+    "radius-zero-rung": ((0, 2), [0.0, 0.5], 0.5, False),
 }
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_truncation_limit(name):
-    radii, rho, min_rungs, want_limit, want_plateau = CASES[name]
-    limit, plateau = truncation_limit(radii, rho, min_rungs)
+    radii, rho, want_limit, want_plateau = CASES[name]
+    limit, plateau = truncation_limit(radii, rho)
     assert limit == pytest.approx(want_limit, abs=1e-12)
     assert plateau is want_plateau
     assert limit <= 1.0
@@ -147,5 +146,5 @@ def test_truncation_limit(name):
 
 def test_plateau_tolerance_is_strict():
     radii = (4, 6)
-    assert truncation_limit(radii, [0.5, 0.5 + 0.5 * PLATEAU_TOL], 3)[1]
-    assert not truncation_limit(radii, [0.5, 0.5 + 2 * PLATEAU_TOL], 3)[1]
+    assert truncation_limit(radii, [0.5, 0.5 + 0.5 * PLATEAU_TOL])[1]
+    assert not truncation_limit(radii, [0.5, 0.5 + 2 * PLATEAU_TOL])[1]

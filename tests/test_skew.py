@@ -1,4 +1,4 @@
-"""Skew operators, the dichotomy report, asymptotic symmetry."""
+"""Skew operators, the Ihara-Bass reduction, the dichotomy report, symmetry."""
 
 import math
 
@@ -11,17 +11,22 @@ from gdms import (
     Letter,
     LinearGdmsSpec,
     amenability_report,
+    ball,
     bowen_root,
     build_skew_operator,
     check_asymptotic_symmetry,
     pressure,
-    skew_spectral_radius,
     spectral_data,
     transfer_matrix,
+    walk_step,
 )
 from gdms.kernel import _scatter, forward_word_step
 from gdms.linalg import perron_value
 from gdms.skew import VERDICT_AMENABLE, VERDICT_NON_AMENABLE
+
+
+def skew_rho(op, tol=1e-12):
+    return perron_value(op.matvec, op.n_states, tol=tol).value
 
 
 def reference_dense_operator(spec, G, s, ball_obj):
@@ -71,12 +76,12 @@ class TestOperatorStructure:
 class TestSpectralRadius:
     def test_stochastic_case_is_one(self, spec_third, z2):
         op = build_skew_operator(spec_third, z2, 1.0, 1)
-        assert skew_spectral_radius(op).value == pytest.approx(1.0, abs=1e-12)
+        assert skew_rho(op) == pytest.approx(1.0, abs=1e-12)
 
     def test_trivial_group_equals_transfer_spectrum(self, spec_nonsym, trivial_group):
         s = 0.7
         op = build_skew_operator(spec_nonsym, trivial_group, s, 9)
-        rho = skew_spectral_radius(op).value
+        rho = skew_rho(op)
         sd = spectral_data(transfer_matrix(spec_nonsym, s))
         assert rho == pytest.approx(sd.rho, abs=1e-11)
 
@@ -84,13 +89,13 @@ class TestSpectralRadius:
         op = build_skew_operator(
             spec_mixed, trivial_group, bowen_root(spec_mixed), 1
         )
-        assert skew_spectral_radius(op).value == pytest.approx(1.0, abs=1e-10)
+        assert skew_rho(op) == pytest.approx(1.0, abs=1e-10)
 
     @pytest.mark.parametrize("group_fixture", ["z2", "z3", "s3"])
     def test_finite_amenable_equality(self, spec_third, group_fixture, request):
         G = request.getfixturevalue(group_fixture)
         op = build_skew_operator(spec_third, G, 1.0, 1)
-        assert abs(skew_spectral_radius(op).value - 1.0) <= 1e-10
+        assert abs(skew_rho(op) - 1.0) <= 1e-10
 
     def test_ladder_monotone_and_bounded(self, spec_third, zz):
         s = 1.0
@@ -98,7 +103,7 @@ class TestSpectralRadius:
         prev = 0.0
         for R in (2, 4, 6, 8):
             op = build_skew_operator(spec_third, zz, s, R)
-            rho = skew_spectral_radius(op).value
+            rho = skew_rho(op)
             assert rho >= prev - 1e-10
             assert rho <= bound + 1e-10
             prev = rho
@@ -107,7 +112,7 @@ class TestSpectralRadius:
         rhos = []
         for R in (2, 4, 6):
             op = build_skew_operator(spec_fifth_d3, f2_of_f3, 1.0, R)
-            rhos.append(skew_spectral_radius(op, tol=1e-11).value)
+            rhos.append(skew_rho(op, tol=1e-11))
         assert rhos[0] < rhos[1] < rhos[2]
         assert rhos[-1] < 1.0 - 0.01
 
@@ -115,14 +120,83 @@ class TestSpectralRadius:
         s = 0.8
         bound = math.exp(pressure(spec_nonsym, s))
         op = build_skew_operator(spec_nonsym, zz, s, 5)
-        assert skew_spectral_radius(op).value <= bound + 1e-10
+        assert skew_rho(op) <= bound + 1e-10
+
+
+class TestIharaBass:
+    """det(I - B_s) = det H_s * prod over edges of (1 - u_v^2), u_v = c(v)^s.
+
+    B_s is the truncated skew operator; H_s = I + D - A lives on the ball
+    alone, with A the walk of letter weights u_v / (1 - u_v^2) and D, per
+    element, the sum of u_v^2 / (1 - u_v^2) over its moves that stay in the
+    ball.  Each edge is two moves, one per direction, hence the half.
+    """
+
+    CASES = [
+        ("spec_third", "s3", 0),
+        ("spec_third", "zz", 4),
+        ("spec_mixed", "zz", 4),
+        ("spec_fifth_d3", "f2_of_f3", 2),
+        ("spec_mixed", "z_repeated", 4),
+    ]
+
+    @staticmethod
+    def parts(spec, s, B):
+        """A, the diagonal of D, and log prod over edges of (1 - u_v^2)."""
+        u = spec.ratio_array ** s
+        A = np.zeros((len(B), len(B)))
+        D = np.zeros(len(B))
+        log_edges = 0.0
+        for v, row in enumerate(B.letter_moves()):
+            i = np.flatnonzero(row >= 0)
+            A[i, row[i]] += u[v] / (1.0 - u[v] ** 2)
+            D[i] += u[v] ** 2 / (1.0 - u[v] ** 2)
+            log_edges += 0.5 * len(i) * math.log(1.0 - u[v] ** 2)
+        return A, D, log_edges
+
+    @pytest.mark.parametrize("s", [0.6, 0.9, 1.2])
+    @pytest.mark.parametrize("spec_name, group_name, R", CASES)
+    def test_determinant_identity(self, request, spec_name, group_name, R, s):
+        spec = request.getfixturevalue(spec_name)
+        G = request.getfixturevalue(group_name)
+        op = build_skew_operator(spec, G, s, R)
+        A, D, log_edges = self.parts(spec, s, op.ball)
+        H = np.eye(len(op.ball)) + np.diag(D) - A
+        assert np.array_equal(H, H.T)
+        sign_b, logdet_b = np.linalg.slogdet(np.eye(op.n_states) - op.dense())
+        sign_h, logdet_h = np.linalg.slogdet(H)
+        assert sign_b == sign_h
+        assert abs(logdet_b - (logdet_h + log_edges)) <= 1e-10
+
+    @pytest.mark.parametrize("group_name", ["zz", "z_repeated"])
+    def test_dichotomy_walk_is_a(self, request, spec_mixed, group_name):
+        # The report's walk mu_{s*} is A at s*, normalised to total weight 1.
+        G = request.getfixturevalue(group_name)
+        rep = amenability_report(spec_mixed, G, [3], kernel_n_max=2)
+        B = ball(G, 3)
+        A, _, _ = self.parts(spec_mixed, rep.s_star, B)
+        step = walk_step(B, rep.weights)
+        P = np.column_stack([step(e) for e in np.eye(len(B))])
+        assert sum(rep.weights) == pytest.approx(1.0, abs=1e-15)
+        assert np.allclose(A / A.sum(axis=1)[0], P, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize(
+        "per_generator", [(1 / 3, 1 / 3), (1 / 3, 0.2), (0.3, 0.1, 0.2)]
+    )
+    def test_bowen_form(self, per_generator):
+        # On the whole group D is constant; with rho_G(mu_s) = 1 the skew
+        # operator has spectral radius 1 exactly where this sum is 1.
+        spec = LinearGdmsSpec.symmetric_ratios(per_generator)
+        u = spec.ratio_array ** bowen_root(spec)
+        assert abs(float((u / (1.0 + u)).sum()) - 1.0) <= 1e-14
 
 
 class TestAmenabilityReport:
     def test_finite_quotient(self, spec_third, z3):
         rep = amenability_report(spec_third, z3, [1, 2, 3])
         assert rep.verdict == VERDICT_AMENABLE
-        assert abs(max(rep.rho_skew) - 1.0) <= 1e-10
+        assert abs(max(rep.ladder.rho) - 1.0) <= 1e-10
+        assert rep.ladder.method == "finite"
         assert rep.s_star == pytest.approx(1.0, abs=1e-10)
 
     def test_zz_amenable_with_extrapolation(self, spec_third, zz):
@@ -131,15 +205,17 @@ class TestAmenabilityReport:
         # raw ladder is still visibly below 1 at R=12 ...
         assert rep.gap <= 0.03
         # ... and the ladder is strictly increasing toward it
-        assert all(b > a for a, b in zip(rep.rho_skew, rep.rho_skew[1:]))
-        assert rep.rho_limit_estimate >= 0.995
+        assert all(b > a for a, b in zip(rep.ladder.rho, rep.ladder.rho[1:]))
+        assert rep.ladder.final_estimate >= 0.995
 
     def test_f2_quotient_non_amenable(self, spec_fifth_d3, f2_of_f3):
         rep = amenability_report(spec_fifth_d3, f2_of_f3, [2, 4, 6, 8])
         assert rep.verdict == VERDICT_NON_AMENABLE
         assert rep.gap >= 0.01
         assert rep.kernel_pressure_estimate is not None
-        assert rep.kernel_pressure_estimate <= math.log(max(rep.rho_skew)) + 0.05
+        # the kernel pressure is at most log rho of the skew operator
+        op = build_skew_operator(spec_fifth_d3, f2_of_f3, rep.s_star, rep.ladder.radii[-1])
+        assert rep.kernel_pressure_estimate <= math.log(skew_rho(op)) + 0.05
 
     def test_requires_symmetric(self, spec_nonsym, z2):
         with pytest.raises(ConfigError, match="symmetric"):
@@ -148,7 +224,7 @@ class TestAmenabilityReport:
     def test_report_dict_keys(self, spec_third, z2):
         d = amenability_report(spec_third, z2, [1, 2]).as_dict()
         for key in ("s_star", "radii", "rho", "verdict", "gap",
-                    "kernel_pressure_estimate"):
+                    "kernel_pressure_estimate", "method", "weights"):
             assert key in d
 
 
@@ -209,7 +285,7 @@ class TestFactorisation:
         def forward(v):
             return forward_word_step(v.reshape(shape), moves, weights).reshape(-1)
 
-        rho_skew = skew_spectral_radius(op).value
+        rho_skew = skew_rho(op)
         rho_forward = perron_value(forward, op.n_states).value
         assert rho_skew > 0.0
         assert abs(rho_skew - rho_forward) <= 1e-12

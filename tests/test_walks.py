@@ -7,18 +7,28 @@ import pytest
 
 from gdms import (
     FreeQuotient,
+    amenability_report,
     ball,
     isoperimetric_scan,
     srw_spectral_radius,
+    walk_ladder,
     walk_step,
 )
 from gdms.linalg import perron_value
 
 
+def srw_weights(G):
+    """Uniform weights on the Cayley generating set, per letter code."""
+    codes = G.generating_codes()
+    w = np.zeros(2 * G.d)
+    w[codes] = 1.0 / len(codes)
+    return w
+
+
 def walk_matrix(G, R):
     """The dense Dirichlet walk matrix on the radius-R ball, column by column."""
     B = ball(G, R)
-    step = walk_step(B, G.generating_codes())
+    step = walk_step(B, srw_weights(G))
     return np.column_stack([step(e) for e in np.eye(len(B))])
 
 
@@ -66,21 +76,32 @@ class TestWalkLadders:
     def test_finite_rho_one_at_diameter(self, s3):
         ladder = srw_spectral_radius(s3, [1, 2, 3, 4])
         assert ladder.rho[-1] == pytest.approx(1.0, abs=1e-12)
-        assert ladder.method == "generic"
+        # a finite group is walked once, on the whole group
+        assert ladder.method == "finite"
+        assert ladder.rho == (ladder.rho[0],) * 4
+        assert ladder.iterations[0] > 0 and ladder.iterations[1:] == (0, 0, 0)
 
     def test_monotone_and_capped(self, zz):
         ladder = srw_spectral_radius(zz, [2, 4, 6, 8])
         assert all(b >= a - 1e-10 for a, b in zip(ladder.rho, ladder.rho[1:]))
         assert all(r <= 1.0 + 1e-12 for r in ladder.rho)
 
-    def test_tree_radial_matches_generic(self, free_f2):
+    def test_tree_radial_matches_generic(self, free_f2, spec_fifth_d3, f2_of_f3):
         radial = srw_spectral_radius(free_f2, [3, 4, 5])
         assert radial.method == "tree-radial"
         for R, rho in zip(radial.radii, radial.rho):
             B = ball(free_f2, R)
-            step = walk_step(B, free_f2.generating_codes())
+            step = walk_step(B, srw_weights(free_f2))
             generic = perron_value(step, len(B), tol=1e-12).value
             assert rho == pytest.approx(generic, abs=1e-10)
+        # the lazy walk mu_{s*} on F_2 in F_3: the killed letters stay put
+        mu = amenability_report(spec_fifth_d3, f2_of_f3, [1], kernel_n_max=2).weights
+        lazy = walk_ladder(f2_of_f3, mu, range(1, 8), tol=1e-13)
+        assert lazy.method == "tree-radial"
+        for R, rho in zip(lazy.radii, lazy.rho):
+            B = ball(f2_of_f3, R)
+            generic = perron_value(walk_step(B, mu), len(B), tol=1e-13).value
+            assert abs(rho - generic) <= 1e-12
 
     def test_kesten_targets(self, free_f2):
         target2 = math.sqrt(3) / 2
