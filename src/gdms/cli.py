@@ -30,7 +30,7 @@ from .errors import (
     GdmsError,
     InconsistentReportError,
 )
-from .groups import DEFAULT_BALL_CAP, QuotientGroup, alphabet, quotient_from_config
+from .groups import DEFAULT_BALL_CAP, Letter, QuotientGroup, quotient_from_config
 from .kernel import (
     DEFAULT_LOOP_CAP,
     delta_kernel,
@@ -112,12 +112,12 @@ def _quotient(cfg: dict, spec: LinearGdmsSpec) -> QuotientGroup:
 
 
 def _word_str(codes) -> str:
-    return " ".join(_letter_names(max(codes, default=0) // 2 + 1)[c] for c in codes)
+    return " ".join(map(_letter_name, codes))
 
 
 @functools.lru_cache
-def _letter_names(d: int) -> tuple[str, ...]:
-    return tuple(repr(letter) for letter in alphabet(d))
+def _letter_name(code: int) -> str:
+    return repr(Letter.from_code(code))
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +215,7 @@ def cmd_amenability(cfg: dict, outdir: Path) -> dict:
         ["R", "rho_R"],
         zip(dich.ladder.radii, dich.ladder.rho),
     )
-    if G.order() == 1:
+    if not G.generating_codes():
         walk = None
         walk_verdict = VERDICT_AMENABLE  # the trivial group is amenable
         walk_note = "trivial quotient: no Cayley edges, walk cross-check skipped"
@@ -348,9 +348,12 @@ def cmd_render(cfg: dict, outdir: Path) -> dict:
     params = dict(cfg.get("params", {}))
     caps = _caps(params)
     dimension = params.setdefault("dimension", 1)
-    depth = params.setdefault("depth", 10 if dimension == 1 else 7)
     resolution = params.setdefault("resolution", 512)
     subset = params.setdefault("subset", "full")
+    unread = ("L_max", "composition_depth") if subset == "full" else ("depth",)
+    for key in unread:
+        if key in params:
+            raise ConfigError(f"params.{key} does not apply to subset {subset!r}")
     report = RunReport("render", cfg)
     real = auto_layout(spec, dimension)
     results: dict = {}
@@ -380,6 +383,7 @@ def cmd_render(cfg: dict, outdir: Path) -> dict:
         results["loops_json"] = "loops.json"
         results["n_loops"] = len(sys_ind)
     else:
+        depth = params.setdefault("depth", 10 if dimension == 1 else 7)
         cloud = attractor_points(real, depth, "full", point_cap=caps["points"])
         reference = bowen_root(spec)
         results["delta_full"] = exact(reference, tolerance=1e-12)
@@ -394,8 +398,7 @@ def cmd_render(cfg: dict, outdir: Path) -> dict:
     write_pgm(img, outdir / "attractor.pgm")
     header = ["x", "word"] if cloud.points.shape[1] == 1 else ["x", "y", "word"]
     rows = [
-        tuple(float(c) for c in pt) + (_word_str(wd),)
-        for pt, wd in zip(cloud.points, cloud.words)
+        (*pt, _word_str(wd)) for pt, wd in zip(cloud.points.tolist(), cloud.words)
     ]
     write_csv(outdir / "points.csv", header, rows)
     results.update(

@@ -7,14 +7,15 @@ automatically so that the images of distinct edges have disjoint interiors
 (the open set condition); infeasible ratio data fails loudly with the
 violated inequality.
 
-Attractor approximations are deterministic: each admissible word of a given
-depth contributes the image of its terminal phase-set center under the
-composed similarity.  Composing first-return loops of an induced system
-instead yields approximations of the radial limit set of the corresponding
-normal subgroup; the rendered induced cloud approximates the core limit set
-of the induced system, which carries the full dimension but visually
-understates the radial set (a countable family of Lipschitz images of it is
-not drawn).
+Attractor approximations follow one construction: a cloud composes
+``depth`` pieces, and each composition contributes the image of its terminal
+phase-set center under the composed similarity.  The pieces are single
+letters for the full limit set, and first-return loops of an induced system
+for the radial limit set of the corresponding normal subgroup; the rendered
+induced cloud approximates the core limit set of the induced system, which
+carries the full dimension but visually understates the radial set (a
+countable family of Lipschitz images of it is not drawn).  A level with
+more than ``point_cap`` compositions is refused before it is built.
 
 Box counting of the clouds provides the numerical cross-check that measured
 dimensions track the pressure-equation roots.
@@ -255,100 +256,72 @@ def attractor_points(
     subset: str | InducedSystem = "full",
     point_cap: int = DEFAULT_POINT_CAP,
 ) -> PointCloud:
-    """One representative point per admissible word (or loop composition).
+    """One representative point per composition of ``depth`` pieces.
 
-    Representative = image of the terminal phase-set center under the
-    composed similarity; enumeration order is depth-first in letter order,
-    so clouds are reproducible.
+    The pieces are the letters for ``"full"`` and the first-return loops of
+    an induced system otherwise; a piece may follow another unless its first
+    letter backtracks on the other's last.  Representative = image of the
+    terminal phase-set center under the composed similarity; words are
+    listed depth-first in piece order, so clouds are reproducible.  A level
+    with more than ``point_cap`` words is refused before it is built.
     """
     if depth < 1:
         raise ConfigError("depth must be >= 1")
-    spec = real.spec
-    n = 2 * spec.d
-    dim = real.dimension
-    lo, hi = real.bounds()
-
+    n = 2 * real.spec.d
     if isinstance(subset, str):
         if subset != "full":
             raise ConfigError(f"unknown subset {subset!r}")
-        expected = n * (n - 1) ** (depth - 1)
-        if expected > point_cap:
-            raise CapExceededError(
-                f"full cloud at depth {depth} has {expected} points > cap {point_cap}"
-            )
-        # frontier of composed maps: (last letter, scale, offset)
-        last = np.arange(n)
-        scale = np.ones(n)
-        offset = np.zeros((n, dim))
-        words = [(v,) for v in range(n)]
-        for _ in range(depth - 1):
-            new_last = []
-            new_scale = []
-            new_offset = []
-            new_words = []
-            for i in range(len(last)):
-                v = int(last[i])
-                for w in real.successors(v):
-                    c, t = real.edge_map(v, w)
-                    new_last.append(w)
-                    new_scale.append(scale[i] * c)
-                    new_offset.append(scale[i] * np.atleast_1d(t) + offset[i])
-                    new_words.append(words[i] + (w,))
-            last = np.array(new_last)
-            scale = np.array(new_scale)
-            offset = np.array(new_offset)
-            words = new_words
-        centers = np.stack([real.center(int(v)) for v in last])
-        pts = scale[:, None] * centers + offset
-        return PointCloud(pts, tuple(words), depth, "full", lo, hi)
+        pieces = tuple((v,) for v in range(n))
+        provenance = "full"
+    else:
+        if len(subset) == 0:
+            raise GdmsError("induced system has no loops")
+        pieces = subset.loops
+        provenance = "induced"
+    # edge tables; row n stands for the empty word, which every piece
+    # follows through the identity map
+    edge_c = np.ones((n + 1, n))
+    edge_t = np.zeros((n + 1, n, real.dimension))
+    for v in range(n):
+        for w in real.successors(v):
+            edge_c[v, w], edge_t[v, w] = real.edge_map(v, w)
+    first = np.array([p[0] for p in pieces])
+    last = np.array([p[-1] for p in pieces])
+    # each piece's internal map, folded left to right
+    c_in = np.ones(len(pieces))
+    t_in = np.zeros((len(pieces), real.dimension))
+    for j, piece in enumerate(pieces):
+        for a, b in zip(piece, piece[1:]):
+            t_in[j] += c_in[j] * edge_t[a, b]
+            c_in[j] *= edge_c[a, b]
+    follows = np.ones((n + 1, len(pieces)), dtype=bool)
+    follows[:n] = first[None, :] != (np.arange(n) ^ 1)[:, None]
+    n_next = follows.sum(axis=1)
 
-    sys: InducedSystem = subset
-    if len(sys) == 0:
-        raise GdmsError("induced system has no loops")
-    loop_maps = []
-    for codes in sys.loops:
-        c_total = 1.0
-        t_total = np.zeros(dim)
-        for a, b in zip(codes, codes[1:]):
-            c, t = real.edge_map(a, b)
-            t_total = t_total + c_total * np.atleast_1d(t)
-            c_total *= c
-        loop_maps.append((codes, c_total, t_total))
-    last: list[int] = []
-    scale = []
-    offset = []
-    words = []
-    for codes, c_l, t_l in loop_maps:
-        last.append(codes[-1])
-        scale.append(c_l)
-        offset.append(t_l)
-        words.append(codes)
-    for _ in range(depth - 1):
-        nxt_last, nxt_scale, nxt_offset, nxt_words = [], [], [], []
-        total = 0
-        for i in range(len(last)):
-            v = last[i]
-            for codes, c_l, t_l in loop_maps:
-                w0 = codes[0]
-                if w0 == (v ^ 1):
-                    continue
-                c_j, t_j = real.edge_map(v, w0)
-                # junction map then the loop's internal map
-                c_new = scale[i] * c_j * c_l
-                t_new = offset[i] + scale[i] * np.atleast_1d(t_j) + scale[i] * c_j * t_l
-                nxt_last.append(codes[-1])
-                nxt_scale.append(c_new)
-                nxt_offset.append(t_new)
-                nxt_words.append(words[i] + codes)
-                total += 1
-                if total + len(last) > point_cap:
-                    raise CapExceededError(
-                        f"induced cloud exceeds point cap {point_cap}"
-                    )
-        last, scale, offset, words = nxt_last, nxt_scale, nxt_offset, nxt_words
-    centers = np.stack([real.center(int(v)) for v in last])
-    pts = np.array(scale)[:, None] * centers + np.array(offset)
-    return PointCloud(pts, tuple(tuple(w) for w in words), depth, "induced", lo, hi)
+    tail = np.array([n])
+    scale = np.ones(1)
+    offset = np.zeros((1, real.dimension))
+    words: list[tuple] = [()]
+    for level in range(1, depth + 1):
+        size = int(n_next[tail].sum())
+        if size > point_cap:
+            raise CapExceededError(
+                f"{provenance} cloud level {level} has {size} points > cap {point_cap}"
+            )
+        i, j = np.nonzero(follows[tail])
+        c_j = scale[i] * edge_c[tail[i], first[j]]
+        offset = (
+            offset[i]
+            + scale[i, None] * edge_t[tail[i], first[j]]
+            + c_j[:, None] * t_in[j]
+        )
+        scale = c_j * c_in[j]
+        tail = last[j]
+        words = [words[a] + pieces[b] for a, b in zip(i.tolist(), j.tolist())]
+    centers = np.stack([real.center(v) for v in range(n)])
+    pts = scale[:, None] * centers[tail] + offset
+    lo, hi = real.bounds()
+    return PointCloud(pts, tuple(words), depth, provenance, lo, hi)
 
 
 # ---------------------------------------------------------------------------

@@ -106,6 +106,22 @@ class TestHappyPaths:
         assert not res["inconsistent"]
         assert res["verdict"] == "consistent-with-amenable"
 
+    def test_amenability_trivial_abelian_quotient(self, tmp_path):
+        # both letters map to 0 in Z: the quotient is trivial although the
+        # abelian backend does not know its order, and it has no Cayley edges
+        cfg = {
+            "gdms": GDMS_THIRD,
+            "quotient": {"type": "abelianization", "rank": 1, "images": [[0], [0]]},
+            "params": {"radii": [2, 4], "kernel_n_max": 8},
+        }
+        code, outdir = run_cli("amenability", cfg, tmp_path)
+        assert code == 0
+        res = json.loads((outdir / "report.json").read_text())["results"]
+        assert res["verdict"] == "consistent-with-amenable"
+        assert res["dichotomy"]["rho"] == [1.0, 1.0]
+        assert res["walk"] is None
+        assert not (outdir / "walk_ladder.csv").exists()
+
     def test_amenability_solver_diagnostics(self, tmp_path):
         cfg = {
             "gdms": GDMS_THIRD,
@@ -223,6 +239,39 @@ class TestExitCodes:
         code, _ = run_cli("render", cfg, tmp_path)
         assert code == 3
         assert "ball of radius 3 exceeds cap 5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "params, key",
+        [
+            ({"subset": "full", "depth": 5, "L_max": 7, "composition_depth": 9}, "L_max"),
+            ({"depth": 5, "composition_depth": 9}, "composition_depth"),
+            ({"subset": "induced", "L_max": 2, "depth": 5}, "depth"),
+        ],
+        ids=["full-L_max", "full-composition_depth", "induced-depth"],
+    )
+    def test_render_rejects_other_subset_keys(self, tmp_path, capsys, params, key):
+        cfg = {"gdms": GDMS_THIRD, "quotient": Z2_QUOTIENT, "params": params}
+        code, outdir = run_cli("render", cfg, tmp_path)
+        assert code == 2
+        assert f"params.{key} " in capsys.readouterr().err
+        assert not outdir.exists()
+
+    def test_render_echoes_only_read_keys(self, tmp_path):
+        full = {"gdms": GDMS_THIRD, "params": {"depth": 6, "resolution": 32}}
+        induced = {
+            "gdms": GDMS_THIRD,
+            "quotient": Z2_QUOTIENT,
+            "params": {"subset": "induced", "L_max": 2, "resolution": 32},
+        }
+        assert run_cli("render", full, tmp_path, "full")[0] == 0
+        assert run_cli("render", induced, tmp_path, "induced")[0] == 0
+        out_full, out_induced = tmp_path / "full", tmp_path / "induced"
+        echo_full = json.loads((out_full / "report.json").read_text())["config"]["params"]
+        echo_induced = json.loads((out_induced / "report.json").read_text())["config"]["params"]
+        assert "depth" in echo_full
+        assert not {"L_max", "composition_depth"} & set(echo_full)
+        assert {"L_max", "composition_depth"} <= set(echo_induced)
+        assert "depth" not in echo_induced
 
     def test_infeasible_layout(self, tmp_path):
         code, _ = run_cli("render", {"gdms": {"d": 2, "ratio": 0.6}}, tmp_path)

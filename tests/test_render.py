@@ -1,12 +1,16 @@
 """Layouts, attractor clouds, box counting, PGM rendering."""
 
+import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
 
 from gdms import (
+    CapExceededError,
     ConfigError,
+    FreeAbelianQuotient,
     GdmsError,
     LayoutInfeasibleError,
     LinearGdmsSpec,
@@ -14,10 +18,13 @@ from gdms import (
     auto_layout,
     bowen_root,
     box_counting,
+    cli,
     induced_loops,
     render_image,
 )
 from gdms.render import pgm_bytes
+
+from test_acceptance import REFERENCE_RUNS
 
 
 class TestAutoLayout:
@@ -138,6 +145,88 @@ class TestAttractorPoints:
         real = auto_layout(spec_third, 1)
         with pytest.raises(GdmsError):
             attractor_points(real, 12, point_cap=1000)
+
+    def test_point_cap_boundary_full(self, spec_third):
+        real = auto_layout(spec_third, 1)
+        assert len(attractor_points(real, 3, point_cap=36)) == 36
+        with pytest.raises(CapExceededError):
+            attractor_points(real, 3, point_cap=35)
+
+    def test_point_cap_boundary_induced(self, spec_third, z2):
+        real = auto_layout(spec_third, 1)
+        sys = induced_loops(spec_third, z2, 2)
+        assert len(attractor_points(real, 2, sys, point_cap=108)) == 108
+        with pytest.raises(CapExceededError):
+            attractor_points(real, 2, sys, point_cap=107)
+
+
+def _folded_point(real, word):
+    """Left-to-right fold of the word's edge maps applied to its terminal centre."""
+    scale, offset = 1.0, np.zeros(real.dimension)
+    for v, w in zip(word, word[1:]):
+        c, t = real.edge_map(v, w)
+        offset = offset + scale * np.atleast_1d(t)
+        scale *= c
+    return scale * real.center(word[-1]) + offset
+
+
+UNEQUAL = LinearGdmsSpec.from_config({"d": 2, "ratios_by_generator": [0.3, 0.2]})
+
+
+class TestPointsAreWordFolds:
+    @pytest.mark.parametrize("dimension", [1, 2])
+    @pytest.mark.parametrize("spec", [LinearGdmsSpec.equal_ratios(2, 1 / 3), UNEQUAL],
+                             ids=["third", "unequal"])
+    def test_full(self, spec, dimension):
+        real = auto_layout(spec, dimension)
+        cloud = attractor_points(real, 4)
+        assert cloud.provenance == "full"
+        assert len(cloud) == 4 * 3 ** 3
+        for pt, wd in zip(cloud.points, cloud.words):
+            assert len(wd) == 4
+            assert np.abs(pt - _folded_point(real, wd)).max() <= 1e-12
+
+    @pytest.mark.parametrize("dimension", [1, 2])
+    @pytest.mark.parametrize("spec", [LinearGdmsSpec.equal_ratios(2, 1 / 3), UNEQUAL],
+                             ids=["third", "unequal"])
+    def test_induced(self, spec, dimension):
+        real = auto_layout(spec, dimension)
+        sys = induced_loops(spec, FreeAbelianQuotient(2, [[1, 0], [0, 1]]), 4)
+        cloud = attractor_points(real, 2, sys)
+        assert cloud.provenance == "induced"
+        assert len(cloud) > len(sys)
+        loops = set(sys.loops)
+        for pt, wd in zip(cloud.points, cloud.words):
+            assert any(wd[:k] in loops and wd[k:] in loops for k in range(1, len(wd)))
+            assert np.abs(pt - _folded_point(real, wd)).max() <= 1e-12
+
+
+# sha256 of the payloads of the two render runs in REFERENCE_RUNS: any change to
+# point arithmetic, word order, word names or CSV formatting shows here
+RENDER_DIGESTS = [
+    {
+        "points.csv": "79839709ccacffb28e126ed0eacbdf5ad9c2a657de22940af0bbc30f6a09f1ff",
+        "attractor.pgm": "e420bcd2db00e9a30185389dcc854650084e5e2dadd1f8dcaadf26e238c725e0",
+    },
+    {
+        "points.csv": "d2bdc47cfb9ef31d09407ee72ef25a289716c5419b0b74b5dd57068656434868",
+        "attractor.pgm": "e420bcd2db00e9a30185389dcc854650084e5e2dadd1f8dcaadf26e238c725e0",
+    },
+]
+
+
+@pytest.mark.parametrize(
+    "cfg, digests",
+    list(zip([cfg for command, cfg in REFERENCE_RUNS if command == "render"], RENDER_DIGESTS)),
+    ids=["full", "induced"],
+)
+def test_render_payload_digests(tmp_path, cfg, digests):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    outdir = tmp_path / "out"
+    assert cli.main(["render", "--config", str(cfg_path), "--output-dir", str(outdir)]) == 0
+    for name, digest in digests.items():
+        assert hashlib.sha256((outdir / name).read_bytes()).hexdigest() == digest, name
 
 
 class TestBoxCounting:
