@@ -20,16 +20,12 @@ from .groups import (
     FinitePermQuotient,
     FreeAbelianQuotient,
     FreeQuotient,
-    Letter,
     QuotientGroup,
-    ReducedWord,
-    alphabet,
     ball,
-    concat_reduce,
     kappa,
+    letter_name,
     quotient_from_config,
     reduce_word,
-    word,
 )
 from .kernel import (
     DeltaKernelResult,
@@ -83,6 +79,7 @@ from .walks import (
     WalkLadder,
     isoperimetric_scan,
     srw_spectral_radius,
+    srw_weights,
     walk_ladder,
     walk_step,
 )

@@ -30,7 +30,7 @@ from .errors import (
     GdmsError,
     InconsistentReportError,
 )
-from .groups import DEFAULT_BALL_CAP, Letter, QuotientGroup, quotient_from_config
+from .groups import DEFAULT_BALL_CAP, QuotientGroup, letter_name, quotient_from_config
 from .kernel import (
     DEFAULT_LOOP_CAP,
     delta_kernel,
@@ -49,7 +49,7 @@ from .render import (
 )
 from .reports import RunReport, estimate, exact, write_csv
 from .skew import VERDICT_AMENABLE, amenability_report, ladder_verdict
-from .walks import isoperimetric_scan, srw_spectral_radius
+from .walks import isoperimetric_scan, srw_spectral_radius, srw_weights
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -67,6 +67,12 @@ def load_schema() -> dict:
         return json.load(fh)
 
 
+@functools.cache
+def _validator() -> jsonschema.Draft202012Validator:
+    """The shipped schema's validator; a test checks the schema itself once."""
+    return jsonschema.Draft202012Validator(load_schema())
+
+
 def load_config(path: str | Path) -> dict:
     try:
         raw = Path(path).read_text()
@@ -76,11 +82,10 @@ def load_config(path: str | Path) -> dict:
         cfg = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    try:
-        jsonschema.validate(cfg, load_schema())
-    except jsonschema.ValidationError as exc:
-        where = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ConfigError(f"config field {where}: {exc.message}") from exc
+    error = jsonschema.exceptions.best_match(_validator().iter_errors(cfg))
+    if error is not None:
+        where = "/".join(str(p) for p in error.absolute_path) or "<root>"
+        raise ConfigError(f"config field {where}: {error.message}") from error
     return cfg
 
 
@@ -112,12 +117,7 @@ def _quotient(cfg: dict, spec: LinearGdmsSpec) -> QuotientGroup:
 
 
 def _word_str(codes) -> str:
-    return " ".join(map(_letter_name, codes))
-
-
-@functools.lru_cache
-def _letter_name(code: int) -> str:
-    return repr(Letter.from_code(code))
+    return " ".join(map(letter_name, codes))
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +137,7 @@ def cmd_delta_full(cfg: dict, outdir: Path) -> dict:
     write_csv(
         outdir / "pressure_curve.csv",
         ["s", "pressure", "rho", "iterations", "residual"],
-        rows,
+        list(zip(*rows)),
     )
     report.config = {**cfg, "params": params}
     report.results = {
@@ -175,10 +175,7 @@ def cmd_delta_kernel(cfg: dict, outdir: Path) -> dict:
         write_csv(
             outdir / "kernel_table_half.csv",
             ["n", "log_a_n", "exact"],
-            [
-                (n + 1, div.table.log_a[n], div.table.exact)
-                for n in range(n_max)
-            ],
+            [range(1, n_max + 1), div.table.log_a, [div.table.exact] * n_max],
         )
         results["divergence_at_half"] = {
             "s_half": div.s_half,
@@ -213,19 +210,21 @@ def cmd_amenability(cfg: dict, outdir: Path) -> dict:
     write_csv(
         outdir / "dichotomy_ladder.csv",
         ["R", "rho_R"],
-        zip(dich.ladder.radii, dich.ladder.rho),
+        [dich.ladder.radii, dich.ladder.rho],
     )
     if not G.generating_codes():
         walk = None
         walk_verdict = VERDICT_AMENABLE  # the trivial group is amenable
         walk_note = "trivial quotient: no Cayley edges, walk cross-check skipped"
     else:
-        walk = srw_spectral_radius(G, radii, ball_cap=caps["ball"])
+        if np.array_equal(dich.weights, srw_weights(G)):
+            walk = dich.ladder
+            walk_note = "mu_{s*} is the simple random walk: the dichotomy ladder is its ladder"
+        else:
+            walk = srw_spectral_radius(G, radii, ball_cap=caps["ball"])
+            walk_note = ""
         walk_verdict = ladder_verdict(walk.final_estimate)
-        walk_note = ""
-        write_csv(
-            outdir / "walk_ladder.csv", ["R", "rho_R"], zip(walk.radii, walk.rho)
-        )
+        write_csv(outdir / "walk_ladder.csv", ["R", "rho_R"], [walk.radii, walk.rho])
     overall, inconsistent = combine_verdicts(dich.verdict, walk_verdict)
     results = {
         "dichotomy": dich.as_dict(),
@@ -268,7 +267,7 @@ def cmd_pressure_curve(cfg: dict, outdir: Path) -> dict:
     write_csv(
         outdir / "pressure_curve.csv",
         ["s", "pressure", "rho", "iterations", "residual"],
-        rows,
+        list(zip(*rows)),
     )
     report.config = {**cfg, "params": params}
     report.results = {
@@ -295,9 +294,10 @@ def cmd_symmetry_check(cfg: dict, outdir: Path) -> dict:
         outdir / "symmetry.csv",
         ["n", "max_rel_asymmetry", "ratio_low", "ratio_high"],
         [
-            (n + 1, rep.per_n_rel_asymmetry[n], rep.per_n_ratio_low[n],
-             rep.per_n_ratio_high[n])
-            for n in range(n_max)
+            range(1, n_max + 1),
+            rep.per_n_rel_asymmetry,
+            rep.per_n_ratio_low,
+            rep.per_n_ratio_high,
         ],
     )
     report.config = {**cfg, "params": params}
@@ -319,7 +319,7 @@ def cmd_walks(cfg: dict, outdir: Path) -> dict:
     iso_radius = params.setdefault("radius", 8)
     report = RunReport("walks", cfg)
     ladder = srw_spectral_radius(G, radii, ball_cap=caps["ball"])
-    write_csv(outdir / "walk_ladder.csv", ["R", "rho_R"], zip(ladder.radii, ladder.rho))
+    write_csv(outdir / "walk_ladder.csv", ["R", "rho_R"], [ladder.radii, ladder.rho])
     iso = isoperimetric_scan(G, iso_radius, ball_cap=caps["ball"])
     results = {
         "rho_ladder_csv": "walk_ladder.csv",
@@ -397,10 +397,8 @@ def cmd_render(cfg: dict, outdir: Path) -> dict:
     outdir.mkdir(parents=True, exist_ok=True)
     write_pgm(img, outdir / "attractor.pgm")
     header = ["x", "word"] if cloud.points.shape[1] == 1 else ["x", "y", "word"]
-    rows = [
-        (*pt, _word_str(wd)) for pt, wd in zip(cloud.points.tolist(), cloud.words)
-    ]
-    write_csv(outdir / "points.csv", header, rows)
+    words = [_word_str(wd) for wd in cloud.words]
+    write_csv(outdir / "points.csv", header, [*cloud.points.T, words])
     results.update(
         {
             "box_count": {

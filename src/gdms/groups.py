@@ -5,9 +5,9 @@ The alphabet for the free group F_d = <g_1, ..., g_d> is the 2d-letter set
     V = (g_1, g_1^-1, g_2, g_2^-1, ..., g_d, g_d^-1),
 
 encoded by integer codes 0..2d-1 in that order, so that ``code ^ 1`` is the
-code of the inverse letter.  Reduced words (no adjacent letter is followed by
-its inverse) are exactly the admissible words of the non-backtracking Markov
-shift used throughout the package.
+code of the inverse letter.  A word is a tuple of letter codes; reduced words
+(no letter is followed by its inverse) are exactly the admissible words of
+the non-backtracking Markov shift used throughout the package.
 
 Quotients G = F_d / N are represented by one of three backends:
 
@@ -28,12 +28,11 @@ and safe to share across workers.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Hashable, Iterable, Iterator, Sequence
+from typing import Callable, Hashable, Iterable, Sequence
 
 import numpy as np
 
@@ -43,122 +42,39 @@ DEFAULT_BALL_CAP = 2_000_000
 
 
 # ---------------------------------------------------------------------------
-# Letters and reduced words
+# Words
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, order=True)
-class Letter:
-    """A generator or inverse generator: ``gen`` is 1-based, ``sign`` is +-1."""
-
-    gen: int
-    sign: int
-
-    def __post_init__(self):
-        if self.gen < 1:
-            raise ConfigError(f"generator index must be >= 1, got {self.gen}")
-        if self.sign not in (1, -1):
-            raise ConfigError(f"letter sign must be +1 or -1, got {self.sign}")
-
-    @property
-    def code(self) -> int:
-        """Integer code in the alphabet order (g_1, g_1^-1, g_2, ...)."""
-        return 2 * (self.gen - 1) + (0 if self.sign > 0 else 1)
-
-    @staticmethod
-    def from_code(code: int) -> "Letter":
-        return Letter(code // 2 + 1, 1 if code % 2 == 0 else -1)
-
-    def inverse(self) -> "Letter":
-        return Letter(self.gen, -self.sign)
-
-    def __repr__(self):
-        return f"g{self.gen}" + ("" if self.sign > 0 else "~")
+@functools.cache
+def letter_name(code: int) -> str:
+    """Display name of a letter code: ``g1``, ``g1~`` (its inverse), ``g2``, ..."""
+    return f"g{code // 2 + 1}" + ("~" if code & 1 else "")
 
 
-def alphabet(d: int) -> tuple[Letter, ...]:
-    """The 2d letters of F_d in code order."""
-    if d < 1:
-        raise ConfigError(f"rank must be >= 1, got {d}")
-    return tuple(Letter.from_code(c) for c in range(2 * d))
-
-
-def inverse_code(code: int) -> int:
-    return code ^ 1
-
-
-@dataclass(frozen=True)
-class ReducedWord:
-    """A reduced word in F_d; the empty word is the identity."""
-
-    letters: tuple[Letter, ...] = ()
-
-    def __post_init__(self):
-        for a, b in itertools.pairwise(self.letters):
-            if a == b.inverse():
-                raise ConfigError(f"word is not reduced at {a}{b}")
-
-    def __len__(self):
-        return len(self.letters)
-
-    def __iter__(self) -> Iterator[Letter]:
-        return iter(self.letters)
-
-    def __mul__(self, other: "ReducedWord") -> "ReducedWord":
-        return concat_reduce(self, other)
-
-    def codes(self) -> tuple[int, ...]:
-        return tuple(letter.code for letter in self.letters)
-
-    @staticmethod
-    def from_codes(codes: Iterable[int]) -> "ReducedWord":
-        return ReducedWord(tuple(Letter.from_code(c) for c in codes))
-
-    def inverse(self) -> "ReducedWord":
-        return ReducedWord(tuple(x.inverse() for x in reversed(self.letters)))
-
-    def __repr__(self):
-        return "<id>" if not self.letters else " ".join(map(repr, self.letters))
-
-
-def word(*spec: tuple[int, int]) -> ReducedWord:
-    """Convenience constructor: ``word((1, 1), (2, -1))`` is g_1 g_2^-1."""
-    return ReducedWord(tuple(Letter(g, s) for g, s in spec))
-
-
-def reduce_word(raw: Sequence[Letter]) -> ReducedWord:
-    """Fully reduce a letter sequence by stack cancellation.
+def reduce_word(codes: Iterable[int]) -> tuple[int, ...]:
+    """Fully reduce a code sequence by stack cancellation.
 
     The result equals the input in F_d; a single left-to-right pass with a
     stack performs every cancellation cascade.
     """
-    stack: list[Letter] = []
-    for letter in raw:
-        if stack and stack[-1] == letter.inverse():
+    stack: list[int] = []
+    for c in codes:
+        if stack and stack[-1] == c ^ 1:
             stack.pop()
         else:
-            stack.append(letter)
-    return ReducedWord(tuple(stack))
+            stack.append(c)
+    return tuple(stack)
 
 
-def concat_reduce(a: ReducedWord, b: ReducedWord) -> ReducedWord:
-    """The reduced word equal to ``ab``; only the junction can cancel."""
-    left = list(a.letters)
-    right = list(b.letters)
-    while left and right and left[-1] == right[0].inverse():
-        left.pop()
-        right.pop(0)
-    return ReducedWord(tuple(left) + tuple(right))
-
-
-def kappa(w: ReducedWord) -> ReducedWord:
+def kappa(w: tuple[int, ...]) -> tuple[int, ...]:
     """Reverse the word and invert each letter.
 
     An involution on nonempty reduced words; it preserves the multiset of
     generator indices, hence any per-letter weight with c(g) = c(g^-1).
     """
-    if len(w) == 0:
+    if not w:
         raise ConfigError("empty word has no kappa image")
-    return w.inverse()
+    return tuple(c ^ 1 for c in reversed(w))
 
 
 # ---------------------------------------------------------------------------
@@ -175,25 +91,25 @@ class QuotientGroup(ABC):
         ...
 
     @abstractmethod
-    def letter_image(self, letter: Letter) -> Hashable:
+    def letter_image(self, code: int) -> Hashable:
         """The image of a single letter under the quotient homomorphism."""
 
     @abstractmethod
-    def apply_letter(self, g: Hashable, letter: Letter) -> Hashable:
-        """Right-multiply ``g`` by the image of ``letter``."""
+    def apply_letter(self, g: Hashable, code: int) -> Hashable:
+        """Right-multiply ``g`` by the image of the letter ``code``."""
 
     @abstractmethod
     def inverse(self, g: Hashable) -> Hashable:
         ...
 
-    def apply_word(self, g: Hashable, w: Iterable[Letter]) -> Hashable:
-        for letter in w:
-            g = self.apply_letter(g, letter)
+    def apply_word(self, g: Hashable, codes: Iterable[int]) -> Hashable:
+        for c in codes:
+            g = self.apply_letter(g, c)
         return g
 
-    def word_image(self, w: Iterable[Letter]) -> Hashable:
+    def word_image(self, codes: Iterable[int]) -> Hashable:
         """The left-to-right fold of letter images; the empty word maps to id."""
-        return self.apply_word(self.identity(), w)
+        return self.apply_word(self.identity(), codes)
 
     def order(self) -> int | None:
         """Group order for finite backends, ``None`` otherwise."""
@@ -204,18 +120,18 @@ class QuotientGroup(ABC):
         return False
 
     def generating_codes(self) -> list[int]:
-        """Letter codes with distinct non-identity images, first code per image.
+        """Codes of the letters with distinct non-identity images, first per image.
 
         Their images form the Cayley generating set.
         """
         codes: list[int] = []
         seen = set()
         e = self.identity()
-        for letter in alphabet(self.d):
-            img = self.letter_image(letter)
+        for c in range(2 * self.d):
+            img = self.letter_image(c)
             if img != e and img not in seen:
                 seen.add(img)
-                codes.append(letter.code)
+                codes.append(c)
         return codes
 
     @cached_property
@@ -250,15 +166,13 @@ class FinitePermQuotient(QuotientGroup):
                 raise ConfigError(
                     f"image of g{i + 1} is not a permutation of 0..{degree - 1}: {img}"
                 )
-            inv = [0] * degree
-            for a, b in enumerate(perm):
-                inv[b] = a
             self._images[2 * i] = perm
-            self._images[2 * i + 1] = tuple(inv)
+            self._images[2 * i + 1] = self.inverse(perm)
         # The whole group: it has at most degree! elements, so neither that
-        # radius nor that cap stops the search early.
+        # radius nor that cap stops the search early.  Every ball is a
+        # breadth-first prefix of it (see ``ball``).
         bound = math.factorial(degree)
-        self._whole = bfs_ball(self, bound, bound)
+        self._whole = self._balls[bound] = bfs_ball(self, bound, bound)
 
     @staticmethod
     def _mul(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
@@ -268,11 +182,11 @@ class FinitePermQuotient(QuotientGroup):
     def identity(self):
         return tuple(range(self.degree))
 
-    def letter_image(self, letter: Letter):
-        return self._images[letter.code]
+    def letter_image(self, code: int):
+        return self._images[code]
 
-    def apply_letter(self, g, letter: Letter):
-        return self._mul(g, self._images[letter.code])
+    def apply_letter(self, g, code: int):
+        return self._mul(g, self._images[code])
 
     def inverse(self, g):
         inv = [0] * self.degree
@@ -285,15 +199,6 @@ class FinitePermQuotient(QuotientGroup):
 
     def diameter(self) -> int:
         return int(self._whole.dist[-1])
-
-    def _build_ball(self, radius: int, cap: int) -> "Ball":
-        """A breadth-first prefix of the whole group; moves leaving it are -1."""
-        dist = self._whole.dist[self._whole.dist <= radius]
-        _check_cap(np.bincount(dist).tolist(), radius, cap)
-        n = len(dist)
-        moves = self._whole.letter_moves()[:, :n].copy()
-        moves[moves >= n] = -1
-        return Ball(self, radius, dist, lambda: self._whole.elements[:n], moves)
 
 
 class FreeAbelianQuotient(QuotientGroup):
@@ -321,12 +226,11 @@ class FreeAbelianQuotient(QuotientGroup):
     def identity(self):
         return (0,) * self.rank
 
-    def letter_image(self, letter: Letter):
-        return self._images[letter.code]
+    def letter_image(self, code: int):
+        return self._images[code]
 
-    def apply_letter(self, g, letter: Letter):
-        img = self._images[letter.code]
-        return tuple(a + b for a, b in zip(g, img))
+    def apply_letter(self, g, code: int):
+        return tuple(a + b for a, b in zip(g, self._images[code]))
 
     def inverse(self, g):
         return tuple(-x for x in g)
@@ -348,20 +252,17 @@ class FreeQuotient(QuotientGroup):
         self.kill = frozenset(int(k) for k in kill)
         if any(k < 1 or k > d for k in self.kill):
             raise ConfigError(f"killed generator index out of range 1..{d}")
-        self.surviving = tuple(g for g in range(1, d + 1) if g not in self.kill)
+        self.killed_codes = frozenset(c for c in range(2 * d) if c // 2 + 1 in self.kill)
 
     def identity(self):
         return ()
 
-    def letter_image(self, letter: Letter):
-        if letter.gen in self.kill:
-            return ()
-        return (letter.code,)
+    def letter_image(self, code: int):
+        return () if code in self.killed_codes else (code,)
 
-    def apply_letter(self, g, letter: Letter):
-        if letter.gen in self.kill:
+    def apply_letter(self, g, code: int):
+        if code in self.killed_codes:
             return g
-        code = letter.code
         if g and g[-1] == (code ^ 1):
             return g[:-1]
         return g + (code,)
@@ -370,13 +271,13 @@ class FreeQuotient(QuotientGroup):
         return tuple((c ^ 1) for c in reversed(g))
 
     def order(self) -> int | None:
-        return 1 if not self.surviving else None
+        return 1 if len(self.kill) == self.d else None
 
     def kernel_is_trivial(self) -> bool:
         return not self.kill
 
     def surviving_rank(self) -> int:
-        return len(self.surviving)
+        return self.d - len(self.kill)
 
     def _build_ball(self, radius: int, cap: int) -> "Ball":
         """The Cayley tree ball by array indexing, one sphere at a time.
@@ -388,9 +289,7 @@ class FreeQuotient(QuotientGroup):
         inverse of its last letter, killed letters fix every element, and
         children beyond the radius fall off the ball (-1).
         """
-        codes = np.array(
-            [2 * (g - 1) + b for g in self.surviving for b in (0, 1)], dtype=np.int64
-        )
+        codes = np.flatnonzero([c not in self.killed_codes for c in range(2 * self.d)])
         sizes = [1]
         # stop one sphere past the cap so that huge radii cost nothing
         while len(sizes) <= radius and codes.size and sum(sizes) <= max(cap, 1):
@@ -401,8 +300,7 @@ class FreeQuotient(QuotientGroup):
         parent = np.full(n, -1, dtype=np.int64)
         last = np.full(n, -1, dtype=np.int64)
         moves = np.full((2 * self.d, n), -1, dtype=np.int64)
-        killed = [c for c in range(2 * self.d) if c // 2 + 1 in self.kill]
-        moves[killed] = np.arange(n)
+        moves[sorted(self.killed_codes)] = np.arange(n)
         for r in range(len(sizes) - 1):
             lo, hi = starts[r], starts[r + 1]
             # identity: last = -1, and -1 ^ 1 = -2 matches no code
@@ -524,16 +422,39 @@ def ball(G: QuotientGroup, radius: int, cap: int = DEFAULT_BALL_CAP) -> Ball:
     group.  Raises ``CapExceededError`` when the ball has more than ``cap``
     elements, before materializing them.  Balls are memoised per group and
     radius, so repeated calls return the same ``Ball``; a memoised ball
-    larger than a later, smaller ``cap`` still raises.
+    larger than a later, smaller ``cap`` still raises.  A group builds one
+    ball at a time: a smaller radius is the breadth-first prefix of a
+    memoised larger ball, or of the whole group once a ball holds it.
     """
     if radius < 0:
         raise ConfigError("ball radius must be >= 0")
     B = G._balls.get(radius)
-    if B is None:
-        B = G._balls[radius] = G._build_ball(radius, cap)
+    if B is not None:
+        _check_cap(np.bincount(B.dist).tolist(), radius, cap)
+        return B
+    # a ball whose search ran out of elements before its radius is the group
+    larger = [A for A in G._balls.values() if A.radius > radius or A.dist[-1] < A.radius]
+    if larger:
+        B = _prefix(min(larger, key=len), radius, cap)
     else:
-        _check_cap(B.sphere_sizes(), radius, cap)
+        B = G._build_ball(radius, cap)
+    G._balls[radius] = B
     return B
+
+
+def _prefix(B: Ball, radius: int, cap: int) -> Ball:
+    """The ball of this radius cut from the larger ball ``B``.
+
+    Breadth-first search lists the same elements in the same order whatever
+    its radius, so the cut is ``bfs_ball(G, radius)``: the first elements of
+    ``B``, with the moves that leave them set to -1.
+    """
+    n = int(np.searchsorted(B.dist, radius, side="right"))
+    dist = B.dist[:n]
+    _check_cap(np.bincount(dist).tolist(), radius, cap)
+    moves = B.letter_moves()[:, :n].copy()
+    moves[moves >= n] = -1
+    return Ball(B.group, radius, dist, lambda: B.elements[:n], moves)
 
 
 def bfs_ball(G: QuotientGroup, radius: int, cap: int = DEFAULT_BALL_CAP) -> Ball:
@@ -544,7 +465,7 @@ def bfs_ball(G: QuotientGroup, radius: int, cap: int = DEFAULT_BALL_CAP) -> Ball
     recorded from the products the search forms anyway; only the last
     sphere's products are formed just to tell which stay in the ball.
     """
-    letters = alphabet(G.d)
+    n_codes = 2 * G.d
     e = G.identity()
     index = {e: 0}
     elements = [e]
@@ -553,8 +474,8 @@ def bfs_ball(G: QuotientGroup, radius: int, cap: int = DEFAULT_BALL_CAP) -> Ball
     # the growing element list is the breadth-first queue
     for i, g in enumerate(elements):
         r = dist[i] + 1
-        for letter in letters:
-            h = G.apply_letter(g, letter)
+        for c in range(n_codes):
+            h = G.apply_letter(g, c)
             j = index.get(h, -1)
             if j < 0 and r <= radius:
                 if len(elements) >= cap:
@@ -566,7 +487,7 @@ def bfs_ball(G: QuotientGroup, radius: int, cap: int = DEFAULT_BALL_CAP) -> Ball
                 elements.append(h)
                 dist.append(r)
             moves.append(j)
-    table = np.array(moves, dtype=np.int64).reshape(len(elements), len(letters))
+    table = np.array(moves, dtype=np.int64).reshape(len(elements), n_codes)
     return Ball(
         G,
         radius,

@@ -31,7 +31,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .groups import Letter, QuotientGroup, ReducedWord, inverse_code
+from .groups import QuotientGroup, letter_name
 from .linalg import PerronResult, perron_value_dense
 
 SPECTRAL_TOL = 1e-12
@@ -65,7 +65,7 @@ class LinearGdmsSpec:
         for i, c in enumerate(self.ratios):
             if not (0.0 < c < 1.0):
                 raise ConfigError(
-                    f"contraction ratio for letter {Letter.from_code(i)!r} "
+                    f"contraction ratio for letter {letter_name(i)} "
                     f"must lie strictly inside (0,1), got {c}"
                 )
 
@@ -86,9 +86,6 @@ class LinearGdmsSpec:
         a = np.log(self.ratio_array)
         a.flags.writeable = False
         return a
-
-    def ratio(self, letter: Letter) -> float:
-        return self.ratios[letter.code]
 
     @staticmethod
     def equal_ratios(d: int, c: float, geometry: dict | None = None) -> "LinearGdmsSpec":
@@ -124,29 +121,21 @@ class LinearGdmsSpec:
 # Words and weights
 # ---------------------------------------------------------------------------
 
-def _codes_of(w) -> tuple[int, ...]:
-    if isinstance(w, ReducedWord):
-        return w.codes()
-    return tuple(x.code if isinstance(x, Letter) else int(x) for x in w)
-
-
-def is_admissible(w) -> bool:
+def is_admissible(codes: Sequence[int]) -> bool:
     """True iff no letter is followed by its own inverse."""
-    codes = _codes_of(w)
     return all(b != (a ^ 1) for a, b in zip(codes, codes[1:]))
 
 
-def log_weight(spec: LinearGdmsSpec, w, s: float) -> float:
+def log_weight(spec: LinearGdmsSpec, codes: Sequence[int], s: float) -> float:
     """log of prod c(w_i)^s; the empty word gets 0 (weight 1) by convention."""
-    codes = _codes_of(w)
     if not is_admissible(codes):
         raise ConfigError("word is not admissible")
     return s * float(spec.log_ratios[list(codes)].sum()) if codes else 0.0
 
 
-def ergodic_weight(spec: LinearGdmsSpec, w, s: float) -> float:
+def ergodic_weight(spec: LinearGdmsSpec, codes: Sequence[int], s: float) -> float:
     """prod c(w_i)^s, multiplicative over admissible concatenation."""
-    return math.exp(log_weight(spec, w, s))
+    return math.exp(log_weight(spec, codes, s))
 
 
 # ---------------------------------------------------------------------------
@@ -164,10 +153,6 @@ class TransferMatrix:
     spec: LinearGdmsSpec
     s: float
     matrix: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return 2 * self.spec.d
 
 
 @dataclass(frozen=True)
@@ -189,8 +174,7 @@ def transfer_matrix(spec: LinearGdmsSpec, s: float) -> TransferMatrix:
     n = 2 * spec.d
     weights = spec.ratio_array ** s
     m = np.tile(weights, (n, 1))
-    for v in range(n):
-        m[v, inverse_code(v)] = 0.0
+    m[np.arange(n), np.arange(n) ^ 1] = 0.0
     m.flags.writeable = False
     return TransferMatrix(spec, float(s), m)
 
@@ -266,8 +250,7 @@ class GibbsMeasure:
     phat: np.ndarray
     pressure: float
 
-    def log_cylinder_mass(self, w) -> float:
-        codes = _codes_of(w)
+    def log_cylinder_mass(self, codes: Sequence[int]) -> float:
         if not codes:
             return 0.0
         if not is_admissible(codes):
@@ -277,8 +260,8 @@ class GibbsMeasure:
             total += math.log(self.phat[a, b])
         return total
 
-    def cylinder_mass(self, w) -> float:
-        return math.exp(self.log_cylinder_mass(w))
+    def cylinder_mass(self, codes: Sequence[int]) -> float:
+        return math.exp(self.log_cylinder_mass(codes))
 
 
 def gibbs_measure(spec: LinearGdmsSpec, s: float) -> GibbsMeasure:

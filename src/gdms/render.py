@@ -351,8 +351,11 @@ def box_counting(cloud: PointCloud, scales: Sequence[float]) -> BoxCountResult:
         raise ConfigError("scales must span at least two octaves")
     counts = []
     for eps in scales:
-        boxes = np.unique(np.floor(cloud.points / eps), axis=0)
-        counts.append(int(len(boxes)))
+        boxes = np.ascontiguousarray(np.floor(cloud.points / eps))
+        # one sort key per point: in 2-D the floored pair read as one complex
+        # number, which np.unique orders and compares like the pair
+        key = boxes if boxes.shape[1] == 1 else boxes.view(np.complex128)
+        counts.append(len(np.unique(key)))
     if len(set(counts)) < 3:
         raise GdmsError("degenerate regression: fewer than 3 distinct box counts")
     x = np.log(1.0 / np.array(scales))

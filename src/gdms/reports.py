@@ -80,20 +80,20 @@ class RunReport:
         return path
 
 
-def write_csv(path: Path, header: list[str], rows) -> None:
-    """Minimal deterministic CSV: repr-formatted floats, no quoting needed."""
+def write_csv(path: Path, header: list[str], columns) -> None:
+    """Minimal deterministic CSV, formatted one column at a time.
+
+    A column of strings is written as is; any other column is listed as
+    Python numbers (``numpy.asarray(column).tolist()``) and written as their
+    ``repr``, so floats round-trip and ints and bools keep their type.  No
+    quoting is needed.
+    """
+    texts = [
+        list(map(str, col)) if len(col) and isinstance(col[0], str)
+        else list(map(repr, numpy.asarray(col).tolist()))
+        for col in columns
+    ]
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_cell(x) for x in row) + "\n")
-
-
-def _cell(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    if isinstance(x, (numpy.floating,)):
-        return repr(float(x))
-    if isinstance(x, (numpy.integer,)):
-        return str(int(x))
-    return str(x)
+        fh.writelines(",".join(row) + "\n" for row in zip(*texts))

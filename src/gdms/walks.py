@@ -122,7 +122,7 @@ def walk_ladder(
     weights = np.asarray(weights, dtype=float)
     tree = None
     if isinstance(G, FreeQuotient) and G.surviving_rank() >= 2:
-        alive = np.array([c // 2 + 1 not in G.kill for c in range(2 * G.d)])
+        alive = np.array([c not in G.killed_codes for c in range(2 * G.d)])
         p = weights[alive]
         if (p == p[0]).all():
             tree = G.surviving_rank(), float(p[0]), float(weights[~alive].sum())
@@ -141,6 +141,7 @@ def walk_ladder(
             rungs.append(perron_value_dense(_tree_radial_chain(k, R, p, lazy), tol=tol))
     else:
         method = "generic"
+        ball(G, radii[-1], ball_cap)  # every smaller rung is a prefix of it
         for R in radii:
             B = ball(G, R, ball_cap)
             rungs.append(perron_value(walk_step(B, weights), len(B), tol=tol))
@@ -164,12 +165,17 @@ def srw_spectral_radius(
     tol: float = 1e-11,
 ) -> WalkLadder:
     """Spectral-radius ladder of the simple random walk on Cayley balls."""
+    return walk_ladder(G, srw_weights(G), R_list, ball_cap, tol)
+
+
+def srw_weights(G: QuotientGroup) -> np.ndarray:
+    """Per-code weights of the simple random walk: uniform on ``generating_codes``."""
     codes = G.generating_codes()
     if not codes:
         raise ConfigError("trivial group has no Cayley edges")
     weights = np.zeros(2 * G.d)
     weights[codes] = 1.0 / len(codes)
-    return walk_ladder(G, weights, R_list, ball_cap, tol)
+    return weights
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,6 @@ from gdms import (
     FinitePermQuotient,
     FreeAbelianQuotient,
     FreeQuotient,
-    Letter,
     LinearGdmsSpec,
 )
 
@@ -103,7 +102,6 @@ def brute_kernel_sums(spec, G, s, n_max):
     out = [NeumaierSum() for _ in range(n_max)]
     e = G.identity()
     ratios = [spec.ratios[c] ** s for c in range(2 * spec.d)]
-    letters = [Letter.from_code(c) for c in range(2 * spec.d)]
 
     def rec(last, g, weight, n):
         if n > 0 and g == e:
@@ -113,7 +111,7 @@ def brute_kernel_sums(spec, G, s, n_max):
         for c in range(2 * spec.d):
             if last >= 0 and c == last ^ 1:
                 continue
-            rec(c, G.apply_letter(g, letters[c]), weight * ratios[c], n + 1)
+            rec(c, G.apply_letter(g, c), weight * ratios[c], n + 1)
 
     rec(-1, e, 1.0, 0)
     return np.array([acc.value() for acc in out])
@@ -129,17 +127,11 @@ def brute_first_returns(G, d, L_max):
             g = e
             images = []
             for c in w:
-                g = G.apply_letter(g, Letter.from_code(c))
+                g = G.apply_letter(g, c)
                 images.append(g)
             if images[-1] == e and e not in images[:-1]:
                 loops.append(w)
     return sorted(loops)
-
-
-def codes_to_word(codes):
-    from gdms import ReducedWord
-
-    return ReducedWord.from_codes(codes)
 
 
 # ---------------------------------------------------------------------------

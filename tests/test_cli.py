@@ -7,9 +7,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import jsonschema
 import pytest
 
 from gdms import cli
+from gdms.walks import srw_spectral_radius
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def run_cli(command, config, tmp_path, name="out"):
@@ -105,6 +109,38 @@ class TestHappyPaths:
         res = json.loads((outdir / "report.json").read_text())["results"]
         assert not res["inconsistent"]
         assert res["verdict"] == "consistent-with-amenable"
+
+    @pytest.mark.parametrize(
+        "stem, shared", [("amenability_zz", True), ("amenability_f2q", False)]
+    )
+    def test_walk_cross_check_reuses_an_equal_walk(self, tmp_path, monkeypatch, stem, shared):
+        # Z^2 with equal ratios: mu_{s*} is exactly the simple random walk, so
+        # its ladder is reported once; F_3 -> F_2 gives a lazy mu_{s*} and a
+        # non-lazy simple random walk, which needs its own ladder.
+        runs = []
+
+        def counting(*args, **kwargs):
+            runs.append(args)
+            return srw_spectral_radius(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "srw_spectral_radius", counting)
+        cfg = json.loads((CONFIGS / f"{stem}.json").read_text())
+        code, outdir = run_cli("amenability", cfg, tmp_path)
+        assert code == 0
+        res = json.loads((outdir / "report.json").read_text())["results"]
+        dich, walk = res["dichotomy"], res["walk"]
+        assert len(runs) == (0 if shared else 1)
+        assert ("dichotomy ladder" in walk["note"]) == shared
+        if shared:
+            assert dich["weights"] == [0.25] * 4
+            for key in ("radii", "rho", "iterations", "residuals", "method"):
+                assert walk[key] == dich[key]
+            assert (outdir / "walk_ladder.csv").read_bytes() == (
+                outdir / "dichotomy_ladder.csv"
+            ).read_bytes()
+        else:
+            assert walk["note"] == ""
+            assert walk["rho"] != dich["rho"]
 
     def test_amenability_trivial_abelian_quotient(self, tmp_path):
         # both letters map to 0 in Z: the quotient is trivial although the
@@ -206,6 +242,10 @@ class TestExitCodes:
     def test_missing_quotient(self, tmp_path):
         code, _ = run_cli("delta-kernel", {"gdms": GDMS_THIRD}, tmp_path)
         assert code == 2
+
+    def test_shipped_schema_is_valid(self):
+        # runs validate against the schema without checking it each time
+        jsonschema.Draft202012Validator.check_schema(cli.load_schema())
 
     def test_unknown_config_field(self, tmp_path):
         code, _ = run_cli(

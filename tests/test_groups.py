@@ -2,6 +2,7 @@
 
 import itertools
 
+import numpy as np
 import pytest
 
 from gdms import (
@@ -11,59 +12,57 @@ from gdms import (
     FinitePermQuotient,
     FreeAbelianQuotient,
     FreeQuotient,
-    Letter,
-    ReducedWord,
-    alphabet,
+    LinearGdmsSpec,
     ball,
-    concat_reduce,
+    is_admissible,
     kappa,
+    letter_name,
+    log_weight,
     quotient_from_config,
     reduce_word,
-    word,
 )
 
 from gdms.groups import bfs_ball
 
-from conftest import all_reduced_words_upto, codes_to_word, iter_reduced_words, naive_reduce
-
-
-def letters_from_codes(codes):
-    return [Letter.from_code(c) for c in codes]
+from conftest import all_reduced_words_upto, iter_reduced_words, naive_reduce
 
 
 class TestReduce:
     def test_identity_cancellation(self):
-        assert reduce_word(letters_from_codes([0, 1])) == ReducedWord()
+        assert reduce_word([0, 1]) == ()
 
     def test_cascade(self):
-        w = reduce_word([Letter(1, 1), Letter(2, 1), Letter(2, -1), Letter(1, 1)])
-        assert w == word((1, 1), (1, 1))
+        # g1 g2 g2~ g1 = g1 g1
+        assert reduce_word([0, 2, 3, 0]) == (0, 0)
 
     def test_random_against_naive_scan(self, rng):
         for _ in range(300):
             raw = [rng.randrange(4) for _ in range(20)]
-            got = reduce_word(letters_from_codes(raw)).codes()
-            assert got == naive_reduce(raw)
+            assert reduce_word(raw) == naive_reduce(raw)
 
     def test_letter_inverse_involution(self):
-        for letter in alphabet(3):
-            assert letter.inverse().inverse() == letter
-            assert letter.inverse().gen == letter.gen
+        for c in range(6):
+            assert c ^ 1 != c
+            assert c ^ 1 ^ 1 == c
+            assert (c ^ 1) // 2 == c // 2
+
+    def test_letter_names(self):
+        assert [letter_name(c) for c in range(4)] == ["g1", "g1~", "g2", "g2~"]
 
 
 class TestConcat:
     def test_full_cancellation(self):
-        assert concat_reduce(word((1, 1)), word((1, -1))) == ReducedWord()
+        assert reduce_word((0,) + (1,)) == ()
 
     def test_junction(self):
-        got = concat_reduce(word((1, 1), (2, 1)), word((2, -1), (1, 1)))
-        assert got == word((1, 1), (1, 1))
+        # (g1 g2)(g2~ g1) = g1 g1
+        assert reduce_word((0, 2) + (3, 0)) == (0, 0)
 
     def test_exhaustive_pairs_length_bounds(self):
         words = all_reduced_words_upto(2, 4)
         for a in words:
             for b in words:
-                r = concat_reduce(codes_to_word(a), codes_to_word(b)).codes()
+                r = reduce_word(a + b)
                 assert r == naive_reduce(a + b)
                 assert abs(len(a) - len(b)) <= len(r) <= len(a) + len(b)
                 assert (len(r) - len(a) - len(b)) % 2 == 0
@@ -77,57 +76,55 @@ class TestConcat:
             for _ in range(500)
         ]
         for a, b, c in triples:
-            wa, wb, wc = map(codes_to_word, (a, b, c))
-            assert (wa * wb) * wc == wa * (wb * wc)
+            assert reduce_word(reduce_word(a + b) + c) == reduce_word(a + reduce_word(b + c))
 
 
 class TestKappa:
     def test_definition(self):
-        assert kappa(word((1, 1), (2, 1))) == word((2, -1), (1, -1))
-        assert kappa(word((1, 1))) == word((1, -1))
+        # g1 g2 -> g2~ g1~
+        assert kappa((0, 2)) == (3, 1)
+        assert kappa((0,)) == (1,)
 
     def test_involution_exhaustive(self):
         for n in range(1, 7):
-            for codes in iter_reduced_words(2, n):
-                w = codes_to_word(codes)
+            for w in iter_reduced_words(2, n):
                 k = kappa(w)
                 assert kappa(k) == w
-                # kappa output is reduced by construction of ReducedWord
+                assert reduce_word(k) == k
                 assert len(k) == len(w)
 
     def test_empty_word_rejected(self):
         with pytest.raises(ConfigError, match="kappa"):
-            kappa(ReducedWord())
+            kappa(())
 
 
 class TestQuotientApply:
     def test_commutator_dies_in_abelianization(self, zz):
-        w = word((1, 1), (2, 1), (1, -1), (2, -1))
-        assert zz.word_image(w) == (0, 0)
+        # g1 g2 g1~ g2~
+        assert zz.word_image((0, 2, 1, 3)) == (0, 0)
 
     def test_parity_in_z2(self, z2):
-        w = word((1, 1), (1, 1), (2, 1), (1, 1), (2, -1))
+        w = (0, 0, 2, 0, 3)  # g1 g1 g2 g1 g2~
         assert z2.word_image(w) != z2.identity()
-        assert z2.word_image(w) == z2.letter_image(Letter(1, 1))
+        assert z2.word_image(w) == z2.letter_image(0)
 
     def test_killed_letters_vanish(self, f2_of_f3):
-        w = word((3, 1), (1, 1), (3, -1))
-        assert f2_of_f3.word_image(w) == f2_of_f3.word_image(word((1, 1)))
+        # g3 g1 g3~ = g1 once g3 is killed
+        assert f2_of_f3.word_image((4, 0, 5)) == f2_of_f3.word_image((0,))
 
     def test_empty_word_is_identity(self, zz, z2, f2_of_f3):
         for G in (zz, z2, f2_of_f3):
-            assert G.word_image(ReducedWord()) == G.identity()
+            assert G.word_image(()) == G.identity()
 
     @pytest.mark.parametrize("backend", ["z2", "zz", "f2_of_f3"])
     def test_homomorphism_exhaustive_small(self, backend, request):
         G = request.getfixturevalue(backend)
         words = all_reduced_words_upto(G.d, 3)
-        lookup = {w: G.word_image(codes_to_word(w)) for w in words}
+        lookup = {w: G.word_image(w) for w in words}
         for a in words:
             for b in words:
-                image_a_then_b = G.apply_word(lookup[a], codes_to_word(b))
-                ab = naive_reduce(a + b)
-                assert image_a_then_b == G.word_image(codes_to_word(ab))
+                image_a_then_b = G.apply_word(lookup[a], b)
+                assert image_a_then_b == G.word_image(naive_reduce(a + b))
 
     @pytest.mark.parametrize("backend", ["z2", "s3", "zz", "f2_of_f3"])
     def test_homomorphism_random_length6(self, backend, request, rng):
@@ -135,15 +132,14 @@ class TestQuotientApply:
         words = [w for w in all_reduced_words_upto(G.d, 6) if len(w) <= 6]
         for _ in range(400):
             a, b = rng.choice(words), rng.choice(words)
-            image = G.apply_word(G.word_image(codes_to_word(a)), codes_to_word(b))
-            assert image == G.word_image(codes_to_word(naive_reduce(a + b)))
+            image = G.apply_word(G.word_image(a), b)
+            assert image == G.word_image(naive_reduce(a + b))
 
     @pytest.mark.parametrize("backend", ["z2", "s3", "zz", "f2_of_f3"])
     def test_kappa_inverts_images(self, backend, request):
         G = request.getfixturevalue(backend)
         for n in range(1, 5):
-            for codes in iter_reduced_words(G.d, n):
-                w = codes_to_word(codes)
+            for w in iter_reduced_words(G.d, n):
                 g = G.word_image(w)
                 assert G.apply_word(g, kappa(w)) == G.identity()
                 assert G.inverse(g) == G.word_image(kappa(w))
@@ -151,9 +147,9 @@ class TestQuotientApply:
     @pytest.mark.parametrize("backend", ["z2", "s3", "zz", "f2_of_f3"])
     def test_letter_images_invert(self, backend, request):
         G = request.getfixturevalue(backend)
-        for letter in alphabet(G.d):
-            g = G.apply_letter(G.identity(), letter)
-            assert G.apply_letter(g, letter.inverse()) == G.identity()
+        for c in range(2 * G.d):
+            g = G.apply_letter(G.identity(), c)
+            assert G.apply_letter(g, c ^ 1) == G.identity()
 
 
 def word_metric(G, radius):
@@ -182,9 +178,9 @@ class TestWordMetric:
             words = all_reduced_words_upto(G.d, 5)
             for _ in range(200):
                 a, b = rng.choice(words), rng.choice(words)
-                ga = G.word_image(codes_to_word(a))
-                gab = G.apply_word(ga, codes_to_word(b))
-                gb = G.word_image(codes_to_word(b))
+                ga = G.word_image(a)
+                gab = G.apply_word(ga, b)
+                gb = G.word_image(b)
                 assert dist(gab) <= dist(ga) + dist(gb)
 
     def test_abelian_l1_formula(self, zz):
@@ -199,21 +195,22 @@ class TestWordMetric:
         assert dist((2, 1)) == 2
 
 
-def assert_builder_matches_bfs(G, radii):
-    """The backend's ball builder reproduces ``bfs_ball`` exactly."""
+def assert_ball_matches_bfs(G, radii):
+    """``ball`` (the backend's builder, or a prefix of a memoised larger ball)
+    reproduces ``bfs_ball`` exactly."""
     for r in radii:
         ref = bfs_ball(G, r)
-        B = G._build_ball(r, 10**9)
+        B = ball(G, r, 10**9)
         assert B.elements == ref.elements
         assert (B.dist == ref.dist).all()
         assert (B.letter_moves() == ref.letter_moves()).all()
 
 
 def assert_caps_match_bfs(G, radius, caps):
-    """The builder refuses the same caps as ``bfs_ball``, word for word."""
+    """``ball`` refuses the same caps as ``bfs_ball``, word for word."""
     for cap in caps:
         errors = []
-        builds = (lambda: bfs_ball(G, radius, cap), lambda: G._build_ball(radius, cap))
+        builds = (lambda: bfs_ball(G, radius, cap), lambda: ball(G, radius, cap))
         for build in builds:
             try:
                 build()
@@ -291,7 +288,7 @@ class TestBalls:
         "d,kill", [(2, []), (3, [3]), (3, [1, 3]), (3, [1, 2, 3]), (4, [2])]
     )
     def test_free_tree_ball_matches_bfs(self, d, kill):
-        assert_builder_matches_bfs(FreeQuotient(d, kill), range(7))
+        assert_ball_matches_bfs(FreeQuotient(d, kill), range(7))
 
     def test_free_tree_cap_matches_bfs(self):
         assert_caps_match_bfs(FreeQuotient(3, [3]), 4, (0, 1, 5, 16, 17, 53, 160))
@@ -299,7 +296,7 @@ class TestBalls:
     @pytest.mark.parametrize("backend", ["s3", "z2", "z3", "s4"])
     def test_finite_table_ball_matches_bfs(self, backend, request):
         G = request.getfixturevalue(backend)
-        assert_builder_matches_bfs(G, range(G.diameter() + 3))
+        assert_ball_matches_bfs(G, range(G.diameter() + 3))
 
     @pytest.mark.parametrize("backend", ["s3", "z2", "z3", "s4"])
     def test_finite_table_cap_matches_bfs(self, backend, request):
@@ -313,9 +310,9 @@ class TestBalls:
         for r in range(6):
             B = bfs_ball(G, r)
             moves = B.letter_moves()
-            for c, letter in enumerate(alphabet(G.d)):
+            for c in range(2 * G.d):
                 for i, g in enumerate(B.elements):
-                    assert moves[c][i] == B.index.get(G.apply_letter(g, letter), -1)
+                    assert moves[c][i] == B.index.get(G.apply_letter(g, c), -1)
 
     def test_memo_returns_same_ball(self):
         G = FreeAbelianQuotient(2, [[1, 0], [0, 1]])
@@ -330,6 +327,27 @@ class TestBalls:
         with pytest.raises(CapExceededError, match="stopped at radius 3"):
             ball(G, 3, cap=len(B) - 1)
         assert ball(G, 3, cap=len(B)) is B
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: FreeAbelianQuotient(2, [[1, 0], [1, 1]]),
+            lambda: FinitePermQuotient(4, [[1, 0, 2, 3], [1, 2, 3, 0], [1, 0, 3, 2]]),
+            lambda: FreeQuotient(3, [3]),
+        ],
+        ids=["abelian", "finite", "tree"],
+    )
+    def test_smaller_balls_are_prefixes(self, make):
+        G = make()
+        big = ball(G, 6)
+        for r in range(6):
+            B = ball(G, r)
+            # cut from the memoised ball, not built again
+            assert np.shares_memory(B.dist, big.dist)
+            ref = bfs_ball(G, r)
+            assert B.elements == ref.elements
+            assert (B.dist == ref.dist).all()
+            assert (B.letter_moves() == ref.letter_moves()).all()
 
 
 class TestBackendsMisc:
@@ -369,5 +387,7 @@ class TestBackendsMisc:
             )
 
     def test_unreduced_word_rejected(self):
-        with pytest.raises(ConfigError, match="reduced"):
-            ReducedWord((Letter(1, 1), Letter(1, -1)))
+        # g1 g1~ is no admissible word, so it has no weight
+        assert not is_admissible((0, 1))
+        with pytest.raises(ConfigError, match="admissible"):
+            log_weight(LinearGdmsSpec.equal_ratios(2, 1 / 3), (0, 1), 1.0)

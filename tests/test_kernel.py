@@ -239,13 +239,11 @@ class TestInducedSystem:
         assert sorted(sys.loops) == [(0,), (1,), (2,), (3,)]
 
     def test_first_return_property(self, spec_third, zz):
-        from gdms import Letter
-
         sys = induced_loops(spec_third, zz, 6)
         for codes in sys.loops:
             g = zz.identity()
             for i, c in enumerate(codes):
-                g = zz.apply_letter(g, Letter.from_code(c))
+                g = zz.apply_letter(g, c)
                 if i < len(codes) - 1:
                     assert g != zz.identity()
             assert g == zz.identity()

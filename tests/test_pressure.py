@@ -19,10 +19,9 @@ from gdms import (
     pressure_curve,
     spectral_data,
     transfer_matrix,
-    word,
 )
 
-from conftest import brute_partition_sum, codes_to_word, iter_reduced_words
+from conftest import brute_partition_sum, iter_reduced_words
 
 
 class TestSpecValidation:
@@ -50,19 +49,19 @@ class TestSpecValidation:
 
 class TestAdmissibility:
     def test_examples(self):
-        assert is_admissible(word((1, 1), (2, 1)))
+        assert is_admissible((0, 2))  # g1 g2
         assert not is_admissible([0, 1])  # g1 then g1^-1
         assert is_admissible([0, 0])  # repetition is fine
 
 
 class TestWeights:
     def test_basic(self, spec_third):
-        assert ergodic_weight(spec_third, word((1, 1), (2, 1)), 1.0) == pytest.approx(
+        assert ergodic_weight(spec_third, (0, 2), 1.0) == pytest.approx(
             1.0 / 9.0, rel=1e-15
         )
 
     def test_zero_exponent(self, spec_mixed):
-        assert ergodic_weight(spec_mixed, word((1, 1), (2, -1), (1, 1)), 0.0) == 1.0
+        assert ergodic_weight(spec_mixed, (0, 3, 0), 0.0) == 1.0  # g1 g2~ g1
 
     def test_empty_word_convention(self, spec_third):
         assert ergodic_weight(spec_third, [], 2.0) == 1.0
@@ -83,8 +82,7 @@ class TestWeights:
     def test_kappa_invariance_iff_symmetric(self, spec_mixed, spec_nonsym):
         mismatch = 0
         for n in range(1, 9):
-            for codes in iter_reduced_words(2, n):
-                w = codes_to_word(codes)
+            for w in iter_reduced_words(2, n):
                 k = kappa(w)
                 assert ergodic_weight(spec_mixed, w, 1.3) == pytest.approx(
                     ergodic_weight(spec_mixed, k, 1.3), rel=1e-13

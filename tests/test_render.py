@@ -242,6 +242,17 @@ class TestBoxCounting:
         bc = box_counting(cloud, [4.0 ** -k for k in range(2, 6)])
         assert abs(bc.slope - math.log(3) / math.log(4)) <= 0.05
 
+    @pytest.mark.parametrize("dimension", [1, 2])
+    def test_counts_match_rowwise_unique(self, spec_quarter, dimension):
+        cloud = attractor_points(auto_layout(spec_quarter, dimension), 6)
+        # also a Fortran-ordered cloud with negative coordinates
+        pts = np.asfortranarray(np.random.default_rng(7).normal(size=(2000, dimension)))
+        scattered = type(cloud)(pts, (), 1, "full", pts.min(axis=0), pts.max(axis=0))
+        scales = [2.0 ** k for k in range(-5, 2)]
+        for c in (cloud, scattered):
+            want = [len(np.unique(np.floor(c.points / e), axis=0)) for e in scales]
+            assert list(box_counting(c, scales).counts) == want
+
     def test_single_point_degenerate(self, spec_third):
         real = auto_layout(spec_third, 1)
         cloud = attractor_points(real, 1)

@@ -8,7 +8,6 @@ import pytest
 from gdms import (
     ConfigError,
     FreeAbelianQuotient,
-    Letter,
     LinearGdmsSpec,
     amenability_report,
     ball,
@@ -35,9 +34,8 @@ def reference_dense_operator(spec, G, s, ball_obj):
     n = n_letters * len(ball_obj)
     m = np.zeros((n, n))
     for v in range(n_letters):
-        img = Letter.from_code(v)
         for i, g in enumerate(ball_obj.elements):
-            j = ball_obj.index.get(G.apply_letter(g, img), -1)
+            j = ball_obj.index.get(G.apply_letter(g, v), -1)
             if j < 0:
                 continue
             for w in range(n_letters):
