@@ -2,9 +2,12 @@
 
 Subcommands: delta-full, delta-kernel, amenability, pressure-curve,
 symmetry-check, walks, render.  Every run validates its config against the
-shipped schema, echoes the fully defaulted config into the report, and
-writes deterministic payloads (JSON/CSV/PGM); two runs of the same config
-produce byte-identical outputs apart from the wall-time field.
+shipped schema.  A command reads only the params in its ``READS`` row (render
+has one row per subset), and a quotient only where that row says so; any
+other params key, a stray quotient or a missing one is a config error raised
+before anything is written.  The report echoes the config with those params
+defaulted, and the payloads (JSON/CSV/PGM) of two runs of one config are
+byte-identical apart from the wall-time field.
 
 Exit codes: 0 success, 2 config error, 3 cap exceeded, 4 numerical
 non-convergence, 5 inconsistent cross-check.
@@ -30,7 +33,7 @@ from .errors import (
     GdmsError,
     InconsistentReportError,
 )
-from .groups import DEFAULT_BALL_CAP, QuotientGroup, letter_name, quotient_from_config
+from .groups import DEFAULT_BALL_CAP, letter_name, quotient_from_config
 from .kernel import (
     DEFAULT_LOOP_CAP,
     delta_kernel,
@@ -48,7 +51,12 @@ from .render import (
     write_pgm,
 )
 from .reports import RunReport, estimate, exact, write_csv
-from .skew import VERDICT_AMENABLE, amenability_report, ladder_verdict
+from .skew import (
+    VERDICT_AMENABLE,
+    amenability_report,
+    check_asymptotic_symmetry,
+    ladder_verdict,
+)
 from .walks import isoperimetric_scan, srw_spectral_radius, srw_weights
 
 EXIT_OK = 0
@@ -106,64 +114,58 @@ def _caps(params: dict) -> dict:
     return caps
 
 
-def _spec(cfg: dict) -> LinearGdmsSpec:
-    return LinearGdmsSpec.from_config(cfg["gdms"])
-
-
-def _quotient(cfg: dict, spec: LinearGdmsSpec) -> QuotientGroup:
-    if "quotient" not in cfg:
-        raise ConfigError("this command requires a 'quotient' section")
-    return quotient_from_config(cfg["quotient"], spec.d)
-
-
 def _word_str(codes) -> str:
     return " ".join(map(letter_name, codes))
 
 
 # ---------------------------------------------------------------------------
-# Commands
+# Commands: (spec, quotient or None, defaulted params, output dir) -> results
 # ---------------------------------------------------------------------------
 
-def cmd_delta_full(cfg: dict, outdir: Path) -> dict:
-    spec = _spec(cfg)
-    params = dict(cfg.get("params", {}))
-    report = RunReport("delta-full", cfg)
-    root = bowen_root(spec)
-    grid = params.get("s_grid")
-    if grid is None:
-        grid = [round(x, 12) for x in np.linspace(0.0, 1.5 * root, 16)]
-        params["s_grid"] = grid
-    rows = pressure_curve(spec, grid)
+def _pressure_csv(spec, params: dict, outdir: Path, points: int, root=None) -> int:
+    """Write ``pressure_curve.csv`` over ``params["s_grid"]``; return its rows.
+
+    The default grid is ``points`` exponents from 0 to 1.5 delta(F_d).
+    """
+    if "s_grid" not in params:
+        root = root or bowen_root(spec)
+        params["s_grid"] = [round(x, 12) for x in np.linspace(0.0, 1.5 * root, points)]
+    rows = pressure_curve(spec, params["s_grid"])
     write_csv(
         outdir / "pressure_curve.csv",
         ["s", "pressure", "rho", "iterations", "residual"],
         list(zip(*rows)),
     )
-    report.config = {**cfg, "params": params}
-    report.results = {
+    return len(rows)
+
+
+def cmd_delta_full(spec, G, params: dict, outdir: Path) -> dict:
+    root = bowen_root(spec)
+    _pressure_csv(spec, params, outdir, 16, root)
+    return {
         "delta_full": exact(root, tolerance=1e-12),
         "symmetric": spec.symmetric,
         "pressure_curve_csv": "pressure_curve.csv",
     }
-    report.write(outdir)
-    return report.results
 
 
-def cmd_delta_kernel(cfg: dict, outdir: Path) -> dict:
-    spec = _spec(cfg)
-    G = _quotient(cfg, spec)
-    params = dict(cfg.get("params", {}))
+def cmd_pressure_curve(spec, G, params: dict, outdir: Path) -> dict:
+    rows = _pressure_csv(spec, params, outdir, 21)
+    return {"pressure_curve_csv": "pressure_curve.csv", "rows": rows}
+
+
+def cmd_delta_kernel(spec, G, params: dict, outdir: Path) -> dict:
     caps = _caps(params)
-    n_max = params.setdefault("n_max", 24)
-    tol = params.setdefault("delta_tol", 5e-4)
-    report = RunReport("delta-kernel", cfg)
+    n_max = params["n_max"]
     root = bowen_root(spec)
-    res = delta_kernel(spec, G, n_max=n_max, tol=tol, ball_cap=caps["ball"])
+    res = delta_kernel(spec, G, n_max=n_max, tol=params["delta_tol"], ball_cap=caps["ball"])
     if res.exact:
         delta_payload = exact(res.delta)
         ratio_payload = exact(res.delta / root)
     else:
-        delta_payload = estimate(res.delta, res.lo, res.hi, ambiguous=res.ambiguous)
+        delta_payload = estimate(
+            res.delta, res.lo, res.hi, ambiguous=res.ambiguous, truncated=res.truncated
+        )
         ratio_payload = estimate(res.delta / root, res.lo / root, res.hi / root)
     results = {
         "delta_full": exact(root, tolerance=1e-12),
@@ -181,11 +183,9 @@ def cmd_delta_kernel(cfg: dict, outdir: Path) -> dict:
             "s_half": div.s_half,
             "tail_nondecreasing": div.tail_nondecreasing,
             "tail_min_step": div.tail_min_step,
+            "exact": div.table.exact,
             "table_csv": "kernel_table_half.csv",
         }
-    report.config = {**cfg, "params": params}
-    report.results = results
-    report.write(outdir)
     return results
 
 
@@ -196,16 +196,15 @@ def combine_verdicts(dichotomy_verdict: str, walk_verdict: str | None):
     return "INCONSISTENT", True
 
 
-def cmd_amenability(cfg: dict, outdir: Path) -> dict:
-    spec = _spec(cfg)
-    G = _quotient(cfg, spec)
-    params = dict(cfg.get("params", {}))
+def cmd_amenability(spec, G, params: dict, outdir: Path) -> dict:
+    """The dichotomy verdict, cross-checked by the simple random walk.
+
+    On a disagreement ``inconsistent`` is set; ``run`` writes, then raises.
+    """
     caps = _caps(params)
-    radii = params.setdefault("radii", [4, 6, 8, 10, 12])
-    kernel_n_max = params.setdefault("kernel_n_max", 20)
-    report = RunReport("amenability", cfg)
+    radii = params["radii"]
     dich = amenability_report(
-        spec, G, radii, ball_cap=caps["ball"], kernel_n_max=kernel_n_max
+        spec, G, radii, ball_cap=caps["ball"], kernel_n_max=params["kernel_n_max"]
     )
     write_csv(
         outdir / "dichotomy_ladder.csv",
@@ -226,11 +225,9 @@ def cmd_amenability(cfg: dict, outdir: Path) -> dict:
         walk_verdict = ladder_verdict(walk.final_estimate)
         write_csv(outdir / "walk_ladder.csv", ["R", "rho_R"], [walk.radii, walk.rho])
     overall, inconsistent = combine_verdicts(dich.verdict, walk_verdict)
-    results = {
+    return {
         "dichotomy": dich.as_dict(),
-        "walk": None
-        if walk is None
-        else {
+        "walk": None if walk is None else {
             "radii": list(walk.radii),
             "rho": list(walk.rho),
             "iterations": list(walk.iterations),
@@ -244,51 +241,13 @@ def cmd_amenability(cfg: dict, outdir: Path) -> dict:
         "verdict": overall,
         "inconsistent": inconsistent,
     }
-    report.config = {**cfg, "params": params}
-    report.results = results
-    report.write(outdir)
-    if inconsistent:
-        raise InconsistentReportError(
-            f"dichotomy says {dich.verdict} but walk says {walk_verdict}"
-        )
-    return results
 
 
-def cmd_pressure_curve(cfg: dict, outdir: Path) -> dict:
-    spec = _spec(cfg)
-    params = dict(cfg.get("params", {}))
-    report = RunReport("pressure-curve", cfg)
-    grid = params.get("s_grid")
-    if grid is None:
-        root = bowen_root(spec)
-        grid = [round(x, 12) for x in np.linspace(0.0, 1.5 * root, 21)]
-        params["s_grid"] = grid
-    rows = pressure_curve(spec, grid)
-    write_csv(
-        outdir / "pressure_curve.csv",
-        ["s", "pressure", "rho", "iterations", "residual"],
-        list(zip(*rows)),
-    )
-    report.config = {**cfg, "params": params}
-    report.results = {
-        "pressure_curve_csv": "pressure_curve.csv",
-        "rows": len(rows),
-    }
-    report.write(outdir)
-    return report.results
-
-
-def cmd_symmetry_check(cfg: dict, outdir: Path) -> dict:
-    from .skew import check_asymptotic_symmetry
-
-    spec = _spec(cfg)
-    G = _quotient(cfg, spec)
-    params = dict(cfg.get("params", {}))
+def cmd_symmetry_check(spec, G, params: dict, outdir: Path) -> dict:
     caps = _caps(params)
-    n_max = params.setdefault("n_max", 10)
+    n_max = params["n_max"]
     radius = params.setdefault("radius", min(5, n_max))
-    s = params.setdefault("s", 1.0)
-    report = RunReport("symmetry-check", cfg)
+    s = params["s"]
     rep = check_asymptotic_symmetry(spec, G, n_max, radius, s=s, ball_cap=caps["ball"])
     write_csv(
         outdir / "symmetry.csv",
@@ -300,28 +259,19 @@ def cmd_symmetry_check(cfg: dict, outdir: Path) -> dict:
             rep.per_n_ratio_high,
         ],
     )
-    report.config = {**cfg, "params": params}
-    report.results = {
+    return {
         "symmetric_spec": rep.symmetric_spec,
         "max_rel_asymmetry": rep.max_rel_asymmetry,
         "csv": "symmetry.csv",
     }
-    report.write(outdir)
-    return report.results
 
 
-def cmd_walks(cfg: dict, outdir: Path) -> dict:
-    spec = _spec(cfg)
-    G = _quotient(cfg, spec)
-    params = dict(cfg.get("params", {}))
+def cmd_walks(spec, G, params: dict, outdir: Path) -> dict:
     caps = _caps(params)
-    radii = params.setdefault("radii", [2, 4, 6, 8, 10, 12])
-    iso_radius = params.setdefault("radius", 8)
-    report = RunReport("walks", cfg)
-    ladder = srw_spectral_radius(G, radii, ball_cap=caps["ball"])
+    ladder = srw_spectral_radius(G, params["radii"], ball_cap=caps["ball"])
     write_csv(outdir / "walk_ladder.csv", ["R", "rho_R"], [ladder.radii, ladder.rho])
-    iso = isoperimetric_scan(G, iso_radius, ball_cap=caps["ball"])
-    results = {
+    iso = isoperimetric_scan(G, params["radius"], ball_cap=caps["ball"])
+    return {
         "rho_ladder_csv": "walk_ladder.csv",
         "final_estimate": estimate(
             ladder.final_estimate, ladder.rho[-1], 1.0, plateau=ladder.plateau
@@ -337,47 +287,29 @@ def cmd_walks(cfg: dict, outdir: Path) -> dict:
             "note": "Folner-style diagnostic only; finite balls decide nothing",
         },
     }
-    report.config = {**cfg, "params": params}
-    report.results = results
-    report.write(outdir)
-    return results
 
 
-def cmd_render(cfg: dict, outdir: Path) -> dict:
-    spec = _spec(cfg)
-    params = dict(cfg.get("params", {}))
+def cmd_render(spec, G, params: dict, outdir: Path) -> dict:
     caps = _caps(params)
-    dimension = params.setdefault("dimension", 1)
-    resolution = params.setdefault("resolution", 512)
-    subset = params.setdefault("subset", "full")
-    unread = ("L_max", "composition_depth") if subset == "full" else ("depth",)
-    for key in unread:
-        if key in params:
-            raise ConfigError(f"params.{key} does not apply to subset {subset!r}")
-    report = RunReport("render", cfg)
+    dimension = params["dimension"]
     real = auto_layout(spec, dimension)
     results: dict = {}
-    if subset == "induced":
-        G = _quotient(cfg, spec)
-        L_max = params.setdefault("L_max", 4)
-        comp_depth = params.setdefault("composition_depth", 3)
+    if params["subset"] == "induced":
         sys_ind = induced_loops(
-            spec, G, L_max, loop_cap=caps["loops"], ball_cap=caps["ball"]
+            spec, G, params["L_max"], loop_cap=caps["loops"], ball_cap=caps["ball"]
         )
         loops_payload = [
-            {
-                "word": _word_str(wd),
-                "log_weight": float(lw),
-                "first_letter": _word_str(wd[:1]),
-                "last_letter": _word_str(wd[-1:]),
-            }
+            {"word": _word_str(wd), "log_weight": float(lw),
+             "first_letter": _word_str(wd[:1]), "last_letter": _word_str(wd[-1:])}
             for wd, lw in zip(sys_ind.loops, sys_ind.log_weights)
         ]
-        (outdir / "loops.json").parent.mkdir(parents=True, exist_ok=True)
+        outdir.mkdir(parents=True, exist_ok=True)
         (outdir / "loops.json").write_text(
             json.dumps(loops_payload, indent=2, sort_keys=True) + "\n"
         )
-        cloud = attractor_points(real, comp_depth, sys_ind, point_cap=caps["points"])
+        cloud = attractor_points(
+            real, params["composition_depth"], sys_ind, point_cap=caps["points"]
+        )
         reference = induced_bowen_root(sys_ind)
         results["induced_bowen_root"] = exact(reference, tolerance=1e-10)
         results["loops_json"] = "loops.json"
@@ -387,39 +319,29 @@ def cmd_render(cfg: dict, outdir: Path) -> dict:
         cloud = attractor_points(real, depth, "full", point_cap=caps["points"])
         reference = bowen_root(spec)
         results["delta_full"] = exact(reference, tolerance=1e-12)
-    scales = params.get("scales")
-    if scales is None:
-        base = max(spec.ratios)
-        scales = [base ** k for k in range(2, 7)]
-        params["scales"] = scales
-    bc = box_counting(cloud, scales)
-    img = render_image(cloud, resolution)
+    if "scales" not in params:
+        params["scales"] = [max(spec.ratios) ** k for k in range(2, 7)]
+    bc = box_counting(cloud, params["scales"])
+    img = render_image(cloud, params["resolution"])
     outdir.mkdir(parents=True, exist_ok=True)
     write_pgm(img, outdir / "attractor.pgm")
     header = ["x", "word"] if cloud.points.shape[1] == 1 else ["x", "y", "word"]
     words = [_word_str(wd) for wd in cloud.words]
     write_csv(outdir / "points.csv", header, [*cloud.points.T, words])
-    results.update(
-        {
-            "box_count": {
-                "slope": estimate(
-                    bc.slope, bc.slope - bc.residual, bc.slope + bc.residual
-                ),
-                "scales": list(bc.scales),
-                "counts": list(bc.counts),
-                "residual": bc.residual,
-            },
-            "reference_dimension": reference,
-            "points": len(cloud),
-            "image_pgm": "attractor.pgm",
-            "points_csv": "points.csv",
-            "osc_margin": real.osc_margin(),
-        }
-    )
-    report.config = {**cfg, "params": params}
-    report.results = results
-    report.write(outdir)
-    return results
+    return {
+        **results,
+        "box_count": {
+            "slope": estimate(bc.slope, bc.slope - bc.residual, bc.slope + bc.residual),
+            "scales": list(bc.scales),
+            "counts": list(bc.counts),
+            "residual": bc.residual,
+        },
+        "reference_dimension": reference,
+        "points": len(cloud),
+        "image_pgm": "attractor.pgm",
+        "points_csv": "points.csv",
+        "osc_margin": real.osc_margin(),
+    }
 
 
 COMMANDS = {
@@ -431,6 +353,57 @@ COMMANDS = {
     "walks": cmd_walks,
     "render": cmd_render,
 }
+
+# What each command reads: (whether it needs a quotient, {params key:
+# default}).  A default of None is worked out by the command at run time,
+# or, for ``caps``, never filled in.  Render reads different keys for each
+# subset, so it has one row per subset.
+_RENDER = {"dimension": 1, "resolution": 512, "subset": "full", "scales": None, "caps": None}
+READS = {
+    "delta-full": (False, {"s_grid": None}),
+    "delta-kernel": (True, {"n_max": 24, "delta_tol": 5e-4, "caps": None}),
+    "amenability": (True, {"radii": [4, 6, 8, 10, 12], "kernel_n_max": 20, "caps": None}),
+    "pressure-curve": (False, {"s_grid": None}),
+    "symmetry-check": (True, {"n_max": 10, "radius": None, "s": 1.0, "caps": None}),
+    "walks": (True, {"radii": [2, 4, 6, 8, 10, 12], "radius": 8, "caps": None}),
+    "render subset 'full'": (False, {**_RENDER, "depth": None}),
+    "render subset 'induced'": (True, {**_RENDER, "L_max": 4, "composition_depth": 3}),
+}
+
+
+def run(command: str, cfg: dict, outdir: Path) -> dict:
+    """Check a validated config against the command's ``READS`` row, run the
+    command and write its ``report.json``.  An inconsistent cross-check raises
+    ``InconsistentReportError`` only after the report is written."""
+    params = dict(cfg.get("params", {}))
+    subset = params.get("subset", "full")
+    name = f"render subset {subset!r}" if command == "render" else command
+    needs_quotient, defaults = READS[name]
+    for key in params:
+        if key not in defaults:
+            raise ConfigError(
+                f"params.{key} does not apply to {name}; it reads {', '.join(defaults)}"
+            )
+    if "quotient" in cfg and not needs_quotient:
+        raise ConfigError(f"quotient does not apply to {name}")
+    if needs_quotient and "quotient" not in cfg:
+        raise ConfigError(f"{name} requires a 'quotient' section")
+    spec = LinearGdmsSpec.from_config(cfg["gdms"])
+    G = quotient_from_config(cfg["quotient"], spec.d) if needs_quotient else None
+    for key, default in defaults.items():
+        if default is not None:
+            params.setdefault(key, default)
+    report = RunReport(command, cfg)
+    report.results = COMMANDS[command](spec, G, params, outdir)
+    report.config = {**cfg, "params": params}
+    report.write(outdir)
+    res = report.results
+    if res.get("inconsistent"):
+        walk = (res["walk"] or {}).get("verdict", VERDICT_AMENABLE)
+        raise InconsistentReportError(
+            f"dichotomy says {res['dichotomy']['verdict']} but walk says {walk}"
+        )
+    return res
 
 
 def main(argv=None) -> int:
@@ -452,7 +425,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         outdir = Path(args.output_dir or cfg.get("output_dir") or "gdms-out")
-        COMMANDS[args.command](cfg, outdir)
+        run(args.command, cfg, outdir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

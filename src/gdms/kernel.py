@@ -265,6 +265,8 @@ class DeltaKernelResult:
 
     ``ambiguous`` is set when a bisection step landed inside the estimator's
     dead band, in which case the bracket was widened rather than guessed.
+    ``truncated`` is set when a bisection table outgrew the ball cap and so
+    undercounts (its ``exact`` is false).
     """
 
     delta: float
@@ -272,6 +274,7 @@ class DeltaKernelResult:
     hi: float
     ambiguous: bool
     exact: bool
+    truncated: bool = False
     evaluations: tuple = field(default=(), repr=False)
 
 
@@ -305,10 +308,12 @@ def delta_kernel(
     lo = 0.0
     hi = bowen_root(spec) + 0.1
     evals = []
-    ambiguous = False
+    ambiguous = truncated = False
     while hi - lo > 2 * tol:
         s = 0.5 * (lo + hi)
-        est = kernel_pressure(kernel_counts(spec, G, s, n_max, ball_cap))
+        table = kernel_counts(spec, G, s, n_max, ball_cap)
+        truncated |= not table.exact
+        est = kernel_pressure(table)
         evals.append((s, est.estimate, est.dead_band))
         band = est.dead_band
         if est.estimate > band:
@@ -319,7 +324,7 @@ def delta_kernel(
             ambiguous = True
             break
     return DeltaKernelResult(
-        0.5 * (lo + hi), lo, hi, ambiguous, False, tuple(evals)
+        0.5 * (lo + hi), lo, hi, ambiguous, False, truncated, tuple(evals)
     )
 
 

@@ -1,5 +1,6 @@
 """CLI subcommands: happy paths, exit codes, determinism, fault injection."""
 
+import dataclasses
 import json
 import math
 import os
@@ -8,10 +9,13 @@ import sys
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 from gdms import cli
 from gdms.walks import srw_spectral_radius
+
+from test_acceptance import REFERENCE_RUNS
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -348,6 +352,169 @@ class TestExitCodes:
         assert v == "INCONSISTENT" and bad
         v, bad = cli.combine_verdicts("a", None)
         assert v == "a" and not bad
+
+
+# The params each command reads, written out independently of cli.READS.
+READ_KEYS = {
+    "delta-full": {"s_grid"},
+    "delta-kernel": {"n_max", "delta_tol", "caps"},
+    "amenability": {"radii", "kernel_n_max", "caps"},
+    "pressure-curve": {"s_grid"},
+    "symmetry-check": {"n_max", "radius", "s", "caps"},
+    "walks": {"radii", "radius", "caps"},
+    "render subset 'full'": {"dimension", "resolution", "subset", "scales", "depth", "caps"},
+    "render subset 'induced'": {
+        "dimension", "resolution", "subset", "scales", "L_max", "composition_depth", "caps"
+    },
+}
+NEEDS_QUOTIENT = {
+    "delta-kernel", "amenability", "symmetry-check", "walks", "render subset 'induced'"
+}
+# one schema-valid value for every params key
+VALID_PARAMS = {
+    "s": 1.0,
+    "s_grid": [0.5],
+    "n_max": 4,
+    "radii": [2],
+    "radius": 2,
+    "L_max": 2,
+    "depth": 3,
+    "composition_depth": 2,
+    "dimension": 1,
+    "subset": "full",
+    "scales": [0.1, 0.01, 0.001],
+    "resolution": 8,
+    "kernel_n_max": 4,
+    "delta_tol": 1e-3,
+    "caps": {"ball": 100},
+}
+
+
+def _base_config(row):
+    """A config for a table row: its command, plus the subset and quotient it needs."""
+    command, *subset = row.replace("'", "").split(" subset ")
+    cfg = {"gdms": GDMS_THIRD, "params": {"subset": subset[0]} if subset else {}}
+    if row in NEEDS_QUOTIENT:
+        cfg["quotient"] = Z2_QUOTIENT
+    return command, cfg
+
+
+class TestParamsTable:
+    def test_table_rows(self):
+        schema_params = cli.load_schema()["properties"]["params"]["properties"]
+        assert set(VALID_PARAMS) == set(schema_params)
+        assert set(cli.READS) == set(READ_KEYS)
+        for row, keys in READ_KEYS.items():
+            needs_quotient, defaults = cli.READS[row]
+            assert set(defaults) == keys, row
+            assert needs_quotient == (row in NEEDS_QUOTIENT), row
+
+    @pytest.mark.parametrize("row", sorted(READ_KEYS))
+    def test_unread_keys_rejected(self, tmp_path, capsys, row):
+        command, base = _base_config(row)
+        for key in sorted(set(VALID_PARAMS) - READ_KEYS[row]):
+            cfg = {**base, "params": {**base["params"], key: VALID_PARAMS[key]}}
+            code, outdir = run_cli(command, cfg, tmp_path, key)
+            assert code == 2, (row, key)
+            assert f"params.{key} does not apply to {command}" in capsys.readouterr().err
+            assert not outdir.exists(), (row, key)
+
+    @pytest.mark.parametrize("row", ["delta-full", "pressure-curve", "render subset 'full'"])
+    def test_stray_quotient_rejected(self, tmp_path, capsys, row):
+        command, cfg = _base_config(row)
+        code, outdir = run_cli(command, {**cfg, "quotient": Z2_QUOTIENT}, tmp_path)
+        assert code == 2
+        assert "quotient does not apply" in capsys.readouterr().err
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("row", sorted(NEEDS_QUOTIENT))
+    def test_missing_quotient_rejected(self, tmp_path, capsys, row):
+        command, cfg = _base_config(row)
+        del cfg["quotient"]
+        code, outdir = run_cli(command, cfg, tmp_path)
+        assert code == 2
+        assert "requires a 'quotient' section" in capsys.readouterr().err
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize(
+        "i", range(len(REFERENCE_RUNS)), ids=[cmd for cmd, _ in REFERENCE_RUNS]
+    )
+    def test_reference_runs_echo_read_keys(self, tmp_path, i):
+        # every key the command read is echoed with its value, caps only when given
+        command, cfg = REFERENCE_RUNS[i]
+        given = cfg.get("params", {})
+        row = command
+        if command == "render":
+            row = f"render subset {given.get('subset', 'full')!r}"
+        code, outdir = run_cli(command, cfg, tmp_path)
+        assert code == 0
+        echo = json.loads((outdir / "report.json").read_text())["config"]
+        assert set(echo["params"]) == READ_KEYS[row] - {"caps"}
+        assert {k: echo["params"][k] for k in given} == given
+        assert {k: v for k, v in echo.items() if k != "params"} == {
+            k: v for k, v in cfg.items() if k != "params"
+        }
+
+    @pytest.mark.parametrize(
+        "command, echo",
+        [
+            ("delta-kernel", {"n_max": 24, "delta_tol": 5e-4}),
+            ("amenability", {"radii": [4, 6, 8, 10, 12], "kernel_n_max": 20}),
+            ("symmetry-check", {"n_max": 10, "radius": 5, "s": 1.0}),
+            ("walks", {"radii": [2, 4, 6, 8, 10, 12], "radius": 8}),
+        ],
+    )
+    def test_defaults_echoed(self, tmp_path, command, echo):
+        cfg = {"gdms": GDMS_THIRD, "quotient": Z2_QUOTIENT}
+        code, outdir = run_cli(command, cfg, tmp_path)
+        assert code == 0
+        assert json.loads((outdir / "report.json").read_text())["config"]["params"] == echo
+
+    @pytest.mark.parametrize("command, points", [("delta-full", 16), ("pressure-curve", 21)])
+    def test_default_s_grid(self, tmp_path, command, points):
+        code, outdir = run_cli(command, {"gdms": GDMS_THIRD}, tmp_path)
+        assert code == 0
+        grid = json.loads((outdir / "report.json").read_text())["config"]["params"]["s_grid"]
+        assert grid == [round(x, 12) for x in np.linspace(0.0, 1.5, points)]
+
+    def test_inconsistent_report_written_without_walk(self, tmp_path, monkeypatch, capsys):
+        # a trivial quotient has no walk ladder; a dichotomy that disagrees
+        # with its amenable walk verdict still writes the report, then exits 5
+        real = cli.amenability_report
+        monkeypatch.setattr(
+            cli,
+            "amenability_report",
+            lambda *a, **k: dataclasses.replace(
+                real(*a, **k), verdict="consistent-with-non-amenable"
+            ),
+        )
+        cfg = {
+            "gdms": GDMS_THIRD,
+            "quotient": {"type": "abelianization", "rank": 1, "images": [[0], [0]]},
+            "params": {"radii": [2], "kernel_n_max": 8},
+        }
+        code, outdir = run_cli("amenability", cfg, tmp_path)
+        assert code == 5
+        assert (
+            "dichotomy says consistent-with-non-amenable but walk says "
+            "consistent-with-amenable"
+        ) in capsys.readouterr().err
+        report = json.loads((outdir / "report.json").read_text())
+        assert report["results"]["walk"] is None
+        assert report["results"]["verdict"] == "INCONSISTENT"
+        assert report["config"]["params"] == {"radii": [2], "kernel_n_max": 8}
+
+    def test_delta_kernel_reports_truncated_tables(self, tmp_path):
+        # Z^2 at n_max 18 needs a radius-9 pruning ball (181 elements); under a
+        # cap of 60 every table is cut and undercounts, and the report says so
+        cfg = {"gdms": GDMS_THIRD, "quotient": ZZ_QUOTIENT, "params": {"n_max": 18}}
+        capped = {**cfg, "params": {"n_max": 18, "caps": {"ball": 60}}}
+        for name, config, cut in (("full", cfg, False), ("capped", capped, True)):
+            code, outdir = run_cli("delta-kernel", config, tmp_path, name)
+            assert code == 0
+            res = json.loads((outdir / "report.json").read_text())["results"]
+            assert res["delta_kernel"]["truncated"] is cut
+            assert res["divergence_at_half"]["exact"] is not cut
 
 
 class TestDeterminism:

@@ -194,6 +194,11 @@ class TestDeltaKernel:
         res = delta_kernel(spec_fifth_d3, f2_of_f3, n_max=14)
         assert 0.5 < res.lo and res.hi < 1.0
 
+    def test_truncated_when_ball_is_capped(self, spec_third, zz):
+        # n_max 18 prunes with the radius-9 ball of Z^2 (181 elements)
+        assert not delta_kernel(spec_third, zz, n_max=18).truncated
+        assert delta_kernel(spec_third, zz, n_max=18, ball_cap=60).truncated
+
     def test_nonsymmetric_warns(self, spec_nonsym, z2):
         with pytest.warns(UserWarning, match="non-symmetric"):
             delta_kernel(spec_nonsym, z2, n_max=16)
