@@ -1,13 +1,14 @@
 """Command-line orchestrator: one JSON config in, one report directory out.
 
 Subcommands: delta-full, delta-kernel, amenability, pressure-curve,
-symmetry-check, walks, render.  Every run validates its config against the
-shipped schema.  A command reads only the params in its ``READS`` row (render
-has one row per subset), and a quotient only where that row says so; any
-other params key, a stray quotient or a missing one is a config error raised
-before anything is written.  The report echoes the config with those params
-defaulted, and the payloads (JSON/CSV/PGM) of two runs of one config are
-byte-identical apart from the wall-time field.
+symmetry-check, walks, render.  ``load_config`` checks every config key's
+type and bound against one table, ``_CONFIG``, whose params keys are those of
+the ``READS`` rows.  A command reads only the params in its ``READS`` row
+(render has one row per subset), and a quotient only where that row says so;
+any other params key, a stray quotient or a missing one is a config error
+raised before anything is written.  The report echoes the config with those
+params defaulted, and the payloads (JSON/CSV/PGM) of two runs of one config
+are byte-identical apart from the wall-time field.
 
 Exit codes: 0 success, 2 config error, 3 cap exceeded, 4 numerical
 non-convergence, 5 inconsistent cross-check.
@@ -16,14 +17,11 @@ non-convergence, 5 inconsistent cross-check.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
-import os
+import math
 import sys
-from importlib import resources
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from .errors import (
@@ -59,58 +57,23 @@ from .skew import (
 )
 from .walks import isoperimetric_scan, srw_spectral_radius, srw_weights
 
-EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_CAP = 3
-EXIT_NONCONVERGENCE = 4
-EXIT_INCONSISTENT = 5
+# (error class, exit code, stderr label); the first class that matches wins
+_EXITS = (
+    (ConfigError, 2, "config error"),
+    (CapExceededError, 3, "cap exceeded"),
+    (ConvergenceError, 4, "non-convergence"),
+    (InconsistentReportError, 5, "inconsistent cross-check"),
+    (GdmsError, 2, "error"),
+)
 
 
 # ---------------------------------------------------------------------------
 # Config handling
 # ---------------------------------------------------------------------------
 
-def load_schema() -> dict:
-    with resources.files("gdms").joinpath("config_schema.json").open() as fh:
-        return json.load(fh)
-
-
-@functools.cache
-def _validator() -> jsonschema.Draft202012Validator:
-    """The shipped schema's validator; a test checks the schema itself once."""
-    return jsonschema.Draft202012Validator(load_schema())
-
-
-def load_config(path: str | Path) -> dict:
-    try:
-        raw = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}") from exc
-    try:
-        cfg = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    error = jsonschema.exceptions.best_match(_validator().iter_errors(cfg))
-    if error is not None:
-        where = "/".join(str(p) for p in error.absolute_path) or "<root>"
-        raise ConfigError(f"config field {where}: {error.message}") from error
-    return cfg
-
-
 def _caps(params: dict) -> dict:
     caps = {"ball": DEFAULT_BALL_CAP, "points": DEFAULT_POINT_CAP, "loops": DEFAULT_LOOP_CAP}
     caps.update(params.get("caps", {}))
-    for key, env in (
-        ("ball", "GDMS_BALL_CAP"),
-        ("points", "GDMS_POINT_CAP"),
-        ("loops", "GDMS_LOOP_CAP"),
-    ):
-        raw = os.environ.get(env)
-        if raw:
-            try:
-                caps[key] = int(raw)
-            except ValueError:
-                raise ConfigError(f"{env} must be an integer, got {raw!r}") from None
     return caps
 
 
@@ -163,9 +126,7 @@ def cmd_delta_kernel(spec, G, params: dict, outdir: Path) -> dict:
         delta_payload = exact(res.delta)
         ratio_payload = exact(res.delta / root)
     else:
-        delta_payload = estimate(
-            res.delta, res.lo, res.hi, ambiguous=res.ambiguous, truncated=res.truncated
-        )
+        delta_payload = estimate(res.delta, res.lo, res.hi, ambiguous=res.ambiguous)
         ratio_payload = estimate(res.delta / root, res.lo / root, res.hi / root)
     results = {
         "delta_full": exact(root, tolerance=1e-12),
@@ -371,6 +332,101 @@ READS = {
 }
 
 
+def _fail(path: tuple, reason: str):
+    raise ConfigError(f"config field {'/'.join(map(str, path)) or '<root>'}: {reason}")
+
+
+def _value(kind: str, above=-math.inf, below=math.inf, enum=None):
+    """Check a JSON scalar of ``kind``, never a bool: a number lies in the open
+    interval (above, below), so it is finite, and in ``enum`` if one is given."""
+    types = {"integer": int, "number": (int, float), "string": str}[kind]
+
+    def check(v, path):
+        if not isinstance(v, types) or isinstance(v, bool):
+            _fail(path, f"{v!r} is not of type {kind!r}")
+        if kind != "string" and not above < v < below:
+            _fail(path, f"{v!r} is not in the open interval ({above}, {below})")
+        if enum is not None and v not in enum:
+            _fail(path, f"{v!r} is not one of {list(enum)!r}")
+    return check
+
+
+def _array(item, min_items: int = 0, max_items: float = math.inf):
+    def check(v, path):
+        if not isinstance(v, list):
+            _fail(path, f"{v!r} is not of type 'array'")
+        if not min_items <= len(v) <= max_items:
+            _fail(path, f"{v!r} is too {'short' if len(v) < min_items else 'long'}")
+        for i, x in enumerate(v):
+            item(x, (*path, i))
+    return check
+
+
+def _object(fields: dict, required: tuple = ()):
+    def check(v, path):
+        if not isinstance(v, dict):
+            _fail(path, f"{v!r} is not of type 'object'")
+        for key in required:
+            if key not in v:
+                _fail(path, f"{key!r} is a required property")
+        for key, x in v.items():
+            if key not in fields:
+                _fail(path, f"Additional properties are not allowed ({key!r} was unexpected)")
+            fields[key](x, (*path, key))
+    return check
+
+
+_NUMBER = _value("number")
+_COUNT = _value("integer", above=0)
+_RATIO = _value("number", above=0, below=1)
+# One check per params key; a key is accepted where some READS row reads it.
+_PARAMS = {
+    **dict.fromkeys(("n_max", "kernel_n_max", "radius", "L_max", "depth"), _COUNT),
+    **dict.fromkeys(("composition_depth", "resolution"), _COUNT),
+    "s": _NUMBER,
+    "s_grid": _array(_NUMBER, min_items=1),
+    "radii": _array(_value("integer", above=-1), min_items=1),
+    "dimension": _value("integer", enum=(1, 2)),
+    "subset": _value("string", enum=("full", "induced")),
+    "scales": _array(_value("number", above=0), min_items=3),
+    "delta_tol": _value("number", above=0),
+    "caps": _object(dict.fromkeys(("ball", "points", "loops"), _COUNT)),
+}
+_CONFIG = _object({
+    "gdms": _object({
+        "d": _value("integer", above=1),
+        **dict.fromkeys(("ratios", "ratios_by_generator"), _array(_RATIO)),
+        "ratio": _RATIO,
+        "geometry": _object({
+            "intervals": _array(_array(_NUMBER, 2, 2)),
+            "disks": _array(_array(_NUMBER, 3, 3)),
+        }),
+    }, required=("d",)),
+    "quotient": _object({
+        "type": _value("string", enum=("finite_perm", "abelianization", "free_quotient")),
+        **dict.fromkeys(("degree", "rank"), _COUNT),
+        "images": _array(_array(_value("integer"))),
+        "kill": _array(_COUNT),
+    }, required=("type",)),
+    "params": _object({key: _PARAMS[key] for _, row in READS.values() for key in row}),
+    "output_dir": _value("string"),
+}, required=("gdms",))
+
+
+def load_config(path: str | Path) -> dict:
+    """Read a JSON config and check it against ``_CONFIG``."""
+    try:
+        raw = Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config: {exc}") from exc
+    try:
+        cfg = json.loads(raw)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    _CONFIG(cfg, ())
+    return cfg
+
+
 def run(command: str, cfg: dict, outdir: Path) -> dict:
     """Check a validated config against the command's ``READS`` row, run the
     command and write its ``report.json``.  An inconsistent cross-check raises
@@ -426,22 +482,11 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         outdir = Path(args.output_dir or cfg.get("output_dir") or "gdms-out")
         run(args.command, cfg, outdir)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except CapExceededError as exc:
-        print(f"cap exceeded: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    except ConvergenceError as exc:
-        print(f"non-convergence: {exc}", file=sys.stderr)
-        return EXIT_NONCONVERGENCE
-    except InconsistentReportError as exc:
-        print(f"inconsistent cross-check: {exc}", file=sys.stderr)
-        return EXIT_INCONSISTENT
     except GdmsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    return EXIT_OK
+        code, label = next((code, label) for cls, code, label in _EXITS if isinstance(exc, cls))
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code
+    return 0
 
 
 if __name__ == "__main__":

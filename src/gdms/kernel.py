@@ -152,7 +152,7 @@ def kernel_counts(
     B, exact = _pruning_ball(G, n_max, ball_cap)
     moves = B.letter_moves()
     n_letters = 2 * spec.d
-    weights = spec.ratio_array ** s
+    weights = spec.letter_weights(s)
 
     def within(r: int) -> int:
         """Number of ball elements at distance <= r (a BFS prefix)."""
@@ -265,8 +265,6 @@ class DeltaKernelResult:
 
     ``ambiguous`` is set when a bisection step landed inside the estimator's
     dead band, in which case the bracket was widened rather than guessed.
-    ``truncated`` is set when a bisection table outgrew the ball cap and so
-    undercounts (its ``exact`` is false).
     """
 
     delta: float
@@ -274,7 +272,6 @@ class DeltaKernelResult:
     hi: float
     ambiguous: bool
     exact: bool
-    truncated: bool = False
     evaluations: tuple = field(default=(), repr=False)
 
 
@@ -290,7 +287,8 @@ def delta_kernel(
     Bisection on the sign of the kernel-pressure estimate.  Degenerate
     cases: a trivial kernel gives 0 (only the identity contributes), and the
     trivial quotient gives the full Bowen root (every word is a kernel
-    word).
+    word).  A table cut by ``ball_cap`` undercounts and can move the bracket
+    off the true value, so it raises ``CapExceededError``.
     """
     if G.kernel_is_trivial():
         return DeltaKernelResult(0.0, 0.0, 0.0, False, True)
@@ -308,11 +306,12 @@ def delta_kernel(
     lo = 0.0
     hi = bowen_root(spec) + 0.1
     evals = []
-    ambiguous = truncated = False
+    ambiguous = False
     while hi - lo > 2 * tol:
         s = 0.5 * (lo + hi)
         table = kernel_counts(spec, G, s, n_max, ball_cap)
-        truncated |= not table.exact
+        if not table.exact:
+            raise CapExceededError(f"n_max={n_max} needs a ball larger than ball cap {ball_cap}")
         est = kernel_pressure(table)
         evals.append((s, est.estimate, est.dead_band))
         band = est.dead_band
@@ -323,9 +322,7 @@ def delta_kernel(
         else:
             ambiguous = True
             break
-    return DeltaKernelResult(
-        0.5 * (lo + hi), lo, hi, ambiguous, False, truncated, tuple(evals)
-    )
+    return DeltaKernelResult(0.5 * (lo + hi), lo, hi, ambiguous, False, tuple(evals))
 
 
 # ---------------------------------------------------------------------------

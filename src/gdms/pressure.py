@@ -87,6 +87,15 @@ class LinearGdmsSpec:
         a.flags.writeable = False
         return a
 
+    def letter_weights(self, s: float) -> np.ndarray:
+        """The weight c(v)^s of each letter.  None may overflow and the largest
+        must be a normal float; one that vanishes beside it only drops out."""
+        with np.errstate(over="ignore", under="ignore"):
+            weights = self.ratio_array ** s
+        if not (np.isfinite(weights).all() and weights.max() >= np.finfo(float).tiny):
+            raise ConfigError(f"letter weights c(v)^s underflow or overflow at s = {s!r}")
+        return weights
+
     @staticmethod
     def equal_ratios(d: int, c: float, geometry: dict | None = None) -> "LinearGdmsSpec":
         return LinearGdmsSpec(d, (float(c),) * (2 * d), geometry)
@@ -172,7 +181,7 @@ class SpectralData:
 
 def transfer_matrix(spec: LinearGdmsSpec, s: float) -> TransferMatrix:
     n = 2 * spec.d
-    weights = spec.ratio_array ** s
+    weights = spec.letter_weights(s)
     m = np.tile(weights, (n, 1))
     m[np.arange(n), np.arange(n) ^ 1] = 0.0
     m.flags.writeable = False
@@ -290,7 +299,7 @@ def log_partition_sums(spec: LinearGdmsSpec, s: float, n_max: int) -> np.ndarray
     if n_max < 1:
         raise ConfigError("n_max must be >= 1")
     m = transfer_matrix(spec, s).matrix
-    v = spec.ratio_array ** s
+    v = spec.letter_weights(s)
     out = np.empty(n_max)
     log_scale = 0.0
     for n in range(1, n_max + 1):

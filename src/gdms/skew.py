@@ -73,7 +73,7 @@ class SkewOperator:
 
     def __post_init__(self):
         self._moves = self.ball.letter_moves()
-        self._weights = self.spec.ratio_array ** self.s
+        self._weights = self.spec.letter_weights(self.s)
 
     @property
     def n_letters(self) -> int:
@@ -184,7 +184,7 @@ def amenability_report(
         raise ConfigError("quotient and GDMS rank mismatch")
     s_star = bowen_root(spec)
     rho_full = math.exp(pressure(spec, s_star))
-    u = spec.ratio_array ** s_star
+    u = spec.letter_weights(s_star)
     w = u / (1.0 - u**2)
     weights = w / w.sum()
     ladder = walk_ladder(G, weights, radii, ball_cap, tol)
@@ -257,7 +257,7 @@ def check_asymptotic_symmetry(
     B = ball(G, n_max, ball_cap)
     moves = B.letter_moves()
     inv_idx = B.inverse_index()
-    weights = spec.ratio_array ** s
+    weights = spec.letter_weights(s)
     n_letters = 2 * spec.d
 
     in_R = np.flatnonzero(B.dist <= R)

@@ -8,7 +8,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 import pytest
 
@@ -247,10 +246,6 @@ class TestExitCodes:
         code, _ = run_cli("delta-kernel", {"gdms": GDMS_THIRD}, tmp_path)
         assert code == 2
 
-    def test_shipped_schema_is_valid(self):
-        # runs validate against the schema without checking it each time
-        jsonschema.Draft202012Validator.check_schema(cli.load_schema())
-
     def test_unknown_config_field(self, tmp_path):
         code, _ = run_cli(
             "delta-full", {"gdms": GDMS_THIRD, "bogus": 1}, tmp_path
@@ -370,7 +365,7 @@ READ_KEYS = {
 NEEDS_QUOTIENT = {
     "delta-kernel", "amenability", "symmetry-check", "walks", "render subset 'induced'"
 }
-# one schema-valid value for every params key
+# one valid value for every params key
 VALID_PARAMS = {
     "s": 1.0,
     "s_grid": [0.5],
@@ -401,8 +396,7 @@ def _base_config(row):
 
 class TestParamsTable:
     def test_table_rows(self):
-        schema_params = cli.load_schema()["properties"]["params"]["properties"]
-        assert set(VALID_PARAMS) == set(schema_params)
+        assert set(VALID_PARAMS) == set().union(*(keys for _, keys in cli.READS.values()))
         assert set(cli.READS) == set(READ_KEYS)
         for row, keys in READ_KEYS.items():
             needs_quotient, defaults = cli.READS[row]
@@ -504,17 +498,140 @@ class TestParamsTable:
         assert report["results"]["verdict"] == "INCONSISTENT"
         assert report["config"]["params"] == {"radii": [2], "kernel_n_max": 8}
 
-    def test_delta_kernel_reports_truncated_tables(self, tmp_path):
+    def test_delta_kernel_reports_truncated_tables(self, tmp_path, capsys):
         # Z^2 at n_max 18 needs a radius-9 pruning ball (181 elements); under a
-        # cap of 60 every table is cut and undercounts, and the report says so
+        # cap of 60 every table is cut and undercounts, so the run is refused
         cfg = {"gdms": GDMS_THIRD, "quotient": ZZ_QUOTIENT, "params": {"n_max": 18}}
+        code, outdir = run_cli("delta-kernel", cfg, tmp_path, "full")
+        assert code == 0
+        res = json.loads((outdir / "report.json").read_text())["results"]
+        assert "truncated" not in res["delta_kernel"]
+        assert res["divergence_at_half"]["exact"] is True
         capped = {**cfg, "params": {"n_max": 18, "caps": {"ball": 60}}}
-        for name, config, cut in (("full", cfg, False), ("capped", capped, True)):
-            code, outdir = run_cli("delta-kernel", config, tmp_path, name)
-            assert code == 0
-            res = json.loads((outdir / "report.json").read_text())["results"]
-            assert res["delta_kernel"]["truncated"] is cut
-            assert res["divergence_at_half"]["exact"] is not cut
+        code, outdir = run_cli("delta-kernel", capped, tmp_path, "capped")
+        assert code == 3
+        assert "n_max=18 needs a ball larger than ball cap 60" in capsys.readouterr().err
+        assert not outdir.exists()
+
+
+def _bad(row, path, fault, gdms=None, quotient=None, params=None, **root):
+    """A config for a READS row that is valid but for the given overrides."""
+    cfg = {"gdms": {**GDMS_THIRD, **(gdms or {})}, **root}
+    if row in NEEDS_QUOTIENT or quotient:
+        cfg["quotient"] = {**Z2_QUOTIENT, **(quotient or {})}
+    if params is not None:
+        cfg["params"] = params
+    return pytest.param(row.split(" subset ")[0], cfg, path, id=f"{path}:{fault}")
+
+
+NAN, INF = float("nan"), float("inf")
+# (command, config, path of the field the message names), at least one case
+# for each kind of fault
+BAD_CONFIGS = [
+    # unknown keys, one per section
+    _bad("delta-full", "<root>", "unknown", bogus=1),
+    _bad("delta-full", "gdms", "unknown", gdms={"bogus": 1}),
+    _bad("delta-full", "gdms/geometry", "unknown", gdms={"geometry": {"bogus": []}}),
+    _bad("delta-kernel", "quotient", "unknown", quotient={"bogus": 1}),
+    _bad("delta-full", "params", "unknown", params={"seed": 1}),
+    _bad("delta-kernel", "params/caps", "unknown", params={"caps": {"bogus": 1}}),
+    # missing required keys, and sections of the wrong type
+    pytest.param("delta-full", {"params": {}}, "<root>", id="no-gdms"),
+    pytest.param("delta-full", {"gdms": {"ratio": 0.3}}, "gdms", id="no-d"),
+    pytest.param(
+        "delta-kernel", {"gdms": GDMS_THIRD, "quotient": {"degree": 2}}, "quotient",
+        id="no-type",
+    ),
+    pytest.param("delta-full", [], "<root>", id="root-list"),
+    _bad("delta-full", "params", "type", params=[]),
+    _bad("delta-full", "output_dir", "type", output_dir=3),
+    # bounds and enums
+    _bad("delta-full", "gdms/d", "min", gdms={"d": 1}),
+    _bad("delta-full", "gdms/ratio", "min", gdms={"ratio": 0}),
+    _bad("delta-full", "gdms/ratio", "max", gdms={"ratio": 1.0}),
+    _bad("delta-full", "gdms/ratios/3", "max", gdms={"ratios": [0.2, 0.2, 0.2, 1.5]}),
+    _bad(
+        "delta-full", "gdms/ratios_by_generator/1", "min",
+        gdms={"ratios_by_generator": [0.2, 0]},
+    ),
+    _bad("delta-kernel", "quotient/type", "enum", quotient={"type": "cyclic"}),
+    _bad("delta-kernel", "quotient/degree", "min", quotient={"degree": 0}),
+    _bad("walks", "quotient/rank", "min", quotient={"type": "abelianization", "rank": 0}),
+    _bad("walks", "quotient/kill/0", "min", quotient={"type": "free_quotient", "kill": [0]}),
+    _bad("delta-kernel", "quotient/images/0/1", "type", quotient={"images": [[1, 0.5], [1, 0]]}),
+    _bad("delta-kernel", "params/n_max", "min", params={"n_max": 0}),
+    _bad("delta-kernel", "params/delta_tol", "min", params={"delta_tol": 0}),
+    _bad("delta-kernel", "params/caps/ball", "min", params={"caps": {"ball": 0}}),
+    _bad("render subset 'full'", "params/caps/points", "min", params={"caps": {"points": 0}}),
+    _bad("render subset 'induced'", "params/caps/loops", "min", params={"caps": {"loops": 0}}),
+    _bad("amenability", "params/kernel_n_max", "min", params={"kernel_n_max": 0}),
+    _bad("walks", "params/radii/1", "min", params={"radii": [2, -1]}),
+    _bad("walks", "params/radius", "min", params={"radius": 0}),
+    _bad("render subset 'full'", "params/depth", "min", params={"depth": 0}),
+    _bad("render subset 'full'", "params/dimension", "enum", params={"dimension": 3}),
+    _bad("render subset 'full'", "params/subset", "enum", params={"subset": "half"}),
+    _bad("render subset 'full'", "params/resolution", "min", params={"resolution": 0}),
+    _bad("render subset 'full'", "params/scales/2", "min", params={"scales": [0.1, 0.01, 0]}),
+    _bad(
+        "render subset 'induced'", "params/L_max", "min",
+        params={"subset": "induced", "L_max": 0},
+    ),
+    _bad(
+        "render subset 'induced'", "params/composition_depth", "min",
+        params={"subset": "induced", "composition_depth": 0},
+    ),
+    # lists too short or too long
+    _bad("pressure-curve", "params/s_grid", "short", params={"s_grid": []}),
+    _bad("walks", "params/radii", "short", params={"radii": []}),
+    _bad("render subset 'full'", "params/scales", "short", params={"scales": [0.1, 0.01]}),
+    _bad(
+        "render subset 'full'", "gdms/geometry/intervals/0", "long",
+        gdms={"geometry": {"intervals": [[0.0, 0.1, 0.2]]}},
+    ),
+    _bad(
+        "render subset 'full'", "gdms/geometry/disks/0", "short",
+        gdms={"geometry": {"disks": [[0.0, 0.1]]}},
+    ),
+    # a bool is neither an integer nor a number
+    _bad("delta-kernel", "params/n_max", "bool", params={"n_max": True}),
+    _bad("symmetry-check", "params/s", "bool", params={"s": False}),
+    _bad("delta-full", "gdms/ratio", "bool", gdms={"ratio": True}),
+    # non-finite numbers
+    _bad("delta-kernel", "params/delta_tol", "nan", params={"delta_tol": NAN}),
+    _bad("symmetry-check", "params/s", "inf", params={"s": INF}),
+    _bad("pressure-curve", "params/s_grid/0", "inf", params={"s_grid": [-INF]}),
+    _bad("delta-full", "gdms/ratio", "nan", gdms={"ratio": NAN}),
+    # integral floats are not integers
+    _bad("delta-kernel", "params/n_max", "integral-float", params={"n_max": 8.0}),
+    _bad("delta-kernel", "quotient/degree", "integral-float", quotient={"degree": 2.0}),
+    _bad("walks", "params/radii/0", "integral-float", params={"radii": [2.0, 4]}),
+    _bad("render subset 'full'", "params/depth", "integral-float", params={"depth": 4.0}),
+]
+
+
+class TestConfigCheck:
+    @pytest.mark.parametrize("command, cfg, path", BAD_CONFIGS)
+    def test_bad_config_rejected(self, tmp_path, capsys, command, cfg, path):
+        code, outdir = run_cli(command, cfg, tmp_path)
+        assert code == 2
+        assert f"config error: config field {path}: " in capsys.readouterr().err
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize(
+        "command, cfg",
+        [
+            ("pressure-curve", {"gdms": GDMS_THIRD, "params": {"s_grid": [700]}}),
+            ("pressure-curve", {"gdms": GDMS_THIRD, "params": {"s_grid": [-700]}}),
+            ("symmetry-check", {"gdms": GDMS_THIRD, "quotient": ZZ_QUOTIENT,
+                                "params": {"n_max": 4, "s": -1e308}}),
+        ],
+        ids=["underflow", "overflow", "symmetry-overflow"],
+    )
+    def test_letter_weights_out_of_range(self, tmp_path, capsys, command, cfg):
+        code, _ = run_cli(command, cfg, tmp_path)
+        assert code == 2
+        s = cfg["params"].get("s", cfg["params"].get("s_grid", [None])[0])
+        assert f"c(v)^s underflow or overflow at s = {float(s)!r}" in capsys.readouterr().err
 
 
 class TestDeterminism:
@@ -534,32 +651,16 @@ class TestDeterminism:
             out2 / "kernel_table_half.csv"
         ).read_bytes()
 
-    @pytest.mark.parametrize("env", ["GDMS_BALL_CAP", "GDMS_POINT_CAP", "GDMS_LOOP_CAP"])
-    def test_malformed_env_cap_is_config_error(self, tmp_path, monkeypatch, capsys, env):
-        monkeypatch.setenv(env, "abc")
-        cfg = {"gdms": GDMS_THIRD, "quotient": Z2_QUOTIENT, "params": {"n_max": 8}}
-        code, _ = run_cli("delta-kernel", cfg, tmp_path)
-        assert code == 2
-        assert env in capsys.readouterr().err
-
-    def test_env_cap_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("GDMS_BALL_CAP", "10")
-        cfg = {
-            "gdms": GDMS_THIRD,
-            "quotient": ZZ_QUOTIENT,
-            "params": {"radii": [6]},
-        }
-        code, _ = run_cli("amenability", cfg, tmp_path)
-        assert code == 3
-
 
 class TestStartup:
     def test_import_leaves_scipy_sparse_unloaded(self):
-        # Nothing needs scipy: importing the CLI must not load any of it.
+        # Nothing needs scipy: importing the CLI must not load any of it, nor
+        # any other package outside the standard library but numpy.
         src = str(Path(cli.__file__).resolve().parents[1])
         probe = (
-            "import sys, gdms.cli; "
-            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+            "import sys; before = set(sys.modules); import gdms.cli; "
+            "new = {m.split('.')[0] for m in set(sys.modules) - before}; "
+            "print(sorted(new - set(sys.stdlib_module_names) - {'numpy', 'gdms'}))"
         )
         out = subprocess.run(
             [sys.executable, "-c", probe],

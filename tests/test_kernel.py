@@ -195,9 +195,11 @@ class TestDeltaKernel:
         assert 0.5 < res.lo and res.hi < 1.0
 
     def test_truncated_when_ball_is_capped(self, spec_third, zz):
-        # n_max 18 prunes with the radius-9 ball of Z^2 (181 elements)
-        assert not delta_kernel(spec_third, zz, n_max=18).truncated
-        assert delta_kernel(spec_third, zz, n_max=18, ball_cap=60).truncated
+        # n_max 18 prunes with the radius-9 ball of Z^2 (181 elements); a cut
+        # table undercounts, and the bracket it gave, [0.825, 0.842], missed 1
+        assert delta_kernel(spec_third, zz, n_max=18).hi > 0.9
+        with pytest.raises(CapExceededError, match="n_max=18 .* ball cap 60"):
+            delta_kernel(spec_third, zz, n_max=18, ball_cap=60)
 
     def test_nonsymmetric_warns(self, spec_nonsym, z2):
         with pytest.warns(UserWarning, match="non-symmetric"):
