@@ -139,6 +139,12 @@ class QuotientGroup(ABC):
         """Memo of ``ball``: radius -> Ball (the group is immutable)."""
         return {}
 
+    @cached_property
+    def _kernel_tables(self) -> dict[tuple[int, int], np.ndarray]:
+        """Memo of ``kernel.kernel_counts`` at s = 0, read-only log word
+        counts keyed by (n_max, pruning-ball radius)."""
+        return {}
+
     def _build_ball(self, radius: int, cap: int) -> "Ball":
         """Uncached ball construction; ``ball`` memoises it."""
         return bfs_ball(self, radius, cap)

@@ -31,6 +31,14 @@ distance min(n - 1, n_max - n + 1) of the identity, which is a prefix of
 the breadth-first ball order, so the step reads that prefix of the state
 array and writes the prefix one sphere wider.  Every state left out is an
 exact zero, so the sums are bit-identical to a full-width step.
+
+With one ratio c for every letter, s enters the dynamic program only as the
+scalar c^s per appended letter: a_n(s) = N_n c^{sn}, where N_n is the
+number of kernel words of length n.  So the program runs once, at s = 0,
+where it counts those words; that table depends only on the group, ``n_max``
+and the pruning ball, it is memoised on the group, and every s reads
+log a_n = log N_n + n s log c from it.  Unequal ratios run the program at
+each s.
 """
 
 from __future__ import annotations
@@ -40,7 +48,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapExceededError, ConfigError, GdmsError
-from .groups import DEFAULT_BALL_CAP, Ball, QuotientGroup, ball
+from .groups import DEFAULT_BALL_CAP, Ball, QuotientGroup, _read_only, ball
 from .linalg import perron_value_dense
 from .pressure import LinearGdmsSpec, bowen_root
 
@@ -87,19 +95,14 @@ def _scatter(
 
     Column i of row v lands in column ``moves[v, i]`` of the result, which
     has ``n_out`` columns; a move of -1 drops the entry.  ``moves`` has one
-    column per column of X.
+    column per column of X.  Right multiplication by a letter image is
+    injective, so no column receives two entries and each is assigned, not
+    summed; dropped entries land in a spare last column that is cut off.
     """
-    Z = np.zeros((len(X), n_out))
+    Z = np.zeros((len(X), n_out + 1))
     for v in range(len(X)):
-        mv = moves[v]
-        t = X[v] * weights[v]
-        valid = mv >= 0
-        if not valid.all():
-            t = t[valid]
-            mv = mv[valid]
-        if t.size:
-            Z[v] = np.bincount(mv, weights=t, minlength=n_out)
-    return Z
+        Z[v, moves[v]] = X[v] * weights[v]
+    return Z[:, :n_out]
 
 
 def _complement(Z: np.ndarray) -> np.ndarray:
@@ -131,28 +134,13 @@ def forward_word_step(
     return _scatter(_complement(X), moves, weights, n_out)
 
 
-def kernel_counts(
-    spec: LinearGdmsSpec,
-    G: QuotientGroup,
-    s: float,
-    n_max: int,
-    ball_cap: int = DEFAULT_BALL_CAP,
-) -> KernelCountTable:
-    """Weighted kernel-word counts a_n(s) for n = 1..n_max.
+def _log_counts(B: Ball, n_max: int, weights: np.ndarray) -> np.ndarray:
+    """log a_n for n = 1..n_max at these letter weights, -inf for zeros.
 
-    Exact via radius pruning whenever the radius-ceil(n_max/2) ball fits the
-    cap; on overflow the largest affordable ball is used and ``exact`` is
-    False (states forced outside the ball are dropped, so the table can only
-    undercount).  Accumulation is in log-domain with per-step rescaling.
+    Accumulation is in log-domain with per-step rescaling, over the live
+    window of the pruning ball ``B``.
     """
-    if n_max < 1:
-        raise ConfigError("n_max must be >= 1")
-    if G.d != spec.d:
-        raise ConfigError("quotient and GDMS rank mismatch")
-    B, exact = _pruning_ball(G, n_max, ball_cap)
     moves = B.letter_moves()
-    n_letters = 2 * spec.d
-    weights = spec.letter_weights(s)
 
     def within(r: int) -> int:
         """Number of ball elements at distance <= r (a BFS prefix)."""
@@ -162,7 +150,7 @@ def kernel_counts(
     # ending with letter v whose image is ball element i; columns past the
     # live window are exact zeros and are not stored.  The one-letter words
     # are T applied to the identity in every letter row.
-    X = _scatter(np.ones((n_letters, 1)), moves[:, :1], weights, within(1))
+    X = _scatter(np.ones((len(weights), 1)), moves[:, :1], weights, within(1))
     log_scale = 0.0
     log_a = np.full(n_max, -np.inf)
 
@@ -184,6 +172,41 @@ def kernel_counts(
         X /= peak
         log_scale += math.log(peak)
         record(n)
+    return log_a
+
+
+def kernel_counts(
+    spec: LinearGdmsSpec,
+    G: QuotientGroup,
+    s: float,
+    n_max: int,
+    ball_cap: int = DEFAULT_BALL_CAP,
+) -> KernelCountTable:
+    """Weighted kernel-word counts a_n(s) for n = 1..n_max.
+
+    Exact via radius pruning whenever the radius-ceil(n_max/2) ball fits the
+    cap; on overflow the largest affordable ball is used and ``exact`` is
+    False (states forced outside the ball are dropped, so the table can only
+    undercount).  With equal ratios the word counts at s = 0 are computed
+    once per group, ``n_max`` and ball and shifted by n s log c.
+    """
+    if n_max < 1:
+        raise ConfigError("n_max must be >= 1")
+    if G.d != spec.d:
+        raise ConfigError("quotient and GDMS rank mismatch")
+    B, exact = _pruning_ball(G, n_max, ball_cap)
+    weights = spec.letter_weights(s)
+    log_c = spec.log_ratios
+    if (log_c == log_c[0]).all():
+        key = (n_max, B.radius)
+        log_N = G._kernel_tables.get(key)
+        if log_N is None:
+            log_N = G._kernel_tables[key] = _read_only(
+                _log_counts(B, n_max, np.ones_like(weights))
+            )
+        log_a = log_N + np.arange(1, n_max + 1) * (s * log_c[0])
+    else:
+        log_a = _log_counts(B, n_max, weights)
     return KernelCountTable(float(s), n_max, log_a, exact, B.radius)
 
 
@@ -288,13 +311,21 @@ def delta_kernel(
     cases: a trivial kernel gives 0 (only the identity contributes), and the
     trivial quotient gives the full Bowen root (every word is a kernel
     word).  A table cut by ``ball_cap`` undercounts and can move the bracket
-    off the true value, so it raises ``CapExceededError``.
+    off the true value, so it raises ``CapExceededError``; a ``tol`` of at
+    least half the starting bracket [0, bowen_root + 0.1] would bisect
+    nothing, so it raises ``ConfigError``.
     """
     if G.kernel_is_trivial():
         return DeltaKernelResult(0.0, 0.0, 0.0, False, True)
     if G.order() == 1:
         root = bowen_root(spec)
         return DeltaKernelResult(root, root, root, False, True)
+    lo = 0.0
+    hi = bowen_root(spec) + 0.1
+    if hi - lo <= 2 * tol:
+        raise ConfigError(
+            f"delta_tol {tol!r} is at least half the starting bracket [0, {hi!r}]"
+        )
     if not spec.symmetric:
         import warnings
 
@@ -303,8 +334,6 @@ def delta_kernel(
             "estimator is still valid but the amenability dichotomy is not",
             stacklevel=2,
         )
-    lo = 0.0
-    hi = bowen_root(spec) + 0.1
     evals = []
     ambiguous = False
     while hi - lo > 2 * tol:

@@ -251,13 +251,17 @@ def check_asymptotic_symmetry(
 
     The dynamic program runs on the full radius-n_max ball so no word is
     truncated away; elements outside radius R are ignored in the comparison.
+    The compared ratios are scale-free, so the weights and, after each step,
+    the sums are rescaled to a peak in [1/2, 1).  The scale factors are
+    powers of two, which keeps the sums finite at any s that
+    ``letter_weights`` accepts and changes no bit of a ratio of normal sums.
     """
     if R > n_max:
         raise ConfigError("comparison radius cannot exceed n_max")
     B = ball(G, n_max, ball_cap)
     moves = B.letter_moves()
     inv_idx = B.inverse_index()
-    weights = spec.letter_weights(s)
+    weights = _unit_peak(spec.letter_weights(s))
     n_letters = 2 * spec.d
 
     in_R = np.flatnonzero(B.dist <= R)
@@ -269,7 +273,7 @@ def check_asymptotic_symmetry(
     hi = np.ones(n_max)
     for n in range(1, n_max + 1):
         if n > 1:
-            X = forward_word_step(X, moves, weights)
+            X = _unit_peak(forward_word_step(X, moves, weights))
         marg = X.sum(axis=0)
         a = marg[in_R]
         b = marg[inv_of_in_R]
@@ -292,3 +296,8 @@ def check_asymptotic_symmetry(
         per_n_ratio_low=lo,
         per_n_ratio_high=hi,
     )
+
+
+def _unit_peak(a: np.ndarray) -> np.ndarray:
+    """``a`` times the power of two that puts its peak in [1/2, 1)."""
+    return np.ldexp(a, -math.frexp(float(a.max()))[1])

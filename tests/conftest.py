@@ -162,6 +162,12 @@ def spec_mixed():
 
 
 @pytest.fixture(scope="session")
+def spec_mixed_d3():
+    """d=3, symmetric with three different ratios."""
+    return LinearGdmsSpec.symmetric_ratios([0.2, 0.15, 0.1])
+
+
+@pytest.fixture(scope="session")
 def spec_nonsym():
     """Ratios differing between a generator and its inverse."""
     return LinearGdmsSpec(2, (1.0 / 3.0, 0.25, 0.2, 0.2))

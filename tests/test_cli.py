@@ -235,12 +235,31 @@ class TestHappyPaths:
         assert len(loops) == 12
         assert {"word", "log_weight", "first_letter", "last_letter"} <= set(loops[0])
 
+    @pytest.mark.parametrize("s", [-100, -646])
+    def test_symmetry_check_at_large_negative_s(self, tmp_path, s):
+        # weights 3^-s are finite, but their products over 10 letters are
+        # not: the sums are rescaled each step (and at s = -646 the weights)
+        cfg = {"gdms": GDMS_THIRD, "quotient": ZZ_QUOTIENT,
+               "params": {"n_max": 10, "radius": 3, "s": s}}
+        code, outdir = run_cli("symmetry-check", cfg, tmp_path)
+        assert code == 0
+        rel = json.loads((outdir / "report.json").read_text())["results"]["max_rel_asymmetry"]
+        assert rel is not None and math.isfinite(rel) and rel <= 1e-12
+
 
 class TestExitCodes:
     def test_malformed_ratio_is_config_error(self, tmp_path, capsys):
         code, _ = run_cli("delta-full", {"gdms": {"d": 2, "ratio": 1.2}}, tmp_path)
         assert code == 2
         assert "ratio" in capsys.readouterr().err
+
+    def test_delta_tol_wider_than_half_bracket(self, tmp_path, capsys):
+        # the starting bracket is [0, 1.1]; tol 10 would report it unbisected
+        cfg = {"gdms": GDMS_THIRD, "quotient": Z2_QUOTIENT, "params": {"delta_tol": 10}}
+        code, outdir = run_cli("delta-kernel", cfg, tmp_path)
+        assert code == 2
+        assert "delta_tol 10 is at least half the starting bracket" in capsys.readouterr().err
+        assert not outdir.exists()
 
     def test_missing_quotient(self, tmp_path):
         code, _ = run_cli("delta-kernel", {"gdms": GDMS_THIRD}, tmp_path)

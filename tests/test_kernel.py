@@ -21,6 +21,7 @@ from gdms import (
     kernel_pressure,
     pressure,
 )
+from gdms import kernel as kernel_mod
 from gdms.kernel import _pruning_ball, forward_word_step, loop_composition_log_counts
 
 from conftest import brute_first_returns, brute_kernel_sums
@@ -109,11 +110,13 @@ class TestLiveWindow:
         [
             (FreeQuotient(3, kill=[3]), "spec_fifth_d3", 15),
             (FreeAbelianQuotient(2, [[1, 0], [0, 1]]), "spec_mixed", 22),
+            (FreeQuotient(3, kill=[3]), "spec_mixed_d3", 15),
         ],
     )
     def test_bit_identical_to_full_width(self, G, spec_fixture, n_max, request):
+        # the DP at the weights it runs: equal ratios run it once, at s = 0
         spec = request.getfixturevalue(spec_fixture)
-        for s in (0.5, 1.0):
+        for s in (0.0,) if len(set(spec.ratios)) == 1 else (0.5, 1.0):
             got = kernel_counts(spec, G, s, n_max).log_a
             assert got.tobytes() == full_width_kernel_counts(spec, G, s, n_max).tobytes()
 
@@ -132,6 +135,61 @@ class TestLiveWindow:
         assert builds == [6]
         divergence_check(spec_fifth_d3, G, 12)
         assert builds == [6]
+
+
+class TestEqualRatios:
+    """Equal ratios read every s from one memoised s = 0 word-count table."""
+
+    @pytest.mark.parametrize(
+        "G,spec_fixture,n_max",
+        [
+            (FreeQuotient(3, kill=[3]), "spec_fifth_d3", 15),
+            (FreeAbelianQuotient(2, [[1, 0], [0, 1]]), "spec_third", 22),
+            (FreeAbelianQuotient(2, [[1, 0], [0, 1]]), "spec_quarter", 16),
+        ],
+    )
+    @pytest.mark.parametrize("s", [-3.0, 0.5, 1.0, 2.5])
+    def test_matches_full_width_at_s(self, G, spec_fixture, n_max, s, request):
+        spec = request.getfixturevalue(spec_fixture)
+        got = kernel_counts(spec, G, s, n_max).log_a
+        ref = full_width_kernel_counts(spec, G, s, n_max)
+        assert np.array_equal(np.isfinite(got), np.isfinite(ref))
+        finite = np.isfinite(ref)
+        assert finite.sum() >= 5
+        err = np.abs(got[finite] - ref[finite])
+        assert (err <= 1e-13 * np.maximum(1.0, np.abs(ref[finite]))).all()
+
+    def test_one_dp_per_group(self, spec_fifth_d3, monkeypatch):
+        calls = []
+        step = kernel_mod.forward_word_step
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(kernel_mod, "forward_word_step", counting)
+        G = FreeQuotient(3, kill=[3])
+        res = delta_kernel(spec_fifth_d3, G, n_max=12)
+        assert len(res.evaluations) > 1
+        divergence_check(spec_fifth_d3, G, 12)
+        assert len(calls) == 12 - 1
+
+    def test_result_does_not_alias_memo(self, spec_fifth_d3):
+        G = FreeQuotient(3, kill=[3])
+        first = kernel_counts(spec_fifth_d3, G, 0.0, 10).log_a
+        before = first.copy()
+        first[:] = 7.0
+        again = kernel_counts(spec_fifth_d3, G, 0.0, 10).log_a
+        assert again.tobytes() == before.tobytes()
+        (memo,) = G._kernel_tables.values()
+        assert not memo.flags.writeable
+        assert not np.shares_memory(again, memo)
+
+    def test_weight_overflow_still_refused(self, spec_fifth_d3):
+        G = FreeQuotient(3, kill=[3])
+        kernel_counts(spec_fifth_d3, G, 1.0, 10)  # memoise the s = 0 table
+        with pytest.raises(ConfigError, match="overflow at s = -500.0"):
+            kernel_counts(spec_fifth_d3, G, -500.0, 10)
 
 
 class TestKernelPressure:
@@ -200,6 +258,13 @@ class TestDeltaKernel:
         assert delta_kernel(spec_third, zz, n_max=18).hi > 0.9
         with pytest.raises(CapExceededError, match="n_max=18 .* ball cap 60"):
             delta_kernel(spec_third, zz, n_max=18, ball_cap=60)
+
+    def test_tol_wider_than_half_bracket_refused(self, spec_third, z2):
+        # the starting bracket is [0, 1.1]: a tol of half of it bisects nothing
+        with pytest.raises(ConfigError, match="delta_tol 0.6 is at least half"):
+            delta_kernel(spec_third, z2, tol=0.6)
+        res = delta_kernel(spec_third, z2, tol=0.5)
+        assert len(res.evaluations) == 1 and res.hi - res.lo <= 1.0
 
     def test_nonsymmetric_warns(self, spec_nonsym, z2):
         with pytest.warns(UserWarning, match="non-symmetric"):
