@@ -287,8 +287,7 @@ def cmd_render(spec, G, params: dict, outdir: Path) -> dict:
     outdir.mkdir(parents=True, exist_ok=True)
     write_pgm(img, outdir / "attractor.pgm")
     header = ["x", "word"] if cloud.points.shape[1] == 1 else ["x", "y", "word"]
-    words = [_word_str(wd) for wd in cloud.words]
-    write_csv(outdir / "points.csv", header, [*cloud.points.T, words])
+    write_csv(outdir / "points.csv", header, [*cloud.points.T, cloud.words.names()])
     return {
         **results,
         "box_count": {

@@ -146,8 +146,9 @@ class QuotientGroup(ABC):
         return {}
 
     def _build_ball(self, radius: int, cap: int) -> "Ball":
-        """Uncached ball construction; ``ball`` memoises it."""
-        return bfs_ball(self, radius, cap)
+        """Uncached construction of the ball of the largest radius <=
+        ``radius`` that fits ``cap``; ``ball`` memoises it."""
+        return bfs_ball(self, radius, cap, fit=True)
 
 
 class FinitePermQuotient(QuotientGroup):
@@ -293,14 +294,16 @@ class FreeQuotient(QuotientGroup):
         element, letters in code order, reproduces the breadth-first order of
         ``bfs_ball``.  Moves: a child maps back to its parent under the
         inverse of its last letter, killed letters fix every element, and
-        children beyond the radius fall off the ball (-1).
+        children beyond the radius fall off the ball (-1).  The sphere sizes
+        are known in advance, so the radius shrinks to fit ``cap`` first.
         """
         codes = np.flatnonzero([c not in self.killed_codes for c in range(2 * self.d)])
         sizes = [1]
         # stop one sphere past the cap so that huge radii cost nothing
         while len(sizes) <= radius and codes.size and sum(sizes) <= max(cap, 1):
             sizes.append(codes.size * (codes.size - 1) ** (len(sizes) - 1))
-        _check_cap(sizes, radius, cap)
+        radius = _fitting_radius(sizes, radius, cap)
+        sizes = sizes[: radius + 1]
         n = sum(sizes)
         starts = np.cumsum([0] + sizes)
         parent = np.full(n, -1, dtype=np.int64)
@@ -406,49 +409,59 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _check_cap(sizes: Sequence[int], radius: int, cap: int) -> None:
-    """Raise where a breadth-first build with these sphere sizes would.
+def _fitting_radius(sizes: Sequence[int], radius: int, cap: int) -> int:
+    """The largest r <= ``radius`` whose ball, with these sphere sizes, fits.
 
-    The build adds the identity unconditionally and refuses every later
-    element once ``cap`` elements exist.
+    A breadth-first build adds the identity unconditionally and refuses
+    every later element once ``cap`` elements exist, so radius 0 always
+    fits.
     """
     total = 0
-    for r, size in enumerate(sizes):
+    for r, size in enumerate(sizes[: radius + 1]):
         total += size
         if r and total > cap:
-            raise CapExceededError(
-                f"ball of radius {radius} exceeds cap {cap} (stopped at radius {r})"
-            )
+            return r - 1
+    return radius
 
 
-def ball(G: QuotientGroup, radius: int, cap: int = DEFAULT_BALL_CAP) -> Ball:
+def ball(
+    G: QuotientGroup, radius: int, cap: int = DEFAULT_BALL_CAP, fit: bool = False
+) -> Ball:
     """All elements at word-metric distance <= radius, BFS-indexed.
 
     For finite backends a radius at or beyond the diameter returns the whole
-    group.  Raises ``CapExceededError`` when the ball has more than ``cap``
-    elements, before materializing them.  Balls are memoised per group and
-    radius, so repeated calls return the same ``Ball``; a memoised ball
-    larger than a later, smaller ``cap`` still raises.  A group builds one
-    ball at a time: a smaller radius is the breadth-first prefix of a
-    memoised larger ball, or of the whole group once a ball holds it.
+    group.  When the ball has more than ``cap`` elements this raises
+    ``CapExceededError`` before materializing them, or with ``fit`` returns
+    the ball of the largest radius that fits, found in the same one search.
+    Balls are memoised per group and radius, so repeated calls return the
+    same ``Ball``; a memoised ball larger than a later, smaller ``cap``
+    still raises.  A group builds one ball at a time: a smaller radius is
+    the breadth-first prefix of a memoised larger ball, or of the whole
+    group once a ball holds it, and that ball's sphere sizes give the radius
+    that fits before anything is cut.  Otherwise the backend's builder stops
+    where the cap stops it and keeps the spheres it completed.
     """
     if radius < 0:
         raise ConfigError("ball radius must be >= 0")
-    B = G._balls.get(radius)
-    if B is not None:
-        _check_cap(np.bincount(B.dist).tolist(), radius, cap)
-        return B
     # a ball whose search ran out of elements before its radius is the group
-    larger = [A for A in G._balls.values() if A.radius > radius or A.dist[-1] < A.radius]
+    larger = [A for A in G._balls.values() if A.radius >= radius or A.dist[-1] < A.radius]
     if larger:
-        B = _prefix(min(larger, key=len), radius, cap)
+        A = min(larger, key=len)
+        fits = _fitting_radius(np.bincount(A.dist).tolist(), radius, cap)
+        B = G._balls.get(fits)
+        if B is None:
+            B = _prefix(A, fits)
     else:
         B = G._build_ball(radius, cap)
-    G._balls[radius] = B
+    B = G._balls.setdefault(B.radius, B)
+    if B.radius < radius and not fit:
+        raise CapExceededError(
+            f"ball of radius {radius} exceeds cap {cap} (stopped at radius {B.radius + 1})"
+        )
     return B
 
 
-def _prefix(B: Ball, radius: int, cap: int) -> Ball:
+def _prefix(B: Ball, radius: int) -> Ball:
     """The ball of this radius cut from the larger ball ``B``.
 
     Breadth-first search lists the same elements in the same order whatever
@@ -456,20 +469,24 @@ def _prefix(B: Ball, radius: int, cap: int) -> Ball:
     ``B``, with the moves that leave them set to -1.
     """
     n = int(np.searchsorted(B.dist, radius, side="right"))
-    dist = B.dist[:n]
-    _check_cap(np.bincount(dist).tolist(), radius, cap)
     moves = B.letter_moves()[:, :n].copy()
     moves[moves >= n] = -1
-    return Ball(B.group, radius, dist, lambda: B.elements[:n], moves)
+    return Ball(B.group, radius, B.dist[:n], lambda: B.elements[:n], moves)
 
 
-def bfs_ball(G: QuotientGroup, radius: int, cap: int = DEFAULT_BALL_CAP) -> Ball:
+def bfs_ball(
+    G: QuotientGroup, radius: int, cap: int = DEFAULT_BALL_CAP, fit: bool = False
+) -> Ball:
     """Breadth-first ball over group elements, uncached.
 
     The construction for backends without an array builder, and the
     reference the array builders are tested against.  The move table is
     recorded from the products the search forms anyway; only the last
-    sphere's products are formed just to tell which stay in the ball.
+    sphere's products are formed just to tell which stay in the ball.  A
+    search that needs more than ``cap`` elements raises, or with ``fit``
+    drops the sphere it was adding and finishes the ball one radius down:
+    every sphere below it is complete, since breadth-first search adds no
+    element at distance r - 1 after one at distance r.
     """
     n_codes = 2 * G.d
     e = G.identity()
@@ -484,16 +501,23 @@ def bfs_ball(G: QuotientGroup, radius: int, cap: int = DEFAULT_BALL_CAP) -> Ball
             h = G.apply_letter(g, c)
             j = index.get(h, -1)
             if j < 0 and r <= radius:
-                if len(elements) >= cap:
+                if len(elements) < cap:
+                    j = index[h] = len(elements)
+                    elements.append(h)
+                    dist.append(r)
+                elif fit:
+                    while dist[-1] == r:
+                        dist.pop()
+                        elements.pop()
+                    radius = r - 1
+                else:
                     raise CapExceededError(
                         f"ball of radius {radius} exceeds cap {cap} "
                         f"(stopped at radius {r})"
                     )
-                j = index[h] = len(elements)
-                elements.append(h)
-                dist.append(r)
             moves.append(j)
     table = np.array(moves, dtype=np.int64).reshape(len(elements), n_codes)
+    table[table >= len(elements)] = -1  # elements dropped to fit the cap
     return Ball(
         G,
         radius,

@@ -79,13 +79,12 @@ class KernelCountTable:
 
 
 def _pruning_ball(G: QuotientGroup, n_max: int, ball_cap: int) -> tuple[Ball, bool]:
+    """The ball the dynamic program runs on, and whether it is the whole
+    radius-ceil(n_max/2) ball the pruning needs: else the largest that fits
+    ``ball_cap``."""
     radius = (n_max + 1) // 2
-    for r in range(radius, -1, -1):
-        try:
-            return ball(G, r, ball_cap), r == radius
-        except CapExceededError:
-            continue
-    raise CapExceededError("even the identity does not fit the ball cap")
+    B = ball(G, radius, ball_cap, fit=True)
+    return B, B.radius == radius
 
 
 def _scatter(

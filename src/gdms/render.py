@@ -24,12 +24,13 @@ dimensions track the pressure-equation roots.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .errors import CapExceededError, ConfigError, GdmsError, LayoutInfeasibleError
+from .groups import letter_name
 from .kernel import InducedSystem
 from .pressure import LinearGdmsSpec
 
@@ -230,17 +231,100 @@ def auto_layout(spec: LinearGdmsSpec, dimension: int) -> GeometricRealization:
 # Attractor point clouds
 # ---------------------------------------------------------------------------
 
+class Words(Sequence):
+    """The words of a cloud as one pair of int32 index arrays per level
+    (int64 for a level of 2**31 words or more).
+
+    Word i of level k is word ``parent[k-1][i]`` of level k - 1 followed by
+    piece ``piece[k-1][i]``, and level 0 holds only the empty word; so a
+    word is the path of piece indices back to the root.  Each level lists
+    the children of its parent level parent by parent, so ``parent[k-1]`` is
+    nondecreasing and the words of an index range have their parents in one
+    contiguous range one level up.  Indexing returns a word as a tuple of
+    letter codes, built on demand (for tests and small clouds); ``names``
+    returns display strings without building those tuples.
+    """
+
+    def __init__(self, pieces: tuple, parent: tuple, piece: tuple):
+        self.pieces = pieces
+        self.parent = parent
+        self.piece = piece
+
+    def __len__(self):
+        return len(self.piece[-1])
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[k] for k in range(*i.indices(len(self))))
+        i = range(len(self))[i]
+        word = ()
+        for parent, piece in zip(reversed(self.parent), reversed(self.piece)):
+            word = self.pieces[piece[i]] + word
+            i = parent[i]
+        return word
+
+    def names(self) -> "WordNames":
+        """The words' display names (``g1 g2~ g1``) as a lazy sequence."""
+        return WordNames(self)
+
+
+class WordNames(Sequence):
+    """Display names of a cloud's words, made per slice by prefix sharing.
+
+    The names of words start..stop-1 need the names of their parents, one
+    contiguous range one level up, and so on to level 1; each name is then
+    its parent's name + " " + its piece's name, one concatenation per word
+    and level.  A slice costs its own rows plus the shrinking parent ranges,
+    so a writer that slices in blocks holds one block of names at a time.
+    """
+
+    def __init__(self, words: Words):
+        self.words = words
+        self._names = [" ".join(map(letter_name, p)) for p in words.pieces]
+        self._spaced = [" " + name for name in self._names]
+
+    def __len__(self):
+        return len(self.words)
+
+    def __getitem__(self, i):
+        if not isinstance(i, slice):
+            k = range(len(self))[i]
+            return self[k:k + 1][0]
+        start, stop, step = i.indices(len(self))
+        if step != 1:
+            raise ValueError("word names slice with step 1 only")
+        if start >= stop:
+            return []
+        spans = [(start, stop)]
+        for parent in reversed(self.words.parent[1:]):
+            start, stop = int(parent[start]), int(parent[stop - 1]) + 1
+            spans.append((start, stop))
+        spans.reverse()
+        (a, b), *higher = spans
+        out = [self._names[j] for j in self.words.piece[0][a:b].tolist()]
+        for (a, b), parent, piece in zip(higher, self.words.parent[1:], self.words.piece[1:]):
+            base, spaced = int(parent[a]), self._spaced
+            out = [
+                out[p - base] + spaced[j]
+                for p, j in zip(parent[a:b].tolist(), piece[a:b].tolist())
+            ]
+        return out
+
+
 @dataclass(frozen=True)
 class PointCloud:
     """Finite-depth attractor approximation with one point per word.
 
-    ``provenance`` is "full" for all admissible words or "induced" for loop
-    compositions; points always lie inside the union of phase sets, and a
-    depth-(n+1) point lies in the depth-n cell of its word prefix.
+    ``words[i]`` is the word of ``points[i]``: a ``Words`` index tree for
+    clouds from ``attractor_points``, which holds no per-point Python
+    object, or any sequence of letter-code tuples.  ``provenance`` is
+    "full" for all admissible words or "induced" for loop compositions;
+    points always lie inside the union of phase sets, and a depth-(n+1)
+    point lies in the depth-n cell of its word prefix.
     """
 
     points: np.ndarray
-    words: tuple
+    words: Sequence
     depth: int
     provenance: str
     lo: np.ndarray
@@ -262,8 +346,10 @@ def attractor_points(
     an induced system otherwise; a piece may follow another unless its first
     letter backtracks on the other's last.  Representative = image of the
     terminal phase-set center under the composed similarity; words are
-    listed depth-first in piece order, so clouds are reproducible.  A level
-    with more than ``point_cap`` words is refused before it is built.
+    listed depth-first in piece order, so clouds are reproducible.  Each
+    level keeps only its parent and piece index arrays (``Words``), so the
+    cloud costs a few numbers per point.  A level with more than
+    ``point_cap`` words is refused before it is built.
     """
     if depth < 1:
         raise ConfigError("depth must be >= 1")
@@ -301,7 +387,7 @@ def attractor_points(
     tail = np.array([n])
     scale = np.ones(1)
     offset = np.zeros((1, real.dimension))
-    words: list[tuple] = [()]
+    parents, piece_of = [], []
     for level in range(1, depth + 1):
         size = int(n_next[tail].sum())
         if size > point_cap:
@@ -317,11 +403,14 @@ def attractor_points(
         )
         scale = c_j * c_in[j]
         tail = last[j]
-        words = [words[a] + pieces[b] for a, b in zip(i.tolist(), j.tolist())]
+        index = np.int32 if size <= np.iinfo(np.int32).max else np.int64
+        parents.append(i.astype(index))
+        piece_of.append(j.astype(index))
     centers = np.stack([real.center(v) for v in range(n)])
     pts = scale[:, None] * centers[tail] + offset
     lo, hi = real.bounds()
-    return PointCloud(pts, tuple(words), depth, provenance, lo, hi)
+    words = Words(pieces, tuple(parents), tuple(piece_of))
+    return PointCloud(pts, words, depth, provenance, lo, hi)
 
 
 # ---------------------------------------------------------------------------

@@ -80,20 +80,32 @@ class RunReport:
         return path
 
 
-def write_csv(path: Path, header: list[str], columns) -> None:
-    """Minimal deterministic CSV, formatted one column at a time.
+# Rows formatted and written per block: the text of a block is held at once,
+# never that of a whole column.
+CSV_BLOCK_ROWS = 1 << 14
 
-    A column of strings is written as is; any other column is listed as
-    Python numbers (``numpy.asarray(column).tolist()``) and written as their
-    ``repr``, so floats round-trip and ints and bools keep their type.  No
+
+def write_csv(path: Path, header: list[str], columns) -> None:
+    """Minimal deterministic CSV, written in blocks of ``CSV_BLOCK_ROWS`` rows.
+
+    Every column is sliced once per block, so a column may be any sequence
+    that slices, such as the lazy word names of a point cloud.  A column of
+    strings is written as is; any other column is converted once by
+    ``numpy.asarray`` and each block is listed as Python numbers
+    (``.tolist()``) and written as their ``repr``, so floats round-trip and
+    ints and bools keep their type.  Rows stop at the shortest column.  No
     quoting is needed.
     """
-    texts = [
-        list(map(str, col)) if len(col) and isinstance(col[0], str)
-        else list(map(repr, numpy.asarray(col).tolist()))
-        for col in columns
-    ]
+    strings = [bool(len(col)) and isinstance(col[0], str) for col in columns]
+    columns = [col if text else numpy.asarray(col) for col, text in zip(columns, strings)]
+    rows = min(map(len, columns))
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(row) + "\n" for row in zip(*texts))
+        for start in range(0, rows, CSV_BLOCK_ROWS):
+            stop = min(start + CSV_BLOCK_ROWS, rows)
+            texts = [
+                col[start:stop] if text else map(repr, col[start:stop].tolist())
+                for col, text in zip(columns, strings)
+            ]
+            fh.write("\n".join(map(",".join, zip(*texts))) + "\n")

@@ -142,6 +142,7 @@ class DichotomyReport:
     verdict: str
     gap: float
     kernel_pressure_estimate: float | None
+    kernel_table_exact: bool | None
     notes: str
 
     def as_dict(self) -> dict:
@@ -159,6 +160,7 @@ class DichotomyReport:
             "rho_limit_estimate": self.ladder.final_estimate,
             "plateau": self.ladder.plateau,
             "kernel_pressure_estimate": self.kernel_pressure_estimate,
+            "kernel_table_exact": self.kernel_table_exact,
             "notes": self.notes,
         }
 
@@ -176,7 +178,9 @@ def amenability_report(
     Requires a symmetric system (the equality side of the dichotomy needs
     the reversal-inversion weight symmetry).  The verdict reads the ladder
     of the walk mu_{s*}; the kernel-pressure estimate from the counting
-    dynamic program is attached as a cross-check.
+    dynamic program is attached as a cross-check, with the exactness of its
+    count table: false when ``ball_cap`` cut the table to an undercount,
+    None when there is no estimate.
     """
     if not spec.symmetric:
         raise ConfigError("dichotomy requires symmetric GDMS")
@@ -189,11 +193,10 @@ def amenability_report(
     weights = w / w.sum()
     ladder = walk_ladder(G, weights, radii, ball_cap, tol)
 
-    kp = None
+    kp = kp_exact = None
     try:
-        kp = kernel_pressure(
-            kernel_counts(spec, G, s_star, kernel_n_max, ball_cap)
-        ).estimate
+        table = kernel_counts(spec, G, s_star, kernel_n_max, ball_cap)
+        kp, kp_exact = kernel_pressure(table).estimate, table.exact
     except GdmsError:
         pass
     notes = (
@@ -211,6 +214,7 @@ def amenability_report(
         verdict=ladder_verdict(ladder.final_estimate),
         gap=1.0 - max(ladder.rho),
         kernel_pressure_estimate=kp,
+        kernel_table_exact=kp_exact,
         notes=notes,
     )
 

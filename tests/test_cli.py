@@ -175,6 +175,23 @@ class TestHappyPaths:
             assert all(isinstance(n, int) and n > 0 for n in ladder["iterations"])
             assert all(0.0 <= r <= 1e-11 for r in ladder["residuals"])
 
+    def test_amenability_flags_capped_kernel_table(self, tmp_path):
+        # Z^2 at kernel_n_max 40 needs a radius-20 pruning ball (841
+        # elements); under a ball cap of 100 the count table is cut to
+        # radius 6 and undercounts, and the report says so beside the
+        # kernel pressure estimate, while the walk ladder still fits
+        params = {"radii": [4, 6], "kernel_n_max": 40}
+        dich = {}
+        for name, caps in (("full", {}), ("capped", {"caps": {"ball": 100}})):
+            cfg = {"gdms": GDMS_THIRD, "quotient": ZZ_QUOTIENT, "params": {**params, **caps}}
+            code, outdir = run_cli("amenability", cfg, tmp_path, name)
+            assert code == 0
+            dich[name] = json.loads((outdir / "report.json").read_text())["results"]["dichotomy"]
+        assert dich["full"]["kernel_table_exact"] is True
+        assert dich["full"]["kernel_pressure_estimate"] == pytest.approx(-0.0250, abs=1e-4)
+        assert dich["capped"]["kernel_table_exact"] is False
+        assert dich["capped"]["kernel_pressure_estimate"] == pytest.approx(-0.0933, abs=1e-4)
+
     def test_pressure_curve(self, tmp_path):
         cfg = {"gdms": GDMS_THIRD, "params": {"s_grid": [0.0, 0.5, 1.0]}}
         code, outdir = run_cli("pressure-curve", cfg, tmp_path)

@@ -1,6 +1,7 @@
 """Kernel counting, kernel pressure, delta(N), induced systems."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from gdms import (
     CapExceededError,
     ConfigError,
+    FinitePermQuotient,
     FreeAbelianQuotient,
     FreeQuotient,
     GdmsError,
@@ -22,6 +24,7 @@ from gdms import (
     pressure,
 )
 from gdms import kernel as kernel_mod
+from gdms.groups import ball, bfs_ball
 from gdms.kernel import _pruning_ball, forward_word_step, loop_composition_log_counts
 
 from conftest import brute_first_returns, brute_kernel_sums
@@ -135,6 +138,57 @@ class TestLiveWindow:
         assert builds == [6]
         divergence_check(spec_fifth_d3, G, 12)
         assert builds == [6]
+
+
+def retried_pruning_ball(make, n_max, cap):
+    """Reference: the pruning ball as found by trying every radius down from
+    ceil(n_max / 2) on a fresh group until a ball fits the cap."""
+    radius = (n_max + 1) // 2
+    for r in range(radius, -1, -1):
+        try:
+            return bfs_ball(make(), r, cap), r == radius
+        except CapExceededError:
+            continue
+
+
+class TestPruningBall:
+    """One capped search finds the largest radius that fits, as the retries did."""
+
+    @pytest.mark.parametrize("n_max, cap, radius, seconds", [
+        (200, 5_000, 49, 0.5),  # the retries took 1.8 s
+        (400, 20_000, 99, 2.0),  # the retries took 12.8 s
+    ])
+    def test_abelian_radius_in_one_search(self, n_max, cap, radius, seconds):
+        make = lambda: FreeAbelianQuotient(2, [[1, 0], [0, 1]])  # noqa: E731
+        start = time.perf_counter()
+        B, exact = _pruning_ball(make(), n_max, cap)
+        elapsed = time.perf_counter() - start
+        assert (B.radius, len(B), exact) == (radius, 2 * radius * (radius + 1) + 1, False)
+        ref = bfs_ball(make(), radius)
+        assert B.elements == ref.elements
+        assert (B.dist == ref.dist).all()
+        assert (B.letter_moves() == ref.letter_moves()).all()
+        assert elapsed < seconds
+
+    @pytest.mark.parametrize("make", [
+        lambda: FreeAbelianQuotient(2, [[1, 0], [1, 1]]),
+        lambda: FreeQuotient(3, [3]),
+        lambda: FinitePermQuotient(4, [[1, 0, 2, 3], [1, 2, 3, 0], [1, 0, 3, 2]]),
+    ], ids=["abelian", "tree", "finite"])
+    @pytest.mark.parametrize("memo_radius", [None, 2, 9])
+    def test_matches_retries(self, make, memo_radius):
+        for n_max, cap in [(1, 1), (8, 1), (8, 4), (8, 12), (8, 13), (12, 60), (16, 10**6)]:
+            G = make()
+            if memo_radius is not None:
+                ball(G, memo_radius)
+            B, exact = _pruning_ball(G, n_max, cap)
+            ref, ref_exact = retried_pruning_ball(make, n_max, cap)
+            assert (B.radius, exact) == (ref.radius, ref_exact)
+            assert B.elements == ref.elements
+            assert (B.dist == ref.dist).all()
+            assert (B.letter_moves() == ref.letter_moves()).all()
+            # the search memoised the ball it kept
+            assert ball(G, B.radius, cap) is B
 
 
 class TestEqualRatios:

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from gdms import (
     induced_loops,
     render_image,
 )
+from gdms.groups import letter_name
 from gdms.render import pgm_bytes
 
 from test_acceptance import REFERENCE_RUNS
@@ -199,6 +201,83 @@ class TestPointsAreWordFolds:
         for pt, wd in zip(cloud.points, cloud.words):
             assert any(wd[:k] in loops and wd[k:] in loops for k in range(1, len(wd)))
             assert np.abs(pt - _folded_point(real, wd)).max() <= 1e-12
+
+
+def tuple_words(real, depth, subset="full"):
+    """Reference: the cloud's words as the builder listed them when each word
+    was a code tuple, ``words[a] + pieces[b]`` for every (a, b) that the
+    follows table allows, level by level."""
+    n = 2 * real.spec.d
+    pieces = tuple((v,) for v in range(n)) if subset == "full" else subset.loops
+    first = np.array([p[0] for p in pieces])
+    last = np.array([p[-1] for p in pieces])
+    follows = np.ones((n + 1, len(pieces)), dtype=bool)
+    follows[:n] = first[None, :] != (np.arange(n) ^ 1)[:, None]
+    tail = np.array([n])
+    words = [()]
+    for _ in range(depth):
+        i, j = np.nonzero(follows[tail])
+        tail = last[j]
+        words = [words[a] + pieces[b] for a, b in zip(i.tolist(), j.tolist())]
+    return words
+
+
+def _name(word):
+    return " ".join(map(letter_name, word))
+
+
+class TestWordsMatchTupleBuilder:
+    """Index-array words give the tuple builder's words in its order."""
+
+    def check(self, cloud, want):
+        assert len(cloud.words) == len(want)
+        assert list(cloud.words) == want
+        assert cloud.words[-1] == want[-1]
+        assert cloud.words[3:9] == tuple(want[3:9])
+        names = cloud.words.names()
+        assert names[:] == [_name(w) for w in want]
+        # any row range, as a block writer slices it
+        for a, b in [(0, 1), (5, 6), (1, len(want) - 1), (len(want) // 3, len(want) // 2)]:
+            assert names[a:b] == [_name(w) for w in want[a:b]]
+        assert names[7] == _name(want[7])
+        assert names[-1] == _name(want[-1])
+        assert names[4:4] == []
+
+    @pytest.mark.parametrize("dimension", [1, 2])
+    @pytest.mark.parametrize("d, depth", [(2, 5), (3, 3)])
+    def test_full(self, dimension, d, depth):
+        real = auto_layout(LinearGdmsSpec.equal_ratios(d, 0.15), dimension)
+        cloud = attractor_points(real, depth)
+        self.check(cloud, tuple_words(real, depth))
+        assert cloud.words.parent[0].dtype == cloud.words.piece[0].dtype == np.int32
+
+    @pytest.mark.parametrize("dimension", [1, 2])
+    @pytest.mark.parametrize("spec", [LinearGdmsSpec.equal_ratios(2, 1 / 3), UNEQUAL],
+                             ids=["third", "unequal"])
+    def test_induced(self, spec, dimension):
+        real = auto_layout(spec, dimension)
+        sys = induced_loops(spec, FreeAbelianQuotient(2, [[1, 0], [0, 1]]), 4)
+        self.check(attractor_points(real, 2, sys), tuple_words(real, 2, sys))
+
+
+def test_render_memory_budget(tmp_path):
+    """A depth-10 F_2 render (78,732 points), from its cloud to its
+    points.csv, peaks within 12 MB traced: 6.4 MB with index-array words
+    and block-written rows, 26.8 MB when every word was held as a code
+    tuple, a name and a row."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"gdms": {"d": 2, "ratio": 1 / 3}, "params": {"depth": 10}}))
+    argv = ["render", "--config", str(cfg_path), "--output-dir"]
+    assert cli.main([*argv, str(tmp_path / "warm")]) == 0  # first-call imports
+    tracemalloc.start()
+    try:
+        assert cli.main([*argv, str(tmp_path / "out")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    with open(tmp_path / "out" / "points.csv") as fh:
+        assert sum(1 for _ in fh) == 1 + 4 * 3 ** 9
+    assert peak <= 12e6
 
 
 # sha256 of the payloads of the two render runs in REFERENCE_RUNS: any change to

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from gdms import reports
 from gdms.reports import write_csv
 
 
@@ -31,3 +32,31 @@ def test_write_csv_cell_format(tmp_path):
 def test_write_csv_no_rows(tmp_path):
     write_csv(tmp_path / "empty.csv", ["R", "rho_R"], [[], np.array([])])
     assert (tmp_path / "empty.csv").read_text() == "R,rho_R\n"
+
+
+class SliceLog:
+    """A string column that records every slice taken of it."""
+
+    def __init__(self, items):
+        self.items = items
+        self.slices = []
+
+    def __len__(self):
+        return len(self.items)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            self.slices.append((i.start, i.stop))
+        return self.items[i]
+
+
+def test_write_csv_in_blocks(tmp_path, monkeypatch):
+    monkeypatch.setattr(reports, "CSV_BLOCK_ROWS", 7)
+    x = np.random.default_rng(3).normal(size=30)
+    words = SliceLog([f"g{i}" for i in range(30)])
+    write_csv(tmp_path / "t.csv", ["x", "n", "word"], [x, range(31), words])
+    lines = (tmp_path / "t.csv").read_text().split("\n")
+    assert lines[0] == "x,n,word"
+    assert lines[1:] == [f"{v!r},{i},g{i}" for i, v in enumerate(x.tolist())] + [""]
+    # one slice per block, none longer than a block, rows stop at 30
+    assert words.slices == [(0, 7), (7, 14), (14, 21), (21, 28), (28, 30)]

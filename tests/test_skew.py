@@ -219,10 +219,20 @@ class TestAmenabilityReport:
         with pytest.raises(ConfigError, match="symmetric"):
             amenability_report(spec_nonsym, z2, [1, 2])
 
+    def test_no_estimate_no_exactness(self, spec_third, zz):
+        # Z^2 has kernel words at lengths 4, 6, 8, ...: the two nonzero
+        # counts up to n_max 6 are too few for an estimate, eight are enough
+        rep = amenability_report(spec_third, zz, [1, 2], kernel_n_max=6)
+        assert rep.kernel_pressure_estimate is None
+        assert rep.kernel_table_exact is None
+        rep = amenability_report(spec_third, zz, [1, 2], kernel_n_max=18)
+        assert rep.kernel_pressure_estimate is not None
+        assert rep.kernel_table_exact is True
+
     def test_report_dict_keys(self, spec_third, z2):
         d = amenability_report(spec_third, z2, [1, 2]).as_dict()
         for key in ("s_star", "radii", "rho", "verdict", "gap",
-                    "kernel_pressure_estimate", "method", "weights"):
+                    "kernel_pressure_estimate", "kernel_table_exact", "method", "weights"):
             assert key in d
 
 
