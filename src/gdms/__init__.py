@@ -38,19 +38,16 @@ from .kernel import (
     induced_loops,
     kernel_counts,
     kernel_pressure,
+    log_partition_sums,
 )
 from .pressure import (
     GibbsMeasure,
     LinearGdmsSpec,
     SpectralData,
-    TransferMatrix,
     bowen_root,
-    ergodic_weight,
     gibbs_measure,
     is_admissible,
-    log_partition_sums,
     log_weight,
-    poincare_partial,
     pressure,
     pressure_curve,
     spectral_data,

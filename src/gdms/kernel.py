@@ -1,4 +1,4 @@
-"""Exact weighted counts of kernel words and the induced first-return system.
+"""Exact weighted word sums: kernel counts, and the induced first-return system.
 
 A kernel word for a quotient G = F_d / N is an admissible (reduced) word
 whose letters multiply to the identity of G; nonempty kernel words are in
@@ -22,15 +22,21 @@ of all rows v != w^-1.  Appending a letter to a word is T o L
 are the cyclic products of the same pair, so T o (L o T) = (T o L) o T and
 they share their nonzero spectrum; they are not adjoints.
 
-The dynamic program is exact, not heuristic: a state at word-metric distance
-D from the identity with r steps left cannot contribute to any count once
-D > r, because one letter changes the distance by at most one.  Discarding
-those states bounds the live ball radius by ceil(n_max / 2).  Each step
-also runs only on its live window: prefixes of length n - 1 lie within
-distance min(n - 1, n_max - n + 1) of the identity, which is a prefix of
-the breadth-first ball order, so the step reads that prefix of the state
-array and writes the prefix one sphere wider.  Every state left out is an
-exact zero, so the sums are bit-identical to a full-width step.
+``word_sums`` is the one word dynamic program.  It yields, per length n, the
+weight of the length-n words sorted by last letter and image in G, and every
+series of the package reads it: the kernel counts read the identity column,
+the symmetry check of ``skew.py`` compares the column of g with that of
+g^-1, and the full partition sums Z_n are the kernel counts of the trivial
+quotient, where every word is a kernel word.  The program is exact, not
+heuristic: a word of length n <= n_max that ends within ``reach`` of the
+identity has each length-k prefix within min(k, reach + n_max - k) of it,
+because one letter changes the distance by at most one.  So each step reads
+only the prefixes in that window, a prefix of the breadth-first ball order,
+and writes the prefix one sphere wider; the ball of radius
+ceil((n_max + reach) / 2) holds every prefix kept.  Every state left out is
+an exact zero at the elements within ``reach``.  The weights, and the sums
+after each step, are scaled by powers of two, which keeps them finite at any
+s that ``letter_weights`` accepts and changes no bit of a normal number.
 
 With one ratio c for every letter, s enters the dynamic program only as the
 scalar c^s per appended letter: a_n(s) = N_n c^{sn}, where N_n is the
@@ -48,7 +54,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapExceededError, ConfigError, GdmsError
-from .groups import DEFAULT_BALL_CAP, Ball, QuotientGroup, _read_only, ball
+from .groups import DEFAULT_BALL_CAP, Ball, FreeQuotient, QuotientGroup, _read_only, ball
 from .linalg import perron_value_dense
 from .pressure import LinearGdmsSpec, bowen_root
 
@@ -133,11 +139,14 @@ def forward_word_step(
     return _scatter(_complement(X), moves, weights, n_out)
 
 
-def _log_counts(B: Ball, n_max: int, weights: np.ndarray) -> np.ndarray:
-    """log a_n for n = 1..n_max at these letter weights, -inf for zeros.
+def word_sums(B: Ball, weights: np.ndarray, n_max: int, reach: int = 0):
+    """Yield (n, X, e) for n = 1..n_max, the word sums on the ball ``B``.
 
-    Accumulation is in log-domain with per-step rescaling, over the live
-    window of the pruning ball ``B``.
+    X[v, i] * 2**e is the total weight of the length-n words that end in
+    letter v at ball element i, exact at every element within ``reach`` of
+    the identity; X has a column for each element of the live window (see
+    the module docstring), fewer than ``B`` has once the window narrows.
+    The peak of X lies in [1/2, 1).  Sums that die out end the iteration.
     """
     moves = B.letter_moves()
 
@@ -145,32 +154,35 @@ def _log_counts(B: Ball, n_max: int, weights: np.ndarray) -> np.ndarray:
         """Number of ball elements at distance <= r (a BFS prefix)."""
         return int(np.searchsorted(B.dist, r, side="right"))
 
-    # X[v, i] = (rescaled) total weight of admissible length-n prefixes
-    # ending with letter v whose image is ball element i; columns past the
-    # live window are exact zeros and are not stored.  The one-letter words
-    # are T applied to the identity in every letter row.
+    w_exp = math.frexp(float(weights.max()))[1]
+    weights = np.ldexp(weights, -w_exp)
+    # the one-letter words are T applied to the identity in every letter row
     X = _scatter(np.ones((len(weights), 1)), moves[:, :1], weights, within(1))
-    log_scale = 0.0
-    log_a = np.full(n_max, -np.inf)
-
-    def record(n: int):
-        total = float(X[:, 0].sum())
-        if total > 0.0:
-            log_a[n - 1] = log_scale + math.log(total)
-
-    record(1)
+    e = w_exp
+    yield 1, X, e
     for n in range(2, n_max + 1):
-        # Live inputs: reached in n - 1 letters and able to return in the
-        # n_max - (n - 1) letters left.
-        live = min(n - 1, n_max - n + 1)
+        # live inputs: reached in n - 1 letters and able to end within
+        # ``reach`` in the n_max - (n - 1) letters left
+        live = min(n - 1, reach + n_max - n + 1)
         k = within(live)
         X = forward_word_step(X[:, :k], moves[:, :k], weights, within(live + 1))
         peak = float(X.max())
         if peak <= 0.0:
-            break
-        X /= peak
-        log_scale += math.log(peak)
-        record(n)
+            return
+        x_exp = math.frexp(peak)[1]
+        np.ldexp(X, -x_exp, out=X)
+        e += w_exp + x_exp
+        yield n, X, e
+
+
+def _log_counts(B: Ball, n_max: int, weights: np.ndarray) -> np.ndarray:
+    """log a_n for n = 1..n_max at these letter weights, -inf for zeros:
+    the identity column of ``word_sums``."""
+    log_a = np.full(n_max, -np.inf)
+    for n, X, e in word_sums(B, weights, n_max):
+        total = float(X[:, 0].sum())
+        if total > 0.0:
+            log_a[n - 1] = e * math.log(2.0) + math.log(total)
     return log_a
 
 
@@ -207,6 +219,13 @@ def kernel_counts(
     else:
         log_a = _log_counts(B, n_max, weights)
     return KernelCountTable(float(s), n_max, log_a, exact, B.radius)
+
+
+def log_partition_sums(spec: LinearGdmsSpec, s: float, n_max: int) -> np.ndarray:
+    """log Z_n for n = 1..n_max, Z_n the sum over all admissible words of
+    length n of prod_i c(w_i)^s: the kernel counts of the trivial quotient."""
+    trivial = FreeQuotient(spec.d, range(1, spec.d + 1))
+    return kernel_counts(spec, trivial, s, n_max).log_a
 
 
 # ---------------------------------------------------------------------------

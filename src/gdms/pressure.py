@@ -18,7 +18,9 @@ geometric realization satisfying the open set condition.
 
 P(s) is defined by a limit of length-windowed sums; for the locally constant
 weights used here that limit exists and equals log rho(s), and the package
-computes the eigenvalue throughout.
+computes the eigenvalue throughout.  The sums Z_n themselves are the kernel
+counts of the trivial quotient (``kernel.log_partition_sums``), so one word
+dynamic program serves every series and this module runs none.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .groups import QuotientGroup, letter_name
+from .groups import letter_name
 from .linalg import PerronResult, perron_value_dense
 
 SPECTRAL_TOL = 1e-12
@@ -142,27 +144,9 @@ def log_weight(spec: LinearGdmsSpec, codes: Sequence[int], s: float) -> float:
     return s * float(spec.log_ratios[list(codes)].sum()) if codes else 0.0
 
 
-def ergodic_weight(spec: LinearGdmsSpec, codes: Sequence[int], s: float) -> float:
-    """prod c(w_i)^s, multiplicative over admissible concatenation."""
-    return math.exp(log_weight(spec, codes, s))
-
-
 # ---------------------------------------------------------------------------
 # Transfer matrices and spectral data
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TransferMatrix:
-    """Weighted non-backtracking incidence matrix at exponent s.
-
-    Row v, column w holds c(w)^s when w != v^-1 and 0 on the single
-    backtracking entry per row; irreducible (indeed primitive) for d >= 2.
-    """
-
-    spec: LinearGdmsSpec
-    s: float
-    matrix: np.ndarray
-
 
 @dataclass(frozen=True)
 class SpectralData:
@@ -179,19 +163,21 @@ class SpectralData:
     residual: float
 
 
-def transfer_matrix(spec: LinearGdmsSpec, s: float) -> TransferMatrix:
+def transfer_matrix(spec: LinearGdmsSpec, s: float) -> np.ndarray:
+    """The read-only matrix M(s): row v, column w holds c(w)^s when
+    w != v^-1 and 0 on the single backtracking entry per row; irreducible
+    (indeed primitive) for d >= 2."""
     n = 2 * spec.d
     weights = spec.letter_weights(s)
     m = np.tile(weights, (n, 1))
     m[np.arange(n), np.arange(n) ^ 1] = 0.0
     m.flags.writeable = False
-    return TransferMatrix(spec, float(s), m)
+    return m
 
 
-def spectral_data(tm: TransferMatrix,
+def spectral_data(m: np.ndarray,
                   tol: float = SPECTRAL_TOL,
                   max_iter: int = SPECTRAL_MAX_ITER) -> SpectralData:
-    m = tm.matrix
     right: PerronResult = perron_value_dense(m, tol=tol, max_iter=max_iter)
     left: PerronResult = perron_value_dense(m.T, tol=tol, max_iter=max_iter)
     r = right.vector / right.vector.max()
@@ -225,8 +211,8 @@ def bowen_root(spec: LinearGdmsSpec, tol: float = 1e-12) -> float:
     s = 0.5 * (lo + hi)
     log_c = spec.log_ratios
     for _ in range(200):
-        tm = transfer_matrix(spec, s)
-        sd = spectral_data(tm)
+        m = transfer_matrix(spec, s)
+        sd = spectral_data(m)
         p = math.log(sd.rho)
         if abs(p) <= tol:
             return s
@@ -235,7 +221,7 @@ def bowen_root(spec: LinearGdmsSpec, tol: float = 1e-12) -> float:
         else:
             hi = s
         # dM/ds multiplies column w by log c(w); Newton step on log rho.
-        drho = float(sd.left_vec @ (tm.matrix * log_c[None, :]) @ sd.right_vec)
+        drho = float(sd.left_vec @ (m * log_c[None, :]) @ sd.right_vec)
         step = s - p / (drho / sd.rho)
         s = step if lo < step < hi else 0.5 * (lo + hi)
     return s
@@ -274,10 +260,10 @@ class GibbsMeasure:
 
 
 def gibbs_measure(spec: LinearGdmsSpec, s: float) -> GibbsMeasure:
-    tm = transfer_matrix(spec, s)
-    sd = spectral_data(tm)
+    m = transfer_matrix(spec, s)
+    sd = spectral_data(m)
     r = sd.right_vec
-    phat = tm.matrix * r[None, :] / (sd.rho * r[:, None])
+    phat = m * r[None, :] / (sd.rho * r[:, None])
     pi = sd.left_vec * r
     pi = pi / pi.sum()
     phat.flags.writeable = False
@@ -286,77 +272,8 @@ def gibbs_measure(spec: LinearGdmsSpec, s: float) -> GibbsMeasure:
 
 
 # ---------------------------------------------------------------------------
-# Weighted word sums and Poincare partial sums
+# Pressure curve
 # ---------------------------------------------------------------------------
-
-def log_partition_sums(spec: LinearGdmsSpec, s: float, n_max: int) -> np.ndarray:
-    """log Z_n for n = 1..n_max via renormalized vector iteration.
-
-    Z_n = u(s)^T M(s)^{n-1} 1 with u(s)[v] = c(v)^s; the running vector is
-    rescaled every step so exponents spanning hundreds of orders of
-    magnitude stay representable.
-    """
-    if n_max < 1:
-        raise ConfigError("n_max must be >= 1")
-    m = transfer_matrix(spec, s).matrix
-    v = spec.letter_weights(s)
-    out = np.empty(n_max)
-    log_scale = 0.0
-    for n in range(1, n_max + 1):
-        total = float(v.sum())
-        out[n - 1] = log_scale + math.log(total)
-        v = m.T @ v
-        peak = float(v.max())
-        if peak <= 0.0:  # pragma: no cover - impossible for d >= 2
-            out[n:] = -np.inf
-            break
-        v /= peak
-        log_scale += math.log(peak)
-    return out
-
-
-@dataclass(frozen=True)
-class PartialSums:
-    """Per-length log terms and log partial sums of a Poincare series."""
-
-    source: str  # "full" or "kernel"
-    s: float
-    lengths: np.ndarray
-    log_terms: np.ndarray
-    exact: bool = True
-
-    @property
-    def log_partials(self) -> np.ndarray:
-        return np.logaddexp.accumulate(self.log_terms)
-
-
-def poincare_partial(
-    spec: LinearGdmsSpec,
-    s: float,
-    H: QuotientGroup | str = "full",
-    n_max: int = 30,
-    ball_cap: int | None = None,
-) -> PartialSums:
-    """Partial sums (by word length) of the Poincare series at exponent s.
-
-    ``H="full"`` sums over all of F_d via transfer-matrix powers.  Passing a
-    quotient group sums over its kernel words instead (delegated to the
-    kernel-counting dynamic program); the ``exact`` flag reflects whether the
-    pruning ball fit under the cap.
-    """
-    if isinstance(H, str):
-        if H != "full":
-            raise ConfigError(f"unknown Poincare source {H!r}")
-        log_terms = log_partition_sums(spec, s, n_max)
-        return PartialSums("full", float(s), np.arange(1, n_max + 1), log_terms)
-    from .kernel import kernel_counts
-
-    kwargs = {} if ball_cap is None else {"ball_cap": ball_cap}
-    table = kernel_counts(spec, H, s, n_max, **kwargs)
-    return PartialSums(
-        "kernel", float(s), np.arange(1, n_max + 1), table.log_a, table.exact
-    )
-
 
 def pressure_curve(spec: LinearGdmsSpec, s_values: Iterable[float]):
     """Rows (s, P(s), rho, iterations, residual) for ``pressure_curve.csv``.

@@ -371,8 +371,8 @@ def attractor_points(
     for v in range(n):
         for w in real.successors(v):
             edge_c[v, w], edge_t[v, w] = real.edge_map(v, w)
-    first = np.array([p[0] for p in pieces])
-    last = np.array([p[-1] for p in pieces])
+    first = np.array([p[0] for p in pieces], dtype=np.int32)
+    last = np.array([p[-1] for p in pieces], dtype=np.int32)
     # each piece's internal map, folded left to right
     c_in = np.ones(len(pieces))
     t_in = np.zeros((len(pieces), real.dimension))
@@ -394,18 +394,21 @@ def attractor_points(
             raise CapExceededError(
                 f"{provenance} cloud level {level} has {size} points > cap {point_cap}"
             )
-        i, j = np.nonzero(follows[tail])
-        c_j = scale[i] * edge_c[tail[i], first[j]]
-        offset = (
-            offset[i]
-            + scale[i, None] * edge_t[tail[i], first[j]]
-            + c_j[:, None] * t_in[j]
-        )
-        scale = c_j * c_in[j]
-        tail = last[j]
         index = np.int32 if size <= np.iinfo(np.int32).max else np.int64
-        parents.append(i.astype(index))
-        piece_of.append(j.astype(index))
+        i, j = (a.astype(index) for a in np.nonzero(follows[tail]))
+        # one gather of each index, and in-place updates, so that few
+        # level-sized temporaries are alive at once
+        scale_i = scale[i]
+        edge = tail[i] * n + first[j]  # flat index into the edge tables
+        c_j = scale_i * edge_c.reshape(-1)[edge]
+        offset = offset[i]
+        offset += scale_i[:, None] * edge_t.reshape(-1, real.dimension)[edge]
+        offset += c_j[:, None] * t_in[j]
+        scale = c_j
+        scale *= c_in[j]
+        tail = last[j]
+        parents.append(i)
+        piece_of.append(j)
     centers = np.stack([real.center(v) for v in range(n)])
     pts = scale[:, None] * centers[tail] + offset
     lo, hi = real.bounds()

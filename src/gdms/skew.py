@@ -24,6 +24,10 @@ the ``walks`` module), this operator at s* has spectral radius 1 exactly
 when mu_{s*} does.  ``amenability_report`` runs ``walks.walk_ladder`` on
 |ball| symmetric states; the 2d * |ball| operator here is the reference
 the identity is tested against.
+
+The symmetry check compares the word sums at g and at g^-1.  It runs no
+loop of its own: it reads the sums of ``kernel.word_sums``, the one word
+dynamic program, with its window widened to reach the comparison radius.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ import numpy as np
 
 from .errors import ConfigError, GdmsError
 from .groups import DEFAULT_BALL_CAP, Ball, QuotientGroup, ball
-from .kernel import _complement, _scatter, forward_word_step, kernel_counts, kernel_pressure
+from .kernel import _complement, _scatter, kernel_counts, kernel_pressure, word_sums
 from .pressure import LinearGdmsSpec, bowen_root, pressure
 from .walks import WalkLadder, walk_ladder
 
@@ -253,34 +257,27 @@ def check_asymptotic_symmetry(
 ) -> SymmetryReport:
     """Exact per-(length, group element) sums compared against inverses.
 
-    The dynamic program runs on the full radius-n_max ball so no word is
-    truncated away; elements outside radius R are ignored in the comparison.
-    The compared ratios are scale-free, so the weights and, after each step,
-    the sums are rescaled to a peak in [1/2, 1).  The scale factors are
-    powers of two, which keeps the sums finite at any s that
-    ``letter_weights`` accepts and changes no bit of a ratio of normal sums.
+    The sums are ``kernel.word_sums`` with reach R, exact at every element
+    within R, on the radius-ceil((n_max + R) / 2) ball that holds every
+    prefix of a word ending there; elements outside radius R are ignored in
+    the comparison.  The compared ratios are scale-free, and the power-of-two
+    scaling of ``word_sums`` changes no bit of a ratio of normal sums.
     """
     if R > n_max:
         raise ConfigError("comparison radius cannot exceed n_max")
-    B = ball(G, n_max, ball_cap)
-    moves = B.letter_moves()
-    inv_idx = B.inverse_index()
-    weights = _unit_peak(spec.letter_weights(s))
-    n_letters = 2 * spec.d
-
-    in_R = np.flatnonzero(B.dist <= R)
-    inv_of_in_R = inv_idx[in_R]
-
-    X = _scatter(np.ones((n_letters, 1)), moves[:, :1], weights, len(B))
+    B = ball(G, (n_max + R + 1) // 2, ball_cap)
+    # the elements within R are a breadth-first prefix, closed under inverses
+    m = int(np.searchsorted(B.dist, R, side="right"))
+    inv = B.inverse_index()[:m]
     rel = np.zeros(n_max)
     lo = np.ones(n_max)
     hi = np.ones(n_max)
-    for n in range(1, n_max + 1):
-        if n > 1:
-            X = _unit_peak(forward_word_step(X, moves, weights))
-        marg = X.sum(axis=0)
-        a = marg[in_R]
-        b = marg[inv_of_in_R]
+    for n, X, _ in word_sums(B, spec.letter_weights(s), n_max, reach=R):
+        # a window narrower than R leaves out only elements no word reaches
+        a = np.zeros(m)
+        k = min(m, X.shape[1])
+        a[:k] = X[:, :k].sum(axis=0)
+        b = a[inv]
         both = np.maximum(a, b)
         nz = both > 0.0
         if nz.any():
@@ -300,8 +297,3 @@ def check_asymptotic_symmetry(
         per_n_ratio_low=lo,
         per_n_ratio_high=hi,
     )
-
-
-def _unit_peak(a: np.ndarray) -> np.ndarray:
-    """``a`` times the power of two that puts its peak in [1/2, 1)."""
-    return np.ldexp(a, -math.frexp(float(a.max()))[1])

@@ -115,7 +115,7 @@ def test_criterion_02_transfer_matrix_vs_brute_force():
             logs = log_partition_sums(spec, s, n_max)
             rel = np.abs(np.exp(logs) - brute[s]) / brute[s]
             ok &= bool((rel <= 1e-12).all())
-    report(2, "matrix-power word sums match exhaustive enumeration (5 specs, n<=10)", ok)
+    report(2, "word-DP partition sums match exhaustive enumeration (5 specs, n<=10)", ok)
 
 
 def test_criterion_03_kernel_dp_exactness():

@@ -263,6 +263,17 @@ class TestHappyPaths:
         rel = json.loads((outdir / "report.json").read_text())["results"]["max_rel_asymmetry"]
         assert rel is not None and math.isfinite(rel) and rel <= 1e-12
 
+    def test_symmetry_check_on_f2_at_n_max_14(self, tmp_path):
+        # the radius-14 ball of F_2 has 9,565,937 elements, over the ball
+        # cap; the words that end within radius 4 need only radius 9
+        cfg = {"gdms": {"d": 2, "ratios_by_generator": [0.3, 0.2]},
+               "quotient": {"type": "free_quotient", "kill": []},
+               "params": {"n_max": 14, "radius": 4}}
+        code, outdir = run_cli("symmetry-check", cfg, tmp_path)
+        assert code == 0
+        rel = json.loads((outdir / "report.json").read_text())["results"]["max_rel_asymmetry"]
+        assert rel <= 1e-12
+
 
 class TestExitCodes:
     def test_malformed_ratio_is_config_error(self, tmp_path, capsys):

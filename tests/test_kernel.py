@@ -84,26 +84,32 @@ class TestKernelCounts:
 
 
 def full_width_kernel_counts(spec, G, s, n_max):
-    """The kernel DP over the whole pruning ball, zeroing dead states."""
+    """The kernel DP over the whole pruning ball, zeroing dead states.
+
+    The weights, and the sums after each step, are scaled by the power of
+    two that puts their peak in [1/2, 1), with the exponents summed in e.
+    """
     B, _ = _pruning_ball(G, n_max, 2_000_000)
     moves = B.letter_moves()
     weights = spec.ratio_array ** s
+    w_exp = math.frexp(float(weights.max()))[1]
+    weights = np.ldexp(weights, -w_exp)
     X = np.zeros((2 * spec.d, len(B)))
     for v in range(2 * spec.d):
         if moves[v][0] >= 0:
             X[v, moves[v][0]] += weights[v]
-    log_scale = 0.0
+    e = w_exp
     log_a = np.full(n_max, -np.inf)
     for n in range(1, n_max + 1):
         if n > 1:
             X[:, B.dist > n_max - (n - 1)] = 0.0
             X = forward_word_step(X, moves, weights)
-            peak = float(X.max())
-            X /= peak
-            log_scale += math.log(peak)
+            x_exp = math.frexp(float(X.max()))[1]
+            X = np.ldexp(X, -x_exp)
+            e += w_exp + x_exp
         total = float(X[:, 0].sum())
         if total > 0.0:
-            log_a[n - 1] = log_scale + math.log(total)
+            log_a[n - 1] = e * math.log(2.0) + math.log(total)
     return log_a
 
 

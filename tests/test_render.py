@@ -280,6 +280,22 @@ def test_render_memory_budget(tmp_path):
     assert peak <= 12e6
 
 
+def test_deep_cloud_memory_budget():
+    """A depth-12 F_2 cloud (708,588 points) builds within 42 MB traced:
+    36.9 MB when each level gathers its index pair, tail and first letter
+    once and updates offset and scale in place, 53.9 MB before."""
+    real = auto_layout(LinearGdmsSpec.equal_ratios(2, 1 / 3), 1)
+    attractor_points(real, 2)  # first-call allocations
+    tracemalloc.start()
+    try:
+        cloud = attractor_points(real, 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(cloud) == 4 * 3 ** 11
+    assert peak <= 42e6
+
+
 # sha256 of the payloads of the two render runs in REFERENCE_RUNS: any change to
 # point arithmetic, word order, word names or CSV formatting shows here
 RENDER_DIGESTS = [

@@ -23,6 +23,8 @@ from gdms.kernel import _scatter, forward_word_step
 from gdms.linalg import perron_value
 from gdms.skew import VERDICT_AMENABLE, VERDICT_NON_AMENABLE
 
+from symmetry_reference import full_ball_symmetry
+
 
 def skew_rho(op, tol=1e-12):
     return perron_value(op.matvec, op.n_states, tol=tol).value
@@ -264,6 +266,29 @@ class TestAsymptoticSymmetry:
     def test_radius_cannot_exceed_n_max(self, spec_third, zz):
         with pytest.raises(ConfigError):
             check_asymptotic_symmetry(spec_third, zz, n_max=4, R=6)
+
+
+class TestSymmetryWindow:
+    """The reach-R window of ``word_sums`` gives the full-ball sums bit for bit."""
+
+    SPECS = {
+        2: (LinearGdmsSpec(2, (1 / 3, 1 / 3, 0.2, 0.2)), LinearGdmsSpec(2, (1 / 3, 0.25, 0.2, 0.2))),
+        3: (LinearGdmsSpec.symmetric_ratios([0.2, 0.15, 0.1]),
+            LinearGdmsSpec(3, (0.2, 0.15, 0.1, 0.25, 0.3, 0.12))),
+    }
+
+    @pytest.mark.parametrize("group_fixture", ["z2", "s3", "zz", "free_f2", "f2_of_f3"])
+    @pytest.mark.parametrize("symmetric", [True, False], ids=["sym", "nonsym"])
+    @pytest.mark.parametrize("n_max, R, s", [(8, 4, 1.0), (10, 0, 0.5), (9, 9, 1.3), (10, 3, -50.0)])
+    def test_bit_identical_to_full_ball(self, request, group_fixture, symmetric, n_max, R, s):
+        G = request.getfixturevalue(group_fixture)
+        spec = self.SPECS[G.d][0 if symmetric else 1]
+        assert spec.symmetric == symmetric
+        rep = check_asymptotic_symmetry(spec, G, n_max, R, s=s)
+        rel, lo, hi = full_ball_symmetry(spec, G, n_max, R, s)
+        assert rep.per_n_rel_asymmetry.tobytes() == rel.tobytes()
+        assert rep.per_n_ratio_low.tobytes() == lo.tobytes()
+        assert rep.per_n_ratio_high.tobytes() == hi.tobytes()
 
 
 class TestFactorisation:
