@@ -5,10 +5,11 @@ symmetry-check, walks, render.  ``load_config`` checks every config key's
 type and bound against one table, ``_CONFIG``, whose params keys are those of
 the ``READS`` rows.  A command reads only the params in its ``READS`` row
 (render has one row per subset), and a quotient only where that row says so;
-any other params key, a stray quotient or a missing one is a config error
-raised before anything is written.  The report echoes the config with those
-params defaulted, and the payloads (JSON/CSV/PGM) of two runs of one config
-are byte-identical apart from the wall-time field.
+only render reads ``gdms.geometry``, and only the phase sets of its dimension.
+Any other params or geometry key, a stray quotient or a missing one is a
+config error raised before anything is written.  The report echoes the
+config with those params defaulted, and the payloads (JSON/CSV/PGM) of two
+runs of one config are byte-identical apart from the wall-time field.
 
 Exit codes: 0 success, 2 config error, 3 cap exceeded, 4 numerical
 non-convergence, 5 inconsistent cross-check.
@@ -439,6 +440,14 @@ def run(command: str, cfg: dict, outdir: Path) -> dict:
             raise ConfigError(
                 f"params.{key} does not apply to {name}; it reads {', '.join(defaults)}"
             )
+    # render lays out the phase sets of its dimension; nothing else reads any
+    where, reads = name, "no geometry"
+    if command == "render":
+        dimension = params.get("dimension", defaults["dimension"])
+        where, reads = f"{name} in dimension {dimension}", ("intervals", "disks")[dimension - 1]
+    for key in cfg["gdms"].get("geometry", {}):
+        if key != reads:
+            raise ConfigError(f"gdms.geometry.{key} does not apply to {where}; it reads {reads}")
     if "quotient" in cfg and not needs_quotient:
         raise ConfigError(f"quotient does not apply to {name}")
     if needs_quotient and "quotient" not in cfg:

@@ -12,7 +12,7 @@ the non-backtracking Markov shift used throughout the package.
 Quotients G = F_d / N are represented by one of three backends:
 
 * ``FinitePermQuotient``  -- generator images are permutations on n points;
-  the whole (finite) group is enumerated by closure.
+  elements are the permutations their products reach.
 * ``FreeAbelianQuotient`` -- generator images are integer vectors; G is a
   subgroup of Z^k (the abelianization for standard basis images).
 * ``FreeQuotient``        -- a subset of the generators is killed; the
@@ -22,14 +22,16 @@ Every backend exposes the semigroup homomorphism from letter sequences to G,
 inversion and equality/hash on elements.  The numerics see G only through
 ``ball``: a word-metric ball around the identity, indexed breadth-first, with
 its distances to the identity (the word metric) and its move table (the
-Cayley graph cut to the ball).  All objects are immutable after construction
-and safe to share across workers.
+Cayley graph cut to the ball).  No backend explores its group otherwise, so
+every search is capped.  A finite group (``finite``) is the ball whose radius
+and cap are both the cap: its diameter is below its order, so when it fits
+the search runs out of elements first, and otherwise the cap stops it.  All
+objects are immutable after construction and safe to share across workers.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from abc import ABC, abstractmethod
 from functools import cached_property
 from typing import Callable, Hashable, Iterable, Sequence
@@ -85,6 +87,7 @@ class QuotientGroup(ABC):
     """A quotient G = F_d / N given by the images of the 2d letters."""
 
     d: int
+    finite: bool = False  # if so, ``ball(G, cap, cap)`` is all of G or raises
 
     @abstractmethod
     def identity(self) -> Hashable:
@@ -110,10 +113,6 @@ class QuotientGroup(ABC):
     def word_image(self, codes: Iterable[int]) -> Hashable:
         """The left-to-right fold of letter images; the empty word maps to id."""
         return self.apply_word(self.identity(), codes)
-
-    def order(self) -> int | None:
-        """Group order for finite backends, ``None`` otherwise."""
-        return None
 
     def kernel_is_trivial(self) -> bool:
         """True iff N = {id}, in which case no nonempty word is a kernel word."""
@@ -155,9 +154,11 @@ class FinitePermQuotient(QuotientGroup):
     """Finite quotient given by generator images in a permutation group.
 
     ``images[i]`` is the image of g_{i+1} as a permutation of {0, ..,
-    degree-1} in one-line notation.  The group is the closure of the images;
-    elements are permutation tuples.
+    degree-1} in one-line notation.  The group is generated by the images;
+    elements are permutation tuples, met only as ``ball`` reaches them.
     """
+
+    finite = True
 
     def __init__(self, degree: int, images: Sequence[Sequence[int]]):
         if degree < 1:
@@ -175,11 +176,6 @@ class FinitePermQuotient(QuotientGroup):
                 )
             self._images[2 * i] = perm
             self._images[2 * i + 1] = self.inverse(perm)
-        # The whole group: it has at most degree! elements, so neither that
-        # radius nor that cap stops the search early.  Every ball is a
-        # breadth-first prefix of it (see ``ball``).
-        bound = math.factorial(degree)
-        self._whole = self._balls[bound] = bfs_ball(self, bound, bound)
 
     @staticmethod
     def _mul(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
@@ -200,12 +196,6 @@ class FinitePermQuotient(QuotientGroup):
         for a, b in enumerate(g):
             inv[b] = a
         return tuple(inv)
-
-    def order(self) -> int:
-        return len(self._whole)
-
-    def diameter(self) -> int:
-        return int(self._whole.dist[-1])
 
 
 class FreeAbelianQuotient(QuotientGroup):
@@ -249,7 +239,7 @@ class FreeQuotient(QuotientGroup):
     Killed generators map to the identity; the survivors generate a free
     group whose elements are reduced code tuples.  ``kill=()`` gives the
     trivial kernel (G = F_d itself); killing everything gives the trivial
-    group (N = F_d).
+    group (N = F_d), the one ``finite`` free quotient.
     """
 
     def __init__(self, d: int, kill: Sequence[int] = ()):
@@ -260,6 +250,7 @@ class FreeQuotient(QuotientGroup):
         if any(k < 1 or k > d for k in self.kill):
             raise ConfigError(f"killed generator index out of range 1..{d}")
         self.killed_codes = frozenset(c for c in range(2 * d) if c // 2 + 1 in self.kill)
+        self.finite = len(self.kill) == d
 
     def identity(self):
         return ()
@@ -276,9 +267,6 @@ class FreeQuotient(QuotientGroup):
 
     def inverse(self, g):
         return tuple((c ^ 1) for c in reversed(g))
-
-    def order(self) -> int | None:
-        return 1 if len(self.kill) == self.d else None
 
     def kernel_is_trivial(self) -> bool:
         return not self.kill
@@ -430,16 +418,18 @@ def ball(
     """All elements at word-metric distance <= radius, BFS-indexed.
 
     For finite backends a radius at or beyond the diameter returns the whole
-    group.  When the ball has more than ``cap`` elements this raises
-    ``CapExceededError`` before materializing them, or with ``fit`` returns
-    the ball of the largest radius that fits, found in the same one search.
-    Balls are memoised per group and radius, so repeated calls return the
-    same ``Ball``; a memoised ball larger than a later, smaller ``cap``
-    still raises.  A group builds one ball at a time: a smaller radius is
-    the breadth-first prefix of a memoised larger ball, or of the whole
-    group once a ball holds it, and that ball's sphere sizes give the radius
-    that fits before anything is cut.  Otherwise the backend's builder stops
-    where the cap stops it and keeps the spheres it completed.
+    group, so ``ball(G, cap, cap)`` is the whole group when it has at most
+    ``cap`` elements and raises otherwise.  When the ball has more than
+    ``cap`` elements this raises ``CapExceededError`` before materializing
+    them, or with ``fit`` returns the ball of the largest radius that fits,
+    found in the same one search.  Balls are memoised per group and radius,
+    so repeated calls return the same ``Ball``; a memoised ball larger than
+    a later, smaller ``cap`` still raises.  A group builds one ball at a
+    time: a smaller radius is the breadth-first prefix of a memoised larger
+    ball, or of the whole group once a ball holds it, and that ball's sphere
+    sizes give the radius that fits before anything is cut.  Otherwise the
+    backend's builder stops where the cap stops it and keeps the spheres it
+    completed.
     """
     if radius < 0:
         raise ConfigError("ball radius must be >= 0")

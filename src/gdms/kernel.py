@@ -33,7 +33,8 @@ identity has each length-k prefix within min(k, reach + n_max - k) of it,
 because one letter changes the distance by at most one.  So each step reads
 only the prefixes in that window, a prefix of the breadth-first ball order,
 and writes the prefix one sphere wider; the ball of radius
-ceil((n_max + reach) / 2) holds every prefix kept.  Every state left out is
+floor((n_max + reach) / 2), the widest window, holds every prefix kept, and
+a word that leaves it cannot end within ``reach``.  Every state left out is
 an exact zero at the elements within ``reach``.  The weights, and the sums
 after each step, are scaled by powers of two, which keeps them finite at any
 s that ``letter_weights`` accepts and changes no bit of a normal number.
@@ -86,9 +87,9 @@ class KernelCountTable:
 
 def _pruning_ball(G: QuotientGroup, n_max: int, ball_cap: int) -> tuple[Ball, bool]:
     """The ball the dynamic program runs on, and whether it is the whole
-    radius-ceil(n_max/2) ball the pruning needs: else the largest that fits
+    radius-floor(n_max/2) ball the pruning needs: else the largest that fits
     ``ball_cap``."""
-    radius = (n_max + 1) // 2
+    radius = n_max // 2
     B = ball(G, radius, ball_cap, fit=True)
     return B, B.radius == radius
 
@@ -195,7 +196,7 @@ def kernel_counts(
 ) -> KernelCountTable:
     """Weighted kernel-word counts a_n(s) for n = 1..n_max.
 
-    Exact via radius pruning whenever the radius-ceil(n_max/2) ball fits the
+    Exact via radius pruning whenever the radius-floor(n_max/2) ball fits the
     cap; on overflow the largest affordable ball is used and ``exact`` is
     False (states forced outside the ball are dropped, so the table can only
     undercount).  With equal ratios the word counts at s = 0 are computed
@@ -327,15 +328,16 @@ def delta_kernel(
 
     Bisection on the sign of the kernel-pressure estimate.  Degenerate
     cases: a trivial kernel gives 0 (only the identity contributes), and the
-    trivial quotient gives the full Bowen root (every word is a kernel
-    word).  A table cut by ``ball_cap`` undercounts and can move the bracket
-    off the true value, so it raises ``CapExceededError``; a ``tol`` of at
-    least half the starting bracket [0, bowen_root + 0.1] would bisect
-    nothing, so it raises ``ConfigError``.
+    trivial quotient, where no letter has a non-identity image, gives the
+    full Bowen root (every word is a kernel word).  A table cut by
+    ``ball_cap`` undercounts and can move the bracket off the true value, so
+    it raises ``CapExceededError``; a ``tol`` of at least half the starting
+    bracket [0, bowen_root + 0.1] would bisect nothing, so it raises
+    ``ConfigError``.
     """
     if G.kernel_is_trivial():
         return DeltaKernelResult(0.0, 0.0, 0.0, False, True)
-    if G.order() == 1:
+    if not G.generating_codes():
         root = bowen_root(spec)
         return DeltaKernelResult(root, root, root, False, True)
     lo = 0.0

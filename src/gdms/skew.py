@@ -114,15 +114,13 @@ def build_skew_operator(
 ) -> SkewOperator:
     """Skew operator at exponent s, Dirichlet-truncated to the radius-R ball.
 
-    Finite backends ignore R and use the whole group, making the operator
-    exact rather than a truncation.
+    Finite backends ignore R and use the whole group, ``ball(G, ball_cap,
+    ball_cap)``, making the operator exact rather than a truncation.
     """
     if G.d != spec.d:
         raise ConfigError("quotient and GDMS rank mismatch")
-    truncated = G.order() is None
-    if not truncated:
-        R = G.order() - 1  # a group of n elements has diameter at most n - 1
-    return SkewOperator(spec, G, float(s), ball(G, R, ball_cap), truncated)
+    B = ball(G, ball_cap if G.finite else R, ball_cap)
+    return SkewOperator(spec, G, float(s), B, not G.finite)
 
 
 # ---------------------------------------------------------------------------
@@ -258,14 +256,14 @@ def check_asymptotic_symmetry(
     """Exact per-(length, group element) sums compared against inverses.
 
     The sums are ``kernel.word_sums`` with reach R, exact at every element
-    within R, on the radius-ceil((n_max + R) / 2) ball that holds every
+    within R, on the radius-floor((n_max + R) / 2) ball that holds every
     prefix of a word ending there; elements outside radius R are ignored in
     the comparison.  The compared ratios are scale-free, and the power-of-two
     scaling of ``word_sums`` changes no bit of a ratio of normal sums.
     """
     if R > n_max:
         raise ConfigError("comparison radius cannot exceed n_max")
-    B = ball(G, (n_max + R + 1) // 2, ball_cap)
+    B = ball(G, (n_max + R) // 2, ball_cap)
     # the elements within R are a breadth-first prefix, closed under inverses
     m = int(np.searchsorted(B.dist, R, side="right"))
     inv = B.inverse_index()[:m]

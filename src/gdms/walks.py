@@ -127,10 +127,9 @@ def walk_ladder(
         if (p == p[0]).all():
             tree = G.surviving_rank(), float(p[0]), float(weights[~alive].sum())
     rungs: list[PerronResult] = []
-    if G.order() is not None:
+    if G.finite:
         method = "finite"
-        # a group of n elements has diameter at most n - 1
-        B = ball(G, G.order() - 1, ball_cap)
+        B = ball(G, ball_cap, ball_cap)  # the whole group; raises past the cap
         exact = perron_value(walk_step(B, weights), len(B), tol=tol)
         copy = PerronResult(exact.value, exact.vector, 0, exact.residual)
         rungs = [exact] + [copy] * (len(radii) - 1)

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +31,9 @@ def run_cli(command, config, tmp_path, name="out"):
 GDMS_THIRD = {"d": 2, "ratio": 1 / 3}
 Z2_QUOTIENT = {"type": "finite_perm", "degree": 2, "images": [[1, 0], [1, 0]]}
 ZZ_QUOTIENT = {"type": "abelianization", "rank": 2, "images": [[1, 0], [0, 1]]}
+# S_9, 362,880 elements, from a transposition and a 9-cycle
+S9_QUOTIENT = {"type": "finite_perm", "degree": 9,
+               "images": [[1, 0, *range(2, 9)], [*range(1, 9), 0]]}
 
 
 class TestHappyPaths:
@@ -274,12 +278,102 @@ class TestHappyPaths:
         rel = json.loads((outdir / "report.json").read_text())["results"]["max_rel_asymmetry"]
         assert rel <= 1e-12
 
+    def test_symmetry_check_odd_window_fits_cap(self, tmp_path):
+        # words of length <= 15 that end within radius 4 keep their prefixes
+        # within radius 9 (39,365 elements); radius 10 has 118,097
+        cfg = {"gdms": {"d": 2, "ratios_by_generator": [0.3, 0.2]},
+               "quotient": {"type": "free_quotient", "kill": []},
+               "params": {"n_max": 15, "radius": 4, "caps": {"ball": 50_000}}}
+        code, outdir = run_cli("symmetry-check", cfg, tmp_path)
+        assert code == 0
+        rel = json.loads((outdir / "report.json").read_text())["results"]["max_rel_asymmetry"]
+        assert rel <= 1e-12
+
+    def test_delta_kernel_odd_window_fits_cap(self, tmp_path):
+        # n_max 21 needs the radius-10 ball of F_2 (118,097 elements), not
+        # radius 11 (354,293); the cap changes nothing
+        cfg = {"gdms": {"d": 3, "ratio": 0.2},
+               "quotient": {"type": "free_quotient", "kill": [3]},
+               "params": {"n_max": 21}}
+        capped = {**cfg, "params": {"n_max": 21, "caps": {"ball": 200_000}}}
+        results = []
+        for name, config in (("full", cfg), ("capped", capped)):
+            code, outdir = run_cli("delta-kernel", config, tmp_path, name)
+            assert code == 0
+            results.append(json.loads((outdir / "report.json").read_text())["results"])
+            assert (outdir / "kernel_table_half.csv").read_bytes() == (
+                tmp_path / "full" / "kernel_table_half.csv"
+            ).read_bytes()
+        assert results[0] == results[1]
+
+    def test_delta_kernel_on_trivial_abelian_quotient_is_exact(self, tmp_path):
+        # every word is a kernel word, so delta(N) is the Bowen root
+        cfg = {"gdms": GDMS_THIRD,
+               "quotient": {"type": "abelianization", "rank": 1, "images": [[0], [0]]},
+               "params": {"n_max": 12}}
+        code, outdir = run_cli("delta-kernel", cfg, tmp_path)
+        assert code == 0
+        res = json.loads((outdir / "report.json").read_text())["results"]
+        assert res["delta_kernel"]["kind"] == "exact"
+        assert res["delta_kernel"]["value"] == res["delta_full"]["value"]
+
+    def test_symmetry_check_on_s9_reads_a_small_ball(self, tmp_path):
+        # radius 2 at n_max 6 needs the radius-4 ball of S_9 (46 elements)
+        cfg = {"gdms": GDMS_THIRD, "quotient": S9_QUOTIENT,
+               "params": {"n_max": 6, "radius": 2}}
+        tracemalloc.start()
+        try:
+            code, outdir = run_cli("symmetry-check", cfg, tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak <= 2e6
+        rel = json.loads((outdir / "report.json").read_text())["results"]["max_rel_asymmetry"]
+        assert rel <= 1e-12
+
 
 class TestExitCodes:
     def test_malformed_ratio_is_config_error(self, tmp_path, capsys):
         code, _ = run_cli("delta-full", {"gdms": {"d": 2, "ratio": 1.2}}, tmp_path)
         assert code == 2
         assert "ratio" in capsys.readouterr().err
+
+    def test_finite_group_over_ball_cap(self, tmp_path, capsys):
+        # the walk needs all of S_9; the search stops at the cap, having
+        # built 1,000 elements, not 362,880 (110.6 MB traced)
+        cfg = {"gdms": GDMS_THIRD, "quotient": S9_QUOTIENT,
+               "params": {"radii": [2, 4], "radius": 3, "caps": {"ball": 1000}}}
+        tracemalloc.start()
+        try:
+            code, outdir = run_cli("walks", cfg, tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert "exceeds cap 1000" in capsys.readouterr().err
+        assert not outdir.exists()
+        assert peak <= 2e6
+
+    @pytest.mark.parametrize("command, cfg, where", [
+        ("delta-full", {"gdms": {**GDMS_THIRD, "geometry": {"intervals": []}}},
+         "gdms.geometry.intervals does not apply to delta-full; it reads no geometry"),
+        ("walks", {"gdms": {**GDMS_THIRD, "geometry": {"disks": [[0.0, 0.0, 1.0]]}},
+                   "quotient": Z2_QUOTIENT},
+         "gdms.geometry.disks does not apply to walks; it reads no geometry"),
+        ("render", {"gdms": {**GDMS_THIRD, "geometry": {"disks": [[0.0, 0.0, 1.0]] * 4}}},
+         "gdms.geometry.disks does not apply to render subset 'full' in dimension 1; "
+         "it reads intervals"),
+        ("render", {"gdms": {**GDMS_THIRD, "geometry": {"intervals": []}},
+                    "params": {"dimension": 2}},
+         "gdms.geometry.intervals does not apply to render subset 'full' in dimension 2; "
+         "it reads disks"),
+    ], ids=["delta-full", "walks", "render-1d-disks", "render-2d-intervals"])
+    def test_unread_geometry_rejected(self, tmp_path, capsys, command, cfg, where):
+        code, outdir = run_cli(command, cfg, tmp_path)
+        assert code == 2
+        assert where in capsys.readouterr().err
+        assert not outdir.exists()
 
     def test_delta_tol_wider_than_half_bracket(self, tmp_path, capsys):
         # the starting bracket is [0, 1.1]; tol 10 would report it unbisected

@@ -1,6 +1,7 @@
 """Word arithmetic, the involution, quotient backends, and balls."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -220,6 +221,12 @@ def assert_caps_match_bfs(G, radius, caps):
         assert errors[0] == errors[1]
 
 
+def whole(G):
+    """The whole finite group: its diameter is below its order, so a search
+    whose radius and cap are both 10**4 runs out of elements first."""
+    return ball(G, 10**4, 10**4)
+
+
 @pytest.fixture(scope="module")
 def s4():
     """S4 on degree 4: a transposition, a 4-cycle and a double transposition."""
@@ -258,7 +265,7 @@ class TestBalls:
 
     def test_finite_ball_saturates(self, s3):
         B = ball(s3, 10)
-        assert len(B) == s3.order() == 6
+        assert len(B) == len(whole(s3)) == 6
 
     def test_cap_guard(self, free_f2):
         with pytest.raises(CapExceededError):
@@ -296,13 +303,14 @@ class TestBalls:
     @pytest.mark.parametrize("backend", ["s3", "z2", "z3", "s4"])
     def test_finite_table_ball_matches_bfs(self, backend, request):
         G = request.getfixturevalue(backend)
-        assert_ball_matches_bfs(G, range(G.diameter() + 3))
+        assert_ball_matches_bfs(G, range(whole(G).dist[-1] + 3))
 
     @pytest.mark.parametrize("backend", ["s3", "z2", "z3", "s4"])
     def test_finite_table_cap_matches_bfs(self, backend, request):
         G = request.getfixturevalue(backend)
-        for radius in range(G.diameter() + 3):
-            assert_caps_match_bfs(G, radius, range(G.order() + 2))
+        W = whole(G)
+        for radius in range(W.dist[-1] + 3):
+            assert_caps_match_bfs(G, radius, range(len(W) + 2))
 
     @pytest.mark.parametrize("backend", ["zz", "skew_zz", "s3", "f2_of_f3"])
     def test_bfs_moves_match_products(self, backend, request):
@@ -352,11 +360,31 @@ class TestBalls:
 
 class TestBackendsMisc:
     def test_s3_closure(self, s3):
-        assert s3.order() == 6
-        assert s3.diameter() <= 3
+        B = whole(s3)
+        assert len(B) == 6
+        assert B.dist[-1] <= 3
 
     def test_z3_order(self, z3):
-        assert z3.order() == 3
+        assert len(whole(z3)) == 3
+
+    def test_finiteness_flags(self, s3, trivial_group, free_f2, f2_of_f3, zz):
+        assert s3.finite and trivial_group.finite
+        assert not (free_f2.finite or f2_of_f3.finite or zz.finite)
+
+    def test_s9_explored_only_as_far_as_asked(self):
+        # S_9 has 362,880 elements; building them all took 110.6 MB traced
+        tracemalloc.start()
+        try:
+            G = FinitePermQuotient(9, [[1, 0, *range(2, 9)], [*range(1, 9), 0]])
+            B = ball(G, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert B.elements == bfs_ball(G, 4).elements
+        assert len(B) == 46
+        assert peak <= 2e6
+        with pytest.raises(CapExceededError):
+            whole(G)
 
     def test_bad_permutation_rejected(self):
         with pytest.raises(ConfigError):
@@ -366,7 +394,7 @@ class TestBackendsMisc:
         assert free_f2.kernel_is_trivial()
         assert not trivial_group.kernel_is_trivial()
         assert not zz.kernel_is_trivial()
-        assert trivial_group.order() == 1
+        assert len(whole(trivial_group)) == 1
 
     def test_config_roundtrip(self):
         G = quotient_from_config(

@@ -148,8 +148,8 @@ class TestLiveWindow:
 
 def retried_pruning_ball(make, n_max, cap):
     """Reference: the pruning ball as found by trying every radius down from
-    ceil(n_max / 2) on a fresh group until a ball fits the cap."""
-    radius = (n_max + 1) // 2
+    floor(n_max / 2) on a fresh group until a ball fits the cap."""
+    radius = n_max // 2
     for r in range(radius, -1, -1):
         try:
             return bfs_ball(make(), r, cap), r == radius
