@@ -72,12 +72,6 @@ _EXITS = (
 # Config handling
 # ---------------------------------------------------------------------------
 
-def _caps(params: dict) -> dict:
-    caps = {"ball": DEFAULT_BALL_CAP, "points": DEFAULT_POINT_CAP, "loops": DEFAULT_LOOP_CAP}
-    caps.update(params.get("caps", {}))
-    return caps
-
-
 def _word_str(codes) -> str:
     return " ".join(map(letter_name, codes))
 
@@ -119,10 +113,9 @@ def cmd_pressure_curve(spec, G, params: dict, outdir: Path) -> dict:
 
 
 def cmd_delta_kernel(spec, G, params: dict, outdir: Path) -> dict:
-    caps = _caps(params)
     n_max = params["n_max"]
     root = bowen_root(spec)
-    res = delta_kernel(spec, G, n_max=n_max, tol=params["delta_tol"], ball_cap=caps["ball"])
+    res = delta_kernel(spec, G, n_max=n_max, tol=params["delta_tol"])
     if res.exact:
         delta_payload = exact(res.delta)
         ratio_payload = exact(res.delta / root)
@@ -135,7 +128,7 @@ def cmd_delta_kernel(spec, G, params: dict, outdir: Path) -> dict:
         "ratio": ratio_payload,
     }
     if spec.symmetric and not G.kernel_is_trivial():
-        div = divergence_check(spec, G, n_max=n_max, ball_cap=caps["ball"])
+        div = divergence_check(spec, G, n_max=n_max)
         write_csv(
             outdir / "kernel_table_half.csv",
             ["n", "log_a_n", "exact"],
@@ -163,11 +156,8 @@ def cmd_amenability(spec, G, params: dict, outdir: Path) -> dict:
 
     On a disagreement ``inconsistent`` is set; ``run`` writes, then raises.
     """
-    caps = _caps(params)
     radii = params["radii"]
-    dich = amenability_report(
-        spec, G, radii, ball_cap=caps["ball"], kernel_n_max=params["kernel_n_max"]
-    )
+    dich = amenability_report(spec, G, radii, kernel_n_max=params["kernel_n_max"])
     write_csv(
         outdir / "dichotomy_ladder.csv",
         ["R", "rho_R"],
@@ -182,7 +172,7 @@ def cmd_amenability(spec, G, params: dict, outdir: Path) -> dict:
             walk = dich.ladder
             walk_note = "mu_{s*} is the simple random walk: the dichotomy ladder is its ladder"
         else:
-            walk = srw_spectral_radius(G, radii, ball_cap=caps["ball"])
+            walk = srw_spectral_radius(G, radii)
             walk_note = ""
         walk_verdict = ladder_verdict(walk.final_estimate)
         write_csv(outdir / "walk_ladder.csv", ["R", "rho_R"], [walk.radii, walk.rho])
@@ -206,11 +196,10 @@ def cmd_amenability(spec, G, params: dict, outdir: Path) -> dict:
 
 
 def cmd_symmetry_check(spec, G, params: dict, outdir: Path) -> dict:
-    caps = _caps(params)
     n_max = params["n_max"]
     radius = params.setdefault("radius", min(5, n_max))
     s = params["s"]
-    rep = check_asymptotic_symmetry(spec, G, n_max, radius, s=s, ball_cap=caps["ball"])
+    rep = check_asymptotic_symmetry(spec, G, n_max, radius, s=s)
     write_csv(
         outdir / "symmetry.csv",
         ["n", "max_rel_asymmetry", "ratio_low", "ratio_high"],
@@ -229,10 +218,9 @@ def cmd_symmetry_check(spec, G, params: dict, outdir: Path) -> dict:
 
 
 def cmd_walks(spec, G, params: dict, outdir: Path) -> dict:
-    caps = _caps(params)
-    ladder = srw_spectral_radius(G, params["radii"], ball_cap=caps["ball"])
+    ladder = srw_spectral_radius(G, params["radii"])
     write_csv(outdir / "walk_ladder.csv", ["R", "rho_R"], [ladder.radii, ladder.rho])
-    iso = isoperimetric_scan(G, params["radius"], ball_cap=caps["ball"])
+    iso = isoperimetric_scan(G, params["radius"])
     return {
         "rho_ladder_csv": "walk_ladder.csv",
         "final_estimate": estimate(
@@ -252,14 +240,12 @@ def cmd_walks(spec, G, params: dict, outdir: Path) -> dict:
 
 
 def cmd_render(spec, G, params: dict, outdir: Path) -> dict:
-    caps = _caps(params)
+    caps = {"points": DEFAULT_POINT_CAP, "loops": DEFAULT_LOOP_CAP, **params.get("caps", {})}
     dimension = params["dimension"]
     real = auto_layout(spec, dimension)
     results: dict = {}
     if params["subset"] == "induced":
-        sys_ind = induced_loops(
-            spec, G, params["L_max"], loop_cap=caps["loops"], ball_cap=caps["ball"]
-        )
+        sys_ind = induced_loops(spec, G, params["L_max"], loop_cap=caps["loops"])
         loops_payload = [
             {"word": _word_str(wd), "log_weight": float(lw),
              "first_letter": _word_str(wd[:1]), "last_letter": _word_str(wd[-1:])}
@@ -453,7 +439,10 @@ def run(command: str, cfg: dict, outdir: Path) -> dict:
     if needs_quotient and "quotient" not in cfg:
         raise ConfigError(f"{name} requires a 'quotient' section")
     spec = LinearGdmsSpec.from_config(cfg["gdms"])
-    G = quotient_from_config(cfg["quotient"], spec.d) if needs_quotient else None
+    G = None
+    if needs_quotient:
+        ball_cap = params.get("caps", {}).get("ball", DEFAULT_BALL_CAP)
+        G = quotient_from_config(cfg["quotient"], spec.d, ball_cap)
     for key, default in defaults.items():
         if default is not None:
             params.setdefault(key, default)

@@ -22,11 +22,13 @@ Every backend exposes the semigroup homomorphism from letter sequences to G,
 inversion and equality/hash on elements.  The numerics see G only through
 ``ball``: a word-metric ball around the identity, indexed breadth-first, with
 its distances to the identity (the word metric) and its move table (the
-Cayley graph cut to the ball).  No backend explores its group otherwise, so
-every search is capped.  A finite group (``finite``) is the ball whose radius
-and cap are both the cap: its diameter is below its order, so when it fits
-the search runs out of elements first, and otherwise the cap stops it.  All
-objects are immutable after construction and safe to share across workers.
+Cayley graph cut to the ball).  A backend is built with its ball cap, the
+most elements any of its balls may hold; no backend explores its group
+otherwise, so every search is capped, and ``ball`` is the one place that
+refuses a search the cap stops.  ``ball(G)`` is the whole group of a finite
+backend (``finite``), or a refusal when it has more elements than the cap.
+All objects are immutable after construction and safe to share across
+workers.
 """
 
 from __future__ import annotations
@@ -87,7 +89,8 @@ class QuotientGroup(ABC):
     """A quotient G = F_d / N given by the images of the 2d letters."""
 
     d: int
-    finite: bool = False  # if so, ``ball(G, cap, cap)`` is all of G or raises
+    finite: bool = False  # if so, ``ball(G)`` is all of G or raises
+    ball_cap: int = DEFAULT_BALL_CAP  # the most elements a ball may hold
 
     @abstractmethod
     def identity(self) -> Hashable:
@@ -144,10 +147,10 @@ class QuotientGroup(ABC):
         counts keyed by (n_max, pruning-ball radius)."""
         return {}
 
-    def _build_ball(self, radius: int, cap: int) -> "Ball":
+    def _build_ball(self, radius: int) -> "Ball":
         """Uncached construction of the ball of the largest radius <=
-        ``radius`` that fits ``cap``; ``ball`` memoises it."""
-        return bfs_ball(self, radius, cap, fit=True)
+        ``radius`` that fits the ball cap; ``ball`` memoises it."""
+        return bfs_ball(self, radius)
 
 
 class FinitePermQuotient(QuotientGroup):
@@ -160,10 +163,13 @@ class FinitePermQuotient(QuotientGroup):
 
     finite = True
 
-    def __init__(self, degree: int, images: Sequence[Sequence[int]]):
+    def __init__(
+        self, degree: int, images: Sequence[Sequence[int]], ball_cap: int = DEFAULT_BALL_CAP
+    ):
         if degree < 1:
             raise ConfigError("permutation degree must be >= 1")
         self.degree = degree
+        self.ball_cap = ball_cap
         self.d = len(images)
         if self.d < 1:
             raise ConfigError("need at least one generator image")
@@ -205,10 +211,13 @@ class FreeAbelianQuotient(QuotientGroup):
     metric is the L1 norm.  Balls come from ``bfs_ball`` for any images.
     """
 
-    def __init__(self, rank: int, images: Sequence[Sequence[int]]):
+    def __init__(
+        self, rank: int, images: Sequence[Sequence[int]], ball_cap: int = DEFAULT_BALL_CAP
+    ):
         if rank < 1:
             raise ConfigError("rank must be >= 1")
         self.rank = rank
+        self.ball_cap = ball_cap
         self.d = len(images)
         if self.d < 1:
             raise ConfigError("need at least one generator image")
@@ -242,10 +251,11 @@ class FreeQuotient(QuotientGroup):
     group (N = F_d), the one ``finite`` free quotient.
     """
 
-    def __init__(self, d: int, kill: Sequence[int] = ()):
+    def __init__(self, d: int, kill: Sequence[int] = (), ball_cap: int = DEFAULT_BALL_CAP):
         if d < 1:
             raise ConfigError("rank must be >= 1")
         self.d = d
+        self.ball_cap = ball_cap
         self.kill = frozenset(int(k) for k in kill)
         if any(k < 1 or k > d for k in self.kill):
             raise ConfigError(f"killed generator index out of range 1..{d}")
@@ -274,7 +284,7 @@ class FreeQuotient(QuotientGroup):
     def surviving_rank(self) -> int:
         return self.d - len(self.kill)
 
-    def _build_ball(self, radius: int, cap: int) -> "Ball":
+    def _build_ball(self, radius: int) -> "Ball":
         """The Cayley tree ball by array indexing, one sphere at a time.
 
         Each element of sphere r has one child per surviving letter except
@@ -283,15 +293,17 @@ class FreeQuotient(QuotientGroup):
         ``bfs_ball``.  Moves: a child maps back to its parent under the
         inverse of its last letter, killed letters fix every element, and
         children beyond the radius fall off the ball (-1).  The sphere sizes
-        are known in advance, so the radius shrinks to fit ``cap`` first.
+        are known in advance, so the radius shrinks to fit the ball cap first;
+        the identity always fits, as in ``bfs_ball``.
         """
         codes = np.flatnonzero([c not in self.killed_codes for c in range(2 * self.d)])
         sizes = [1]
-        # stop one sphere past the cap so that huge radii cost nothing
-        while len(sizes) <= radius and codes.size and sum(sizes) <= max(cap, 1):
-            sizes.append(codes.size * (codes.size - 1) ** (len(sizes) - 1))
-        radius = _fitting_radius(sizes, radius, cap)
-        sizes = sizes[: radius + 1]
+        while len(sizes) <= radius and codes.size:
+            size = codes.size * (codes.size - 1) ** (len(sizes) - 1)
+            if sum(sizes) + size > self.ball_cap:
+                radius = len(sizes) - 1
+                break
+            sizes.append(size)
         n = sum(sizes)
         starts = np.cumsum([0] + sizes)
         parent = np.full(n, -1, dtype=np.int64)
@@ -397,56 +409,41 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _fitting_radius(sizes: Sequence[int], radius: int, cap: int) -> int:
-    """The largest r <= ``radius`` whose ball, with these sphere sizes, fits.
+def ball(G: QuotientGroup, radius: int | None = None, fit: bool = False) -> Ball:
+    """All elements at word-metric distance <= radius, BFS-indexed; with no
+    radius, the whole group.
 
-    A breadth-first build adds the identity unconditionally and refuses
-    every later element once ``cap`` elements exist, so radius 0 always
-    fits.
+    No ball holds more than ``G.ball_cap`` elements.  When this one would,
+    ``ball`` raises ``CapExceededError`` before materializing them, or with
+    ``fit`` returns the ball of the largest radius that fits, found in the
+    same one search; this is the only place a search is refused.  The whole
+    group is the ball of radius ``G.ball_cap``: a group with at most that
+    many elements has a smaller diameter, so the search runs out of elements
+    first, and a larger one is refused.  Balls are memoised per group and
+    radius, so repeated calls return the same ``Ball``.  A group builds one
+    ball at a time: a smaller radius is the breadth-first prefix of a
+    memoised larger ball, or of the whole group once a ball holds it.
+    Otherwise the backend's builder stops where the cap stops it and keeps
+    the spheres it completed.
     """
-    total = 0
-    for r, size in enumerate(sizes[: radius + 1]):
-        total += size
-        if r and total > cap:
-            return r - 1
-    return radius
-
-
-def ball(
-    G: QuotientGroup, radius: int, cap: int = DEFAULT_BALL_CAP, fit: bool = False
-) -> Ball:
-    """All elements at word-metric distance <= radius, BFS-indexed.
-
-    For finite backends a radius at or beyond the diameter returns the whole
-    group, so ``ball(G, cap, cap)`` is the whole group when it has at most
-    ``cap`` elements and raises otherwise.  When the ball has more than
-    ``cap`` elements this raises ``CapExceededError`` before materializing
-    them, or with ``fit`` returns the ball of the largest radius that fits,
-    found in the same one search.  Balls are memoised per group and radius,
-    so repeated calls return the same ``Ball``; a memoised ball larger than
-    a later, smaller ``cap`` still raises.  A group builds one ball at a
-    time: a smaller radius is the breadth-first prefix of a memoised larger
-    ball, or of the whole group once a ball holds it, and that ball's sphere
-    sizes give the radius that fits before anything is cut.  Otherwise the
-    backend's builder stops where the cap stops it and keeps the spheres it
-    completed.
-    """
+    whole = radius is None
+    if whole:
+        radius = G.ball_cap
     if radius < 0:
         raise ConfigError("ball radius must be >= 0")
-    # a ball whose search ran out of elements before its radius is the group
-    larger = [A for A in G._balls.values() if A.radius >= radius or A.dist[-1] < A.radius]
-    if larger:
-        A = min(larger, key=len)
-        fits = _fitting_radius(np.bincount(A.dist).tolist(), radius, cap)
-        B = G._balls.get(fits)
-        if B is None:
-            B = _prefix(A, fits)
-    else:
-        B = G._build_ball(radius, cap)
-    B = G._balls.setdefault(B.radius, B)
+    B = G._balls.get(radius)
+    if B is None:
+        # every memoised ball fits the cap, and one whose search ran out of
+        # elements before its radius is the group
+        larger = [A for A in G._balls.values() if A.radius >= radius or A.dist[-1] < A.radius]
+        B = _prefix(min(larger, key=len), radius) if larger else G._build_ball(radius)
+        B = G._balls.setdefault(B.radius, B)
     if B.radius < radius and not fit:
+        if whole:
+            raise CapExceededError(f"the group has more than {G.ball_cap} elements")
         raise CapExceededError(
-            f"ball of radius {radius} exceeds cap {cap} (stopped at radius {B.radius + 1})"
+            f"ball of radius {radius} exceeds cap {G.ball_cap} "
+            f"(largest radius that fits: {B.radius})"
         )
     return B
 
@@ -464,20 +461,20 @@ def _prefix(B: Ball, radius: int) -> Ball:
     return Ball(B.group, radius, B.dist[:n], lambda: B.elements[:n], moves)
 
 
-def bfs_ball(
-    G: QuotientGroup, radius: int, cap: int = DEFAULT_BALL_CAP, fit: bool = False
-) -> Ball:
-    """Breadth-first ball over group elements, uncached.
+def bfs_ball(G: QuotientGroup, radius: int) -> Ball:
+    """Breadth-first ball over group elements, uncached: the ball of the
+    largest radius <= ``radius`` that fits ``G.ball_cap``.
 
     The construction for backends without an array builder, and the
     reference the array builders are tested against.  The move table is
     recorded from the products the search forms anyway; only the last
     sphere's products are formed just to tell which stay in the ball.  A
-    search that needs more than ``cap`` elements raises, or with ``fit``
-    drops the sphere it was adding and finishes the ball one radius down:
-    every sphere below it is complete, since breadth-first search adds no
-    element at distance r - 1 after one at distance r.
+    search that needs more than the cap drops the sphere it was adding and
+    finishes the ball one radius down: every sphere below it is complete,
+    since breadth-first search adds no element at distance r - 1 after one
+    at distance r.  The identity always fits.
     """
+    cap = G.ball_cap
     n_codes = 2 * G.d
     e = G.identity()
     index = {e: 0}
@@ -495,16 +492,11 @@ def bfs_ball(
                     j = index[h] = len(elements)
                     elements.append(h)
                     dist.append(r)
-                elif fit:
+                else:
                     while dist[-1] == r:
                         dist.pop()
                         elements.pop()
                     radius = r - 1
-                else:
-                    raise CapExceededError(
-                        f"ball of radius {radius} exceeds cap {cap} "
-                        f"(stopped at radius {r})"
-                    )
             moves.append(j)
     table = np.array(moves, dtype=np.int64).reshape(len(elements), n_codes)
     table[table >= len(elements)] = -1  # elements dropped to fit the cap
@@ -517,22 +509,40 @@ def bfs_ball(
     )
 
 
-def quotient_from_config(cfg: dict, d: int) -> QuotientGroup:
-    """Build a quotient backend from its JSON description.
+# The keys each quotient type reads besides "type"; all are required but "kill".
+_QUOTIENT_KEYS = {
+    "finite_perm": ("degree", "images"),
+    "abelianization": ("rank", "images"),
+    "free_quotient": ("kill",),
+}
+
+
+def quotient_from_config(cfg: dict, d: int, ball_cap: int = DEFAULT_BALL_CAP) -> QuotientGroup:
+    """Build a quotient backend, with this ball cap, from its JSON description.
 
     Shapes: ``{"type": "finite_perm", "degree": n, "images": [[...], ...]}``,
     ``{"type": "abelianization", "rank": k, "images": [[...], ...]}``,
-    ``{"type": "free_quotient", "kill": [indices]}``.
+    ``{"type": "free_quotient", "kill": [indices]}`` (no kill: G = F_d).  A
+    missing key, or one the type does not read, is a config error.
     """
     kind = cfg.get("type")
-    if kind == "finite_perm":
-        G = FinitePermQuotient(cfg["degree"], cfg["images"])
-    elif kind == "abelianization":
-        G = FreeAbelianQuotient(cfg["rank"], cfg["images"])
-    elif kind == "free_quotient":
-        G = FreeQuotient(d, cfg.get("kill", []))
-    else:
+    keys = _QUOTIENT_KEYS.get(kind)
+    if keys is None:
         raise ConfigError(f"unknown quotient type: {kind!r}")
+    for key in sorted(cfg):
+        if key not in ("type", *keys):
+            raise ConfigError(
+                f"quotient.{key} does not apply to type {kind!r}; it reads {', '.join(keys)}"
+            )
+    for key in keys:
+        if key not in cfg and key != "kill":
+            raise ConfigError(f"quotient type {kind!r} requires {key!r}")
+    if kind == "finite_perm":
+        G = FinitePermQuotient(cfg["degree"], cfg["images"], ball_cap)
+    elif kind == "abelianization":
+        G = FreeAbelianQuotient(cfg["rank"], cfg["images"], ball_cap)
+    else:
+        G = FreeQuotient(d, cfg.get("kill", []), ball_cap)
     if G.d != d:
         raise ConfigError(f"quotient has {G.d} generator images but the GDMS has rank {d}")
     return G

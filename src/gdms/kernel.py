@@ -55,7 +55,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapExceededError, ConfigError, GdmsError
-from .groups import DEFAULT_BALL_CAP, Ball, FreeQuotient, QuotientGroup, _read_only, ball
+from .groups import Ball, FreeQuotient, QuotientGroup, _read_only, ball
 from .linalg import perron_value_dense
 from .pressure import LinearGdmsSpec, bowen_root
 
@@ -70,8 +70,8 @@ DEFAULT_LOOP_CAP = 500_000
 class KernelCountTable:
     """Per-length log kernel sums; -inf marks exact zeros.
 
-    ``exact`` is true when the pruning ball fit under its cap; otherwise the
-    table is a documented undercount of the true sums.
+    ``exact`` is true when the pruning ball fit under the group's ball cap;
+    otherwise the table is a documented undercount of the true sums.
     """
 
     s: float
@@ -85,12 +85,12 @@ class KernelCountTable:
         return np.flatnonzero(np.isfinite(self.log_a)) + 1
 
 
-def _pruning_ball(G: QuotientGroup, n_max: int, ball_cap: int) -> tuple[Ball, bool]:
+def _pruning_ball(G: QuotientGroup, n_max: int, fit: bool = True) -> tuple[Ball, bool]:
     """The ball the dynamic program runs on, and whether it is the whole
-    radius-floor(n_max/2) ball the pruning needs: else the largest that fits
-    ``ball_cap``."""
+    radius-floor(n_max/2) ball the pruning needs: else, with ``fit``, the
+    largest that fits the group's ball cap."""
     radius = n_max // 2
-    B = ball(G, radius, ball_cap, fit=True)
+    B = ball(G, radius, fit)
     return B, B.radius == radius
 
 
@@ -188,25 +188,21 @@ def _log_counts(B: Ball, n_max: int, weights: np.ndarray) -> np.ndarray:
 
 
 def kernel_counts(
-    spec: LinearGdmsSpec,
-    G: QuotientGroup,
-    s: float,
-    n_max: int,
-    ball_cap: int = DEFAULT_BALL_CAP,
+    spec: LinearGdmsSpec, G: QuotientGroup, s: float, n_max: int
 ) -> KernelCountTable:
     """Weighted kernel-word counts a_n(s) for n = 1..n_max.
 
     Exact via radius pruning whenever the radius-floor(n_max/2) ball fits the
-    cap; on overflow the largest affordable ball is used and ``exact`` is
-    False (states forced outside the ball are dropped, so the table can only
-    undercount).  With equal ratios the word counts at s = 0 are computed
-    once per group, ``n_max`` and ball and shifted by n s log c.
+    group's ball cap; on overflow the largest ball that fits is used and
+    ``exact`` is False (states forced outside the ball are dropped, so the
+    table can only undercount).  With equal ratios the word counts at s = 0
+    are computed once per group, ``n_max`` and ball and shifted by n s log c.
     """
     if n_max < 1:
         raise ConfigError("n_max must be >= 1")
     if G.d != spec.d:
         raise ConfigError("quotient and GDMS rank mismatch")
-    B, exact = _pruning_ball(G, n_max, ball_cap)
+    B, exact = _pruning_ball(G, n_max)
     weights = spec.letter_weights(s)
     log_c = spec.log_ratios
     if (log_c == log_c[0]).all():
@@ -318,22 +314,18 @@ class DeltaKernelResult:
 
 
 def delta_kernel(
-    spec: LinearGdmsSpec,
-    G: QuotientGroup,
-    n_max: int = 24,
-    tol: float = 5e-4,
-    ball_cap: int = DEFAULT_BALL_CAP,
+    spec: LinearGdmsSpec, G: QuotientGroup, n_max: int = 24, tol: float = 5e-4
 ) -> DeltaKernelResult:
     """The exponent of convergence of the kernel Poincare series.
 
     Bisection on the sign of the kernel-pressure estimate.  Degenerate
     cases: a trivial kernel gives 0 (only the identity contributes), and the
     trivial quotient, where no letter has a non-identity image, gives the
-    full Bowen root (every word is a kernel word).  A table cut by
-    ``ball_cap`` undercounts and can move the bracket off the true value, so
-    it raises ``CapExceededError``; a ``tol`` of at least half the starting
-    bracket [0, bowen_root + 0.1] would bisect nothing, so it raises
-    ``ConfigError``.
+    full Bowen root (every word is a kernel word).  A table cut by the
+    group's ball cap undercounts and can move the bracket off the true
+    value, so ``ball`` refuses the pruning ball (``CapExceededError``) before
+    any table is counted; a ``tol`` of at least half the starting bracket
+    [0, bowen_root + 0.1] would bisect nothing, so it raises ``ConfigError``.
     """
     if G.kernel_is_trivial():
         return DeltaKernelResult(0.0, 0.0, 0.0, False, True)
@@ -354,14 +346,12 @@ def delta_kernel(
             "estimator is still valid but the amenability dichotomy is not",
             stacklevel=2,
         )
+    _pruning_ball(G, n_max, fit=False)  # refuse a ball the cap cuts: its tables undercount
     evals = []
     ambiguous = False
     while hi - lo > 2 * tol:
         s = 0.5 * (lo + hi)
-        table = kernel_counts(spec, G, s, n_max, ball_cap)
-        if not table.exact:
-            raise CapExceededError(f"n_max={n_max} needs a ball larger than ball cap {ball_cap}")
-        est = kernel_pressure(table)
+        est = kernel_pressure(kernel_counts(spec, G, s, n_max))
         evals.append((s, est.estimate, est.dead_band))
         band = est.dead_band
         if est.estimate > band:
@@ -397,15 +387,12 @@ class DivergenceReport:
 
 
 def divergence_check(
-    spec: LinearGdmsSpec,
-    G: QuotientGroup,
-    n_max: int = 24,
-    ball_cap: int = DEFAULT_BALL_CAP,
+    spec: LinearGdmsSpec, G: QuotientGroup, n_max: int = 24
 ) -> DivergenceReport:
     if not spec.symmetric:
         raise ConfigError("divergence check requires a symmetric system")
     s_half = bowen_root(spec) / 2.0
-    table = kernel_counts(spec, G, s_half, n_max, ball_cap)
+    table = kernel_counts(spec, G, s_half, n_max)
     support = table.support()
     if support.size == 0:
         raise GdmsError("kernel not reached; increase n_max")
@@ -457,7 +444,6 @@ def induced_loops(
     G: QuotientGroup,
     L_max: int,
     loop_cap: int = DEFAULT_LOOP_CAP,
-    ball_cap: int = DEFAULT_BALL_CAP,
 ) -> InducedSystem:
     """Enumerate all first-return loops of length <= L_max, depth-first.
 
@@ -470,7 +456,7 @@ def induced_loops(
     """
     if L_max < 1:
         raise ConfigError("L_max must be >= 1")
-    B = ball(G, L_max // 2, ball_cap)
+    B = ball(G, L_max // 2)
     moves = B.letter_moves().T.tolist()
     dist = B.dist.tolist()
     log_c = spec.log_ratios.tolist()

@@ -116,6 +116,12 @@ class LinearGdmsSpec:
         if not isinstance(d, int):
             raise ConfigError("gdms config needs an integer rank 'd'")
         geometry = cfg.get("geometry")
+        forms = [key for key in ("ratio", "ratios_by_generator", "ratios") if key in cfg]
+        if len(forms) != 1:
+            raise ConfigError(
+                "gdms config needs exactly one of 'ratio', 'ratios_by_generator' or "
+                f"'ratios'; it gives {', '.join(map(repr, forms)) or 'none'}"
+            )
         if "ratio" in cfg:
             return LinearGdmsSpec.equal_ratios(d, cfg["ratio"], geometry)
         if "ratios_by_generator" in cfg:
@@ -123,9 +129,7 @@ class LinearGdmsSpec:
             if len(per_gen) != d:
                 raise ConfigError(f"ratios_by_generator must have {d} entries")
             return LinearGdmsSpec.symmetric_ratios(per_gen, geometry)
-        if "ratios" in cfg:
-            return LinearGdmsSpec(d, tuple(float(c) for c in cfg["ratios"]), geometry)
-        raise ConfigError("gdms config needs 'ratio', 'ratios_by_generator' or 'ratios'")
+        return LinearGdmsSpec(d, tuple(float(c) for c in cfg["ratios"]), geometry)
 
 
 # ---------------------------------------------------------------------------

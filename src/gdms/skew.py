@@ -39,7 +39,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, GdmsError
-from .groups import DEFAULT_BALL_CAP, Ball, QuotientGroup, ball
+from .groups import Ball, QuotientGroup, ball
 from .kernel import _complement, _scatter, kernel_counts, kernel_pressure, word_sums
 from .pressure import LinearGdmsSpec, bowen_root, pressure
 from .walks import WalkLadder, walk_ladder
@@ -106,20 +106,16 @@ class SkewOperator:
 
 
 def build_skew_operator(
-    spec: LinearGdmsSpec,
-    G: QuotientGroup,
-    s: float,
-    R: int,
-    ball_cap: int = DEFAULT_BALL_CAP,
+    spec: LinearGdmsSpec, G: QuotientGroup, s: float, R: int
 ) -> SkewOperator:
     """Skew operator at exponent s, Dirichlet-truncated to the radius-R ball.
 
-    Finite backends ignore R and use the whole group, ``ball(G, ball_cap,
-    ball_cap)``, making the operator exact rather than a truncation.
+    Finite backends ignore R and use the whole group, ``ball(G)``, making
+    the operator exact rather than a truncation.
     """
     if G.d != spec.d:
         raise ConfigError("quotient and GDMS rank mismatch")
-    B = ball(G, ball_cap if G.finite else R, ball_cap)
+    B = ball(G) if G.finite else ball(G, R)
     return SkewOperator(spec, G, float(s), B, not G.finite)
 
 
@@ -171,7 +167,6 @@ def amenability_report(
     spec: LinearGdmsSpec,
     G: QuotientGroup,
     radii: Sequence[int],
-    ball_cap: int = DEFAULT_BALL_CAP,
     kernel_n_max: int = 20,
     tol: float = 1e-12,
 ) -> DichotomyReport:
@@ -181,8 +176,8 @@ def amenability_report(
     the reversal-inversion weight symmetry).  The verdict reads the ladder
     of the walk mu_{s*}; the kernel-pressure estimate from the counting
     dynamic program is attached as a cross-check, with the exactness of its
-    count table: false when ``ball_cap`` cut the table to an undercount,
-    None when there is no estimate.
+    count table: false when the group's ball cap cut the table to an
+    undercount, None when there is no estimate.
     """
     if not spec.symmetric:
         raise ConfigError("dichotomy requires symmetric GDMS")
@@ -193,11 +188,11 @@ def amenability_report(
     u = spec.letter_weights(s_star)
     w = u / (1.0 - u**2)
     weights = w / w.sum()
-    ladder = walk_ladder(G, weights, radii, ball_cap, tol)
+    ladder = walk_ladder(G, weights, radii, tol)
 
     kp = kp_exact = None
     try:
-        table = kernel_counts(spec, G, s_star, kernel_n_max, ball_cap)
+        table = kernel_counts(spec, G, s_star, kernel_n_max)
         kp, kp_exact = kernel_pressure(table).estimate, table.exact
     except GdmsError:
         pass
@@ -251,7 +246,6 @@ def check_asymptotic_symmetry(
     n_max: int,
     R: int,
     s: float = 1.0,
-    ball_cap: int = DEFAULT_BALL_CAP,
 ) -> SymmetryReport:
     """Exact per-(length, group element) sums compared against inverses.
 
@@ -263,7 +257,7 @@ def check_asymptotic_symmetry(
     """
     if R > n_max:
         raise ConfigError("comparison radius cannot exceed n_max")
-    B = ball(G, (n_max + R) // 2, ball_cap)
+    B = ball(G, (n_max + R) // 2)
     # the elements within R are a breadth-first prefix, closed under inverses
     m = int(np.searchsorted(B.dist, R, side="right"))
     inv = B.inverse_index()[:m]

@@ -39,7 +39,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .groups import DEFAULT_BALL_CAP, Ball, FreeQuotient, QuotientGroup, ball
+from .groups import Ball, FreeQuotient, QuotientGroup, ball
 from .linalg import PerronResult, perron_value, perron_value_dense, truncation_limit
 
 
@@ -106,7 +106,6 @@ def walk_ladder(
     G: QuotientGroup,
     weights: Sequence[float],
     radii: Sequence[int],
-    ball_cap: int = DEFAULT_BALL_CAP,
     tol: float = 1e-11,
 ) -> WalkLadder:
     """Spectral-radius ladder of the walk with these letter weights.
@@ -129,7 +128,7 @@ def walk_ladder(
     rungs: list[PerronResult] = []
     if G.finite:
         method = "finite"
-        B = ball(G, ball_cap, ball_cap)  # the whole group; raises past the cap
+        B = ball(G)  # the whole group; raises past the cap
         exact = perron_value(walk_step(B, weights), len(B), tol=tol)
         copy = PerronResult(exact.value, exact.vector, 0, exact.residual)
         rungs = [exact] + [copy] * (len(radii) - 1)
@@ -140,9 +139,9 @@ def walk_ladder(
             rungs.append(perron_value_dense(_tree_radial_chain(k, R, p, lazy), tol=tol))
     else:
         method = "generic"
-        ball(G, radii[-1], ball_cap)  # every smaller rung is a prefix of it
+        ball(G, radii[-1])  # every smaller rung is a prefix of it
         for R in radii:
-            B = ball(G, R, ball_cap)
+            B = ball(G, R)
             rungs.append(perron_value(walk_step(B, weights), len(B), tol=tol))
     rho_vals = [r.value for r in rungs]
     final, plateau = truncation_limit(radii, rho_vals)
@@ -158,13 +157,10 @@ def walk_ladder(
 
 
 def srw_spectral_radius(
-    G: QuotientGroup,
-    R_list: Sequence[int],
-    ball_cap: int = DEFAULT_BALL_CAP,
-    tol: float = 1e-11,
+    G: QuotientGroup, R_list: Sequence[int], tol: float = 1e-11
 ) -> WalkLadder:
     """Spectral-radius ladder of the simple random walk on Cayley balls."""
-    return walk_ladder(G, srw_weights(G), R_list, ball_cap, tol)
+    return walk_ladder(G, srw_weights(G), R_list, tol)
 
 
 def srw_weights(G: QuotientGroup) -> np.ndarray:
@@ -191,13 +187,11 @@ class IsoperimetricReport:
     min_ratio: float
 
 
-def isoperimetric_scan(
-    G: QuotientGroup, R: int, ball_cap: int = DEFAULT_BALL_CAP
-) -> IsoperimetricReport:
+def isoperimetric_scan(G: QuotientGroup, R: int) -> IsoperimetricReport:
     """Scan |dA|/|A| over the balls A = B(id, r) for r = 1..R."""
     if R < 1:
         raise ConfigError("radius must be >= 1")
-    B = ball(G, R + 1, ball_cap)
+    B = ball(G, R + 1)
     moves = B.letter_moves()[G.generating_codes()]
     dist = B.dist
     # an element of A = B(id, r) is on its boundary when a generator takes

@@ -351,7 +351,7 @@ class TestExitCodes:
         finally:
             tracemalloc.stop()
         assert code == 3
-        assert "exceeds cap 1000" in capsys.readouterr().err
+        assert "cap exceeded: the group has more than 1000 elements" in capsys.readouterr().err
         assert not outdir.exists()
         assert peak <= 2e6
 
@@ -387,6 +387,40 @@ class TestExitCodes:
         code, _ = run_cli("delta-kernel", {"gdms": GDMS_THIRD}, tmp_path)
         assert code == 2
 
+    @pytest.mark.parametrize("quotient, message", [
+        ({"type": "finite_perm", "images": [[1, 0], [1, 0]]},
+         "quotient type 'finite_perm' requires 'degree'"),
+        ({**Z2_QUOTIENT, "kill": [1]},
+         "quotient.kill does not apply to type 'finite_perm'; it reads degree, images"),
+        ({"type": "abelianization", "rank": 2},
+         "quotient type 'abelianization' requires 'images'"),
+        ({**ZZ_QUOTIENT, "degree": 2},
+         "quotient.degree does not apply to type 'abelianization'; it reads rank, images"),
+        ({"type": "free_quotient", "kill": [], "rank": 2, "images": [[1, 0], [0, 1]]},
+         "quotient.images does not apply to type 'free_quotient'; it reads kill"),
+    ], ids=["finite_perm-no-degree", "finite_perm-kill", "abelianization-no-images",
+            "abelianization-degree", "free_quotient-rank-images"])
+    def test_quotient_keys_match_type(self, tmp_path, capsys, quotient, message):
+        # a key the type needs is missing, or one it does not read is given
+        cfg = {"gdms": GDMS_THIRD, "quotient": quotient}
+        code, outdir = run_cli("delta-kernel", cfg, tmp_path)
+        assert code == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("forms", [
+        {"ratio": 0.3, "ratios_by_generator": [0.1, 0.2]},
+        {"ratio": 0.3, "ratios": [0.3] * 4},
+        {"ratios_by_generator": [0.1, 0.2], "ratios": [0.1, 0.1, 0.2, 0.2]},
+    ], ids=["ratio-by_generator", "ratio-ratios", "by_generator-ratios"])
+    def test_two_ratio_forms_rejected(self, tmp_path, capsys, forms):
+        code, outdir = run_cli("delta-full", {"gdms": {"d": 2, **forms}}, tmp_path)
+        assert code == 2
+        assert "needs exactly one of 'ratio', 'ratios_by_generator' or 'ratios'" in (
+            capsys.readouterr().err
+        )
+        assert not outdir.exists()
+
     def test_unknown_config_field(self, tmp_path):
         code, _ = run_cli(
             "delta-full", {"gdms": GDMS_THIRD, "bogus": 1}, tmp_path
@@ -418,7 +452,8 @@ class TestExitCodes:
         }
         code, _ = run_cli("render", cfg, tmp_path)
         assert code == 3
-        assert "ball of radius 3 exceeds cap 5" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "ball of radius 3 exceeds cap 5 (largest radius that fits: 1)" in err
 
     @pytest.mark.parametrize(
         "params, key",
@@ -651,7 +686,8 @@ class TestParamsTable:
         capped = {**cfg, "params": {"n_max": 18, "caps": {"ball": 60}}}
         code, outdir = run_cli("delta-kernel", capped, tmp_path, "capped")
         assert code == 3
-        assert "n_max=18 needs a ball larger than ball cap 60" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "ball of radius 9 exceeds cap 60 (largest radius that fits: 4)" in err
         assert not outdir.exists()
 
 

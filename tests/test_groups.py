@@ -196,35 +196,38 @@ class TestWordMetric:
         assert dist((2, 1)) == 2
 
 
+def assert_same_ball(B, ref):
+    assert B.radius == ref.radius
+    assert B.elements == ref.elements
+    assert (B.dist == ref.dist).all()
+    assert (B.letter_moves() == ref.letter_moves()).all()
+
+
 def assert_ball_matches_bfs(G, radii):
     """``ball`` (the backend's builder, or a prefix of a memoised larger ball)
     reproduces ``bfs_ball`` exactly."""
     for r in radii:
-        ref = bfs_ball(G, r)
-        B = ball(G, r, 10**9)
-        assert B.elements == ref.elements
-        assert (B.dist == ref.dist).all()
-        assert (B.letter_moves() == ref.letter_moves()).all()
+        assert_same_ball(ball(G, r), bfs_ball(G, r))
 
 
-def assert_caps_match_bfs(G, radius, caps):
-    """``ball`` refuses the same caps as ``bfs_ball``, word for word."""
+def assert_caps_match_bfs(make, radius, caps):
+    """Under each ball cap, ``ball(..., fit=True)`` is the fitted ``bfs_ball``
+    word for word, and ``ball`` refuses exactly where that ball falls short
+    of the radius, on a fresh group and on a memo hit alike."""
     for cap in caps:
-        errors = []
-        builds = (lambda: bfs_ball(G, radius, cap), lambda: ball(G, radius, cap))
-        for build in builds:
-            try:
-                build()
-                errors.append(None)
-            except CapExceededError as exc:
-                errors.append(str(exc))
-        assert errors[0] == errors[1]
-
-
-def whole(G):
-    """The whole finite group: its diameter is below its order, so a search
-    whose radius and cap are both 10**4 runs out of elements first."""
-    return ball(G, 10**4, 10**4)
+        ref = bfs_ball(make(ball_cap=cap), radius)
+        G = make(ball_cap=cap)
+        assert_same_ball(ball(G, radius, fit=True), ref)
+        for H in (make(ball_cap=cap), G):
+            if ref.radius < radius:
+                with pytest.raises(CapExceededError) as exc:
+                    ball(H, radius)
+                assert str(exc.value) == (
+                    f"ball of radius {radius} exceeds cap {cap} "
+                    f"(largest radius that fits: {ref.radius})"
+                )
+            else:
+                assert_same_ball(ball(H, radius), ref)
 
 
 @pytest.fixture(scope="module")
@@ -265,11 +268,11 @@ class TestBalls:
 
     def test_finite_ball_saturates(self, s3):
         B = ball(s3, 10)
-        assert len(B) == len(whole(s3)) == 6
+        assert len(B) == len(ball(s3)) == 6
 
-    def test_cap_guard(self, free_f2):
+    def test_cap_guard(self):
         with pytest.raises(CapExceededError):
-            ball(free_f2, 8, cap=100)
+            ball(FreeQuotient(2, ball_cap=100), 8)
 
     def test_inverse_index_stays_in_ball(self, zz, s3):
         for G in (zz, s3):
@@ -298,19 +301,22 @@ class TestBalls:
         assert_ball_matches_bfs(FreeQuotient(d, kill), range(7))
 
     def test_free_tree_cap_matches_bfs(self):
-        assert_caps_match_bfs(FreeQuotient(3, [3]), 4, (0, 1, 5, 16, 17, 53, 160))
+        make = lambda **kw: FreeQuotient(3, [3], **kw)  # noqa: E731
+        assert_caps_match_bfs(make, 4, (0, 1, 5, 16, 17, 53, 160))
 
     @pytest.mark.parametrize("backend", ["s3", "z2", "z3", "s4"])
     def test_finite_table_ball_matches_bfs(self, backend, request):
         G = request.getfixturevalue(backend)
-        assert_ball_matches_bfs(G, range(whole(G).dist[-1] + 3))
+        assert_ball_matches_bfs(G, range(ball(G).dist[-1] + 3))
 
     @pytest.mark.parametrize("backend", ["s3", "z2", "z3", "s4"])
     def test_finite_table_cap_matches_bfs(self, backend, request):
         G = request.getfixturevalue(backend)
-        W = whole(G)
+        images = [G.letter_image(c) for c in range(0, 2 * G.d, 2)]
+        make = lambda **kw: FinitePermQuotient(G.degree, images, **kw)  # noqa: E731
+        W = ball(G)
         for radius in range(W.dist[-1] + 3):
-            assert_caps_match_bfs(G, radius, range(len(W) + 2))
+            assert_caps_match_bfs(make, radius, range(len(W) + 2))
 
     @pytest.mark.parametrize("backend", ["zz", "skew_zz", "s3", "f2_of_f3"])
     def test_bfs_moves_match_products(self, backend, request):
@@ -330,11 +336,15 @@ class TestBalls:
         assert not B.letter_moves().flags.writeable
 
     def test_memoised_ball_still_capped(self):
-        G = FreeQuotient(2)
-        B = ball(G, 3)
-        with pytest.raises(CapExceededError, match="stopped at radius 3"):
-            ball(G, 3, cap=len(B) - 1)
-        assert ball(G, 3, cap=len(B)) is B
+        # radius 3 of F_2 has 53 elements; a memoised fitted ball does not
+        # lift the cap
+        G = FreeQuotient(2, ball_cap=52)
+        B = ball(G, 3, fit=True)
+        assert B.radius == 2
+        with pytest.raises(CapExceededError, match="largest radius that fits: 2"):
+            ball(G, 3)
+        assert ball(G, 2) is B
+        assert len(ball(FreeQuotient(2, ball_cap=53), 3)) == 53
 
     @pytest.mark.parametrize(
         "make",
@@ -360,12 +370,12 @@ class TestBalls:
 
 class TestBackendsMisc:
     def test_s3_closure(self, s3):
-        B = whole(s3)
+        B = ball(s3)
         assert len(B) == 6
         assert B.dist[-1] <= 3
 
     def test_z3_order(self, z3):
-        assert len(whole(z3)) == 3
+        assert len(ball(z3)) == 3
 
     def test_finiteness_flags(self, s3, trivial_group, free_f2, f2_of_f3, zz):
         assert s3.finite and trivial_group.finite
@@ -375,7 +385,9 @@ class TestBackendsMisc:
         # S_9 has 362,880 elements; building them all took 110.6 MB traced
         tracemalloc.start()
         try:
-            G = FinitePermQuotient(9, [[1, 0, *range(2, 9)], [*range(1, 9), 0]])
+            G = FinitePermQuotient(
+                9, [[1, 0, *range(2, 9)], [*range(1, 9), 0]], ball_cap=10**4
+            )
             B = ball(G, 4)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -383,8 +395,8 @@ class TestBackendsMisc:
         assert B.elements == bfs_ball(G, 4).elements
         assert len(B) == 46
         assert peak <= 2e6
-        with pytest.raises(CapExceededError):
-            whole(G)
+        with pytest.raises(CapExceededError, match="the group has more than 10000 elements"):
+            ball(G)
 
     def test_bad_permutation_rejected(self):
         with pytest.raises(ConfigError):
@@ -394,7 +406,7 @@ class TestBackendsMisc:
         assert free_f2.kernel_is_trivial()
         assert not trivial_group.kernel_is_trivial()
         assert not zz.kernel_is_trivial()
-        assert len(whole(trivial_group)) == 1
+        assert len(ball(trivial_group)) == 1
 
     def test_config_roundtrip(self):
         G = quotient_from_config(

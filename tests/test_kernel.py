@@ -76,7 +76,7 @@ class TestKernelCounts:
         assert not np.isfinite(table.log_a).any()
 
     def test_cap_falls_back_inexact(self, spec_fifth_d3, f2_of_f3):
-        table = kernel_counts(spec_fifth_d3, f2_of_f3, 1.0, 12, ball_cap=50)
+        table = kernel_counts(spec_fifth_d3, FreeQuotient(3, kill=[3], ball_cap=50), 1.0, 12)
         assert not table.exact
         full = kernel_counts(spec_fifth_d3, f2_of_f3, 1.0, 12)
         # undercount only
@@ -89,7 +89,7 @@ def full_width_kernel_counts(spec, G, s, n_max):
     The weights, and the sums after each step, are scaled by the power of
     two that puts their peak in [1/2, 1), with the exponents summed in e.
     """
-    B, _ = _pruning_ball(G, n_max, 2_000_000)
+    B, _ = _pruning_ball(G, n_max)
     moves = B.letter_moves()
     weights = spec.ratio_array ** s
     w_exp = math.frexp(float(weights.max()))[1]
@@ -133,9 +133,9 @@ class TestLiveWindow:
         builds = []
         build = FreeQuotient._build_ball
 
-        def counting(self, radius, cap):
+        def counting(self, radius):
             builds.append(radius)
-            return build(self, radius, cap)
+            return build(self, radius)
 
         monkeypatch.setattr(FreeQuotient, "_build_ball", counting)
         G = FreeQuotient(3, kill=[3])
@@ -148,13 +148,13 @@ class TestLiveWindow:
 
 def retried_pruning_ball(make, n_max, cap):
     """Reference: the pruning ball as found by trying every radius down from
-    floor(n_max / 2) on a fresh group until a ball fits the cap."""
+    floor(n_max / 2) on a fresh group with the default cap until a ball has
+    at most ``cap`` elements (radius 0 always fits)."""
     radius = n_max // 2
     for r in range(radius, -1, -1):
-        try:
-            return bfs_ball(make(), r, cap), r == radius
-        except CapExceededError:
-            continue
+        B = bfs_ball(make(), r)
+        if len(B) <= cap or r == 0:
+            return B, r == radius
 
 
 class TestPruningBall:
@@ -165,9 +165,9 @@ class TestPruningBall:
         (400, 20_000, 99, 2.0),  # the retries took 12.8 s
     ])
     def test_abelian_radius_in_one_search(self, n_max, cap, radius, seconds):
-        make = lambda: FreeAbelianQuotient(2, [[1, 0], [0, 1]])  # noqa: E731
+        make = lambda **kw: FreeAbelianQuotient(2, [[1, 0], [0, 1]], **kw)  # noqa: E731
         start = time.perf_counter()
-        B, exact = _pruning_ball(make(), n_max, cap)
+        B, exact = _pruning_ball(make(ball_cap=cap), n_max)
         elapsed = time.perf_counter() - start
         assert (B.radius, len(B), exact) == (radius, 2 * radius * (radius + 1) + 1, False)
         ref = bfs_ball(make(), radius)
@@ -177,24 +177,24 @@ class TestPruningBall:
         assert elapsed < seconds
 
     @pytest.mark.parametrize("make", [
-        lambda: FreeAbelianQuotient(2, [[1, 0], [1, 1]]),
-        lambda: FreeQuotient(3, [3]),
-        lambda: FinitePermQuotient(4, [[1, 0, 2, 3], [1, 2, 3, 0], [1, 0, 3, 2]]),
+        lambda **kw: FreeAbelianQuotient(2, [[1, 0], [1, 1]], **kw),
+        lambda **kw: FreeQuotient(3, [3], **kw),
+        lambda **kw: FinitePermQuotient(4, [[1, 0, 2, 3], [1, 2, 3, 0], [1, 0, 3, 2]], **kw),
     ], ids=["abelian", "tree", "finite"])
     @pytest.mark.parametrize("memo_radius", [None, 2, 9])
     def test_matches_retries(self, make, memo_radius):
         for n_max, cap in [(1, 1), (8, 1), (8, 4), (8, 12), (8, 13), (12, 60), (16, 10**6)]:
-            G = make()
+            G = make(ball_cap=cap)
             if memo_radius is not None:
-                ball(G, memo_radius)
-            B, exact = _pruning_ball(G, n_max, cap)
+                ball(G, memo_radius, fit=True)
+            B, exact = _pruning_ball(G, n_max)
             ref, ref_exact = retried_pruning_ball(make, n_max, cap)
             assert (B.radius, exact) == (ref.radius, ref_exact)
             assert B.elements == ref.elements
             assert (B.dist == ref.dist).all()
             assert (B.letter_moves() == ref.letter_moves()).all()
             # the search memoised the ball it kept
-            assert ball(G, B.radius, cap) is B
+            assert ball(G, B.radius) is B
 
 
 class TestEqualRatios:
@@ -316,8 +316,11 @@ class TestDeltaKernel:
         # n_max 18 prunes with the radius-9 ball of Z^2 (181 elements); a cut
         # table undercounts, and the bracket it gave, [0.825, 0.842], missed 1
         assert delta_kernel(spec_third, zz, n_max=18).hi > 0.9
-        with pytest.raises(CapExceededError, match="n_max=18 .* ball cap 60"):
-            delta_kernel(spec_third, zz, n_max=18, ball_cap=60)
+        capped = FreeAbelianQuotient(2, [[1, 0], [0, 1]], ball_cap=60)
+        with pytest.raises(
+            CapExceededError, match=r"radius 9 exceeds cap 60 \(largest radius that fits: 4\)"
+        ):
+            delta_kernel(spec_third, capped, n_max=18)
 
     def test_tol_wider_than_half_bracket_refused(self, spec_third, z2):
         # the starting bracket is [0, 1.1]: a tol of half of it bisects nothing

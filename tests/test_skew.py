@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from gdms import (
+    CapExceededError,
     ConfigError,
+    FinitePermQuotient,
     FreeAbelianQuotient,
     LinearGdmsSpec,
     amenability_report,
@@ -57,6 +59,14 @@ class TestOperatorStructure:
         dense = op.dense()
         # forward operator: 3 outgoing transitions per state
         assert (np.count_nonzero(dense, axis=0) == 3).all()
+
+    def test_finite_group_within_ball_cap(self, spec_third):
+        # S_3 has 6 elements: the whole group fits a cap of 6, not one of 5
+        images = [[1, 0, 2], [1, 2, 0]]
+        op = build_skew_operator(spec_third, FinitePermQuotient(3, images, ball_cap=6), 1.0, 1)
+        assert op.n_states == 4 * 6 and not op.truncated
+        with pytest.raises(CapExceededError, match="the group has more than 5 elements"):
+            build_skew_operator(spec_third, FinitePermQuotient(3, images, ball_cap=5), 1.0, 1)
 
     def test_d3_truncated_state_count(self, spec_fifth_d3, f2_of_f3):
         op = build_skew_operator(spec_fifth_d3, f2_of_f3, 1.0, 2)

@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 
 from gdms import (
+    CapExceededError,
+    FinitePermQuotient,
+    FreeAbelianQuotient,
     FreeQuotient,
     amenability_report,
     ball,
@@ -80,6 +83,21 @@ class TestWalkLadders:
         assert ladder.method == "finite"
         assert ladder.rho == (ladder.rho[0],) * 4
         assert ladder.iterations[0] > 0 and ladder.iterations[1:] == (0, 0, 0)
+
+    def test_ladders_within_ball_cap(self):
+        # S_3 has 6 elements; the radius-4 ball of Z^2 has 41, radius 3 has 25
+        s3 = FinitePermQuotient(3, [[1, 0, 2], [1, 2, 0]], ball_cap=5)
+        with pytest.raises(CapExceededError, match="the group has more than 5 elements"):
+            srw_spectral_radius(s3, [1, 2])
+        zz = FreeAbelianQuotient(2, [[1, 0], [0, 1]], ball_cap=40)
+        assert srw_spectral_radius(zz, [2, 3]).radii == (2, 3)
+        with pytest.raises(
+            CapExceededError, match=r"radius 6 exceeds cap 40 \(largest radius that fits: 3\)"
+        ):
+            srw_spectral_radius(zz, [2, 6])
+        assert isoperimetric_scan(zz, 2).radii == (1, 2)
+        with pytest.raises(CapExceededError, match="ball of radius 4 exceeds cap 40"):
+            isoperimetric_scan(zz, 3)
 
     def test_monotone_and_capped(self, zz):
         ladder = srw_spectral_radius(zz, [2, 4, 6, 8])
