@@ -4,10 +4,11 @@ Subcommands: delta-full, delta-kernel, amenability, pressure-curve,
 symmetry-check, walks, render.  ``load_config`` checks every config key's
 type and bound against one table, ``_CONFIG``, whose params keys are those of
 the ``READS`` rows.  A command reads only the params in its ``READS`` row
-(render has one row per subset), and a quotient only where that row says so;
-only render reads ``gdms.geometry``, and only the phase sets of its dimension.
-Any other params or geometry key, a stray quotient or a missing one is a
-config error raised before anything is written.  The report echoes the
+(render has one row per subset), only the caps that row names, and a
+quotient only where that row says so; only render reads ``gdms.geometry``,
+and only the phase sets of its dimension.  Any other params, caps or
+geometry key, a stray quotient or a missing one is a config error raised
+before anything is written.  The report echoes the
 config with those params defaulted, and the payloads (JSON/CSV/PGM) of two
 runs of one config are byte-identical apart from the wall-time field.
 
@@ -302,19 +303,22 @@ COMMANDS = {
 }
 
 # What each command reads: (whether it needs a quotient, {params key:
-# default}).  A default of None is worked out by the command at run time,
-# or, for ``caps``, never filled in.  Render reads different keys for each
-# subset, so it has one row per subset.
-_RENDER = {"dimension": 1, "resolution": 512, "subset": "full", "scales": None, "caps": None}
+# default}).  A default of None is worked out by the command at run time.
+# ``caps`` is never filled in: its entry names the caps the command reads
+# (the ball cap wherever a quotient is explored).  Render reads different
+# keys for each subset, so it has one row per subset.
+_RENDER = {"dimension": 1, "resolution": 512, "subset": "full", "scales": None}
 READS = {
     "delta-full": (False, {"s_grid": None}),
-    "delta-kernel": (True, {"n_max": 24, "delta_tol": 5e-4, "caps": None}),
-    "amenability": (True, {"radii": [4, 6, 8, 10, 12], "kernel_n_max": 20, "caps": None}),
+    "delta-kernel": (True, {"n_max": 24, "delta_tol": 5e-4, "caps": ("ball",)}),
+    "amenability": (True, {"radii": [4, 6, 8, 10, 12], "kernel_n_max": 20, "caps": ("ball",)}),
     "pressure-curve": (False, {"s_grid": None}),
-    "symmetry-check": (True, {"n_max": 10, "radius": None, "s": 1.0, "caps": None}),
-    "walks": (True, {"radii": [2, 4, 6, 8, 10, 12], "radius": 8, "caps": None}),
-    "render subset 'full'": (False, {**_RENDER, "depth": None}),
-    "render subset 'induced'": (True, {**_RENDER, "L_max": 4, "composition_depth": 3}),
+    "symmetry-check": (True, {"n_max": 10, "radius": None, "s": 1.0, "caps": ("ball",)}),
+    "walks": (True, {"radii": [2, 4, 6, 8, 10, 12], "radius": 8, "caps": ("ball",)}),
+    "render subset 'full'": (False, {**_RENDER, "depth": None, "caps": ("points",)}),
+    "render subset 'induced'": (True, {
+        **_RENDER, "L_max": 4, "composition_depth": 3, "caps": ("ball", "points", "loops"),
+    }),
 }
 
 
@@ -426,6 +430,12 @@ def run(command: str, cfg: dict, outdir: Path) -> dict:
             raise ConfigError(
                 f"params.{key} does not apply to {name}; it reads {', '.join(defaults)}"
             )
+    caps = defaults.get("caps", ())
+    for cap in params.get("caps", {}):
+        if cap not in caps:
+            raise ConfigError(
+                f"params.caps.{cap} does not apply to {name}; it reads {', '.join(caps)}"
+            )
     # render lays out the phase sets of its dimension; nothing else reads any
     where, reads = name, "no geometry"
     if command == "render":
@@ -444,7 +454,7 @@ def run(command: str, cfg: dict, outdir: Path) -> dict:
         ball_cap = params.get("caps", {}).get("ball", DEFAULT_BALL_CAP)
         G = quotient_from_config(cfg["quotient"], spec.d, ball_cap)
     for key, default in defaults.items():
-        if default is not None:
+        if default is not None and key != "caps":
             params.setdefault(key, default)
     report = RunReport(command, cfg)
     report.results = COMMANDS[command](spec, G, params, outdir)

@@ -377,7 +377,9 @@ class Ball:
         return {g: i for i, g in enumerate(self.elements)}
 
     def sphere_sizes(self) -> list[int]:
-        return np.bincount(self.dist, minlength=self.radius + 1).tolist()
+        """Elements per distance, through the farthest element: a whole
+        finite group stops at its diameter, not at its radius (the cap)."""
+        return np.bincount(self.dist).tolist()
 
     def letter_moves(self) -> np.ndarray:
         """Array of shape (2d, |ball|): moves[c][i] = index of elem_i * Psi(letter c)."""

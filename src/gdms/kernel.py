@@ -46,6 +46,22 @@ where it counts those words; that table depends only on the group, ``n_max``
 and the pruning ball, it is memoised on the group, and every s reads
 log a_n = log N_n + n s log c from it.  Unequal ratios run the program at
 each s.
+
+On a free quotient F_d -> F_k (kill m = d - k generators) the equal-ratio
+table needs no ball.  On the Cayley tree of F_k the number of words that end
+in a given (letter, element) state depends only on the element's distance r
+from the identity and on the cone type of the last letter: a surviving
+letter that moved away from the identity, one that moved toward it, or a
+killed letter.  Every element at r >= 1 has exactly one neighbour nearer the
+identity, and v^-1 may not follow v, so each type has a fixed number of
+predecessors of each type, and ``_cone_log_counts`` runs the recurrence on
+O(n_max) (r, type) states with the window and the power-of-two scaling of
+``word_sums``.  While every count per state is an integer below 2^53 its
+table is the ball program's bit for bit (checked through n_max 24 on
+F_3/<<g_3>>, whose radius-12 ball of F_2 has 1,062,881 elements); beyond,
+the two round differently in the last bits.  It reaches n_max in the
+thousands, where the radius-floor(n_max/2) ball of F_k would not fit in
+memory.
 """
 
 from __future__ import annotations
@@ -187,6 +203,57 @@ def _log_counts(B: Ball, n_max: int, weights: np.ndarray) -> np.ndarray:
     return log_a
 
 
+def _cone_log_counts(G: FreeQuotient, n_max: int) -> np.ndarray:
+    """log N_n for n = 1..n_max on a free quotient, -inf for zeros, from the
+    cone types of its Cayley tree (see the module docstring); no ball.
+
+    Row ``X[t, r]`` is the count per (letter, element) state of type t (away,
+    toward, killed) at distance r.  A state's predecessors sit at the
+    element the last letter left: an away state at r + 1 follows the away
+    state, 2k - 2 toward states and 2m killed states at r; a toward state at
+    r - 1 follows 2k - 1 toward and 2m killed states at r; a killed state
+    follows the away state, 2k - 1 toward and 2m - 1 killed states at its own
+    element.  The identity has 2k toward states (no away state), and the
+    kernel words end there: N_n = 2k toward + 2m killed.
+    """
+    k, m = G.surviving_rank(), len(G.kill)
+    has = np.array([[k > 0], [k > 0], [m > 0]])  # a type with no letters has no states
+    X = np.zeros((3, n_max // 2 + 1))
+    X[0, 1:2] = X[2, 0] = 0.5  # the one-letter words, at the 2**-1 scale of word_sums
+    X *= has
+    e = 1
+    log_N = np.full(n_max, -np.inf)
+    for n in range(1, n_max + 1):
+        if n > 1:
+            X[:, n_max - n + 2:] = 0.0  # live inputs: back at the identity in time
+            away, toward, killed = X
+            out = away + (2 * k - 2) * toward + 2 * m * killed
+            back = (2 * k - 1) * toward + 2 * m * killed
+            stay = away + (2 * k - 1) * toward + (2 * m - 1) * killed
+            out[0] += toward[0]  # the identity's extra toward state
+            stay[0] += toward[0]
+            X = np.zeros_like(X)
+            X[0, 1:], X[1, :-1], X[2] = out[:-1], back[1:], stay
+            X *= has
+            peak = float(X.max())
+            if peak <= 0.0:
+                break
+            x_exp = math.frexp(peak)[1]
+            np.ldexp(X, -x_exp, out=X)
+            e += x_exp
+        total = 2 * k * X[1, 0] + 2 * m * X[2, 0]
+        if total > 0.0:
+            log_N[n - 1] = e * math.log(2.0) + math.log(total)
+    return log_N
+
+
+def _cone_applies(spec: LinearGdmsSpec, G: QuotientGroup) -> bool:
+    """Whether ``kernel_counts`` reads the cone-type table, which needs no
+    ball: a free quotient with one ratio for every letter."""
+    log_c = spec.log_ratios
+    return isinstance(G, FreeQuotient) and bool((log_c == log_c[0]).all())
+
+
 def kernel_counts(
     spec: LinearGdmsSpec, G: QuotientGroup, s: float, n_max: int
 ) -> KernelCountTable:
@@ -196,26 +263,34 @@ def kernel_counts(
     group's ball cap; on overflow the largest ball that fits is used and
     ``exact`` is False (states forced outside the ball are dropped, so the
     table can only undercount).  With equal ratios the word counts at s = 0
-    are computed once per group, ``n_max`` and ball and shifted by n s log c.
+    are computed once per group, ``n_max`` and ball radius and shifted by
+    n s log c.  On a free quotient that table comes from the cone types of
+    the tree (``_cone_log_counts``), which reads no ball, so no cap cuts it:
+    it is always exact and reports the radius floor(n_max/2) the ball program
+    would have read.
     """
     if n_max < 1:
         raise ConfigError("n_max must be >= 1")
     if G.d != spec.d:
         raise ConfigError("quotient and GDMS rank mismatch")
-    B, exact = _pruning_ball(G, n_max)
+    cone = _cone_applies(spec, G)
+    if cone:
+        B, radius, exact = None, n_max // 2, True
+    else:
+        B, exact = _pruning_ball(G, n_max)
+        radius = B.radius
     weights = spec.letter_weights(s)
     log_c = spec.log_ratios
-    if (log_c == log_c[0]).all():
-        key = (n_max, B.radius)
-        log_N = G._kernel_tables.get(key)
-        if log_N is None:
-            log_N = G._kernel_tables[key] = _read_only(
-                _log_counts(B, n_max, np.ones_like(weights))
-            )
-        log_a = log_N + np.arange(1, n_max + 1) * (s * log_c[0])
-    else:
-        log_a = _log_counts(B, n_max, weights)
-    return KernelCountTable(float(s), n_max, log_a, exact, B.radius)
+    if not (log_c == log_c[0]).all():
+        return KernelCountTable(float(s), n_max, _log_counts(B, n_max, weights), exact, radius)
+    key = (n_max, radius)
+    log_N = G._kernel_tables.get(key)
+    if log_N is None:
+        log_N = G._kernel_tables[key] = _read_only(
+            _cone_log_counts(G, n_max) if cone else _log_counts(B, n_max, np.ones_like(weights))
+        )
+    log_a = log_N + np.arange(1, n_max + 1) * (s * log_c[0])
+    return KernelCountTable(float(s), n_max, log_a, exact, radius)
 
 
 def log_partition_sums(spec: LinearGdmsSpec, s: float, n_max: int) -> np.ndarray:
@@ -323,8 +398,9 @@ def delta_kernel(
     trivial quotient, where no letter has a non-identity image, gives the
     full Bowen root (every word is a kernel word).  A table cut by the
     group's ball cap undercounts and can move the bracket off the true
-    value, so ``ball`` refuses the pruning ball (``CapExceededError``) before
-    any table is counted; a ``tol`` of at least half the starting bracket
+    value, so when the tables read a ball (every case but the cone table of
+    ``kernel_counts``) ``ball`` refuses the pruning ball (``CapExceededError``)
+    before any table is counted; a ``tol`` of at least half the starting bracket
     [0, bowen_root + 0.1] would bisect nothing, so it raises ``ConfigError``.
     """
     if G.kernel_is_trivial():
@@ -346,7 +422,8 @@ def delta_kernel(
             "estimator is still valid but the amenability dichotomy is not",
             stacklevel=2,
         )
-    _pruning_ball(G, n_max, fit=False)  # refuse a ball the cap cuts: its tables undercount
+    if not _cone_applies(spec, G):
+        _pruning_ball(G, n_max, fit=False)  # refuse a ball the cap cuts: its tables undercount
     evals = []
     ambiguous = False
     while hi - lo > 2 * tol:

@@ -290,8 +290,9 @@ class TestHappyPaths:
         assert rel <= 1e-12
 
     def test_delta_kernel_odd_window_fits_cap(self, tmp_path):
-        # n_max 21 needs the radius-10 ball of F_2 (118,097 elements), not
-        # radius 11 (354,293); the cap changes nothing
+        # equal ratios on a free quotient read the cone table, which builds
+        # no ball (the ball program needed the radius-10 ball of F_2,
+        # 118,097 elements); the cap changes nothing
         cfg = {"gdms": {"d": 3, "ratio": 0.2},
                "quotient": {"type": "free_quotient", "kill": [3]},
                "params": {"n_max": 21}}
@@ -541,6 +542,15 @@ READ_KEYS = {
 NEEDS_QUOTIENT = {
     "delta-kernel", "amenability", "symmetry-check", "walks", "render subset 'induced'"
 }
+# The caps each row that reads caps reads, written out independently of cli.READS.
+READ_CAPS = {
+    "delta-kernel": {"ball"},
+    "amenability": {"ball"},
+    "symmetry-check": {"ball"},
+    "walks": {"ball"},
+    "render subset 'full'": {"points"},
+    "render subset 'induced'": {"ball", "points", "loops"},
+}
 # one valid value for every params key
 VALID_PARAMS = {
     "s": 1.0,
@@ -578,6 +588,39 @@ class TestParamsTable:
             needs_quotient, defaults = cli.READS[row]
             assert set(defaults) == keys, row
             assert needs_quotient == (row in NEEDS_QUOTIENT), row
+
+    def test_table_caps(self):
+        assert {row for row, keys in READ_KEYS.items() if "caps" in keys} == set(READ_CAPS)
+        for row, caps in READ_CAPS.items():
+            assert set(cli.READS[row][1]["caps"]) == caps, row
+
+    @pytest.mark.parametrize("row", sorted(set(READ_CAPS) - {"render subset 'induced'"}))
+    def test_unread_caps_rejected(self, tmp_path, capsys, row):
+        # e.g. delta-kernel with caps.points: only render draws points
+        command, base = _base_config(row)
+        for cap in sorted({"ball", "points", "loops"} - READ_CAPS[row]):
+            cfg = {**base, "params": {**base["params"], "caps": {cap: 5}}}
+            code, outdir = run_cli(command, cfg, tmp_path, cap)
+            assert code == 2, (row, cap)
+            assert f"params.caps.{cap} does not apply to {command}" in capsys.readouterr().err
+            assert not outdir.exists(), (row, cap)
+
+    @pytest.mark.parametrize("row, params", [
+        ("delta-kernel", {"n_max": 20}),
+        ("amenability", {"radii": [2], "kernel_n_max": 20}),
+        ("symmetry-check", {"n_max": 4}),
+        ("walks", {"radii": [2], "radius": 2}),
+        ("render subset 'full'", {"depth": 6, "resolution": 32}),
+        ("render subset 'induced'", {"L_max": 2, "composition_depth": 3, "resolution": 32}),
+    ])
+    def test_read_caps_accepted(self, tmp_path, row, params):
+        command, base = _base_config(row)
+        caps = dict.fromkeys(sorted(READ_CAPS[row]), 10**6)
+        cfg = {**base, "params": {**base["params"], **params, "caps": caps}}
+        code, outdir = run_cli(command, cfg, tmp_path)
+        assert code == 0
+        echo = json.loads((outdir / "report.json").read_text())["config"]["params"]
+        assert echo["caps"] == caps
 
     @pytest.mark.parametrize("row", sorted(READ_KEYS))
     def test_unread_keys_rejected(self, tmp_path, capsys, row):

@@ -261,6 +261,11 @@ class TestBalls:
         expected = [1] + [2 * k * (2 * k - 1) ** (n - 1) for n in range(1, 5)]
         assert B.sphere_sizes() == expected
 
+    def test_whole_finite_group_spheres_stop_at_diameter(self, s3):
+        B = ball(s3)
+        assert B.radius == s3.ball_cap
+        assert B.sphere_sizes() == [1, 3, 2]
+
     def test_identity_has_index_zero(self, zz):
         B = ball(zz, 3)
         assert B.elements[0] == zz.identity()

@@ -2,6 +2,7 @@
 
 import math
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from gdms import kernel as kernel_mod
 from gdms.groups import ball, bfs_ball
 from gdms.kernel import _pruning_ball, forward_word_step, loop_composition_log_counts
 
-from conftest import brute_first_returns, brute_kernel_sums
+from conftest import brute_first_returns, brute_kernel_sums, iter_reduced_words, naive_reduce
 
 
 class TestKernelCounts:
@@ -75,10 +76,13 @@ class TestKernelCounts:
         table = kernel_counts(spec_third, free_f2, 1.0, 8)
         assert not np.isfinite(table.log_a).any()
 
-    def test_cap_falls_back_inexact(self, spec_fifth_d3, f2_of_f3):
-        table = kernel_counts(spec_fifth_d3, FreeQuotient(3, kill=[3], ball_cap=50), 1.0, 12)
+    def test_cap_falls_back_inexact(self, spec_third, zz):
+        # Z^2 at n_max 12 needs the radius-6 ball (85 elements); a free
+        # quotient's equal-ratio table reads no ball, so no cap cuts it
+        capped = FreeAbelianQuotient(2, [[1, 0], [0, 1]], ball_cap=50)
+        table = kernel_counts(spec_third, capped, 1.0, 12)
         assert not table.exact
-        full = kernel_counts(spec_fifth_d3, f2_of_f3, 1.0, 12)
+        full = kernel_counts(spec_third, zz, 1.0, 12)
         # undercount only
         assert (table.log_a <= full.log_a + 1e-12).all()
 
@@ -129,7 +133,9 @@ class TestLiveWindow:
             got = kernel_counts(spec, G, s, n_max).log_a
             assert got.tobytes() == full_width_kernel_counts(spec, G, s, n_max).tobytes()
 
-    def test_delta_kernel_builds_ball_once(self, spec_fifth_d3, monkeypatch):
+    def test_delta_kernel_builds_ball_once(self, spec_mixed_d3, monkeypatch):
+        # unequal ratios: the ball program runs at each s (equal ratios on a
+        # free quotient read the cone table and build no ball)
         builds = []
         build = FreeQuotient._build_ball
 
@@ -139,10 +145,10 @@ class TestLiveWindow:
 
         monkeypatch.setattr(FreeQuotient, "_build_ball", counting)
         G = FreeQuotient(3, kill=[3])
-        res = delta_kernel(spec_fifth_d3, G, n_max=12)
+        res = delta_kernel(spec_mixed_d3, G, n_max=12)
         assert len(res.evaluations) > 1
         assert builds == [6]
-        divergence_check(spec_fifth_d3, G, 12)
+        divergence_check(spec_mixed_d3, G, 12)
         assert builds == [6]
 
 
@@ -219,7 +225,8 @@ class TestEqualRatios:
         err = np.abs(got[finite] - ref[finite])
         assert (err <= 1e-13 * np.maximum(1.0, np.abs(ref[finite]))).all()
 
-    def test_one_dp_per_group(self, spec_fifth_d3, monkeypatch):
+    def test_one_dp_per_group(self, spec_third, monkeypatch):
+        # Z^2 runs the ball program (a free quotient reads the cone table)
         calls = []
         step = kernel_mod.forward_word_step
 
@@ -228,11 +235,11 @@ class TestEqualRatios:
             return step(*args, **kwargs)
 
         monkeypatch.setattr(kernel_mod, "forward_word_step", counting)
-        G = FreeQuotient(3, kill=[3])
-        res = delta_kernel(spec_fifth_d3, G, n_max=12)
+        G = FreeAbelianQuotient(2, [[1, 0], [0, 1]])
+        res = delta_kernel(spec_third, G, n_max=18)
         assert len(res.evaluations) > 1
-        divergence_check(spec_fifth_d3, G, 12)
-        assert len(calls) == 12 - 1
+        divergence_check(spec_third, G, 18)
+        assert len(calls) == 18 - 1
 
     def test_result_does_not_alias_memo(self, spec_fifth_d3):
         G = FreeQuotient(3, kill=[3])
@@ -250,6 +257,106 @@ class TestEqualRatios:
         kernel_counts(spec_fifth_d3, G, 1.0, 10)  # memoise the s = 0 table
         with pytest.raises(ConfigError, match="overflow at s = -500.0"):
             kernel_counts(spec_fifth_d3, G, -500.0, 10)
+
+
+def enumerated_kernel_word_counts(d, kill, n_max):
+    """N_n for n = 1..n_max by listing reduced words of F_d one by one.
+
+    A reduced word of length n is u + v with |u| = n // 2 and no
+    cancellation at the seam; its image in F_d / <<kill>> is the identity
+    exactly when the reduced image of v is the inverse of that of u.  Both
+    halves are listed explicitly and matched by (image, seam letter).
+    """
+    killed = {c for c in range(2 * d) if c // 2 + 1 in kill}
+
+    def image(w):
+        return naive_reduce(c for c in w if c not in killed)
+
+    counts = []
+    for n in range(1, n_max + 1):
+        h = n // 2
+        heads = Counter((image(u), u[-1] if u else -2) for u in iter_reduced_words(d, h))
+        tails = Counter((image(v), v[0]) for v in iter_reduced_words(d, n - h))
+        total = 0
+        for (g, last), x in heads.items():
+            g_inv = tuple(c ^ 1 for c in reversed(g))
+            total += sum(
+                x * tails.get((g_inv, first), 0)
+                for first in range(2 * d) if first != last ^ 1
+            )
+        counts.append(total)
+    return counts
+
+
+# (d, kill): rank 2 to 4, from the trivial kernel to the trivial quotient
+CONE_CASES = [(3, [3]), (3, [1, 3]), (4, [2]), (2, [1]), (3, [1, 2, 3]), (2, []), (4, [])]
+CONE_IDS = [f"F{d}-kill{''.join(map(str, kill))}" for d, kill in CONE_CASES]
+
+
+class TestConeTable:
+    """Free quotients with equal ratios count kernel words by cone type."""
+
+    @pytest.mark.parametrize("d,kill", CONE_CASES, ids=CONE_IDS)
+    def test_counts_match_enumeration(self, d, kill):
+        G = FreeQuotient(d, kill)
+        log_N = kernel_counts(LinearGdmsSpec.equal_ratios(d, 0.2), G, 0.0, 10).log_a
+        got = [round(math.exp(x)) if np.isfinite(x) else 0 for x in log_N]
+        assert got == enumerated_kernel_word_counts(d, kill, 10)
+        assert G._balls == {}  # no ball was built
+
+    @pytest.mark.parametrize("d,kill", CONE_CASES, ids=CONE_IDS)
+    def test_matches_full_width_ball_program(self, d, kill):
+        spec = LinearGdmsSpec.equal_ratios(d, 0.2)
+        G = FreeQuotient(d, kill)
+        # counts below 2**53: the same doubles as the ball program
+        got = kernel_counts(spec, G, 0.0, 12).log_a
+        assert got.tobytes() == full_width_kernel_counts(spec, G, 0.0, 12).tobytes()
+        for s in (-3.0, 0.5, 1.0, 2.5):
+            got = kernel_counts(spec, G, s, 12).log_a
+            ref = full_width_kernel_counts(spec, G, s, 12)
+            assert np.array_equal(np.isfinite(got), np.isfinite(ref))
+            finite = np.isfinite(ref)
+            err = np.abs(got[finite] - ref[finite])
+            assert (err <= 1e-13 * np.maximum(1.0, np.abs(ref[finite]))).all()
+
+    def test_cogrowth_rate_at_n_2000(self, spec_fifth_d3):
+        # Grigorchuk's cogrowth formula: the kernel words of F_3 -> G grow
+        # like alpha^n with alpha + 5 / alpha = 6 rho, rho the spectral radius
+        # of the simple random walk on the six letter images; on F_2 with
+        # g_3 killed, rho = 1/3 + (2/3) (sqrt 3 / 2) (Kesten)
+        G = FreeQuotient(3, kill=[3])
+        log_N = kernel_counts(spec_fifth_d3, G, 0.0, 2000).log_a
+        n = np.arange(1001, 2001)
+        fit = np.column_stack([n, np.log(n), np.ones(len(n))])
+        rate, alpha, _ = np.linalg.lstsq(fit, log_N[1000:], rcond=None)[0]
+        rho = 1 / 3 + math.sqrt(3) / 3
+        assert abs(rate - math.log(3 * rho + math.sqrt(9 * rho**2 - 5))) < 1e-5
+        assert -2.0 < alpha < -1.0
+
+    def test_built_once_without_a_ball(self, spec_fifth_d3, spec_mixed_d3, monkeypatch):
+        calls, steps = [], []
+        cone, step = kernel_mod._cone_log_counts, kernel_mod.forward_word_step
+
+        def counting(*args):
+            calls.append(args[1])
+            return cone(*args)
+
+        def stepping(*args, **kwargs):
+            steps.append(1)
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(kernel_mod, "_cone_log_counts", counting)
+        monkeypatch.setattr(kernel_mod, "forward_word_step", stepping)
+        # a cap of one element refuses every ball but the identity's
+        G = FreeQuotient(3, kill=[3], ball_cap=1)
+        res = delta_kernel(spec_fifth_d3, G, n_max=12)
+        assert len(res.evaluations) > 1
+        table = divergence_check(spec_fifth_d3, G, 12).table
+        assert (table.exact, table.ball_radius) == (True, 6)
+        assert calls == [12] and steps == [] and G._balls == {}
+        # unequal ratios read the ball, which the cap refuses
+        with pytest.raises(CapExceededError, match="exceeds cap 1"):
+            delta_kernel(spec_mixed_d3, G, n_max=12)
 
 
 class TestKernelPressure:
