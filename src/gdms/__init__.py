@@ -22,10 +22,8 @@ from .groups import (
     FreeQuotient,
     QuotientGroup,
     ball,
-    kappa,
     letter_name,
     quotient_from_config,
-    reduce_word,
 )
 from .kernel import (
     DeltaKernelResult,
@@ -38,16 +36,11 @@ from .kernel import (
     induced_loops,
     kernel_counts,
     kernel_pressure,
-    log_partition_sums,
 )
 from .pressure import (
-    GibbsMeasure,
     LinearGdmsSpec,
     SpectralData,
     bowen_root,
-    gibbs_measure,
-    is_admissible,
-    log_weight,
     pressure,
     pressure_curve,
     spectral_data,

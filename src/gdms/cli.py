@@ -264,13 +264,31 @@ def cmd_render(spec, G, params: dict, outdir: Path) -> dict:
         results["loops_json"] = "loops.json"
         results["n_loops"] = len(sys_ind)
     else:
-        depth = params.setdefault("depth", 10 if dimension == 1 else 7)
-        cloud = attractor_points(real, depth, "full", point_cap=caps["points"])
+        if "depth" not in params:
+            # the deepest default level, of 2d (2d-1)^(k-1) points, that fits the cap
+            n, depth = 2 * spec.d, 10 if dimension == 1 else 7
+            while depth > 1 and n * (n - 1) ** (depth - 1) > caps["points"]:
+                depth -= 1
+            params["depth"] = depth
+        cloud = attractor_points(real, params["depth"], "full", point_cap=caps["points"])
         reference = bowen_root(spec)
         results["delta_full"] = exact(reference, tolerance=1e-12)
     if "scales" not in params:
         params["scales"] = [max(spec.ratios) ** k for k in range(2, 7)]
-    bc = box_counting(cloud, params["scales"])
+    try:
+        bc = box_counting(cloud, params["scales"])
+    except ConfigError:
+        raise
+    except GdmsError as exc:  # too few distinct counts: no slope, but the render stands
+        scales = sorted(map(float, params["scales"]))
+        box = {"slope": None, "reason": str(exc), "scales": scales}
+    else:
+        box = {
+            "slope": estimate(bc.slope, bc.slope - bc.residual, bc.slope + bc.residual),
+            "scales": list(bc.scales),
+            "counts": list(bc.counts),
+            "residual": bc.residual,
+        }
     img = render_image(cloud, params["resolution"])
     outdir.mkdir(parents=True, exist_ok=True)
     write_pgm(img, outdir / "attractor.pgm")
@@ -278,12 +296,7 @@ def cmd_render(spec, G, params: dict, outdir: Path) -> dict:
     write_csv(outdir / "points.csv", header, [*cloud.points.T, cloud.words.names()])
     return {
         **results,
-        "box_count": {
-            "slope": estimate(bc.slope, bc.slope - bc.residual, bc.slope + bc.residual),
-            "scales": list(bc.scales),
-            "counts": list(bc.counts),
-            "residual": bc.residual,
-        },
+        "box_count": box,
         "reference_dimension": reference,
         "points": len(cloud),
         "image_pgm": "attractor.pgm",

@@ -1,4 +1,4 @@
-"""Free-group words, the reversal-inversion involution, and quotient groups.
+"""Quotient groups G = F_d / N and their word-metric balls.
 
 The alphabet for the free group F_d = <g_1, ..., g_d> is the 2d-letter set
 
@@ -9,7 +9,9 @@ code of the inverse letter.  A word is a tuple of letter codes; reduced words
 (no letter is followed by its inverse) are exactly the admissible words of
 the non-backtracking Markov shift used throughout the package.
 
-Quotients G = F_d / N are represented by one of three backends:
+A backend is an identity and a right action of the 2d letters on hashable
+elements: ``identity()`` and ``apply_letter(g, c)``, the product of g with
+the image of letter c, are all it must define.  Three backends ship:
 
 * ``FinitePermQuotient``  -- generator images are permutations on n points;
   elements are the permutations their products reach.
@@ -18,17 +20,16 @@ Quotients G = F_d / N are represented by one of three backends:
 * ``FreeQuotient``        -- a subset of the generators is killed; the
   survivors generate a free group and elements are reduced words in them.
 
-Every backend exposes the semigroup homomorphism from letter sequences to G,
-inversion and equality/hash on elements.  The numerics see G only through
-``ball``: a word-metric ball around the identity, indexed breadth-first, with
-its distances to the identity (the word metric) and its move table (the
-Cayley graph cut to the ball).  A backend is built with its ball cap, the
-most elements any of its balls may hold; no backend explores its group
-otherwise, so every search is capped, and ``ball`` is the one place that
-refuses a search the cap stops.  ``ball(G)`` is the whole group of a finite
-backend (``finite``), or a refusal when it has more elements than the cap.
-All objects are immutable after construction and safe to share across
-workers.
+The numerics see G only through ``ball``: a word-metric ball around the
+identity, indexed breadth-first, given by its distances to the identity (the
+word metric) and its move table (the Cayley graph cut to the ball); no
+element is kept once the ball is built.  A backend is built with its ball
+cap, the most elements any of its balls may hold; no backend explores its
+group otherwise, so every search is capped, and ``ball`` is the one place
+that refuses a search the cap stops.  ``ball(G)`` is the whole group of a
+finite backend (``finite``), or a refusal when it has more elements than
+the cap.  All objects are immutable after construction and safe to share
+across workers.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from __future__ import annotations
 import functools
 from abc import ABC, abstractmethod
 from functools import cached_property
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Hashable, Sequence
 
 import numpy as np
 
@@ -46,39 +47,13 @@ DEFAULT_BALL_CAP = 2_000_000
 
 
 # ---------------------------------------------------------------------------
-# Words
+# Letters
 # ---------------------------------------------------------------------------
 
 @functools.cache
 def letter_name(code: int) -> str:
     """Display name of a letter code: ``g1``, ``g1~`` (its inverse), ``g2``, ..."""
     return f"g{code // 2 + 1}" + ("~" if code & 1 else "")
-
-
-def reduce_word(codes: Iterable[int]) -> tuple[int, ...]:
-    """Fully reduce a code sequence by stack cancellation.
-
-    The result equals the input in F_d; a single left-to-right pass with a
-    stack performs every cancellation cascade.
-    """
-    stack: list[int] = []
-    for c in codes:
-        if stack and stack[-1] == c ^ 1:
-            stack.pop()
-        else:
-            stack.append(c)
-    return tuple(stack)
-
-
-def kappa(w: tuple[int, ...]) -> tuple[int, ...]:
-    """Reverse the word and invert each letter.
-
-    An involution on nonempty reduced words; it preserves the multiset of
-    generator indices, hence any per-letter weight with c(g) = c(g^-1).
-    """
-    if not w:
-        raise ConfigError("empty word has no kappa image")
-    return tuple(c ^ 1 for c in reversed(w))
 
 
 # ---------------------------------------------------------------------------
@@ -97,25 +72,12 @@ class QuotientGroup(ABC):
         ...
 
     @abstractmethod
-    def letter_image(self, code: int) -> Hashable:
-        """The image of a single letter under the quotient homomorphism."""
-
-    @abstractmethod
     def apply_letter(self, g: Hashable, code: int) -> Hashable:
         """Right-multiply ``g`` by the image of the letter ``code``."""
 
-    @abstractmethod
-    def inverse(self, g: Hashable) -> Hashable:
-        ...
-
-    def apply_word(self, g: Hashable, codes: Iterable[int]) -> Hashable:
-        for c in codes:
-            g = self.apply_letter(g, c)
-        return g
-
-    def word_image(self, codes: Iterable[int]) -> Hashable:
-        """The left-to-right fold of letter images; the empty word maps to id."""
-        return self.apply_word(self.identity(), codes)
+    def letter_image(self, code: int) -> Hashable:
+        """The image of a single letter under the quotient homomorphism."""
+        return self.apply_letter(self.identity(), code)
 
     def kernel_is_trivial(self) -> bool:
         """True iff N = {id}, in which case no nonempty word is a kernel word."""
@@ -140,6 +102,9 @@ class QuotientGroup(ABC):
     def _balls(self) -> dict[int, "Ball"]:
         """Memo of ``ball``: radius -> Ball (the group is immutable)."""
         return {}
+
+    # the ball a cap stopped a search at, if any: no larger radius fits
+    _capped: "Ball | None" = None
 
     @cached_property
     def _kernel_tables(self) -> dict[tuple[int, int], np.ndarray]:
@@ -181,27 +146,25 @@ class FinitePermQuotient(QuotientGroup):
                     f"image of g{i + 1} is not a permutation of 0..{degree - 1}: {img}"
                 )
             self._images[2 * i] = perm
-            self._images[2 * i + 1] = self.inverse(perm)
+            self._images[2 * i + 1] = self._inverse(perm)
 
     @staticmethod
     def _mul(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
         # (p*q)(x) = q(p(x)): apply p first, matching left-to-right word folds.
         return tuple(q[v] for v in p)
 
+    @staticmethod
+    def _inverse(p: tuple[int, ...]) -> tuple[int, ...]:
+        inv = [0] * len(p)
+        for a, b in enumerate(p):
+            inv[b] = a
+        return tuple(inv)
+
     def identity(self):
         return tuple(range(self.degree))
 
-    def letter_image(self, code: int):
-        return self._images[code]
-
     def apply_letter(self, g, code: int):
         return self._mul(g, self._images[code])
-
-    def inverse(self, g):
-        inv = [0] * self.degree
-        for a, b in enumerate(g):
-            inv[b] = a
-        return tuple(inv)
 
 
 class FreeAbelianQuotient(QuotientGroup):
@@ -232,14 +195,8 @@ class FreeAbelianQuotient(QuotientGroup):
     def identity(self):
         return (0,) * self.rank
 
-    def letter_image(self, code: int):
-        return self._images[code]
-
     def apply_letter(self, g, code: int):
         return tuple(a + b for a, b in zip(g, self._images[code]))
-
-    def inverse(self, g):
-        return tuple(-x for x in g)
 
 
 class FreeQuotient(QuotientGroup):
@@ -265,18 +222,12 @@ class FreeQuotient(QuotientGroup):
     def identity(self):
         return ()
 
-    def letter_image(self, code: int):
-        return () if code in self.killed_codes else (code,)
-
     def apply_letter(self, g, code: int):
         if code in self.killed_codes:
             return g
         if g and g[-1] == (code ^ 1):
             return g[:-1]
         return g + (code,)
-
-    def inverse(self, g):
-        return tuple((c ^ 1) for c in reversed(g))
 
     def kernel_is_trivial(self) -> bool:
         return not self.kill
@@ -306,7 +257,6 @@ class FreeQuotient(QuotientGroup):
             sizes.append(size)
         n = sum(sizes)
         starts = np.cumsum([0] + sizes)
-        parent = np.full(n, -1, dtype=np.int64)
         last = np.full(n, -1, dtype=np.int64)
         moves = np.full((2 * self.d, n), -1, dtype=np.int64)
         moves[sorted(self.killed_codes)] = np.arange(n)
@@ -315,19 +265,11 @@ class FreeQuotient(QuotientGroup):
             # identity: last = -1, and -1 ^ 1 = -2 matches no code
             rows, cols = np.nonzero(codes[None, :] != (last[lo:hi, None] ^ 1))
             child = np.arange(hi, starts[r + 2])
-            parent[child] = lo + rows
             last[child] = codes[cols]
             moves[codes[cols], lo + rows] = child
             moves[codes[cols] ^ 1, child] = lo + rows
         dist = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
-
-        def elements() -> list:
-            out: list[tuple[int, ...]] = [()]
-            for p, c in zip(parent[1:].tolist(), last[1:].tolist()):
-                out.append(out[p] + (c,))
-            return out
-
-        return Ball(self, radius, dist, elements, moves)
+        return Ball(radius, dist, moves)
 
 
 # ---------------------------------------------------------------------------
@@ -335,46 +277,27 @@ class FreeQuotient(QuotientGroup):
 # ---------------------------------------------------------------------------
 
 class Ball:
-    """A word-metric ball around the identity with stable dense indexing.
+    """A word-metric ball around the identity: its radius, distances and moves.
 
-    Elements are listed in breadth-first order, ties broken by generator
+    Elements are indexed in breadth-first order, ties broken by generator
     code, so index 0 is the identity, ``dist`` is nondecreasing (every
     sphere is a contiguous index range) and indices are reproducible across
     runs.  ``dist`` is the word metric to the identity, and ``letter_moves``
     gives, per letter, the index map of right multiplication (-1 when the
     product leaves the ball): together they are the Cayley graph cut to the
-    ball.  The hot paths read only these two arrays; ``elements`` is listed
-    on first use by the zero-argument function the builder passes.  Both
-    arrays are read-only because memoised balls are shared by every caller.
+    ball.  Every element but the identity is one move from a nearer one, so
+    the two arrays determine the elements; the ball keeps no element itself.
+    Both arrays are read-only because memoised balls are shared by every
+    caller.
     """
 
-    def __init__(
-        self,
-        group: QuotientGroup,
-        radius: int,
-        dist: np.ndarray,
-        list_elements: Callable[[], list],
-        moves: np.ndarray,
-    ):
-        self.group = group
+    def __init__(self, radius: int, dist: np.ndarray, moves: np.ndarray):
         self.radius = radius
         self.dist = _read_only(dist)
-        self._list_elements = list_elements
         self._moves = _read_only(moves)
 
     def __len__(self):
         return len(self.dist)
-
-    def __repr__(self):
-        return f"Ball(group={self.group!r}, radius={self.radius}, size={len(self)})"
-
-    @cached_property
-    def elements(self) -> list:
-        return self._list_elements()
-
-    @cached_property
-    def index(self) -> dict:
-        return {g: i for i, g in enumerate(self.elements)}
 
     def sphere_sizes(self) -> list[int]:
         """Elements per distance, through the farthest element: a whole
@@ -426,7 +349,8 @@ def ball(G: QuotientGroup, radius: int | None = None, fit: bool = False) -> Ball
     ball at a time: a smaller radius is the breadth-first prefix of a
     memoised larger ball, or of the whole group once a ball holds it.
     Otherwise the backend's builder stops where the cap stops it and keeps
-    the spheres it completed.
+    the spheres it completed; the group remembers that ball, and a request
+    for any larger radius reads it without searching again.
     """
     whole = radius is None
     if whole:
@@ -434,12 +358,16 @@ def ball(G: QuotientGroup, radius: int | None = None, fit: bool = False) -> Ball
     if radius < 0:
         raise ConfigError("ball radius must be >= 0")
     B = G._balls.get(radius)
+    if B is None and G._capped is not None and radius > G._capped.radius:
+        B = G._capped
     if B is None:
         # every memoised ball fits the cap, and one whose search ran out of
         # elements before its radius is the group
         larger = [A for A in G._balls.values() if A.radius >= radius or A.dist[-1] < A.radius]
         B = _prefix(min(larger, key=len), radius) if larger else G._build_ball(radius)
         B = G._balls.setdefault(B.radius, B)
+        if B.radius < radius:
+            G._capped = B
     if B.radius < radius and not fit:
         if whole:
             raise CapExceededError(f"the group has more than {G.ball_cap} elements")
@@ -460,7 +388,7 @@ def _prefix(B: Ball, radius: int) -> Ball:
     n = int(np.searchsorted(B.dist, radius, side="right"))
     moves = B.letter_moves()[:, :n].copy()
     moves[moves >= n] = -1
-    return Ball(B.group, radius, B.dist[:n], lambda: B.elements[:n], moves)
+    return Ball(radius, B.dist[:n], moves)
 
 
 def bfs_ball(G: QuotientGroup, radius: int) -> Ball:
@@ -502,13 +430,7 @@ def bfs_ball(G: QuotientGroup, radius: int) -> Ball:
             moves.append(j)
     table = np.array(moves, dtype=np.int64).reshape(len(elements), n_codes)
     table[table >= len(elements)] = -1  # elements dropped to fit the cap
-    return Ball(
-        G,
-        radius,
-        np.array(dist, dtype=np.int64),
-        lambda: elements,
-        np.ascontiguousarray(table.T),
-    )
+    return Ball(radius, np.array(dist, dtype=np.int64), np.ascontiguousarray(table.T))
 
 
 # The keys each quotient type reads besides "type"; all are required but "kill".

@@ -76,6 +76,10 @@ from .linalg import perron_value_dense
 from .pressure import LinearGdmsSpec, bowen_root
 
 DEFAULT_LOOP_CAP = 500_000
+# Nonzero kernel counts a pressure estimate needs.
+MIN_KERNEL_ENTRIES = 8
+# Width at which the induced Bowen root's bisection stops.
+INDUCED_ROOT_TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -293,13 +297,6 @@ def kernel_counts(
     return KernelCountTable(float(s), n_max, log_a, exact, radius)
 
 
-def log_partition_sums(spec: LinearGdmsSpec, s: float, n_max: int) -> np.ndarray:
-    """log Z_n for n = 1..n_max, Z_n the sum over all admissible words of
-    length n of prod_i c(w_i)^s: the kernel counts of the trivial quotient."""
-    trivial = FreeQuotient(spec.d, range(1, spec.d + 1))
-    return kernel_counts(spec, trivial, s, n_max).log_a
-
-
 # ---------------------------------------------------------------------------
 # Kernel pressure estimation
 # ---------------------------------------------------------------------------
@@ -321,22 +318,20 @@ class KernelPressureEstimate:
     n_used: int
 
 
-def kernel_pressure(
-    table: KernelCountTable, min_entries: int = 8
-) -> KernelPressureEstimate:
+def kernel_pressure(table: KernelCountTable) -> KernelPressureEstimate:
     """Estimate the kernel pressure at the table's exponent.
 
-    Requires at least ``min_entries`` nonzero counts.  The stride is 2 when
-    every nonzero count sits at an even length (kernel parity, e.g. for
-    quotients all of whose generator images square to the identity or for
-    free abelianizations), else 1.
+    Requires at least ``MIN_KERNEL_ENTRIES`` nonzero counts.  The stride is
+    2 when every nonzero count sits at an even length (kernel parity, e.g.
+    for quotients all of whose generator images square to the identity or
+    for free abelianizations), else 1.
     """
     support = table.support()
     if support.size == 0:
         raise GdmsError("kernel not reached; increase n_max")
-    if support.size < min_entries:
+    if support.size < MIN_KERNEL_ENTRIES:
         raise GdmsError(
-            f"need at least {min_entries} nonzero kernel counts, got {support.size}; "
+            f"need at least {MIN_KERNEL_ENTRIES} nonzero kernel counts, got {support.size}; "
             "increase n_max"
         )
     period = 2 if np.all(support % 2 == 0) else 1
@@ -583,7 +578,7 @@ def loop_transfer_matrix(sys: InducedSystem, s: float) -> np.ndarray:
     return _complement(by_pair)
 
 
-def induced_bowen_root(sys: InducedSystem, tol: float = 1e-10) -> float:
+def induced_bowen_root(sys: InducedSystem) -> float:
     """Zero of the induced-system pressure: a lower bound for delta(N).
 
     Nondecreasing in the loop cutoff; errors out when no zero exists below
@@ -603,43 +598,10 @@ def induced_bowen_root(sys: InducedSystem, tol: float = 1e-10) -> float:
         )
     if rho(hi) >= 1.0:  # pragma: no cover - impossible below delta+1
         raise GdmsError("induced pressure has no root below the delta+1 bracket")
-    while hi - lo > tol:
+    while hi - lo > INDUCED_ROOT_TOL:
         s = 0.5 * (lo + hi)
         if rho(s) >= 1.0:
             lo = s
         else:
             hi = s
     return 0.5 * (lo + hi)
-
-
-def loop_composition_log_counts(sys: InducedSystem, s: float, n_max: int) -> np.ndarray:
-    """log total s-weight of loop compositions by total length (renewal sums).
-
-    Used to cross-check the loop enumeration against the kernel counts: for
-    n <= L_max every kernel word of length n is a unique composition.
-    """
-    n = 2 * sys.spec.d
-    # follow[t][v]: weight of compositions of total length t that letter v
-    # may follow, i.e. L applied to their weights by last letter.
-    follow = [np.zeros(n) for _ in range(n_max + 1)]
-    out = np.full(n_max, -np.inf)
-    firsts = sys.first_letters()
-    lasts = sys.last_letters()
-    w = np.exp(s * sys.log_weights)
-    lens = np.array([len(p) for p in sys.loops])
-    order = np.argsort(lens, kind="stable")
-    for total in range(1, n_max + 1):
-        vec = np.zeros(n)
-        for k in order:
-            L = int(lens[k])
-            if L > total:
-                break
-            if L == total:
-                vec[lasts[k]] += w[k]
-            else:
-                vec[lasts[k]] += w[k] * follow[total - L][firsts[k]]
-        follow[total] = _complement(vec)
-        tot = vec.sum()
-        if tot > 0:
-            out[total - 1] = math.log(tot)
-    return out

@@ -19,8 +19,9 @@ geometric realization satisfying the open set condition.
 P(s) is defined by a limit of length-windowed sums; for the locally constant
 weights used here that limit exists and equals log rho(s), and the package
 computes the eigenvalue throughout.  The sums Z_n themselves are the kernel
-counts of the trivial quotient (``kernel.log_partition_sums``), so one word
-dynamic program serves every series and this module runs none.
+counts of the trivial quotient, where every word is a kernel word, so one
+word dynamic program (``kernel.word_sums``) serves every series and this
+module runs none.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .linalg import PerronResult, perron_value_dense
 
 SPECTRAL_TOL = 1e-12
 SPECTRAL_MAX_ITER = 1_000_000
+BOWEN_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -133,22 +135,6 @@ class LinearGdmsSpec:
 
 
 # ---------------------------------------------------------------------------
-# Words and weights
-# ---------------------------------------------------------------------------
-
-def is_admissible(codes: Sequence[int]) -> bool:
-    """True iff no letter is followed by its own inverse."""
-    return all(b != (a ^ 1) for a, b in zip(codes, codes[1:]))
-
-
-def log_weight(spec: LinearGdmsSpec, codes: Sequence[int], s: float) -> float:
-    """log of prod c(w_i)^s; the empty word gets 0 (weight 1) by convention."""
-    if not is_admissible(codes):
-        raise ConfigError("word is not admissible")
-    return s * float(spec.log_ratios[list(codes)].sum()) if codes else 0.0
-
-
-# ---------------------------------------------------------------------------
 # Transfer matrices and spectral data
 # ---------------------------------------------------------------------------
 
@@ -179,11 +165,9 @@ def transfer_matrix(spec: LinearGdmsSpec, s: float) -> np.ndarray:
     return m
 
 
-def spectral_data(m: np.ndarray,
-                  tol: float = SPECTRAL_TOL,
-                  max_iter: int = SPECTRAL_MAX_ITER) -> SpectralData:
-    right: PerronResult = perron_value_dense(m, tol=tol, max_iter=max_iter)
-    left: PerronResult = perron_value_dense(m.T, tol=tol, max_iter=max_iter)
+def spectral_data(m: np.ndarray) -> SpectralData:
+    right: PerronResult = perron_value_dense(m, SPECTRAL_TOL, SPECTRAL_MAX_ITER)
+    left: PerronResult = perron_value_dense(m.T, SPECTRAL_TOL, SPECTRAL_MAX_ITER)
     r = right.vector / right.vector.max()
     l = left.vector / float(left.vector @ r)
     return SpectralData(
@@ -200,8 +184,8 @@ def pressure(spec: LinearGdmsSpec, s: float) -> float:
     return math.log(spectral_data(transfer_matrix(spec, s)).rho)
 
 
-def bowen_root(spec: LinearGdmsSpec, tol: float = 1e-12) -> float:
-    """The unique zero of the pressure function.
+def bowen_root(spec: LinearGdmsSpec) -> float:
+    """The unique zero of the pressure function, to |P| <= BOWEN_TOL.
 
     Bracketed bisection with Newton polish; the derivative of rho comes from
     the eigenvector perturbation identity d rho/ds = l . (dM/ds) . r.
@@ -218,7 +202,7 @@ def bowen_root(spec: LinearGdmsSpec, tol: float = 1e-12) -> float:
         m = transfer_matrix(spec, s)
         sd = spectral_data(m)
         p = math.log(sd.rho)
-        if abs(p) <= tol:
+        if abs(p) <= BOWEN_TOL:
             return s
         if p > 0:
             lo = s
@@ -229,50 +213,6 @@ def bowen_root(spec: LinearGdmsSpec, tol: float = 1e-12) -> float:
         step = s - p / (drho / sd.rho)
         s = step if lo < step < hi else 0.5 * (lo + hi)
     return s
-
-
-# ---------------------------------------------------------------------------
-# Gibbs measures
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GibbsMeasure:
-    """Stationary Markov measure realizing the Gibbs property on cylinders.
-
-    ``phat`` is the stochasticized transfer matrix, ``pi`` its stationary
-    law; cylinder masses are uniformly comparable to weight(w) * e^{-nP}.
-    """
-
-    spec: LinearGdmsSpec
-    s: float
-    pi: np.ndarray
-    phat: np.ndarray
-    pressure: float
-
-    def log_cylinder_mass(self, codes: Sequence[int]) -> float:
-        if not codes:
-            return 0.0
-        if not is_admissible(codes):
-            raise ConfigError("word is not admissible")
-        total = math.log(self.pi[codes[0]])
-        for a, b in zip(codes, codes[1:]):
-            total += math.log(self.phat[a, b])
-        return total
-
-    def cylinder_mass(self, codes: Sequence[int]) -> float:
-        return math.exp(self.log_cylinder_mass(codes))
-
-
-def gibbs_measure(spec: LinearGdmsSpec, s: float) -> GibbsMeasure:
-    m = transfer_matrix(spec, s)
-    sd = spectral_data(m)
-    r = sd.right_vec
-    phat = m * r[None, :] / (sd.rho * r[:, None])
-    pi = sd.left_vec * r
-    pi = pi / pi.sum()
-    phat.flags.writeable = False
-    pi.flags.writeable = False
-    return GibbsMeasure(spec, float(s), pi, phat, math.log(sd.rho))
 
 
 # ---------------------------------------------------------------------------

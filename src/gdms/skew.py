@@ -168,7 +168,6 @@ def amenability_report(
     G: QuotientGroup,
     radii: Sequence[int],
     kernel_n_max: int = 20,
-    tol: float = 1e-12,
 ) -> DichotomyReport:
     """Evaluate the dichotomy at s* = Bowen root by Kesten's criterion.
 
@@ -188,7 +187,7 @@ def amenability_report(
     u = spec.letter_weights(s_star)
     w = u / (1.0 - u**2)
     weights = w / w.sum()
-    ladder = walk_ladder(G, weights, radii, tol)
+    ladder = walk_ladder(G, weights, radii, tol=1e-12)
 
     kp = kp_exact = None
     try:

@@ -156,11 +156,9 @@ def walk_ladder(
     )
 
 
-def srw_spectral_radius(
-    G: QuotientGroup, R_list: Sequence[int], tol: float = 1e-11
-) -> WalkLadder:
+def srw_spectral_radius(G: QuotientGroup, R_list: Sequence[int]) -> WalkLadder:
     """Spectral-radius ladder of the simple random walk on Cayley balls."""
-    return walk_ladder(G, srw_weights(G), R_list, tol)
+    return walk_ladder(G, srw_weights(G), R_list)
 
 
 def srw_weights(G: QuotientGroup) -> np.ndarray:

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from gdms import (
+    ConfigError,
     FinitePermQuotient,
     FreeAbelianQuotient,
     FreeQuotient,
@@ -59,6 +60,68 @@ def naive_reduce(codes):
                 break
         else:
             return tuple(codes)
+
+
+def reduce_word(codes):
+    """Fully reduce a code sequence by stack cancellation.
+
+    The result equals the input in F_d; a single left-to-right pass with a
+    stack performs every cancellation cascade.
+    """
+    stack = []
+    for c in codes:
+        if stack and stack[-1] == c ^ 1:
+            stack.pop()
+        else:
+            stack.append(c)
+    return tuple(stack)
+
+
+def kappa(w):
+    """Reverse the word and invert each letter.
+
+    An involution on nonempty reduced words; it preserves the multiset of
+    generator indices, hence any per-letter weight with c(g) = c(g^-1).
+    """
+    if not w:
+        raise ConfigError("empty word has no kappa image")
+    return tuple(c ^ 1 for c in reversed(w))
+
+
+def apply_word(G, g, codes):
+    """Right-multiply ``g`` by the images of ``codes``, left to right."""
+    for c in codes:
+        g = G.apply_letter(g, c)
+    return g
+
+
+def word_image(G, codes):
+    """The image of a word in G; the empty word maps to the identity."""
+    return apply_word(G, G.identity(), codes)
+
+
+def bfs_elements(G, radius):
+    """Breadth-first oracle for balls: {element: geodesic word} for the
+    elements within ``radius`` of the identity, in the breadth-first order,
+    ties broken by letter code, that ``ball`` indexes them in.
+
+    It reads only ``identity`` and ``apply_letter``; a finite group runs out
+    of elements before a radius past its diameter.
+    """
+    words = {G.identity(): ()}
+    frontier = list(words)
+    for _ in range(radius):
+        sphere = []
+        for g in frontier:
+            for c in range(2 * G.d):
+                h = G.apply_letter(g, c)
+                if h not in words:
+                    words[h] = words[g] + (c,)
+                    sphere.append(h)
+        if not sphere:
+            break
+        frontier = sphere
+    return words
 
 
 def iter_reduced_words(d, n):

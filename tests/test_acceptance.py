@@ -28,18 +28,18 @@ from gdms import (
     cli,
     delta_kernel,
     divergence_check,
-    gibbs_measure,
     induced_bowen_root,
     induced_loops,
     kernel_counts,
     kernel_pressure,
-    log_partition_sums,
     pressure,
     srw_spectral_radius,
 )
 from gdms.linalg import perron_value
 
 from conftest import brute_kernel_sums, iter_reduced_words
+from kernel_reference import log_partition_sums
+from pressure_reference import gibbs_measure
 
 
 def report(num, description, ok):

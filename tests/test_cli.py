@@ -334,6 +334,77 @@ class TestHappyPaths:
         assert rel <= 1e-12
 
 
+class TestRenderRobustness:
+    """Box counting is a cross-check: a render whose box counts cannot be
+    fitted still writes its cloud and image, and the default depth fits the
+    point cap."""
+
+    REASON = "degenerate regression: fewer than 3 distinct box counts"
+
+    @pytest.mark.parametrize("dimension, depth", [(1, 1), (1, 4), (2, 5)])
+    def test_shallow_full_render(self, tmp_path, dimension, depth):
+        # with c = 1/3 the default scales 3^-2 .. 3^-6 see fewer than three
+        # distinct counts up to depth 4 on the line and 5 in the plane
+        cfg = {"gdms": GDMS_THIRD, "params": {"dimension": dimension, "depth": depth}}
+        code, outdir = run_cli("render", cfg, tmp_path)
+        assert code == 0
+        box = json.loads((outdir / "report.json").read_text())["results"]["box_count"]
+        assert box["slope"] is None and box["reason"] == self.REASON
+        assert box["scales"] == sorted((1 / 3) ** k for k in range(2, 7))
+        rows = (outdir / "points.csv").read_text().count("\n") - 1
+        assert rows == 4 * 3 ** (depth - 1)
+        assert (outdir / "attractor.pgm").read_bytes().startswith(b"P5\n")
+
+    def test_shallow_induced_render(self, tmp_path):
+        cfg = {"gdms": GDMS_THIRD, "quotient": Z2_QUOTIENT,
+               "params": {"subset": "induced", "L_max": 2, "composition_depth": 2}}
+        code, outdir = run_cli("render", cfg, tmp_path)
+        assert code == 0
+        res = json.loads((outdir / "report.json").read_text())["results"]
+        assert res["box_count"]["slope"] is None
+        assert res["box_count"]["reason"] == self.REASON
+        assert res["points"] == 12 * 9
+        assert {p.name for p in outdir.iterdir()} == {
+            "report.json", "loops.json", "points.csv", "attractor.pgm"
+        }
+
+    def test_scales_still_config_error(self, tmp_path, capsys):
+        cfg = {"gdms": GDMS_THIRD, "params": {"depth": 4, "scales": [0.5, 0.4, 0.3]}}
+        code, outdir = run_cli("render", cfg, tmp_path)
+        assert code == 2
+        assert "scales must span at least two octaves" in capsys.readouterr().err
+        assert not outdir.exists()
+
+    def test_default_depth_fits_point_cap(self, tmp_path):
+        # d = 3: level 9 has 6 * 5^8 = 2,343,750 points, over the default cap
+        # of 2,000,000, so the default depth is 8 (468,750 points), not 10
+        cfg = {"gdms": {"d": 3, "ratio": 0.2}, "params": {"resolution": 64}}
+        code, outdir = run_cli("render", cfg, tmp_path)
+        assert code == 0
+        report = json.loads((outdir / "report.json").read_text())
+        assert report["config"]["params"]["depth"] == 8
+        assert report["results"]["points"] == 6 * 5**7
+
+    @pytest.mark.parametrize("dimension, depth", [(1, 4), (2, 4)])
+    def test_default_depth_fits_given_cap(self, tmp_path, dimension, depth):
+        # a cap of 1,000 points: level 4 has 750, level 5 has 3,750
+        cfg = {"gdms": {"d": 3, "ratio": 0.2},
+               "params": {"dimension": dimension, "caps": {"points": 1000}}}
+        code, outdir = run_cli("render", cfg, tmp_path)
+        assert code == 0
+        report = json.loads((outdir / "report.json").read_text())
+        assert report["config"]["params"]["depth"] == depth
+        assert report["results"]["points"] == 750
+
+    def test_explicit_depth_over_cap_refused(self, tmp_path, capsys):
+        cfg = {"gdms": {"d": 3, "ratio": 0.2},
+               "params": {"depth": 5, "caps": {"points": 1000}}}
+        code, outdir = run_cli("render", cfg, tmp_path)
+        assert code == 3
+        assert "full cloud level 5 has 3750 points > cap 1000" in capsys.readouterr().err
+        assert not outdir.exists()
+
+
 class TestExitCodes:
     def test_malformed_ratio_is_config_error(self, tmp_path, capsys):
         code, _ = run_cli("delta-full", {"gdms": {"d": 2, "ratio": 1.2}}, tmp_path)

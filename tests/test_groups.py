@@ -7,25 +7,35 @@ import numpy as np
 import pytest
 
 from gdms import (
-    Ball,
     ConfigError,
     CapExceededError,
     FinitePermQuotient,
     FreeAbelianQuotient,
     FreeQuotient,
     LinearGdmsSpec,
+    QuotientGroup,
     ball,
-    is_admissible,
-    kappa,
+    check_asymptotic_symmetry,
+    kernel_counts,
     letter_name,
-    log_weight,
     quotient_from_config,
-    reduce_word,
+    srw_spectral_radius,
 )
 
 from gdms.groups import bfs_ball
 
-from conftest import all_reduced_words_upto, iter_reduced_words, naive_reduce
+from conftest import (
+    all_reduced_words_upto,
+    apply_word,
+    bfs_elements,
+    brute_kernel_sums,
+    iter_reduced_words,
+    kappa,
+    naive_reduce,
+    reduce_word,
+    word_image,
+)
+from pressure_reference import is_admissible, log_weight
 
 
 class TestReduce:
@@ -102,30 +112,30 @@ class TestKappa:
 class TestQuotientApply:
     def test_commutator_dies_in_abelianization(self, zz):
         # g1 g2 g1~ g2~
-        assert zz.word_image((0, 2, 1, 3)) == (0, 0)
+        assert word_image(zz, (0, 2, 1, 3)) == (0, 0)
 
     def test_parity_in_z2(self, z2):
         w = (0, 0, 2, 0, 3)  # g1 g1 g2 g1 g2~
-        assert z2.word_image(w) != z2.identity()
-        assert z2.word_image(w) == z2.letter_image(0)
+        assert word_image(z2, w) != z2.identity()
+        assert word_image(z2, w) == z2.letter_image(0)
 
     def test_killed_letters_vanish(self, f2_of_f3):
         # g3 g1 g3~ = g1 once g3 is killed
-        assert f2_of_f3.word_image((4, 0, 5)) == f2_of_f3.word_image((0,))
+        assert word_image(f2_of_f3, (4, 0, 5)) == word_image(f2_of_f3, (0,))
 
     def test_empty_word_is_identity(self, zz, z2, f2_of_f3):
         for G in (zz, z2, f2_of_f3):
-            assert G.word_image(()) == G.identity()
+            assert word_image(G, ()) == G.identity()
 
     @pytest.mark.parametrize("backend", ["z2", "zz", "f2_of_f3"])
     def test_homomorphism_exhaustive_small(self, backend, request):
         G = request.getfixturevalue(backend)
         words = all_reduced_words_upto(G.d, 3)
-        lookup = {w: G.word_image(w) for w in words}
+        lookup = {w: word_image(G, w) for w in words}
         for a in words:
             for b in words:
-                image_a_then_b = G.apply_word(lookup[a], b)
-                assert image_a_then_b == G.word_image(naive_reduce(a + b))
+                image_a_then_b = apply_word(G, lookup[a], b)
+                assert image_a_then_b == word_image(G, naive_reduce(a + b))
 
     @pytest.mark.parametrize("backend", ["z2", "s3", "zz", "f2_of_f3"])
     def test_homomorphism_random_length6(self, backend, request, rng):
@@ -133,17 +143,18 @@ class TestQuotientApply:
         words = [w for w in all_reduced_words_upto(G.d, 6) if len(w) <= 6]
         for _ in range(400):
             a, b = rng.choice(words), rng.choice(words)
-            image = G.apply_word(G.word_image(a), b)
-            assert image == G.word_image(naive_reduce(a + b))
+            image = apply_word(G, word_image(G, a), b)
+            assert image == word_image(G, naive_reduce(a + b))
 
     @pytest.mark.parametrize("backend", ["z2", "s3", "zz", "f2_of_f3"])
     def test_kappa_inverts_images(self, backend, request):
         G = request.getfixturevalue(backend)
         for n in range(1, 5):
             for w in iter_reduced_words(G.d, n):
-                g = G.word_image(w)
-                assert G.apply_word(g, kappa(w)) == G.identity()
-                assert G.inverse(g) == G.word_image(kappa(w))
+                g = word_image(G, w)
+                assert apply_word(G, g, kappa(w)) == G.identity()
+                # the image of kappa(w) is a left inverse too: it is g^-1
+                assert apply_word(G, word_image(G, kappa(w)), w) == G.identity()
 
     @pytest.mark.parametrize("backend", ["z2", "s3", "zz", "f2_of_f3"])
     def test_letter_images_invert(self, backend, request):
@@ -154,9 +165,12 @@ class TestQuotientApply:
 
 
 def word_metric(G, radius):
-    """Distance to the identity read off ``ball(G, radius)``."""
+    """Distance to the identity read off ``ball(G, radius)``, at the index
+    the breadth-first oracle gives each element."""
     B = ball(G, radius)
-    return lambda g: int(B.dist[B.index[g]])
+    index = {g: i for i, g in enumerate(bfs_elements(G, radius))}
+    assert len(index) == len(B)
+    return lambda g: int(B.dist[index[g]])
 
 
 class TestWordMetric:
@@ -179,9 +193,9 @@ class TestWordMetric:
             words = all_reduced_words_upto(G.d, 5)
             for _ in range(200):
                 a, b = rng.choice(words), rng.choice(words)
-                ga = G.word_image(a)
-                gab = G.apply_word(ga, b)
-                gb = G.word_image(b)
+                ga = word_image(G, a)
+                gab = apply_word(G, ga, b)
+                gb = word_image(G, b)
                 assert dist(gab) <= dist(ga) + dist(gb)
 
     def test_abelian_l1_formula(self, zz):
@@ -198,7 +212,6 @@ class TestWordMetric:
 
 def assert_same_ball(B, ref):
     assert B.radius == ref.radius
-    assert B.elements == ref.elements
     assert (B.dist == ref.dist).all()
     assert (B.letter_moves() == ref.letter_moves()).all()
 
@@ -268,8 +281,9 @@ class TestBalls:
 
     def test_identity_has_index_zero(self, zz):
         B = ball(zz, 3)
-        assert B.elements[0] == zz.identity()
-        assert B.index[zz.identity()] == 0
+        assert next(iter(bfs_elements(zz, 3))) == zz.identity()
+        # index 0 is the one element at distance 0
+        assert B.dist[0] == 0 and (B.dist[1:] > 0).all()
 
     def test_finite_ball_saturates(self, s3):
         B = ball(s3, 10)
@@ -291,13 +305,17 @@ class TestBalls:
         G = request.getfixturevalue(backend)
         for radius in range(6):
             B = ball(G, radius)
-            want = [B.index[G.inverse(g)] for g in B.elements]
+            words = bfs_elements(G, radius)
+            index = {g: i for i, g in enumerate(words)}
+            # g is the image of its geodesic word w, so g^-1 is that of kappa(w)
+            want = [index[word_image(G, kappa(w) if w else ())] for w in words.values()]
             assert B.inverse_index().tolist() == want
 
     def test_deterministic_indexing(self, zz):
         a = ball(zz, 3)
         b = bfs_ball(zz, 3)
-        assert a.elements == b.elements
+        assert (a.dist == b.dist).all()
+        assert (a.letter_moves() == b.letter_moves()).all()
 
     @pytest.mark.parametrize(
         "d,kill", [(2, []), (3, [3]), (3, [1, 3]), (3, [1, 2, 3]), (4, [2])]
@@ -329,9 +347,12 @@ class TestBalls:
         for r in range(6):
             B = bfs_ball(G, r)
             moves = B.letter_moves()
+            elements = list(bfs_elements(G, r))
+            index = {g: i for i, g in enumerate(elements)}
+            assert len(elements) == len(B)
             for c in range(2 * G.d):
-                for i, g in enumerate(B.elements):
-                    assert moves[c][i] == B.index.get(G.apply_letter(g, c), -1)
+                for i, g in enumerate(elements):
+                    assert moves[c][i] == index.get(G.apply_letter(g, c), -1)
 
     def test_memo_returns_same_ball(self):
         G = FreeAbelianQuotient(2, [[1, 0], [0, 1]])
@@ -351,6 +372,31 @@ class TestBalls:
         assert ball(G, 2) is B
         assert len(ball(FreeQuotient(2, ball_cap=53), 3)) == 53
 
+    def test_capped_search_runs_once(self, monkeypatch):
+        # Z^2 under a cap of 50 stops at radius 4 (41 elements); the group
+        # remembers that search, so no later request runs another
+        builds = []
+        build = FreeAbelianQuotient._build_ball
+
+        def counting(self, radius):
+            builds.append(radius)
+            return build(self, radius)
+
+        monkeypatch.setattr(FreeAbelianQuotient, "_build_ball", counting)
+        G = FreeAbelianQuotient(2, [[1, 0], [0, 1]], ball_cap=50)
+        B = ball(G, 10, fit=True)
+        assert (B.radius, len(B)) == (4, 41)
+        for _ in range(4):
+            assert ball(G, 10, fit=True) is B
+        assert ball(G, 12, fit=True) is B
+        assert ball(G, 4) is B
+        assert len(ball(G, 3)) == 25
+        with pytest.raises(CapExceededError, match="largest radius that fits: 4"):
+            ball(G, 10)
+        with pytest.raises(CapExceededError, match="the group has more than 50 elements"):
+            ball(G)
+        assert builds == [10]
+
     @pytest.mark.parametrize(
         "make",
         [
@@ -368,7 +414,6 @@ class TestBalls:
             # cut from the memoised ball, not built again
             assert np.shares_memory(B.dist, big.dist)
             ref = bfs_ball(G, r)
-            assert B.elements == ref.elements
             assert (B.dist == ref.dist).all()
             assert (B.letter_moves() == ref.letter_moves()).all()
 
@@ -397,7 +442,9 @@ class TestBackendsMisc:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert B.elements == bfs_ball(G, 4).elements
+        ref = bfs_ball(G, 4)
+        assert (B.dist == ref.dist).all()
+        assert (B.letter_moves() == ref.letter_moves()).all()
         assert len(B) == 46
         assert peak <= 2e6
         with pytest.raises(CapExceededError, match="the group has more than 10000 elements"):
@@ -436,3 +483,72 @@ class TestBackendsMisc:
         assert not is_admissible((0, 1))
         with pytest.raises(ConfigError, match="admissible"):
             log_weight(LinearGdmsSpec.equal_ratios(2, 1 / 3), (0, 1), 1.0)
+
+
+# The four letter images of F_2 in code order: x, x^-1, y, y^-1.
+STEPS = ((1, 0), (-1, 0), (0, 1), (0, -1))
+
+
+class Heisenberg(QuotientGroup):
+    """H_3(Z) from the two methods a backend must define: g_1 -> x,
+    g_2 -> y, and (a, b, c) . (x, y, 0) = (a + x, b + y, c + a y)."""
+
+    d = 2
+
+    def identity(self):
+        return (0, 0, 0)
+
+    def apply_letter(self, g, code):
+        x, y = STEPS[code]
+        a, b, c = g
+        return (a + x, b + y, c + a * y)
+
+
+class PlainZ2(QuotientGroup):
+    """Z^2 from the two methods alone: g_1 -> (1, 0), g_2 -> (0, 1)."""
+
+    d = 2
+
+    def identity(self):
+        return (0, 0)
+
+    def apply_letter(self, g, code):
+        x, y = STEPS[code]
+        return (g[0] + x, g[1] + y)
+
+
+class TestTwoMethodBackend:
+    """A backend needs only ``identity`` and ``apply_letter``."""
+
+    @pytest.mark.parametrize("spec_name, s", [("spec_third", 1.0), ("spec_mixed", 0.9)])
+    def test_heisenberg_kernel_counts(self, request, spec_name, s):
+        spec = request.getfixturevalue(spec_name)
+        G = Heisenberg()
+        table = kernel_counts(spec, G, s, 10)
+        assert table.exact
+        # the shortest kernel words, such as [x, y][x^-1, y], have length 8
+        assert table.support().tolist() == [8, 10]
+        brute = brute_kernel_sums(spec, G, s, 10)
+        assert np.allclose(np.exp(table.log_a), brute, rtol=1e-12, atol=0.0)
+
+    def test_heisenberg_symmetry(self, spec_mixed):
+        rep = check_asymptotic_symmetry(spec_mixed, Heisenberg(), n_max=8, R=4)
+        assert rep.symmetric_spec
+        assert rep.max_rel_asymmetry <= 1e-12
+
+    def test_heisenberg_walk_ladder(self):
+        ladder = srw_spectral_radius(Heisenberg(), [2, 4, 6])
+        assert ladder.method == "generic"
+        assert all(b > a for a, b in zip(ladder.rho, ladder.rho[1:]))
+        assert ladder.rho[-1] <= 1.0
+
+    @pytest.mark.parametrize("spec_name", ["spec_third", "spec_mixed"])
+    def test_plain_z2_is_the_abelian_backend(self, request, spec_name):
+        spec = request.getfixturevalue(spec_name)
+        G, ref = PlainZ2(), FreeAbelianQuotient(2, [[1, 0], [0, 1]])
+        B, R = ball(G, 9), ball(ref, 9)
+        assert B.dist.tobytes() == R.dist.tobytes()
+        assert B.letter_moves().tobytes() == R.letter_moves().tobytes()
+        for s in (0.5, 1.0):
+            got = kernel_counts(spec, G, s, 18).log_a
+            assert got.tobytes() == kernel_counts(spec, ref, s, 18).log_a.tobytes()

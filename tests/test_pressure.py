@@ -9,19 +9,16 @@ from gdms import (
     ConfigError,
     LinearGdmsSpec,
     bowen_root,
-    gibbs_measure,
-    is_admissible,
-    kappa,
     kernel_counts,
-    log_partition_sums,
-    log_weight,
     pressure,
     pressure_curve,
     spectral_data,
     transfer_matrix,
 )
 
-from conftest import brute_partition_sum, iter_reduced_words
+from conftest import brute_partition_sum, iter_reduced_words, kappa
+from kernel_reference import log_partition_sums
+from pressure_reference import gibbs_measure, is_admissible, log_weight
 
 
 def ergodic_weight(spec, codes, s):

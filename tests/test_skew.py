@@ -25,6 +25,7 @@ from gdms.kernel import _scatter, forward_word_step
 from gdms.linalg import perron_value
 from gdms.skew import VERDICT_AMENABLE, VERDICT_NON_AMENABLE
 
+from conftest import bfs_elements
 from symmetry_reference import full_ball_symmetry
 
 
@@ -33,13 +34,17 @@ def skew_rho(op, tol=1e-12):
 
 
 def reference_dense_operator(spec, G, s, ball_obj):
-    """Independent dense construction of the forward operator for tests."""
+    """Independent dense construction of the forward operator for tests, on
+    the elements of the breadth-first oracle."""
+    elements = list(bfs_elements(G, ball_obj.radius))
+    index = {g: i for i, g in enumerate(elements)}
+    assert len(elements) == len(ball_obj)
     n_letters = 2 * spec.d
     n = n_letters * len(ball_obj)
     m = np.zeros((n, n))
     for v in range(n_letters):
-        for i, g in enumerate(ball_obj.elements):
-            j = ball_obj.index.get(G.apply_letter(g, v), -1)
+        for i, g in enumerate(elements):
+            j = index.get(G.apply_letter(g, v), -1)
             if j < 0:
                 continue
             for w in range(n_letters):
