@@ -23,7 +23,6 @@ from .groups import (
     QuotientGroup,
     ball,
     letter_name,
-    quotient_from_config,
 )
 from .kernel import (
     DeltaKernelResult,

@@ -1,16 +1,17 @@
 """Command-line orchestrator: one JSON config in, one report directory out.
 
 Subcommands: delta-full, delta-kernel, amenability, pressure-curve,
-symmetry-check, walks, render.  ``load_config`` checks every config key's
-type and bound against one table, ``_CONFIG``, whose params keys are those of
-the ``READS`` rows.  A command reads only the params in its ``READS`` row
-(render has one row per subset), only the caps that row names, and a
-quotient only where that row says so; only render reads ``gdms.geometry``,
-and only the phase sets of its dimension.  Any other params, caps or
-geometry key, a stray quotient or a missing one is a config error raised
-before anything is written.  The report echoes the
-config with those params defaulted, and the payloads (JSON/CSV/PGM) of two
-runs of one config are byte-identical apart from the wall-time field.
+symmetry-check, walks, render.  Three tables here are the config contract:
+``READS`` (the params, caps and quotient each command reads; render has a
+row per subset), ``QUOTIENTS`` (the keys each quotient type reads, and its
+backend) and ``RATIO_FORMS`` (the ways to give the ratios).  ``load_config``
+checks each key's type and bound against their union, ``_CONFIG``; ``run``
+refuses a key the command, quotient type or render dimension does not read
+(only render reads ``gdms.geometry``, the phase sets of its dimension), a
+stray or missing quotient, and any but one ratio form, before anything is
+written.  The report echoes the config with those params defaulted; the
+payloads (JSON/CSV/PGM) of two runs of one config are byte-identical apart
+from the wall-time field, and a failed run writes none.
 
 Exit codes: 0 success, 2 config error, 3 cap exceeded, 4 numerical
 non-convergence, 5 inconsistent cross-check.
@@ -33,7 +34,13 @@ from .errors import (
     GdmsError,
     InconsistentReportError,
 )
-from .groups import DEFAULT_BALL_CAP, letter_name, quotient_from_config
+from .groups import (
+    DEFAULT_BALL_CAP,
+    FinitePermQuotient,
+    FreeAbelianQuotient,
+    FreeQuotient,
+    letter_name,
+)
 from .kernel import (
     DEFAULT_LOOP_CAP,
     delta_kernel,
@@ -70,16 +77,12 @@ _EXITS = (
 
 
 # ---------------------------------------------------------------------------
-# Config handling
+# Commands: (spec, quotient or None, defaulted params, output dir) -> results
 # ---------------------------------------------------------------------------
 
 def _word_str(codes) -> str:
     return " ".join(map(letter_name, codes))
 
-
-# ---------------------------------------------------------------------------
-# Commands: (spec, quotient or None, defaulted params, output dir) -> results
-# ---------------------------------------------------------------------------
 
 def _pressure_csv(spec, params: dict, outdir: Path, points: int, root=None) -> int:
     """Write ``pressure_curve.csv`` over ``params["s_grid"]``; return its rows.
@@ -159,11 +162,6 @@ def cmd_amenability(spec, G, params: dict, outdir: Path) -> dict:
     """
     radii = params["radii"]
     dich = amenability_report(spec, G, radii, kernel_n_max=params["kernel_n_max"])
-    write_csv(
-        outdir / "dichotomy_ladder.csv",
-        ["R", "rho_R"],
-        [dich.ladder.radii, dich.ladder.rho],
-    )
     if not G.generating_codes():
         walk = None
         walk_verdict = VERDICT_AMENABLE  # the trivial group is amenable
@@ -176,7 +174,9 @@ def cmd_amenability(spec, G, params: dict, outdir: Path) -> dict:
             walk = srw_spectral_radius(G, radii)
             walk_note = ""
         walk_verdict = ladder_verdict(walk.final_estimate)
-        write_csv(outdir / "walk_ladder.csv", ["R", "rho_R"], [walk.radii, walk.rho])
+    for name, ladder in (("dichotomy", dich.ladder), ("walk", walk)):
+        if ladder is not None:
+            write_csv(outdir / f"{name}_ladder.csv", ["R", "rho_R"], [ladder.radii, ladder.rho])
     overall, inconsistent = combine_verdicts(dich.verdict, walk_verdict)
     return {
         "dichotomy": dich.as_dict(),
@@ -220,8 +220,8 @@ def cmd_symmetry_check(spec, G, params: dict, outdir: Path) -> dict:
 
 def cmd_walks(spec, G, params: dict, outdir: Path) -> dict:
     ladder = srw_spectral_radius(G, params["radii"])
-    write_csv(outdir / "walk_ladder.csv", ["R", "rho_R"], [ladder.radii, ladder.rho])
     iso = isoperimetric_scan(G, params["radius"])
+    write_csv(outdir / "walk_ladder.csv", ["R", "rho_R"], [ladder.radii, ladder.rho])
     return {
         "rho_ladder_csv": "walk_ladder.csv",
         "final_estimate": estimate(
@@ -240,11 +240,13 @@ def cmd_walks(spec, G, params: dict, outdir: Path) -> dict:
     }
 
 
-def cmd_render(spec, G, params: dict, outdir: Path) -> dict:
+def cmd_render(spec, G, params: dict, outdir: Path, phase=None) -> dict:
+    """Lay out, draw and box-count the cloud; only then write its files."""
     caps = {"points": DEFAULT_POINT_CAP, "loops": DEFAULT_LOOP_CAP, **params.get("caps", {})}
     dimension = params["dimension"]
-    real = auto_layout(spec, dimension)
+    real = auto_layout(spec, dimension, phase)
     results: dict = {}
+    loops_payload = None
     if params["subset"] == "induced":
         sys_ind = induced_loops(spec, G, params["L_max"], loop_cap=caps["loops"])
         loops_payload = [
@@ -252,10 +254,6 @@ def cmd_render(spec, G, params: dict, outdir: Path) -> dict:
              "first_letter": _word_str(wd[:1]), "last_letter": _word_str(wd[-1:])}
             for wd, lw in zip(sys_ind.loops, sys_ind.log_weights)
         ]
-        outdir.mkdir(parents=True, exist_ok=True)
-        (outdir / "loops.json").write_text(
-            json.dumps(loops_payload, indent=2, sort_keys=True) + "\n"
-        )
         cloud = attractor_points(
             real, params["composition_depth"], sys_ind, point_cap=caps["points"]
         )
@@ -291,6 +289,10 @@ def cmd_render(spec, G, params: dict, outdir: Path) -> dict:
         }
     img = render_image(cloud, params["resolution"])
     outdir.mkdir(parents=True, exist_ok=True)
+    if loops_payload is not None:
+        (outdir / "loops.json").write_text(
+            json.dumps(loops_payload, indent=2, sort_keys=True) + "\n"
+        )
     write_pgm(img, outdir / "attractor.pgm")
     header = ["x", "word"] if cloud.points.shape[1] == 1 else ["x", "y", "word"]
     write_csv(outdir / "points.csv", header, [*cloud.points.T, cloud.words.names()])
@@ -314,6 +316,11 @@ COMMANDS = {
     "walks": cmd_walks,
     "render": cmd_render,
 }
+
+
+# ---------------------------------------------------------------------------
+# Config handling
+# ---------------------------------------------------------------------------
 
 # What each command reads: (whether it needs a quotient, {params key:
 # default}).  A default of None is worked out by the command at run time.
@@ -382,6 +389,7 @@ def _object(fields: dict, required: tuple = ()):
 _NUMBER = _value("number")
 _COUNT = _value("integer", above=0)
 _RATIO = _value("number", above=0, below=1)
+_IMAGES = _array(_array(_value("integer")))
 # One check per params key; a key is accepted where some READS row reads it.
 _PARAMS = {
     **dict.fromkeys(("n_max", "kernel_n_max", "radius", "L_max", "depth"), _COUNT),
@@ -395,21 +403,51 @@ _PARAMS = {
     "delta_tol": _value("number", above=0),
     "caps": _object(dict.fromkeys(("ball", "points", "loops"), _COUNT)),
 }
+# One row per quotient type: the keys it reads besides "type", each with its
+# check; those of them it may leave out; and its backend, built from (section,
+# d, ball cap).  The backend checks what the keys mean.
+QUOTIENTS = {
+    "finite_perm": (
+        {"degree": _COUNT, "images": _IMAGES}, (),
+        lambda q, d, cap: FinitePermQuotient(q["degree"], q["images"], cap),
+    ),
+    "abelianization": (
+        {"rank": _COUNT, "images": _IMAGES}, (),
+        lambda q, d, cap: FreeAbelianQuotient(q["rank"], q["images"], cap),
+    ),
+    # no kill: G = F_d
+    "free_quotient": (
+        {"kill": _array(_COUNT)}, ("kill",),
+        lambda q, d, cap: FreeQuotient(d, q.get("kill", []), cap),
+    ),
+}
+
+
+def _by_generator(ratios: list, d: int) -> list:
+    if len(ratios) != d:
+        raise ConfigError(f"ratios_by_generator must have {d} entries")
+    return [c for c in ratios for _ in range(2)]
+
+
+# One row per way to state the ratios in gdms: its check, and the ratio of
+# each letter, in code order, that it gives at rank d.
+RATIO_FORMS = {
+    "ratio": (_RATIO, lambda c, d: [c] * (2 * d)),
+    "ratios_by_generator": (_array(_RATIO), _by_generator),
+    "ratios": (_array(_RATIO), lambda ratios, d: ratios),
+}
 _CONFIG = _object({
     "gdms": _object({
         "d": _value("integer", above=1),
-        **dict.fromkeys(("ratios", "ratios_by_generator"), _array(_RATIO)),
-        "ratio": _RATIO,
+        **{form: check for form, (check, _) in RATIO_FORMS.items()},
         "geometry": _object({
             "intervals": _array(_array(_NUMBER, 2, 2)),
             "disks": _array(_array(_NUMBER, 3, 3)),
         }),
     }, required=("d",)),
     "quotient": _object({
-        "type": _value("string", enum=("finite_perm", "abelianization", "free_quotient")),
-        **dict.fromkeys(("degree", "rank"), _COUNT),
-        "images": _array(_array(_value("integer"))),
-        "kill": _array(_COUNT),
+        "type": _value("string", enum=tuple(QUOTIENTS)),
+        **{key: check for keys, _, _ in QUOTIENTS.values() for key, check in keys.items()},
     }, required=("type",)),
     "params": _object({key: _PARAMS[key] for _, row in READS.values() for key in row}),
     "output_dir": _value("string"),
@@ -430,47 +468,63 @@ def load_config(path: str | Path) -> dict:
     return cfg
 
 
+def _reads(section, path: str, what: str, keys) -> None:
+    """Refuse the first key in ``section``, at ``path``, that ``what`` does not read."""
+    for key in section:
+        if key not in keys:
+            reads = ", ".join(keys) or "no " + path.split(".")[-2]
+            raise ConfigError(f"{path}{key} does not apply to {what}; it reads {reads}")
+
+
 def run(command: str, cfg: dict, outdir: Path) -> dict:
-    """Check a validated config against the command's ``READS`` row, run the
-    command and write its ``report.json``.  An inconsistent cross-check raises
-    ``InconsistentReportError`` only after the report is written."""
+    """Check a validated config against its ``READS``, ``QUOTIENTS`` and
+    ``RATIO_FORMS`` rows, run the command and write its ``report.json``.  An
+    inconsistent cross-check raises ``InconsistentReportError`` after that."""
     params = dict(cfg.get("params", {}))
     subset = params.get("subset", "full")
     name = f"render subset {subset!r}" if command == "render" else command
     needs_quotient, defaults = READS[name]
-    for key in params:
-        if key not in defaults:
-            raise ConfigError(
-                f"params.{key} does not apply to {name}; it reads {', '.join(defaults)}"
-            )
-    caps = defaults.get("caps", ())
-    for cap in params.get("caps", {}):
-        if cap not in caps:
-            raise ConfigError(
-                f"params.caps.{cap} does not apply to {name}; it reads {', '.join(caps)}"
-            )
+    _reads(params, "params.", name, defaults)
+    _reads(params.get("caps", {}), "params.caps.", name, defaults.get("caps", ()))
     # render lays out the phase sets of its dimension; nothing else reads any
-    where, reads = name, "no geometry"
+    gdms = cfg["gdms"]
+    geometry = gdms.get("geometry", {})
+    where, reads, layout = name, (), {}
     if command == "render":
         dimension = params.get("dimension", defaults["dimension"])
-        where, reads = f"{name} in dimension {dimension}", ("intervals", "disks")[dimension - 1]
-    for key in cfg["gdms"].get("geometry", {}):
-        if key != reads:
-            raise ConfigError(f"gdms.geometry.{key} does not apply to {where}; it reads {reads}")
+        reads = (("intervals", "disks")[dimension - 1],)
+        where, layout = f"{name} in dimension {dimension}", {"phase": geometry.get(reads[0])}
+    _reads(geometry, "gdms.geometry.", where, reads)
     if "quotient" in cfg and not needs_quotient:
         raise ConfigError(f"quotient does not apply to {name}")
     if needs_quotient and "quotient" not in cfg:
         raise ConfigError(f"{name} requires a 'quotient' section")
-    spec = LinearGdmsSpec.from_config(cfg["gdms"])
+    forms = [form for form in RATIO_FORMS if form in gdms]
+    if len(forms) != 1:
+        *most, last = map(repr, RATIO_FORMS)
+        raise ConfigError(
+            f"gdms config needs exactly one of {', '.join(most)} or {last}; "
+            f"it gives {', '.join(map(repr, forms)) or 'none'}"
+        )
+    d, form = gdms["d"], forms[0]
+    spec = LinearGdmsSpec(d, tuple(map(float, RATIO_FORMS[form][1](gdms[form], d))))
     G = None
     if needs_quotient:
-        ball_cap = params.get("caps", {}).get("ball", DEFAULT_BALL_CAP)
-        G = quotient_from_config(cfg["quotient"], spec.d, ball_cap)
+        quotient = cfg["quotient"]
+        kind = quotient["type"]
+        keys, optional, build = QUOTIENTS[kind]
+        _reads(sorted(set(quotient) - {"type"}), "quotient.", f"type {kind!r}", keys)
+        for key in keys:
+            if key not in quotient and key not in optional:
+                raise ConfigError(f"quotient type {kind!r} requires {key!r}")
+        G = build(quotient, d, params.get("caps", {}).get("ball", DEFAULT_BALL_CAP))
+        if G.d != d:
+            raise ConfigError(f"quotient has {G.d} generator images but the GDMS has rank {d}")
     for key, default in defaults.items():
         if default is not None and key != "caps":
             params.setdefault(key, default)
     report = RunReport(command, cfg)
-    report.results = COMMANDS[command](spec, G, params, outdir)
+    report.results = COMMANDS[command](spec, G, params, outdir, **layout)
     report.config = {**cfg, "params": params}
     report.write(outdir)
     res = report.results

@@ -131,8 +131,6 @@ class FinitePermQuotient(QuotientGroup):
     def __init__(
         self, degree: int, images: Sequence[Sequence[int]], ball_cap: int = DEFAULT_BALL_CAP
     ):
-        if degree < 1:
-            raise ConfigError("permutation degree must be >= 1")
         self.degree = degree
         self.ball_cap = ball_cap
         self.d = len(images)
@@ -177,8 +175,6 @@ class FreeAbelianQuotient(QuotientGroup):
     def __init__(
         self, rank: int, images: Sequence[Sequence[int]], ball_cap: int = DEFAULT_BALL_CAP
     ):
-        if rank < 1:
-            raise ConfigError("rank must be >= 1")
         self.rank = rank
         self.ball_cap = ball_cap
         self.d = len(images)
@@ -209,8 +205,6 @@ class FreeQuotient(QuotientGroup):
     """
 
     def __init__(self, d: int, kill: Sequence[int] = (), ball_cap: int = DEFAULT_BALL_CAP):
-        if d < 1:
-            raise ConfigError("rank must be >= 1")
         self.d = d
         self.ball_cap = ball_cap
         self.kill = frozenset(int(k) for k in kill)
@@ -432,41 +426,3 @@ def bfs_ball(G: QuotientGroup, radius: int) -> Ball:
     table[table >= len(elements)] = -1  # elements dropped to fit the cap
     return Ball(radius, np.array(dist, dtype=np.int64), np.ascontiguousarray(table.T))
 
-
-# The keys each quotient type reads besides "type"; all are required but "kill".
-_QUOTIENT_KEYS = {
-    "finite_perm": ("degree", "images"),
-    "abelianization": ("rank", "images"),
-    "free_quotient": ("kill",),
-}
-
-
-def quotient_from_config(cfg: dict, d: int, ball_cap: int = DEFAULT_BALL_CAP) -> QuotientGroup:
-    """Build a quotient backend, with this ball cap, from its JSON description.
-
-    Shapes: ``{"type": "finite_perm", "degree": n, "images": [[...], ...]}``,
-    ``{"type": "abelianization", "rank": k, "images": [[...], ...]}``,
-    ``{"type": "free_quotient", "kill": [indices]}`` (no kill: G = F_d).  A
-    missing key, or one the type does not read, is a config error.
-    """
-    kind = cfg.get("type")
-    keys = _QUOTIENT_KEYS.get(kind)
-    if keys is None:
-        raise ConfigError(f"unknown quotient type: {kind!r}")
-    for key in sorted(cfg):
-        if key not in ("type", *keys):
-            raise ConfigError(
-                f"quotient.{key} does not apply to type {kind!r}; it reads {', '.join(keys)}"
-            )
-    for key in keys:
-        if key not in cfg and key != "kill":
-            raise ConfigError(f"quotient type {kind!r} requires {key!r}")
-    if kind == "finite_perm":
-        G = FinitePermQuotient(cfg["degree"], cfg["images"], ball_cap)
-    elif kind == "abelianization":
-        G = FreeAbelianQuotient(cfg["rank"], cfg["images"], ball_cap)
-    else:
-        G = FreeQuotient(d, cfg.get("kill", []), ball_cap)
-    if G.d != d:
-        raise ConfigError(f"quotient has {G.d} generator images but the GDMS has rank {d}")
-    return G

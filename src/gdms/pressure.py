@@ -51,13 +51,11 @@ class LinearGdmsSpec:
     """Rank d >= 2 plus one contraction ratio per letter (code order).
 
     ``symmetric`` is true exactly when every generator and its inverse carry
-    the same ratio; the amenability machinery requires it.  ``geometry``
-    optionally carries rendering hints (see the render module).
+    the same ratio; the amenability machinery requires it.
     """
 
     d: int
     ratios: tuple[float, ...]
-    geometry: dict | None = None
 
     def __post_init__(self):
         if self.d < 2:
@@ -101,37 +99,13 @@ class LinearGdmsSpec:
         return weights
 
     @staticmethod
-    def equal_ratios(d: int, c: float, geometry: dict | None = None) -> "LinearGdmsSpec":
-        return LinearGdmsSpec(d, (float(c),) * (2 * d), geometry)
+    def equal_ratios(d: int, c: float) -> "LinearGdmsSpec":
+        return LinearGdmsSpec(d, (float(c),) * (2 * d))
 
     @staticmethod
-    def symmetric_ratios(per_generator: Sequence[float],
-                         geometry: dict | None = None) -> "LinearGdmsSpec":
-        ratios = []
-        for c in per_generator:
-            ratios += [float(c), float(c)]
-        return LinearGdmsSpec(len(per_generator), tuple(ratios), geometry)
-
-    @staticmethod
-    def from_config(cfg: dict) -> "LinearGdmsSpec":
-        d = cfg.get("d")
-        if not isinstance(d, int):
-            raise ConfigError("gdms config needs an integer rank 'd'")
-        geometry = cfg.get("geometry")
-        forms = [key for key in ("ratio", "ratios_by_generator", "ratios") if key in cfg]
-        if len(forms) != 1:
-            raise ConfigError(
-                "gdms config needs exactly one of 'ratio', 'ratios_by_generator' or "
-                f"'ratios'; it gives {', '.join(map(repr, forms)) or 'none'}"
-            )
-        if "ratio" in cfg:
-            return LinearGdmsSpec.equal_ratios(d, cfg["ratio"], geometry)
-        if "ratios_by_generator" in cfg:
-            per_gen = cfg["ratios_by_generator"]
-            if len(per_gen) != d:
-                raise ConfigError(f"ratios_by_generator must have {d} entries")
-            return LinearGdmsSpec.symmetric_ratios(per_gen, geometry)
-        return LinearGdmsSpec(d, tuple(float(c) for c in cfg["ratios"]), geometry)
+    def symmetric_ratios(per_generator: Sequence[float]) -> "LinearGdmsSpec":
+        ratios = tuple(float(c) for c in per_generator for _ in range(2))
+        return LinearGdmsSpec(len(per_generator), ratios)
 
 
 # ---------------------------------------------------------------------------

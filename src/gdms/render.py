@@ -123,30 +123,27 @@ class GeometricRealization:
         return worst
 
 
-def auto_layout(spec: LinearGdmsSpec, dimension: int) -> GeometricRealization:
+def auto_layout(spec: LinearGdmsSpec, dimension: int, phase=None) -> GeometricRealization:
     """Place phase sets and sub-copies so the open set condition holds.
 
     Dimension 1 uses unit intervals on a line, sub-intervals packed left to
     right with equal slack; feasibility requires (2d-1) * c(v) <= 1.
     Dimension 2 uses unit disks on a circle with sub-disks on an inner
     angular ring; feasibility requires the ring chord to fit the sub-disk
-    diameter.  Layouts honor explicit phase placements from
-    ``spec.geometry`` when provided.
+    diameter.  Explicit phase sets, one per letter, replace the automatic
+    ones when given: intervals [a, b] in dimension 1, disks [cx, cy, r] in 2.
     """
     if dimension not in (1, 2):
         raise ConfigError("dimension must be 1 or 2")
     n = 2 * spec.d
     k = n - 1  # sub-copies per phase set
-    geometry = spec.geometry or {}
     if dimension == 1:
-        intervals = geometry.get("intervals")
-        if intervals is not None:
-            if len(intervals) != n:
+        if phase is not None:
+            if len(phase) != n:
                 raise ConfigError(f"geometry.intervals must list {n} intervals")
-            phase = tuple((float(a), float(b)) for a, b in intervals)
-            for (a, b) in phase:
-                if not b > a:
-                    raise ConfigError("phase intervals must have positive length")
+            phase = tuple((float(a), float(b)) for a, b in phase)
+            if any(b <= a for a, b in phase):
+                raise ConfigError("phase intervals must have positive length")
             for i in range(n):
                 for j in range(i + 1, n):
                     if phase[i][0] < phase[j][1] and phase[j][0] < phase[i][1]:
@@ -174,11 +171,12 @@ def auto_layout(spec: LinearGdmsSpec, dimension: int) -> GeometricRealization:
             offsets.append(tuple(offs))
         real = GeometricRealization(spec, 1, phase, tuple(offsets))
     else:
-        disks = geometry.get("disks")
-        if disks is not None:
-            if len(disks) != n:
+        if phase is not None:
+            if len(phase) != n:
                 raise ConfigError(f"geometry.disks must list {n} disks")
-            phase = tuple((float(x), float(y), float(r)) for x, y, r in disks)
+            phase = tuple((float(x), float(y), float(r)) for x, y, r in phase)
+            if any(r <= 0 for _, _, r in phase):
+                raise ConfigError("phase disks must have positive radius")
         else:
             big_r = 1.1 / math.sin(math.pi / n)
             phase = tuple(

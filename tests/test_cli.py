@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gdms import cli
+from gdms import ConvergenceError, cli, letter_name
 from gdms.walks import srw_spectral_radius
 
 from test_acceptance import REFERENCE_RUNS
@@ -368,11 +368,26 @@ class TestRenderRobustness:
             "report.json", "loops.json", "points.csv", "attractor.pgm"
         }
 
-    def test_scales_still_config_error(self, tmp_path, capsys):
-        cfg = {"gdms": GDMS_THIRD, "params": {"depth": 4, "scales": [0.5, 0.4, 0.3]}}
+    @pytest.mark.parametrize("cfg", [
+        {"gdms": GDMS_THIRD, "params": {"depth": 4, "scales": [0.5, 0.4, 0.3]}},
+        # the induced render computes its loops first, and writes them last
+        {"gdms": GDMS_THIRD, "quotient": Z2_QUOTIENT,
+         "params": {"subset": "induced", "L_max": 2, "scales": [0.5, 0.4, 0.3]}},
+    ], ids=["full", "induced"])
+    def test_scales_still_config_error(self, tmp_path, capsys, cfg):
         code, outdir = run_cli("render", cfg, tmp_path)
         assert code == 2
         assert "scales must span at least two octaves" in capsys.readouterr().err
+        assert not outdir.exists()
+
+    def test_induced_render_over_point_cap_writes_nothing(self, tmp_path, capsys):
+        # 12 loops of L_max 2 over Z_2: level 2 of the cloud has 108 points
+        cfg = {"gdms": GDMS_THIRD, "quotient": Z2_QUOTIENT,
+               "params": {"subset": "induced", "L_max": 2, "composition_depth": 4,
+                          "caps": {"points": 100}}}
+        code, outdir = run_cli("render", cfg, tmp_path)
+        assert code == 3
+        assert "induced cloud level 2 has 108 points > cap 100" in capsys.readouterr().err
         assert not outdir.exists()
 
     def test_default_depth_fits_point_cap(self, tmp_path):
@@ -445,6 +460,32 @@ class TestExitCodes:
         code, outdir = run_cli(command, cfg, tmp_path)
         assert code == 2
         assert where in capsys.readouterr().err
+        assert not outdir.exists()
+
+    def test_walks_over_ball_cap_writes_nothing(self, tmp_path, capsys):
+        # the radius-2 ladder fits a cap of 100, but the isoperimetric scan
+        # to radius 8 needs the radius-9 ball of Z^2 (181 elements)
+        cfg = {"gdms": GDMS_THIRD, "quotient": ZZ_QUOTIENT,
+               "params": {"radii": [2], "radius": 8, "caps": {"ball": 100}}}
+        code, outdir = run_cli("walks", cfg, tmp_path)
+        assert code == 3
+        assert "ball of radius 9 exceeds cap 100 (largest radius that fits: 6)" in (
+            capsys.readouterr().err
+        )
+        assert not outdir.exists()
+
+    def test_amenability_walk_failure_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        # unequal ratios make mu_{s*} lazy on Z^2, so the walk ladder runs on
+        # its own, after the dichotomy ladder; its failure leaves no files
+        def diverging(*args, **kwargs):
+            raise ConvergenceError("walk ladder did not converge")
+
+        monkeypatch.setattr(cli, "srw_spectral_radius", diverging)
+        cfg = {"gdms": {"d": 2, "ratios_by_generator": [0.3, 0.2]}, "quotient": ZZ_QUOTIENT,
+               "params": {"radii": [2, 4], "kernel_n_max": 8}}
+        code, outdir = run_cli("amenability", cfg, tmp_path)
+        assert code == 4
+        assert "non-convergence: walk ladder did not converge" in capsys.readouterr().err
         assert not outdir.exists()
 
     def test_delta_tol_wider_than_half_bracket(self, tmp_path, capsys):
@@ -923,6 +964,53 @@ class TestConfigCheck:
         assert code == 2
         s = cfg["params"].get("s", cfg["params"].get("s_grid", [None])[0])
         assert f"c(v)^s underflow or overflow at s = {float(s)!r}" in capsys.readouterr().err
+
+
+class TestExplicitGeometry:
+    """``gdms.geometry`` gives render the phase set of each letter."""
+
+    @pytest.mark.parametrize("dimension, key, phase, depth", [
+        (1, "intervals", [[0, 1], [2, 3], [4, 5], [6, 7]], 6),
+        (2, "disks", [[0, 0, 1], [3, 0, 1], [0, 3, 1], [3, 3, 1]], 5),
+    ], ids=["intervals", "disks"])
+    def test_points_lie_in_given_phase_sets(self, tmp_path, dimension, key, phase, depth):
+        cfg = {"gdms": {**GDMS_THIRD, "geometry": {key: phase}},
+               "params": {"dimension": dimension, "depth": depth}}
+        code, outdir = run_cli("render", cfg, tmp_path)
+        assert code == 0
+        res = json.loads((outdir / "report.json").read_text())["results"]
+        assert res["osc_margin"] >= 0
+        rows = [line.split(",") for line in (outdir / "points.csv").read_text().splitlines()[1:]]
+        assert len(rows) == res["points"] == 4 * 3 ** (depth - 1)
+        code_of = {letter_name(c): c for c in range(4)}
+        for *coords, word in rows:
+            # a point lies in the phase set of its word's first letter
+            x = np.array(coords, dtype=float)
+            p = phase[code_of[word.split()[0]]]
+            if dimension == 1:
+                assert p[0] - 1e-12 <= x[0] <= p[1] + 1e-12, (x, word)
+            else:
+                assert np.hypot(*(x - p[:2])) <= p[2] + 1e-12, (x, word)
+
+    @pytest.mark.parametrize("dimension, key, phase, message", [
+        (1, "intervals", [[0, 1], [0.5, 1.5], [4, 5], [6, 7]],
+         "phase intervals must be disjoint"),
+        (1, "intervals", [[0, 1], [2, 3], [4, 5]], "geometry.intervals must list 4 intervals"),
+        (2, "disks", [[0, 0, 1], [1, 0, 1], [0, 3, 1], [3, 3, 1]],
+         "phase disks must be disjoint"),
+        (2, "disks", [[0, 0, -1], [3, 0, 1], [0, 3, 1], [3, 3, 1]],
+         "phase disks must have positive radius"),
+        (2, "disks", [[0, 0, 0], [3, 0, 1], [0, 3, 1], [3, 3, 1]],
+         "phase disks must have positive radius"),
+    ], ids=["overlapping-intervals", "three-intervals", "overlapping-disks",
+            "negative-radius", "zero-radius"])
+    def test_bad_phase_sets_rejected(self, tmp_path, capsys, dimension, key, phase, message):
+        cfg = {"gdms": {**GDMS_THIRD, "geometry": {key: phase}},
+               "params": {"dimension": dimension}}
+        code, outdir = run_cli("render", cfg, tmp_path)
+        assert code == 2
+        assert f"config error: {message}\n" == capsys.readouterr().err
+        assert not outdir.exists()
 
 
 class TestDeterminism:

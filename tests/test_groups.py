@@ -16,13 +16,13 @@ from gdms import (
     QuotientGroup,
     ball,
     check_asymptotic_symmetry,
+    cli,
     kernel_counts,
     letter_name,
-    quotient_from_config,
     srw_spectral_radius,
 )
 
-from gdms.groups import bfs_ball
+from gdms.groups import DEFAULT_BALL_CAP, bfs_ball
 
 from conftest import (
     all_reduced_words_upto,
@@ -461,22 +461,23 @@ class TestBackendsMisc:
         assert len(ball(trivial_group)) == 1
 
     def test_config_roundtrip(self):
-        G = quotient_from_config(
-            {"type": "finite_perm", "degree": 2, "images": [[1, 0], [1, 0]]}, d=2
-        )
+        def build(section, d):
+            # the backend a config's quotient section builds, by its cli.QUOTIENTS row
+            return cli.QUOTIENTS[section["type"]][2](section, d, DEFAULT_BALL_CAP)
+
+        G = build({"type": "finite_perm", "degree": 2, "images": [[1, 0], [1, 0]]}, d=2)
         assert isinstance(G, FinitePermQuotient)
-        G = quotient_from_config(
-            {"type": "abelianization", "rank": 2, "images": [[1, 0], [0, 1]]}, d=2
-        )
+        G = build({"type": "abelianization", "rank": 2, "images": [[1, 0], [0, 1]]}, d=2)
         assert isinstance(G, FreeAbelianQuotient)
-        G = quotient_from_config({"type": "free_quotient", "kill": [3]}, d=3)
+        G = build({"type": "free_quotient", "kill": [3]}, d=3)
         assert isinstance(G, FreeQuotient)
 
-    def test_config_rank_mismatch(self):
+    def test_config_rank_mismatch(self, tmp_path):
+        cfg = {"gdms": {"d": 2, "ratio": 1 / 3},
+               "quotient": {"type": "abelianization", "rank": 2, "images": [[1, 0]]}}
         with pytest.raises(ConfigError, match="rank"):
-            quotient_from_config(
-                {"type": "abelianization", "rank": 2, "images": [[1, 0]]}, d=2
-            )
+            cli.run("delta-kernel", cfg, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
     def test_unreduced_word_rejected(self):
         # g1 g1~ is no admissible word, so it has no weight

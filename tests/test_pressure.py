@@ -9,6 +9,7 @@ from gdms import (
     ConfigError,
     LinearGdmsSpec,
     bowen_root,
+    cli,
     kernel_counts,
     pressure,
     pressure_curve,
@@ -43,9 +44,12 @@ class TestSpecValidation:
         assert not spec_nonsym.symmetric
 
     def test_from_config_forms(self):
-        a = LinearGdmsSpec.from_config({"d": 2, "ratio": 0.25})
-        b = LinearGdmsSpec.from_config({"d": 2, "ratios_by_generator": [0.25, 0.25]})
-        c = LinearGdmsSpec.from_config({"d": 2, "ratios": [0.25] * 4})
+        # the ratio per letter that each cli.RATIO_FORMS row gives at rank 2
+        forms = {"ratio": 0.25, "ratios_by_generator": [0.25, 0.25], "ratios": [0.25] * 4}
+        a, b, c = (
+            LinearGdmsSpec(2, tuple(cli.RATIO_FORMS[form][1](value, 2)))
+            for form, value in forms.items()
+        )
         assert a.ratios == b.ratios == c.ratios
 
 

@@ -50,21 +50,13 @@ class TestAutoLayout:
         real = auto_layout(spec_third, 2)
         assert real.osc_margin() > 0.0
 
-    def test_explicit_intervals_respected(self):
-        spec = LinearGdmsSpec.equal_ratios(
-            2, 0.25,
-            geometry={"intervals": [[0, 1], [2, 3], [4, 5], [6, 7]]},
-        )
-        real = auto_layout(spec, 1)
+    def test_explicit_intervals_respected(self, spec_quarter):
+        real = auto_layout(spec_quarter, 1, phase=[[0, 1], [2, 3], [4, 5], [6, 7]])
         assert real.phase[3] == (6.0, 7.0)
 
-    def test_overlapping_intervals_rejected(self):
-        spec = LinearGdmsSpec.equal_ratios(
-            2, 0.25,
-            geometry={"intervals": [[0, 1], [0.5, 1.5], [4, 5], [6, 7]]},
-        )
+    def test_overlapping_intervals_rejected(self, spec_quarter):
         with pytest.raises(ConfigError, match="disjoint"):
-            auto_layout(spec, 1)
+            auto_layout(spec_quarter, 1, phase=[[0, 1], [0.5, 1.5], [4, 5], [6, 7]])
 
     def test_edge_maps_contract_into_parent(self, spec_quarter):
         real = auto_layout(spec_quarter, 1)
@@ -172,7 +164,7 @@ def _folded_point(real, word):
     return scale * real.center(word[-1]) + offset
 
 
-UNEQUAL = LinearGdmsSpec.from_config({"d": 2, "ratios_by_generator": [0.3, 0.2]})
+UNEQUAL = LinearGdmsSpec.symmetric_ratios([0.3, 0.2])
 
 
 class TestPointsAreWordFolds:
