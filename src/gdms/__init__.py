@@ -5,7 +5,23 @@ and skew-operator spectral radii, random-walk spectra, and fractal dimension
 estimates for linear systems associated to F_d and quotients F_d / N,
 exhibiting numerically how amenability of the quotient governs the dimension
 of radial limit sets.
+
+Importing the package sets ``OPENBLAS_THREAD_TIMEOUT=4`` in ``os.environ``
+unless it is already set.  numpy's bundled OpenBLAS starts one worker
+thread per extra core, and by default an idle worker busy-polls for about
+2**28 cycles (~0.1 s) before it sleeps, over a third of the CPU time of a
+short run; at 4 it polls for 2**4 cycles.  The thread count
+and the work split are unchanged, so results are bit-identical and large
+BLAS calls keep their threads.  OpenBLAS reads the variable once, when numpy
+is first imported, so a program that imports numpy before gdms keeps its own
+setting.  To override the default, set the variable in the environment:
+``OPENBLAS_THREAD_TIMEOUT=28 gdms ...`` restores OpenBLAS's own.
 """
+
+import os
+
+# Must run before any submodule imports numpy (see the docstring).
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
 
 from .errors import (
     CapExceededError,

@@ -54,6 +54,7 @@ from .render import (
     attractor_points,
     auto_layout,
     box_counting,
+    raster_shape,
     render_image,
     write_pgm,
 )
@@ -244,6 +245,7 @@ def cmd_render(spec, G, params: dict, outdir: Path, phase=None) -> dict:
     """Lay out, draw and box-count the cloud; only then write its files."""
     caps = {"points": DEFAULT_POINT_CAP, "loops": DEFAULT_LOOP_CAP, **params.get("caps", {})}
     dimension = params["dimension"]
+    raster_shape(dimension, params["resolution"])  # refuse an oversized raster first
     real = auto_layout(spec, dimension, phase)
     results: dict = {}
     loops_payload = None

@@ -35,6 +35,8 @@ from .kernel import InducedSystem
 from .pressure import LinearGdmsSpec
 
 DEFAULT_POINT_CAP = 2_000_000
+# render_image allocates one byte per pixel; 2**26 pixels is 64 MiB
+MAX_RASTER_PIXELS = 2**26
 
 
 # ---------------------------------------------------------------------------
@@ -439,6 +441,10 @@ def box_counting(cloud: PointCloud, scales: Sequence[float]) -> BoxCountResult:
         raise ConfigError("need at least 3 scales")
     if scales[-1] / scales[0] < 4.0:
         raise ConfigError("scales must span at least two octaves")
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        x = np.log(1.0 / np.array(scales))
+    if not np.isfinite(x).all():  # then so is the smallest scale's
+        raise ConfigError(f"scale {scales[0]!r} is too small: log(1/eps) is not finite")
     counts = []
     for eps in scales:
         boxes = np.ascontiguousarray(np.floor(cloud.points / eps))
@@ -448,7 +454,6 @@ def box_counting(cloud: PointCloud, scales: Sequence[float]) -> BoxCountResult:
         counts.append(len(np.unique(key)))
     if len(set(counts)) < 3:
         raise GdmsError("degenerate regression: fewer than 3 distinct box counts")
-    x = np.log(1.0 / np.array(scales))
     y = np.log(np.array(counts, dtype=float))
     slope, intercept = np.polyfit(x, y, 1)
     residual = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
@@ -459,32 +464,40 @@ def box_counting(cloud: PointCloud, scales: Sequence[float]) -> BoxCountResult:
 # Rasterization
 # ---------------------------------------------------------------------------
 
+def raster_shape(dimension: int, resolution: int) -> tuple[int, int]:
+    """(height, width) of the raster ``render_image`` draws: a strip of
+    height resolution // 16 in dimension 1, a square in dimension 2.  A
+    raster over ``MAX_RASTER_PIXELS`` is refused before it is allocated."""
+    if resolution < 1:
+        raise ConfigError("resolution must be >= 1")
+    shape = (max(resolution // 16, 1), resolution) if dimension == 1 else (resolution, resolution)
+    if shape[0] * shape[1] > MAX_RASTER_PIXELS:
+        raise CapExceededError(
+            f"raster of {shape[0]} x {shape[1]} pixels exceeds cap {MAX_RASTER_PIXELS}"
+        )
+    return shape
+
+
 def render_image(cloud: PointCloud, resolution: int = 512) -> np.ndarray:
     """Deterministic binary raster of a cloud on its realization's bounds.
 
     Dimension-1 clouds render as a strip.  Returns a uint8 array (0
     background, 255 where a point lands); serialize with ``write_pgm``.
     """
-    if resolution < 1:
-        raise ConfigError("resolution must be >= 1")
     dim = cloud.points.shape[1] if len(cloud) else len(cloud.lo)
+    img = np.zeros(raster_shape(dim, resolution), dtype=np.uint8)
+    if not len(cloud):
+        return img
     lo, hi = cloud.lo, cloud.hi
     span = np.maximum(hi - lo, 1e-12)
+    cols = (cloud.points[:, 0] - lo[0]) / span[0] * (resolution - 1)
+    cols = np.clip(np.rint(cols).astype(int), 0, resolution - 1)
     if dim == 1:
-        height = max(resolution // 16, 1)
-        img = np.zeros((height, resolution), dtype=np.uint8)
-        if len(cloud):
-            cols = ((cloud.points[:, 0] - lo[0]) / span[0] * (resolution - 1))
-            cols = np.clip(np.rint(cols).astype(int), 0, resolution - 1)
-            img[:, cols] = 255
+        img[:, cols] = 255
         return img
-    img = np.zeros((resolution, resolution), dtype=np.uint8)
-    if len(cloud):
-        cols = (cloud.points[:, 0] - lo[0]) / span[0] * (resolution - 1)
-        rows = (hi[1] - cloud.points[:, 1]) / span[1] * (resolution - 1)
-        cols = np.clip(np.rint(cols).astype(int), 0, resolution - 1)
-        rows = np.clip(np.rint(rows).astype(int), 0, resolution - 1)
-        img[rows, cols] = 255
+    rows = (hi[1] - cloud.points[:, 1]) / span[1] * (resolution - 1)
+    rows = np.clip(np.rint(rows).astype(int), 0, resolution - 1)
+    img[rows, cols] = 255
     return img
 
 

@@ -419,6 +419,24 @@ class TestRenderRobustness:
         assert "full cloud level 5 has 3750 points > cap 1000" in capsys.readouterr().err
         assert not outdir.exists()
 
+    def test_raster_over_cap_refused(self, tmp_path, capsys):
+        # 10^10 pixels: refused before the layout and the cloud are built
+        cfg = {"gdms": GDMS_THIRD, "params": {"dimension": 2, "resolution": 100000}}
+        code, outdir = run_cli("render", cfg, tmp_path)
+        assert code == 3
+        assert ("raster of 100000 x 100000 pixels exceeds cap 67108864"
+                in capsys.readouterr().err)
+        assert not outdir.exists()
+
+    def test_subnormal_scales_refused(self, tmp_path, capsys):
+        cfg = {"gdms": GDMS_THIRD, "params": {"scales": [1e-320, 1e-310, 1e-300]}}
+        code, outdir = run_cli("render", cfg, tmp_path)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "scale 1e-320 is too small: log(1/eps) is not finite" in err
+        assert "Traceback" not in err
+        assert not outdir.exists()
+
 
 class TestExitCodes:
     def test_malformed_ratio_is_config_error(self, tmp_path, capsys):
@@ -1049,6 +1067,42 @@ class TestStartup:
             check=True,
         )
         assert out.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("preset, want", [(None, "4"), ("10", "10")])
+    def test_import_sets_openblas_thread_timeout(self, preset, want):
+        # Idle OpenBLAS workers sleep after 2**4 polls, not 2**28, unless
+        # the caller chose a timeout.
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
+        if preset is not None:
+            env["OPENBLAS_THREAD_TIMEOUT"] = preset
+        env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+        probe = "import os, gdms; print(os.environ['OPENBLAS_THREAD_TIMEOUT'])"
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == want
+
+    def test_openblas_thread_timeout_set_before_numpy_loads(self):
+        # OpenBLAS reads the variable when numpy first loads it, so it must
+        # be in os.environ when the import system first looks for numpy.
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
+        env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+        probe = (
+            "import os, sys\n"
+            "seen = []\n"
+            "class Spy:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name == 'numpy':\n"
+            "            seen.append(os.environ.get('OPENBLAS_THREAD_TIMEOUT'))\n"
+            "        return None\n"
+            "sys.meta_path.insert(0, Spy())\n"
+            "import gdms.cli\n"
+            "print(seen)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "['4']"
 
     def test_amenability_leaves_sparse_eigensolvers_unloaded(self, tmp_path):
         # The walk on a Cayley ball reads the ball's move table and the

@@ -24,7 +24,7 @@ from gdms import (
     render_image,
 )
 from gdms.groups import letter_name
-from gdms.render import pgm_bytes
+from gdms.render import MAX_RASTER_PIXELS, pgm_bytes, raster_shape
 
 from test_acceptance import REFERENCE_RUNS
 
@@ -357,6 +357,15 @@ class TestBoxCounting:
         with pytest.raises(ConfigError, match="3 scales"):
             box_counting(cloud, [0.5, 0.1])
 
+    def test_scales_with_infinite_log_refused(self, spec_third):
+        # 1/eps overflows to inf below 1/DBL_MAX (about 5.6e-309), so the
+        # fit would see log(1/eps) = inf; the smallest such scale is named
+        cloud = attractor_points(auto_layout(spec_third, 1), 6)
+        with pytest.raises(ConfigError, match=r"scale 1e-320 is too small"):
+            box_counting(cloud, [1e-320, 1e-310, 1e-300])
+        with pytest.raises(ConfigError, match=r"scale 1e-310 is too small"):
+            box_counting(cloud, [1e-300, 1e-310, 1e-290])
+
 
 class TestRenderImage:
     def test_empty_cloud_background(self, spec_third):
@@ -388,3 +397,23 @@ class TestRenderImage:
         data2 = pgm_bytes(render_image(attractor_points(real, 4), 128))
         assert data1.startswith(b"P5\n128 128\n255\n")
         assert data1 == data2
+
+    @pytest.mark.parametrize("dimension, resolution, shape", [
+        (1, 512, (32, 512)), (1, 8, (1, 8)), (2, 64, (64, 64)),
+        # the largest rasters within MAX_RASTER_PIXELS = 2**26
+        (1, 2**15, (2**11, 2**15)), (2, 2**13, (2**13, 2**13)),
+    ])
+    def test_raster_shape(self, dimension, resolution, shape):
+        assert raster_shape(dimension, resolution) == shape
+
+    @pytest.mark.parametrize("dimension, resolution, pixels", [
+        (1, 2**15 + 1, 2**11 * (2**15 + 1)), (2, 2**13 + 1, (2**13 + 1) ** 2),
+        (2, 100_000, 10**10),
+    ])
+    def test_raster_over_cap_refused(self, spec_third, dimension, resolution, pixels):
+        assert pixels > MAX_RASTER_PIXELS
+        with pytest.raises(CapExceededError, match=f"exceeds cap {MAX_RASTER_PIXELS}"):
+            raster_shape(dimension, resolution)
+        cloud = attractor_points(auto_layout(spec_third, dimension), 1)
+        with pytest.raises(CapExceededError):
+            render_image(cloud, resolution)
