@@ -16,77 +16,82 @@ BLAS calls keep their threads.  OpenBLAS reads the variable once, when numpy
 is first imported, so a program that imports numpy before gdms keeps its own
 setting.  To override the default, set the variable in the environment:
 ``OPENBLAS_THREAD_TIMEOUT=28 gdms ...`` restores OpenBLAS's own.
+
+Importing the package loads no submodule and not numpy.  Each public name
+(``from gdms import delta_kernel``, ``gdms.FreeQuotient``) is looked up in
+``_EXPORTS`` and read from its defining submodule, which is imported on the
+first such read (PEP 562), so a command pays only for the modules it runs.
+``gdms.pressure`` is the function, as the submodule of that name defines it.
 """
 
+import importlib
 import os
+import sys
+import types
 
 # Must run before any submodule imports numpy (see the docstring).
 os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
 
-from .errors import (
-    CapExceededError,
-    ConfigError,
-    ConvergenceError,
-    GdmsError,
-    InconsistentReportError,
-    LayoutInfeasibleError,
-)
-from .groups import (
-    Ball,
-    FinitePermQuotient,
-    FreeAbelianQuotient,
-    FreeQuotient,
-    QuotientGroup,
-    ball,
-    letter_name,
-)
-from .kernel import (
-    DeltaKernelResult,
-    InducedSystem,
-    KernelCountTable,
-    KernelPressureEstimate,
-    delta_kernel,
-    divergence_check,
-    induced_bowen_root,
-    induced_loops,
-    kernel_counts,
-    kernel_pressure,
-)
-from .pressure import (
-    LinearGdmsSpec,
-    SpectralData,
-    bowen_root,
-    pressure,
-    pressure_curve,
-    spectral_data,
-    transfer_matrix,
-)
-from .render import (
-    BoxCountResult,
-    GeometricRealization,
-    PointCloud,
-    attractor_points,
-    auto_layout,
-    box_counting,
-    render_image,
-    write_pgm,
-)
-from .skew import (
-    DichotomyReport,
-    SkewOperator,
-    SymmetryReport,
-    amenability_report,
-    build_skew_operator,
-    check_asymptotic_symmetry,
-)
-from .walks import (
-    IsoperimetricReport,
-    WalkLadder,
-    isoperimetric_scan,
-    srw_spectral_radius,
-    srw_weights,
-    walk_ladder,
-    walk_step,
-)
-
 __version__ = "0.1.0"
+
+# The public names of each submodule.
+_EXPORTS = {
+    "errors": (
+        "CapExceededError", "ConfigError", "ConvergenceError", "GdmsError",
+        "InconsistentReportError", "LayoutInfeasibleError",
+    ),
+    "groups": (
+        "Ball", "FinitePermQuotient", "FreeAbelianQuotient", "FreeQuotient",
+        "QuotientGroup", "ball", "letter_name",
+    ),
+    "kernel": (
+        "DeltaKernelResult", "InducedSystem", "KernelCountTable", "KernelPressureEstimate",
+        "delta_kernel", "divergence_check", "induced_bowen_root", "induced_loops",
+        "kernel_counts", "kernel_pressure",
+    ),
+    "pressure": (
+        "LinearGdmsSpec", "SpectralData", "bowen_root", "pressure", "pressure_curve",
+        "spectral_data", "transfer_matrix",
+    ),
+    "render": (
+        "BoxCountResult", "GeometricRealization", "PointCloud", "attractor_points",
+        "auto_layout", "box_counting", "render_image", "write_pgm",
+    ),
+    "skew": (
+        "DichotomyReport", "SkewOperator", "SymmetryReport", "amenability_report",
+        "build_skew_operator", "check_asymptotic_symmetry",
+    ),
+    "walks": (
+        "IsoperimetricReport", "WalkLadder", "isoperimetric_scan", "srw_spectral_radius",
+        "srw_weights", "walk_ladder", "walk_step",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = (*_EXPORTS, "cli", "linalg", "reports")
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    """Read a public name from its submodule, or load a submodule by name."""
+    if name in _HOME:
+        return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_HOME, *_SUBMODULES})
+
+
+class _Package(types.ModuleType):
+    def __setattr__(self, name: str, value) -> None:
+        # The import system binds each submodule it loads on the package; a
+        # public name keeps its meaning over a namesake submodule, so
+        # ``gdms.pressure`` stays the function ``pressure.pressure``.
+        if name in _HOME and isinstance(value, types.ModuleType):
+            return
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

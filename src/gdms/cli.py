@@ -13,6 +13,13 @@ written.  The report echoes the config with those params defaulted; the
 payloads (JSON/CSV/PGM) of two runs of one config are byte-identical apart
 from the wall-time field, and a failed run writes none.
 
+Start-up: at module level this file imports only what ``load_config`` and
+``run`` need (``errors``, ``groups``, ``pressure``, ``reports`` and numpy),
+which is all delta-full and pressure-curve run.  Each other command imports
+its own layer when it runs: delta-kernel ``kernel``, walks ``walks``,
+amenability and symmetry-check ``skew`` (with ``kernel`` and ``walks``), and
+render ``render``, plus ``kernel`` only for the induced subset.
+
 Exit codes: 0 success, 2 config error, 3 cap exceeded, 4 numerical
 non-convergence, 5 inconsistent cross-check.
 """
@@ -20,6 +27,7 @@ non-convergence, 5 inconsistent cross-check.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -41,31 +49,8 @@ from .groups import (
     FreeQuotient,
     letter_name,
 )
-from .kernel import (
-    DEFAULT_LOOP_CAP,
-    delta_kernel,
-    divergence_check,
-    induced_bowen_root,
-    induced_loops,
-)
 from .pressure import LinearGdmsSpec, bowen_root, pressure_curve
-from .render import (
-    DEFAULT_POINT_CAP,
-    attractor_points,
-    auto_layout,
-    box_counting,
-    raster_shape,
-    render_image,
-    write_pgm,
-)
 from .reports import RunReport, estimate, exact, write_csv
-from .skew import (
-    VERDICT_AMENABLE,
-    amenability_report,
-    check_asymptotic_symmetry,
-    ladder_verdict,
-)
-from .walks import isoperimetric_scan, srw_spectral_radius, srw_weights
 
 # (error class, exit code, stderr label); the first class that matches wins
 _EXITS = (
@@ -118,6 +103,8 @@ def cmd_pressure_curve(spec, G, params: dict, outdir: Path) -> dict:
 
 
 def cmd_delta_kernel(spec, G, params: dict, outdir: Path) -> dict:
+    from .kernel import delta_kernel, divergence_check
+
     n_max = params["n_max"]
     root = bowen_root(spec)
     res = delta_kernel(spec, G, n_max=n_max, tol=params["delta_tol"])
@@ -161,6 +148,9 @@ def cmd_amenability(spec, G, params: dict, outdir: Path) -> dict:
 
     On a disagreement ``inconsistent`` is set; ``run`` writes, then raises.
     """
+    from .skew import VERDICT_AMENABLE, amenability_report, ladder_verdict
+    from .walks import srw_spectral_radius, srw_weights
+
     radii = params["radii"]
     dich = amenability_report(spec, G, radii, kernel_n_max=params["kernel_n_max"])
     if not G.generating_codes():
@@ -198,6 +188,8 @@ def cmd_amenability(spec, G, params: dict, outdir: Path) -> dict:
 
 
 def cmd_symmetry_check(spec, G, params: dict, outdir: Path) -> dict:
+    from .skew import check_asymptotic_symmetry
+
     n_max = params["n_max"]
     radius = params.setdefault("radius", min(5, n_max))
     s = params["s"]
@@ -220,6 +212,8 @@ def cmd_symmetry_check(spec, G, params: dict, outdir: Path) -> dict:
 
 
 def cmd_walks(spec, G, params: dict, outdir: Path) -> dict:
+    from .walks import isoperimetric_scan, srw_spectral_radius
+
     ladder = srw_spectral_radius(G, params["radii"])
     iso = isoperimetric_scan(G, params["radius"])
     write_csv(outdir / "walk_ladder.csv", ["R", "rho_R"], [ladder.radii, ladder.rho])
@@ -243,14 +237,28 @@ def cmd_walks(spec, G, params: dict, outdir: Path) -> dict:
 
 def cmd_render(spec, G, params: dict, outdir: Path, phase=None) -> dict:
     """Lay out, draw and box-count the cloud; only then write its files."""
-    caps = {"points": DEFAULT_POINT_CAP, "loops": DEFAULT_LOOP_CAP, **params.get("caps", {})}
+    from .render import (
+        DEFAULT_POINT_CAP,
+        attractor_points,
+        auto_layout,
+        box_counting,
+        raster_shape,
+        render_image,
+        write_pgm,
+    )
+
+    caps = {"points": DEFAULT_POINT_CAP, **params.get("caps", {})}
     dimension = params["dimension"]
     raster_shape(dimension, params["resolution"])  # refuse an oversized raster first
     real = auto_layout(spec, dimension, phase)
     results: dict = {}
     loops_payload = None
     if params["subset"] == "induced":
-        sys_ind = induced_loops(spec, G, params["L_max"], loop_cap=caps["loops"])
+        from .kernel import DEFAULT_LOOP_CAP, induced_bowen_root, induced_loops
+
+        sys_ind = induced_loops(
+            spec, G, params["L_max"], loop_cap=caps.get("loops", DEFAULT_LOOP_CAP)
+        )
         loops_payload = [
             {"word": _word_str(wd), "log_weight": float(lw),
              "first_letter": _word_str(wd[:1]), "last_letter": _word_str(wd[-1:])}
@@ -531,6 +539,8 @@ def run(command: str, cfg: dict, outdir: Path) -> dict:
     report.write(outdir)
     res = report.results
     if res.get("inconsistent"):
+        from .skew import VERDICT_AMENABLE
+
         walk = (res["walk"] or {}).get("verdict", VERDICT_AMENABLE)
         raise InconsistentReportError(
             f"dichotomy says {res['dichotomy']['verdict']} but walk says {walk}"
@@ -539,6 +549,14 @@ def run(command: str, cfg: dict, outdir: Path) -> dict:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; return its exit code.
+
+    After parsing the arguments this calls ``gc.freeze()``: every object alive
+    then, numpy's and gdms's import-time objects above all, moves to the
+    permanent generation, so the run's full collections and the one at
+    interpreter exit skip them.  An in-process caller keeps every object it
+    held at that point, cyclic garbage included, until ``gc.unfreeze()``.
+    """
     parser = argparse.ArgumentParser(
         prog="gdms",
         description=(
@@ -554,6 +572,7 @@ def main(argv=None) -> int:
         help="report directory (default: config's output_dir or ./gdms-out)",
     )
     args = parser.parse_args(argv)
+    gc.freeze()
     try:
         cfg = load_config(args.config)
         outdir = Path(args.output_dir or cfg.get("output_dir") or "gdms-out")

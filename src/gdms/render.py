@@ -26,13 +26,16 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import CapExceededError, ConfigError, GdmsError, LayoutInfeasibleError
 from .groups import letter_name
-from .kernel import InducedSystem
 from .pressure import LinearGdmsSpec
+
+if TYPE_CHECKING:  # a full render never loads the kernel layer
+    from .kernel import InducedSystem
 
 DEFAULT_POINT_CAP = 2_000_000
 # render_image allocates one byte per pixel; 2**26 pixels is 64 MiB
@@ -428,6 +431,13 @@ class BoxCountResult:
     residual: float
 
 
+def _distinct(key: np.ndarray) -> int:
+    """``len(np.unique(key))``, without the ``numpy.ma`` import that
+    ``np.unique`` costs: sort, then count where neighbours differ."""
+    aux = np.sort(key.ravel())
+    return int(aux.size > 0) + int(np.count_nonzero(aux[1:] != aux[:-1]))
+
+
 def box_counting(cloud: PointCloud, scales: Sequence[float]) -> BoxCountResult:
     """Least-squares slope of log N(eps) against log(1/eps).
 
@@ -449,9 +459,9 @@ def box_counting(cloud: PointCloud, scales: Sequence[float]) -> BoxCountResult:
     for eps in scales:
         boxes = np.ascontiguousarray(np.floor(cloud.points / eps))
         # one sort key per point: in 2-D the floored pair read as one complex
-        # number, which np.unique orders and compares like the pair
+        # number, which sorts and compares like the pair
         key = boxes if boxes.shape[1] == 1 else boxes.view(np.complex128)
-        counts.append(len(np.unique(key)))
+        counts.append(_distinct(key))
     if len(set(counts)) < 3:
         raise GdmsError("degenerate regression: fewer than 3 distinct box counts")
     y = np.log(np.array(counts, dtype=float))

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy
 
+from . import __version__
+
 
 def exact(value, tolerance: float | None = None) -> dict:
     """An exactly computed (or certified-tolerance) numeric result."""
@@ -64,7 +66,7 @@ class RunReport:
             "config": _plain(self.config),
             "results": _plain(self.results),
             "versions": {
-                "gdms": "0.1.0",
+                "gdms": __version__,
                 "numpy": numpy.__version__,
                 "python": platform.python_version(),
             },

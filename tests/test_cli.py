@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gdms import ConvergenceError, cli, letter_name
+from gdms import ConvergenceError, cli, letter_name, skew, walks
 from gdms.walks import srw_spectral_radius
 
 from test_acceptance import REFERENCE_RUNS
@@ -34,6 +34,25 @@ ZZ_QUOTIENT = {"type": "abelianization", "rank": 2, "images": [[1, 0], [0, 1]]}
 # S_9, 362,880 elements, from a transposition and a 9-cycle
 S9_QUOTIENT = {"type": "finite_perm", "degree": 9,
                "images": [[1, 0, *range(2, 9)], [*range(1, 9), 0]]}
+
+# The gdms modules that ``import gdms.cli`` loads: what load_config and run need.
+CLI_MODULES = ("cli", "errors", "groups", "linalg", "pressure", "reports")
+PACKAGE_SUBMODULES = ("errors", "groups", "kernel", "linalg", "render", "skew", "walks")
+PACKAGE_NAMES = (
+    *PACKAGE_SUBMODULES,
+    "Ball", "BoxCountResult", "CapExceededError", "ConfigError", "ConvergenceError",
+    "DeltaKernelResult", "DichotomyReport", "FinitePermQuotient", "FreeAbelianQuotient",
+    "FreeQuotient", "GdmsError", "GeometricRealization", "InconsistentReportError",
+    "InducedSystem", "IsoperimetricReport", "KernelCountTable", "KernelPressureEstimate",
+    "LayoutInfeasibleError", "LinearGdmsSpec", "PointCloud", "QuotientGroup",
+    "SkewOperator", "SpectralData", "SymmetryReport", "WalkLadder",
+    "amenability_report", "attractor_points", "auto_layout", "ball", "bowen_root",
+    "box_counting", "build_skew_operator", "check_asymptotic_symmetry", "delta_kernel",
+    "divergence_check", "induced_bowen_root", "induced_loops", "isoperimetric_scan",
+    "kernel_counts", "kernel_pressure", "letter_name", "pressure", "pressure_curve",
+    "render_image", "spectral_data", "srw_spectral_radius", "srw_weights",
+    "transfer_matrix", "walk_ladder", "walk_step", "write_pgm",
+)
 
 
 class TestHappyPaths:
@@ -130,7 +149,7 @@ class TestHappyPaths:
             runs.append(args)
             return srw_spectral_radius(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "srw_spectral_radius", counting)
+        monkeypatch.setattr(walks, "srw_spectral_radius", counting)
         cfg = json.loads((CONFIGS / f"{stem}.json").read_text())
         code, outdir = run_cli("amenability", cfg, tmp_path)
         assert code == 0
@@ -498,7 +517,7 @@ class TestExitCodes:
         def diverging(*args, **kwargs):
             raise ConvergenceError("walk ladder did not converge")
 
-        monkeypatch.setattr(cli, "srw_spectral_radius", diverging)
+        monkeypatch.setattr(walks, "srw_spectral_radius", diverging)
         cfg = {"gdms": {"d": 2, "ratios_by_generator": [0.3, 0.2]}, "quotient": ZZ_QUOTIENT,
                "params": {"radii": [2, 4], "kernel_n_max": 8}}
         code, outdir = run_cli("amenability", cfg, tmp_path)
@@ -624,9 +643,15 @@ class TestExitCodes:
         assert code == 2
 
     def test_inconsistent_cross_check(self, tmp_path, monkeypatch):
-        # force the walk verdict to disagree with the dichotomy verdict
+        # Z/2 is amenable, so the walk says so; force the dichotomy verdict
+        # to disagree with it
+        real = skew.amenability_report
         monkeypatch.setattr(
-            cli, "ladder_verdict", lambda est: "consistent-with-non-amenable"
+            skew,
+            "amenability_report",
+            lambda *a, **k: dataclasses.replace(
+                real(*a, **k), verdict="consistent-with-non-amenable"
+            ),
         )
         cfg = {
             "gdms": GDMS_THIRD,
@@ -823,9 +848,9 @@ class TestParamsTable:
     def test_inconsistent_report_written_without_walk(self, tmp_path, monkeypatch, capsys):
         # a trivial quotient has no walk ladder; a dichotomy that disagrees
         # with its amenable walk verdict still writes the report, then exits 5
-        real = cli.amenability_report
+        real = skew.amenability_report
         monkeypatch.setattr(
-            cli,
+            skew,
             "amenability_report",
             lambda *a, **k: dataclasses.replace(
                 real(*a, **k), verdict="consistent-with-non-amenable"
@@ -1132,6 +1157,87 @@ class TestStartup:
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["results"]["walk"]["method"] == "generic"
         assert report["results"]["dichotomy"]["method"] == "generic"
+
+    def _fresh(self, probe: str) -> str:
+        """Standard output of ``probe`` run in a fresh interpreter on this src."""
+        src = str(Path(cli.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        return out.stdout.strip()
+
+    def test_import_gdms_loads_no_submodule(self):
+        # The package's names are read lazily, so importing it loads neither
+        # a submodule nor numpy, yet still sets the OpenBLAS default first.
+        probe = (
+            "import os, sys; os.environ.pop('OPENBLAS_THREAD_TIMEOUT', None); import gdms; "
+            "print(sorted(m for m in sys.modules if m.startswith(('gdms.', 'numpy'))), "
+            "os.environ['OPENBLAS_THREAD_TIMEOUT'])"
+        )
+        assert self._fresh(probe) == "[] 4"
+
+    def test_import_cli_loads_no_command_layer(self):
+        probe = (
+            "import sys, gdms.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('gdms.')))"
+        )
+        assert self._fresh(probe) == str(sorted(f"gdms.{m}" for m in CLI_MODULES))
+
+    @pytest.mark.parametrize("command, config, layers", [
+        ("delta-full", {"gdms": GDMS_THIRD}, ()),
+        ("pressure-curve", {"gdms": GDMS_THIRD}, ()),
+        ("delta-kernel", {"gdms": GDMS_THIRD, "quotient": Z2_QUOTIENT,
+                          "params": {"n_max": 16}}, ("kernel",)),
+        ("walks", {"gdms": GDMS_THIRD, "quotient": ZZ_QUOTIENT,
+                   "params": {"radii": [2], "radius": 2}}, ("walks",)),
+        ("amenability", {"gdms": GDMS_THIRD, "quotient": ZZ_QUOTIENT,
+                         "params": {"radii": [2, 4], "kernel_n_max": 8}},
+         ("kernel", "skew", "walks")),
+        ("symmetry-check", {"gdms": GDMS_THIRD, "quotient": Z2_QUOTIENT,
+                            "params": {"n_max": 4, "radius": 2}},
+         ("kernel", "skew", "walks")),
+        ("render", {"gdms": GDMS_THIRD, "params": {"depth": 6}}, ("render",)),
+        ("render", {"gdms": GDMS_THIRD, "quotient": Z2_QUOTIENT,
+                    "params": {"subset": "induced", "L_max": 2}}, ("kernel", "render")),
+    ], ids=["delta-full", "pressure-curve", "delta-kernel", "walks", "amenability",
+            "symmetry-check", "render-full", "render-induced"])
+    def test_command_loads_only_its_layers(self, tmp_path, command, config, layers):
+        # Each command imports its own layer when it runs; box counting
+        # counts distinct boxes without np.unique, which loads numpy.ma.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = [command, "--config", str(cfg), "--output-dir", str(tmp_path / "out")]
+        probe = (
+            f"import sys, gdms.cli; code = gdms.cli.main({argv!r}); "
+            "print(code, sorted(m for m in sys.modules if m.startswith('gdms.')), "
+            "'numpy.ma' in sys.modules)"
+        )
+        want = sorted(f"gdms.{m}" for m in (*CLI_MODULES, *layers))
+        assert self._fresh(probe) == f"0 {want} False"
+
+    def test_every_package_name_resolves(self):
+        # The names the package bound eagerly before its exports were made
+        # lazy: each still imports by name, functions and classes as
+        # themselves and submodules as modules.
+        for name in PACKAGE_NAMES:
+            scope: dict = {}
+            exec(f"from gdms import {name}", scope)
+            value = scope[name]
+            if name in PACKAGE_SUBMODULES:
+                assert value is sys.modules[f"gdms.{name}"]
+            else:
+                assert value.__name__ == name
+                assert value.__module__.startswith("gdms.")
+        import gdms
+
+        assert gdms.pressure.__module__ == "gdms.pressure"  # the function
+        assert set(PACKAGE_NAMES) <= set(dir(gdms))
+        with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
+            gdms.nonexistent
 
     def test_word_names(self):
         assert cli._word_str((0, 1, 2, 3)) == "g1 g1~ g2 g2~"

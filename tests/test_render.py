@@ -15,6 +15,7 @@ from gdms import (
     GdmsError,
     LayoutInfeasibleError,
     LinearGdmsSpec,
+    PointCloud,
     attractor_points,
     auto_layout,
     bowen_root,
@@ -24,7 +25,7 @@ from gdms import (
     render_image,
 )
 from gdms.groups import letter_name
-from gdms.render import MAX_RASTER_PIXELS, pgm_bytes, raster_shape
+from gdms.render import MAX_RASTER_PIXELS, _distinct, pgm_bytes, raster_shape
 
 from test_acceptance import REFERENCE_RUNS
 
@@ -339,6 +340,30 @@ class TestBoxCounting:
         for c in (cloud, scattered):
             want = [len(np.unique(np.floor(c.points / e), axis=0)) for e in scales]
             assert list(box_counting(c, scales).counts) == want
+
+    @pytest.mark.parametrize("dimension", [1, 2])
+    def test_counts_equal_unique_of_the_box_key(self, dimension):
+        # Negative coordinates, 500 points given twice, and signed zeros in
+        # every combination: -0.0 and 0.0 compare equal, so they share a box.
+        rng = np.random.default_rng(11)
+        pts = rng.normal(size=(1500, dimension))
+        zeros = np.array([[0.0, 0.0], [-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0]])
+        pts = np.concatenate([pts, pts[:500], zeros[:, :dimension]])
+        cloud = PointCloud(pts, (), 1, "full", pts.min(axis=0), pts.max(axis=0))
+        scales = [2.0 ** k for k in range(-5, 2)]
+        want = []
+        for eps in scales:
+            boxes = np.ascontiguousarray(np.floor(pts / eps))
+            key = boxes if dimension == 1 else boxes.view(np.complex128)
+            want.append(len(np.unique(key)))
+        assert list(box_counting(cloud, scales).counts) == want
+
+    def test_distinct_keys(self):
+        signed = np.array([0.0, -0.0, 1.0, -1.0, 1.0])
+        assert _distinct(signed) == len(np.unique(signed)) == 3
+        pairs = np.array([0j, complex(-0.0, 0.0), complex(0.0, -0.0), 1j, 1 + 0j, 1j])
+        assert _distinct(pairs) == len(np.unique(pairs)) == 3
+        assert _distinct(np.empty((0, 1))) == 0
 
     def test_single_point_degenerate(self, spec_third):
         real = auto_layout(spec_third, 1)
