@@ -388,23 +388,25 @@ def delta_kernel(
 ) -> DeltaKernelResult:
     """The exponent of convergence of the kernel Poincare series.
 
-    Bisection on the sign of the kernel-pressure estimate.  Degenerate
-    cases: a trivial kernel gives 0 (only the identity contributes), and the
-    trivial quotient, where no letter has a non-identity image, gives the
-    full Bowen root (every word is a kernel word).  A table cut by the
-    group's ball cap undercounts and can move the bracket off the true
-    value, so when the tables read a ball (every case but the cone table of
-    ``kernel_counts``) ``ball`` refuses the pruning ball (``CapExceededError``)
-    before any table is counted; a ``tol`` of at least half the starting bracket
+    Bisection on the sign of the kernel-pressure estimate.  Exact cases: a
+    trivial kernel gives 0 (only the identity contributes), the trivial
+    quotient, where no letter has a non-identity image, gives the full Bowen
+    root (every word is a kernel word), and so does any finite quotient,
+    after the ``tol`` check and the non-symmetric warning: N then has finite
+    index, and delta(N) = delta(F_d).  A table cut by the group's ball cap
+    undercounts and can move the bracket off the true value, so when the
+    tables read a ball (every case but the cone table of ``kernel_counts``)
+    ``ball`` refuses the pruning ball (``CapExceededError``) before any
+    table is counted; a ``tol`` of at least half the starting bracket
     [0, bowen_root + 0.1] would bisect nothing, so it raises ``ConfigError``.
     """
     if G.kernel_is_trivial():
         return DeltaKernelResult(0.0, 0.0, 0.0, False, True)
+    root = bowen_root(spec)
     if not G.generating_codes():
-        root = bowen_root(spec)
         return DeltaKernelResult(root, root, root, False, True)
     lo = 0.0
-    hi = bowen_root(spec) + 0.1
+    hi = root + 0.1
     if hi - lo <= 2 * tol:
         raise ConfigError(
             f"delta_tol {tol!r} is at least half the starting bracket [0, {hi!r}]"
@@ -417,6 +419,9 @@ def delta_kernel(
             "estimator is still valid but the amenability dichotomy is not",
             stacklevel=2,
         )
+    if G.finite:
+        # N has finite index, so it has the exponent of F_d itself
+        return DeltaKernelResult(root, root, root, False, True)
     if not _cone_applies(spec, G):
         _pruning_ball(G, n_max, fit=False)  # refuse a ball the cap cuts: its tables undercount
     evals = []

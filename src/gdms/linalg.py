@@ -1,14 +1,19 @@
-"""Restarted Arnoldi for Perron values of nonnegative operators.
+"""Restarted Krylov iterations for Perron values of nonnegative operators.
 
 All spectral radii in this package are computed by the same routine,
 ``perron_value``: an exact nilpotency test on supports, then an explicitly
-restarted Arnoldi iteration from a deterministic uniform start, stopped by a
+restarted Krylov iteration from a deterministic uniform start, stopped by a
 sup-norm eigen-residual checked on an explicit matvec.  On a Dirichlet
 truncation whose spectral gap closes like 1/R^2 (Z^k balls), a Krylov method
 needs O(R) matvecs where power iteration needs O(R^2) (Saad, *Numerical
-Methods for Large Eigenvalue Problems*, 2011).  Every Dirichlet truncation
-ladder of those spectral radii is read by the same limit rule,
-``truncation_limit``.
+Methods for Large Eigenvalue Problems*, 2011).  Each cycle is Arnoldi, which
+orthogonalises every new vector against the whole basis, unless the caller
+declares the operator symmetric: then it is Lanczos, whose three-term
+recurrence orthogonalises against the last two basis vectors only and
+spans the same Krylov space.  The symmetric walk ladders of ``walks`` take
+Lanczos; transfer matrices and every other nonsymmetric operator take
+Arnoldi.  Every Dirichlet truncation ladder of those spectral radii is read
+by the same limit rule, ``truncation_limit``.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from .errors import ConvergenceError
 # A truncation ladder has plateaued when its last rung moved less than this.
 PLATEAU_TOL = 1e-3
 
-# Largest Krylov basis of one Arnoldi cycle before it restarts.
+# Largest Krylov basis of one cycle before it restarts.
 KRYLOV_DIM = 30
 
 EPS = np.finfo(float).eps
@@ -42,23 +47,32 @@ def perron_value(
     dim: int,
     tol: float = 1e-12,
     max_iter: int = 1_000_000,
+    symmetric: bool = False,
 ) -> PerronResult:
     """Perron value and vector of a nonnegative operator given by ``matvec``.
 
     A nilpotent operator (spectral radius 0) is recognised exactly by
     ``_null_indicator`` and returns 0 with an exact null vector.  Otherwise
-    each Arnoldi cycle extends the current vector v to an orthonormal Krylov
-    basis of at most KRYLOV_DIM vectors (Gram-Schmidt applied twice) and
-    restarts from the Ritz vector of the Ritz value of largest real part,
-    signed to a positive sum; for a nonnegative operator that value tends to
-    the Perron value, and choosing it by real part rather than modulus
-    passes over -rho of periodic incidence structures.  Before each cycle
-    the residual ||A v - lam v||_inf / ||v||_inf, with lam the Rayleigh
-    quotient of v, is checked on an explicit matvec; the iteration stops
-    when it falls below ``tol * max(1, lam)``, and raises ConvergenceError
-    (carrying the best residual) once ``max_iter`` matvecs have not reached
-    it.  ``iterations`` counts matvecs, those of the nilpotency test
-    included.
+    each cycle extends the current vector v to a Krylov basis of at most
+    KRYLOV_DIM vectors and restarts from the Ritz vector of the Ritz value
+    of largest real part, signed to a positive sum; for a nonnegative
+    operator that value tends to the Perron value, and choosing it by real
+    part rather than modulus passes over -rho of periodic incidence
+    structures.  The cycle is Arnoldi (Gram-Schmidt against the whole basis,
+    applied twice; Ritz pairs of the Hessenberg matrix), or, with
+    ``symmetric``, Lanczos: alpha_k = q_k.A q_k and
+    A q_k - alpha_k q_k - beta_{k-1} q_{k-1} give the next vector, and the
+    Ritz pairs are those of the symmetric tridiagonal T_k (``eigh``).  A
+    symmetric nonnegative operator has a real spectrum in [-rho, rho], so
+    the top Ritz value tends to rho.  Lanczos vectors lose orthogonality in
+    floating point and the caller's claim of symmetry is not checked here,
+    so neither cycle is trusted: before each cycle the residual
+    ||A v - lam v||_inf / ||v||_inf, with lam the Rayleigh quotient of v,
+    is checked on an explicit matvec, and it alone certifies the result.
+    The iteration stops when it falls below ``tol * max(1, lam)``, and
+    raises ConvergenceError (carrying the best residual) once ``max_iter``
+    matvecs have not reached it.  ``iterations`` counts matvecs, those of
+    the nilpotency test included.
     """
     if dim == 0:
         return PerronResult(0.0, np.zeros(0), 0, 0.0)
@@ -81,21 +95,29 @@ def perron_value(
             return PerronResult(lam, v, calls, residual)
         if calls >= max_iter:
             raise ConvergenceError(
-                f"Arnoldi iteration did not reach tol={tol} in {max_iter} matvecs "
+                f"Krylov iteration did not reach tol={tol} in {max_iter} matvecs "
                 f"(best residual {best:.3e})",
                 residual=best,
             )
-        # One Arnoldi cycle from v, reusing A v as its first product.
+        # One Krylov cycle from v, reusing A v as its first product.
         basis[0] = v
         w = av
         k = 0
         while True:
-            q = basis[: k + 1]
-            h = q @ w
-            w = w - h @ q
-            h2 = q @ w
-            w -= h2 @ q
-            hess[: k + 1, k] = h + h2
+            if symmetric:
+                # hess[:k, :k] is kept as the full tridiagonal T_k:
+                # w = A q_k - alpha_k q_k - beta_{k-1} q_{k-1}
+                j = max(k - 1, 0)
+                hess[k, k] = basis[k] @ w
+                hess[j, k] = hess[k, j]
+                w = w - hess[j : k + 1, k] @ basis[j : k + 1]
+            else:
+                q = basis[: k + 1]
+                h = q @ w
+                w = w - h @ q
+                h2 = q @ w
+                w -= h2 @ q
+                hess[: k + 1, k] = h + h2
             beta = float(np.linalg.norm(w))
             hess[k + 1, k] = beta
             k += 1
@@ -104,12 +126,15 @@ def perron_value(
             invariant = beta <= EPS * np.linalg.norm(hess[: k + 1, k - 1])
             if k == m or invariant or calls + 1 >= max_iter:
                 break
-            basis[k] = w / beta
+            np.divide(w, beta, out=basis[k])
             w = matvec(basis[k])
             calls += 1
-        theta, vecs = np.linalg.eig(hess[:k, :k])
-        s = vecs[:, int(np.argmax(theta.real))]
-        s = (s * np.conj(s[np.argmax(np.abs(s))])).real
+        if symmetric:
+            s = np.linalg.eigh(hess[:k, :k])[1][:, -1]  # eigenvalues ascend
+        else:
+            theta, vecs = np.linalg.eig(hess[:k, :k])
+            s = vecs[:, int(np.argmax(theta.real))]
+            s = (s * np.conj(s[np.argmax(np.abs(s))])).real
         y = s @ basis[:k]
         if y.sum() < 0.0:
             y = -y

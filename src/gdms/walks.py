@@ -2,9 +2,12 @@
 
 A walk on G = F_d / N has one weight per letter code: a step from g goes to
 g * image(c) with weight ``weights[c]``, so identity images make the walk
-lazy and repeated images add up.  By Kesten's criterion such a symmetric
-walk has spectral radius 1 exactly when G is amenable.  ``walk_ladder`` is
-the only truncation ladder; two walks run on it:
+lazy and repeated images add up.  A walk is symmetric when each image
+carries the same total weight as its inverse; then its step is a symmetric
+matrix on every ball, and ``walk_ladder`` refuses any other walk.  By
+Kesten's criterion such a symmetric walk has spectral radius 1 exactly when
+G is amenable.  ``walk_ladder`` is the only truncation ladder; two walks run
+on it:
 
 * the dichotomy walk mu_{s*}, weights proportional to w_v = u_v / (1 - u_v^2)
   with u_v = c(v)^{s*}.  The weighted Ihara-Bass identity (Bass 1992) gives
@@ -20,11 +23,14 @@ the only truncation ladder; two walks run on it:
 Infinite groups are truncated to word-metric balls with Dirichlet boundary,
 giving spectral radii that are nondecreasing in the radius and converge
 from below at a 1/R^2 rate; ``linalg.truncation_limit`` reads the ladder.
-A finite group is walked once on the whole group.  On a free quotient of
+The Dirichlet cut of a symmetric step is symmetric, so every ball rung runs
+the Lanczos cycle of ``linalg.perron_value``.  A finite group is walked
+once on the whole group, also by Lanczos.  On a free quotient of
 rank k >= 2 with equal surviving weights the walk lives on the 2k-regular
 tree (lazily when killed letters carry weight) and its truncated Perron
-vector is radial, so an (R+1)-state chain on the spheres gives each rung;
-sqrt(2k-1)/k is the simple walk's limit.
+vector is radial, so an (R+1)-state chain on the spheres gives each rung
+(by Arnoldi: the chain is not symmetric); sqrt(2k-1)/k is the simple walk's
+limit.
 
 The isoperimetric scan reports boundary-to-volume ratios of nested balls; it
 is a Folner-style diagnostic only, since finite balls cannot decide
@@ -39,7 +45,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .groups import Ball, FreeQuotient, QuotientGroup, ball
+from .groups import Ball, FreeQuotient, QuotientGroup, ball, letter_name
 from .linalg import PerronResult, perron_value, perron_value_dense, truncation_limit
 
 
@@ -56,9 +62,11 @@ def walk_step(B: Ball, weights: Sequence[float]) -> Callable[[np.ndarray], np.nd
     moves = B.letter_moves()[codes]
     w = weights[codes]
 
+    zero = np.zeros(1)
+
     def step(x: np.ndarray) -> np.ndarray:
         # index -1 reads the appended zero: a move off the ball contributes 0
-        return w @ np.append(x, 0.0)[moves]
+        return w @ np.concatenate((x, zero))[moves]
 
     return step
 
@@ -113,12 +121,14 @@ def walk_ladder(
     A finite group is walked once, on the whole group, and that rung stands
     for every radius; a free quotient of surviving rank >= 2 with equal
     surviving weights uses the radial chain; any other group runs
-    ``walk_step`` on each radius-R ball.
+    ``walk_step`` on each radius-R ball.  A walk that is not symmetric
+    (``_require_symmetric``) is refused before any ball is built.
     """
     if not radii:
         raise ConfigError("need at least one radius")
     radii = tuple(sorted(int(r) for r in radii))
     weights = np.asarray(weights, dtype=float)
+    _require_symmetric(G, weights)
     tree = None
     if isinstance(G, FreeQuotient) and G.surviving_rank() >= 2:
         alive = np.array([c not in G.killed_codes for c in range(2 * G.d)])
@@ -129,7 +139,7 @@ def walk_ladder(
     if G.finite:
         method = "finite"
         B = ball(G)  # the whole group; raises past the cap
-        exact = perron_value(walk_step(B, weights), len(B), tol=tol)
+        exact = perron_value(walk_step(B, weights), len(B), tol=tol, symmetric=True)
         copy = PerronResult(exact.value, exact.vector, 0, exact.residual)
         rungs = [exact] + [copy] * (len(radii) - 1)
     elif tree is not None:
@@ -142,7 +152,7 @@ def walk_ladder(
         ball(G, radii[-1])  # every smaller rung is a prefix of it
         for R in radii:
             B = ball(G, R)
-            rungs.append(perron_value(walk_step(B, weights), len(B), tol=tol))
+            rungs.append(perron_value(walk_step(B, weights), len(B), tol=tol, symmetric=True))
     rho_vals = [r.value for r in rungs]
     final, plateau = truncation_limit(radii, rho_vals)
     return WalkLadder(
@@ -154,6 +164,29 @@ def walk_ladder(
         plateau,
         method,
     )
+
+
+def _require_symmetric(G: QuotientGroup, weights: np.ndarray) -> None:
+    """Refuse walk weights whose step is not a symmetric matrix.
+
+    The step's entry from g to g * x is the total weight of the codes with
+    image x, and the entry back is that of the image x^-1, the image of the
+    inverse codes; so the totals are compared per image, not per code (an
+    involution's two codes may split its weight 1:0, as ``srw_weights``
+    does).  Totals that differ only by the rounding of their sums pass.
+    """
+    images = [G.letter_image(c) for c in range(2 * G.d)]
+    total: dict = {}
+    for img, w in zip(images, weights.tolist()):
+        total[img] = total.get(img, 0.0) + w
+    slack = 1e-12 * float(np.abs(weights).sum())
+    for c in range(0, 2 * G.d, 2):
+        a, b = total[images[c]], total[images[c + 1]]
+        if abs(a - b) > slack:
+            raise ConfigError(
+                f"walk is not symmetric: the image of {letter_name(c)} carries "
+                f"weight {a!r}, its inverse {b!r}"
+            )
 
 
 def srw_spectral_radius(G: QuotientGroup, R_list: Sequence[int]) -> WalkLadder:

@@ -76,8 +76,10 @@ class TestHappyPaths:
         code, outdir = run_cli("delta-kernel", cfg, tmp_path)
         assert code == 0
         res = json.loads((outdir / "report.json").read_text())["results"]
-        assert res["ratio"]["value"] == pytest.approx(1.0, abs=1e-3)
-        assert res["delta_kernel"]["kind"] == "estimate"
+        # Z/2 is finite, so N has finite index and delta(N) = delta exactly
+        assert res["delta_kernel"]["kind"] == "exact"
+        assert res["delta_kernel"]["value"] == res["delta_full"]["value"]
+        assert res["ratio"]["value"] == 1.0
         assert res["divergence_at_half"]["tail_nondecreasing"]
         assert (outdir / "kernel_table_half.csv").exists()
 

@@ -397,6 +397,16 @@ class TestKernelPressure:
         assert est.estimate <= pressure(spec_third, s) + 1e-9
 
 
+def mobius_perm(p, a, b, c, d):
+    """x -> (a x + b) / (c x + d) on the projective line over F_p, as a
+    permutation of 0..p, with p standing for the point at infinity."""
+    def image(x):
+        num, den = (a, c) if x == p else ((a * x + b) % p, (c * x + d) % p)
+        return p if den == 0 else num * pow(den, -1, p) % p
+
+    return [image(x) for x in range(p + 1)]
+
+
 class TestDeltaKernel:
     @pytest.mark.parametrize("group_fixture", ["z2", "z3", "s3"])
     def test_finite_quotients_full_exponent(self, spec_third, group_fixture, request):
@@ -404,6 +414,25 @@ class TestDeltaKernel:
         res = delta_kernel(spec_third, G, n_max=24)
         assert res.delta == pytest.approx(1.0, abs=1e-3)
         assert res.lo <= 1.0 + 1e-3 and res.hi >= 1.0 - 1e-3
+
+    @pytest.mark.parametrize("name", ["z2", "s4", "psl2_13"])
+    def test_finite_quotient_is_exact(self, spec_third, spec_mixed, name):
+        # N has finite index, so delta(N) = delta; no table is counted.  The
+        # estimator's bracket for PSL(2,13) at n_max 24, [1.00010, 1.00063],
+        # lay above delta.
+        G = {
+            "z2": lambda: FinitePermQuotient(2, [[1, 0], [1, 0]]),
+            "s4": lambda: FinitePermQuotient(4, [[1, 0, 2, 3], [1, 2, 3, 0]]),
+            "psl2_13": lambda: FinitePermQuotient(
+                14, [mobius_perm(13, 1, 2, 0, 1), mobius_perm(13, 1, 0, 2, 1)]
+            ),
+        }[name]()
+        for spec in (spec_third, spec_mixed):
+            res = delta_kernel(spec, G, n_max=24)
+            assert res.exact and not res.ambiguous
+            assert res.delta == res.lo == res.hi == bowen_root(spec)
+            assert res.evaluations == ()
+        assert not G._balls
 
     def test_trivial_quotient_is_bowen_root(self, spec_mixed, trivial_group):
         res = delta_kernel(spec_mixed, trivial_group)
@@ -428,11 +457,12 @@ class TestDeltaKernel:
         ):
             delta_kernel(spec_third, capped, n_max=18)
 
-    def test_tol_wider_than_half_bracket_refused(self, spec_third, z2):
-        # the starting bracket is [0, 1.1]: a tol of half of it bisects nothing
+    def test_tol_wider_than_half_bracket_refused(self, spec_third, z2, zz):
+        # the starting bracket is [0, 1.1]: a tol of half of it bisects
+        # nothing, refused even for a finite quotient, whose answer is exact
         with pytest.raises(ConfigError, match="delta_tol 0.6 is at least half"):
             delta_kernel(spec_third, z2, tol=0.6)
-        res = delta_kernel(spec_third, z2, tol=0.5)
+        res = delta_kernel(spec_third, zz, tol=0.5)
         assert len(res.evaluations) == 1 and res.hi - res.lo <= 1.0
 
     def test_nonsymmetric_warns(self, spec_nonsym, z2):

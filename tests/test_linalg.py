@@ -116,6 +116,84 @@ class TestPerronValue:
         assert 0.0 < exc.value.residual <= first
 
 
+def lanczos(m, **kw):
+    """The symmetric (Lanczos) cycle on a dense matrix, with its matvec calls."""
+    matvec, calls = counted(m)
+    return perron_value(matvec, m.shape[0], symmetric=True, **kw), calls
+
+
+def assert_lanczos(m):
+    assert np.array_equal(m, m.T)
+    res, calls = lanczos(m)
+    top = float(np.linalg.eigvalsh(m)[-1]) if len(m) else 0.0
+    assert res.value == pytest.approx(top, abs=1e-12)
+    assert res.iterations == len(calls)
+    assert res.residual <= 1e-12 * max(1.0, res.value)
+    if len(m):
+        assert np.max(np.abs(m @ res.vector - res.value * res.vector)) <= 1e-11
+        assert res.vector.sum() > 0.0
+    return res
+
+
+def sparse_symmetric(n, density, seed):
+    """A random sparse symmetric nonnegative matrix."""
+    rng = np.random.default_rng(seed)
+    upper = np.triu(rng.random((n, n)) * (rng.random((n, n)) < density))
+    return upper + np.triu(upper, 1).T
+
+
+class TestLanczosCycle:
+    """``perron_value(..., symmetric=True)`` against LAPACK's ``eigvalsh``."""
+
+    @pytest.mark.parametrize("n, density, seed", [(40, 0.1, 0), (200, 0.02, 1), (500, 0.01, 2)])
+    def test_sparse_symmetric(self, n, density, seed):
+        m = sparse_symmetric(n, density, seed)
+        res = assert_lanczos(m)
+        assert res.value == pytest.approx(perron_value_dense(m).value, abs=1e-12)
+
+    def test_period_two(self):
+        # Bipartite: -rho is an eigenvalue, and the top algebraic Ritz value
+        # still tends to +rho.
+        b = np.random.default_rng(3).random((4, 5))
+        m = np.zeros((9, 9))
+        m[:4, 4:] = b
+        m[4:, :4] = b.T
+        eig = np.linalg.eigvalsh(m)
+        assert eig[0] == pytest.approx(-eig[-1], abs=1e-12)
+        assert_lanczos(m)
+
+    def test_reducible_perron_block_last(self):
+        # Symmetric and reducible: block diagonal, the larger block last.
+        m = np.zeros((10, 10))
+        m[:6, :6] = 0.2 * sparse_symmetric(6, 1.0, 4)
+        m[6:, 6:] = sparse_symmetric(4, 1.0, 5)
+        last = float(np.linalg.eigvalsh(m[6:, 6:])[-1])
+        assert last > float(np.linalg.eigvalsh(m[:6, :6])[-1])
+        assert assert_lanczos(m).value == pytest.approx(last, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "m", [np.zeros((0, 0)), np.array([[2.5]]), np.array([[0.0]]), np.zeros((5, 5))],
+        ids=["dim-0", "dim-1", "dim-1-zero", "zero"],
+    )
+    def test_small_and_zero(self, m):
+        assert_lanczos(m)
+
+    def test_max_iter_reports_best_residual(self):
+        m = sparse_symmetric(300, 0.02, 6)
+        # one matvec for the nilpotency test, one for the uniform start's
+        # residual; the third would be the first Lanczos step
+        v = np.full(300, 300**-0.5)
+        first = np.max(np.abs(m @ v - (v @ m @ v) * v)) / np.max(v)
+        with pytest.raises(ConvergenceError, match="best residual") as exc:
+            lanczos(m, max_iter=2)
+        assert exc.value.residual == pytest.approx(first, rel=1e-12)
+        matvec, calls = counted(m)
+        with pytest.raises(ConvergenceError) as exc:
+            perron_value(matvec, 300, symmetric=True, max_iter=8)
+        assert len(calls) == 8
+        assert 0.0 < exc.value.residual <= first
+
+
 def model(R):
     """A ladder exactly on the 1/R^2 model, with limit 0.98."""
     return 0.98 - 1.0 / R**2

@@ -7,6 +7,7 @@ import pytest
 
 from gdms import (
     CapExceededError,
+    ConfigError,
     FinitePermQuotient,
     FreeAbelianQuotient,
     FreeQuotient,
@@ -18,6 +19,8 @@ from gdms import (
     walk_step,
 )
 from gdms.linalg import perron_value
+
+from test_groups import Heisenberg
 
 
 def srw_weights(G):
@@ -134,6 +137,63 @@ class TestWalkLadders:
         a = srw_spectral_radius(f2_of_f3, [4, 8])
         b = srw_spectral_radius(free_f2, [4, 8])
         assert a.rho == pytest.approx(b.rho, abs=1e-12)
+
+
+# The walk (.3, .2, .5) per generator of F_3 on F_2 = F_3 / <<g_3>>: the
+# killed g_3 makes it lazy, and unequal surviving weights take the generic path.
+LAZY_F2_IN_F3 = [0.15, 0.15, 0.1, 0.1, 0.25, 0.25]
+S4_IMAGES = [[1, 0, 2, 3], [1, 2, 3, 0]]  # a transposition and a 4-cycle
+
+
+def dense_step(B, weights):
+    step = walk_step(B, weights)
+    return np.column_stack([step(e) for e in np.eye(len(B))])
+
+
+class TestSymmetricRungs:
+    """Every ball rung runs the Lanczos cycle, which must agree with Arnoldi."""
+
+    CASES = {
+        # name: (group, weights or None for the simple walk, radii, method)
+        "zz": (lambda: FreeAbelianQuotient(2, [[1, 0], [0, 1]]), None, range(4, 41, 4), "generic"),
+        "s4": (lambda: FinitePermQuotient(4, S4_IMAGES), None, [1, 2], "finite"),
+        "heisenberg": (Heisenberg, None, [2, 4, 6, 8], "generic"),
+        "lazy-f2-of-f3": (lambda: FreeQuotient(3, kill=[3]), LAZY_F2_IN_F3, [2, 4, 6], "generic"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_lanczos_matches_arnoldi(self, name):
+        make, weights, radii, method = self.CASES[name]
+        G = make()
+        w = srw_weights(G) if weights is None else np.array(weights)
+        ladder = walk_ladder(G, w, radii, tol=1e-12)
+        assert ladder.method == method
+        for R, rho in zip(ladder.radii, ladder.rho):
+            B = ball(G) if method == "finite" else ball(G, R)
+            arnoldi = perron_value(walk_step(B, w), len(B), tol=1e-12)
+            assert abs(rho - arnoldi.value) <= 1e-12
+        B = ball(G) if method == "finite" else ball(G, min(radii))
+        m = dense_step(B, w)
+        assert np.array_equal(m, m.T)
+
+    def test_asymmetric_walk_refused_before_any_ball(self):
+        G = FreeAbelianQuotient(2, [[1, 0], [0, 1]])
+        with pytest.raises(ConfigError, match=r"not symmetric: the image of g1 carries weight 0\.4"):
+            walk_ladder(G, [0.4, 0.1, 0.25, 0.25], [2, 4])
+        assert not G._balls
+
+    def test_weights_compared_per_image(self):
+        s4 = FinitePermQuotient(4, S4_IMAGES)
+        # g1's image is an involution: its two codes may split its weight
+        # (``srw_weights`` gives the second 0); the 4-cycle's codes may not
+        for w in ([0.5, 0.0, 0.25, 0.25], [0.1, 0.4, 0.25, 0.25]):
+            ladder = walk_ladder(s4, w, [1])
+            assert ladder.rho[0] == pytest.approx(1.0, abs=1e-12)
+        with pytest.raises(ConfigError, match="the image of g2 carries"):
+            walk_ladder(s4, [0.25, 0.25, 0.3, 0.2], [1])
+        # two codes with one image: the totals are compared, not the codes
+        zz = FreeAbelianQuotient(2, [[1, 0], [1, 0]])
+        walk_ladder(zz, [0.1, 0.3, 0.4, 0.2], [2])
 
 
 class TestIsoperimetric:
