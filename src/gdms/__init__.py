@@ -50,8 +50,7 @@ _EXPORTS = {
         "kernel_counts", "kernel_pressure",
     ),
     "pressure": (
-        "LinearGdmsSpec", "SpectralData", "bowen_root", "pressure", "pressure_curve",
-        "spectral_data", "transfer_matrix",
+        "LinearGdmsSpec", "bowen_root", "perron_data", "pressure", "pressure_curve",
     ),
     "render": (
         "BoxCountResult", "GeometricRealization", "PointCloud", "attractor_points",

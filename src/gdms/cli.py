@@ -112,8 +112,12 @@ def cmd_delta_kernel(spec, G, params: dict, outdir: Path) -> dict:
         delta_payload = exact(res.delta)
         ratio_payload = exact(res.delta / root)
     else:
-        delta_payload = estimate(res.delta, res.lo, res.hi, ambiguous=res.ambiguous)
-        ratio_payload = estimate(res.delta / root, res.lo / root, res.hi / root)
+        delta_payload = estimate(
+            res.delta, res.lo, res.hi, ambiguous=res.ambiguous, clipped=res.clipped
+        )
+        ratio_payload = estimate(
+            res.delta / root, res.lo / root, res.hi / root, clipped=res.clipped
+        )
     results = {
         "delta_full": exact(root, tolerance=1e-12),
         "delta_kernel": delta_payload,

@@ -372,7 +372,9 @@ class DeltaKernelResult:
     """Zero of the kernel pressure with an honest bracket.
 
     ``ambiguous`` is set when a bisection step landed inside the estimator's
-    dead band, in which case the bracket was widened rather than guessed.
+    dead band, in which case the bracket was widened rather than guessed;
+    ``clipped`` when the bracket or the value reached outside the interval
+    that holds delta(N) for every N (``delta_kernel``) and was cut to it.
     """
 
     delta: float
@@ -380,6 +382,7 @@ class DeltaKernelResult:
     hi: float
     ambiguous: bool
     exact: bool
+    clipped: bool = False
     evaluations: tuple = field(default=(), repr=False)
 
 
@@ -399,6 +402,13 @@ def delta_kernel(
     ``ball`` refuses the pruning ball (``CapExceededError``) before any
     table is counted; a ``tol`` of at least half the starting bracket
     [0, bowen_root + 0.1] would bisect nothing, so it raises ``ConfigError``.
+
+    An estimate is then clipped into [floor, delta], delta = bowen_root:
+    delta(N) <= delta because N lies in F_d, and for a symmetric system the
+    nontrivial normal subgroup N has delta(N) > delta / 2 (the paper's
+    theorem; Roblin), so the floor is delta / 2 there and 0 otherwise.
+    ``lo``, ``hi`` and ``delta`` are clipped each on its own, and
+    ``clipped`` says whether any of them moved.
     """
     if G.kernel_is_trivial():
         return DeltaKernelResult(0.0, 0.0, 0.0, False, True)
@@ -438,7 +448,11 @@ def delta_kernel(
         else:
             ambiguous = True
             break
-    return DeltaKernelResult(0.5 * (lo + hi), lo, hi, ambiguous, False, tuple(evals))
+    floor = 0.5 * root if spec.symmetric else 0.0
+    raw = (0.5 * (lo + hi), lo, hi)
+    delta, lo, hi = (min(max(x, floor), root) for x in raw)
+    clipped = (delta, lo, hi) != raw
+    return DeltaKernelResult(delta, lo, hi, ambiguous, False, clipped, tuple(evals))
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,12 @@ Methods for Large Eigenvalue Problems*, 2011).  Each cycle is Arnoldi, which
 orthogonalises every new vector against the whole basis, unless the caller
 declares the operator symmetric: then it is Lanczos, whose three-term
 recurrence orthogonalises against the last two basis vectors only and
-spans the same Krylov space.  The symmetric walk ladders of ``walks`` take
-Lanczos; transfer matrices and every other nonsymmetric operator take
-Arnoldi.  Every Dirichlet truncation ladder of those spectral radii is read
-by the same limit rule, ``truncation_limit``.
+spans the same Krylov space.  The symmetric walk ladders of ``walks`` and
+the pressure's symmetrised transfer matrix S(s) (``pressure.perron_data``)
+take Lanczos; the induced loop matrix, the tree-radial chain and every
+other nonsymmetric operator take Arnoldi.  Every Dirichlet truncation
+ladder of those spectral radii is read by the same limit rule,
+``truncation_limit``.
 """
 
 from __future__ import annotations
@@ -173,9 +175,12 @@ def perron_value_dense(
     matrix: np.ndarray,
     tol: float = 1e-12,
     max_iter: int = 1_000_000,
+    symmetric: bool = False,
 ) -> PerronResult:
     m = np.asarray(matrix, dtype=float)
-    return perron_value(lambda v: m @ v, m.shape[0], tol=tol, max_iter=max_iter)
+    return perron_value(
+        lambda v: m @ v, m.shape[0], tol=tol, max_iter=max_iter, symmetric=symmetric
+    )
 
 
 def truncation_limit(radii: Sequence[int], rho: Sequence[float]) -> tuple[float, bool]:

@@ -16,6 +16,12 @@ zero: the Bowen root, which is both the exponent of convergence of the full
 Poincare series and the Hausdorff dimension of the limit set of any
 geometric realization satisfying the open set condition.
 
+M(s) = A U(s), with A the symmetric 0/1 matrix of non-backtracking pairs and
+U(s) = diag(c(v)^s), is similar to the symmetric S(s) = U^{1/2} A U^{1/2}.
+So one Lanczos solve on S(s) gives rho(s) and a unit vector y, from which
+M's right and left Perron vectors are U^{-1/2} y and U^{1/2} y, and the
+slope is P'(s) = sum_v log c(v) y_v^2 (Hellmann-Feynman).
+
 P(s) is defined by a limit of length-windowed sums; for the locally constant
 weights used here that limit exists and equals log rho(s), and the package
 computes the eigenvalue throughout.  The sums Z_n themselves are the kernel
@@ -37,8 +43,6 @@ from .errors import ConfigError
 from .groups import letter_name
 from .linalg import PerronResult, perron_value_dense
 
-SPECTRAL_TOL = 1e-12
-SPECTRAL_MAX_ITER = 1_000_000
 BOWEN_TOL = 1e-12
 
 
@@ -109,60 +113,29 @@ class LinearGdmsSpec:
 
 
 # ---------------------------------------------------------------------------
-# Transfer matrices and spectral data
+# The symmetrised transfer matrix and the Bowen root
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SpectralData:
-    """Perron value with positive left/right eigenvectors.
-
-    Normalization: the right vector has maximum entry 1 and left . right = 1.
-    ``iterations`` counts the matvecs of the right and the left solve.
-    """
-
-    rho: float
-    right_vec: np.ndarray
-    left_vec: np.ndarray
-    iterations: int
-    residual: float
-
-
-def transfer_matrix(spec: LinearGdmsSpec, s: float) -> np.ndarray:
-    """The read-only matrix M(s): row v, column w holds c(w)^s when
-    w != v^-1 and 0 on the single backtracking entry per row; irreducible
-    (indeed primitive) for d >= 2."""
+def perron_data(spec: LinearGdmsSpec, s: float) -> PerronResult:
+    """One Lanczos solve on S(s) = U^{1/2} A U^{1/2}: its value is rho(s),
+    and its unit vector y gives r = U^{-1/2} y, l = U^{1/2} y (l . r = 1)."""
+    half = np.sqrt(spec.letter_weights(s))
     n = 2 * spec.d
-    weights = spec.letter_weights(s)
-    m = np.tile(weights, (n, 1))
-    m[np.arange(n), np.arange(n) ^ 1] = 0.0
-    m.flags.writeable = False
-    return m
-
-
-def spectral_data(m: np.ndarray) -> SpectralData:
-    right: PerronResult = perron_value_dense(m, SPECTRAL_TOL, SPECTRAL_MAX_ITER)
-    left: PerronResult = perron_value_dense(m.T, SPECTRAL_TOL, SPECTRAL_MAX_ITER)
-    r = right.vector / right.vector.max()
-    l = left.vector / float(left.vector @ r)
-    return SpectralData(
-        rho=right.value,
-        right_vec=r,
-        left_vec=l,
-        iterations=right.iterations + left.iterations,
-        residual=max(right.residual, left.residual),
-    )
+    sym = np.outer(half, half)
+    sym[np.arange(n), np.arange(n) ^ 1] = 0.0
+    return perron_value_dense(sym, symmetric=True)
 
 
 def pressure(spec: LinearGdmsSpec, s: float) -> float:
     """P(s) = log rho(M(s)); strictly decreasing and convex in s."""
-    return math.log(spectral_data(transfer_matrix(spec, s)).rho)
+    return math.log(perron_data(spec, s).value)
 
 
 def bowen_root(spec: LinearGdmsSpec) -> float:
     """The unique zero of the pressure function, to |P| <= BOWEN_TOL.
 
-    Bracketed bisection with Newton polish; the derivative of rho comes from
-    the eigenvector perturbation identity d rho/ds = l . (dM/ds) . r.
+    Bracketed bisection with Newton polish; the slope is
+    P'(s) = sum_v log c(v) y_v^2 (Hellmann-Feynman on S(s)).
     """
     lo = 0.0
     hi = math.log(2 * spec.d - 1) / (-math.log(max(spec.ratios))) + 1.0
@@ -173,18 +146,15 @@ def bowen_root(spec: LinearGdmsSpec) -> float:
     s = 0.5 * (lo + hi)
     log_c = spec.log_ratios
     for _ in range(200):
-        m = transfer_matrix(spec, s)
-        sd = spectral_data(m)
-        p = math.log(sd.rho)
+        res = perron_data(spec, s)
+        p = math.log(res.value)
         if abs(p) <= BOWEN_TOL:
             return s
         if p > 0:
             lo = s
         else:
             hi = s
-        # dM/ds multiplies column w by log c(w); Newton step on log rho.
-        drho = float(sd.left_vec @ (m * log_c[None, :]) @ sd.right_vec)
-        step = s - p / (drho / sd.rho)
+        step = s - p / float(log_c @ res.vector**2)
         s = step if lo < step < hi else 0.5 * (lo + hi)
     return s
 
@@ -196,12 +166,11 @@ def bowen_root(spec: LinearGdmsSpec) -> float:
 def pressure_curve(spec: LinearGdmsSpec, s_values: Iterable[float]):
     """Rows (s, P(s), rho, iterations, residual) for ``pressure_curve.csv``.
 
-    ``iterations`` is the number of matvecs of the right and left Perron
-    solves (``linalg.perron_value``); ``residual`` the larger of their two
-    final eigen-residuals.
+    ``iterations`` is the number of matvecs of the one Perron solve
+    (``perron_data``) and ``residual`` its final eigen-residual on S(s).
     """
     rows = []
     for s in s_values:
-        sd = spectral_data(transfer_matrix(spec, float(s)))
-        rows.append((float(s), math.log(sd.rho), sd.rho, sd.iterations, sd.residual))
+        res = perron_data(spec, float(s))
+        rows.append((float(s), math.log(res.value), res.value, res.iterations, res.residual))
     return rows

@@ -1,6 +1,7 @@
 """Reference for word weights and the Gibbs measure of the non-backtracking
 shift: admissibility, log weights and the stationary Markov measure built
-from the Perron data of ``pressure.spectral_data``.
+from the Perron data of ``pressure.perron_data``, and the transfer matrix
+M(s) itself.
 
 No command reads these; the tests use them to check the pressure module
 against word-by-word weights and the Gibbs property on cylinders.
@@ -12,7 +13,24 @@ from typing import Sequence
 
 import numpy as np
 
-from gdms import ConfigError, LinearGdmsSpec, spectral_data, transfer_matrix
+from gdms import ConfigError, LinearGdmsSpec, perron_data
+
+
+def transfer_matrix(spec: LinearGdmsSpec, s: float) -> np.ndarray:
+    """The read-only M(s): M[v, w] = c(w)^s, 0 on the backtracking w = v^-1."""
+    n = 2 * spec.d
+    m = np.tile(spec.letter_weights(s), (n, 1))
+    m[np.arange(n), np.arange(n) ^ 1] = 0.0
+    m.flags.writeable = False
+    return m
+
+
+def perron_vectors(spec: LinearGdmsSpec, s: float) -> tuple[float, np.ndarray, np.ndarray]:
+    """rho(s) and M(s)'s right and left Perron vectors r = U^{-1/2} y and
+    l = U^{1/2} y, from the unit vector y of ``perron_data`` (l . r = 1)."""
+    res = perron_data(spec, s)
+    half = np.sqrt(spec.letter_weights(s))
+    return res.value, res.vector / half, res.vector * half
 
 
 def is_admissible(codes: Sequence[int]) -> bool:
@@ -56,12 +74,10 @@ class GibbsMeasure:
 
 
 def gibbs_measure(spec: LinearGdmsSpec, s: float) -> GibbsMeasure:
-    m = transfer_matrix(spec, s)
-    sd = spectral_data(m)
-    r = sd.right_vec
-    phat = m * r[None, :] / (sd.rho * r[:, None])
-    pi = sd.left_vec * r
+    rho, r, l = perron_vectors(spec, s)
+    phat = transfer_matrix(spec, s) * r[None, :] / (rho * r[:, None])
+    pi = l * r
     pi = pi / pi.sum()
     phat.flags.writeable = False
     pi.flags.writeable = False
-    return GibbsMeasure(spec, float(s), pi, phat, math.log(sd.rho))
+    return GibbsMeasure(spec, float(s), pi, phat, math.log(rho))

@@ -45,13 +45,13 @@ PACKAGE_NAMES = (
     "FreeQuotient", "GdmsError", "GeometricRealization", "InconsistentReportError",
     "InducedSystem", "IsoperimetricReport", "KernelCountTable", "KernelPressureEstimate",
     "LayoutInfeasibleError", "LinearGdmsSpec", "PointCloud", "QuotientGroup",
-    "SkewOperator", "SpectralData", "SymmetryReport", "WalkLadder",
+    "SkewOperator", "SymmetryReport", "WalkLadder",
     "amenability_report", "attractor_points", "auto_layout", "ball", "bowen_root",
     "box_counting", "build_skew_operator", "check_asymptotic_symmetry", "delta_kernel",
     "divergence_check", "induced_bowen_root", "induced_loops", "isoperimetric_scan",
-    "kernel_counts", "kernel_pressure", "letter_name", "pressure", "pressure_curve",
-    "render_image", "spectral_data", "srw_spectral_radius", "srw_weights",
-    "transfer_matrix", "walk_ladder", "walk_step", "write_pgm",
+    "kernel_counts", "kernel_pressure", "letter_name", "perron_data", "pressure",
+    "pressure_curve", "render_image", "srw_spectral_radius", "srw_weights",
+    "walk_ladder", "walk_step", "write_pgm",
 )
 
 

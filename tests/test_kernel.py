@@ -447,6 +447,37 @@ class TestDeltaKernel:
         res = delta_kernel(spec_fifth_d3, f2_of_f3, n_max=14)
         assert 0.5 < res.lo and res.hi < 1.0
 
+    @pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 23, 29, 31, "zz"])
+    def test_estimate_within_half_and_full_exponent(self, spec_third, p):
+        # PSL(2,p) on the projective line looks like F_2 out to radius about
+        # log p; with the finite shortcut bypassed, the estimator's brackets
+        # left [1/2, 1] for every p here (p = 13: [1.00010, 1.00063], p = 17:
+        # [0.55, 1.1]), and Z^2's was [0.825, 1.1].  Both have delta(N) = 1.
+        if p == "zz":
+            G = FreeAbelianQuotient(2, [[1, 0], [0, 1]])
+        else:
+            G = FinitePermQuotient(
+                p + 1, [mobius_perm(p, 1, 2, 0, 1), mobius_perm(p, 1, 0, 2, 1)]
+            )
+            G.finite = False
+        res = delta_kernel(spec_third, G, n_max=24)
+        root = bowen_root(spec_third)
+        assert not res.exact
+        assert root / 2 <= res.lo <= res.delta <= res.hi <= root
+        assert res.lo <= 1.0 <= res.hi
+
+    @pytest.mark.parametrize("kill,d,c", [([3], 3, 0.2), ([2], 2, 1 / 3)])
+    def test_clipped_flag(self, kill, d, c):
+        # at n_max 8 the bisection stops on [0.55, 1.1] (F_3/<<g_3>>) or
+        # [0.825, 1.1] (Z), whose top end is cut to delta; at n_max 14 the
+        # brackets lie inside (delta/2, delta)
+        spec = LinearGdmsSpec.equal_ratios(d, c)
+        res = delta_kernel(spec, FreeQuotient(d, kill=kill), n_max=8)
+        root = bowen_root(spec)
+        assert res.clipped and res.hi == root
+        assert root / 2 <= res.lo <= res.delta <= res.hi
+        assert not delta_kernel(spec, FreeQuotient(d, kill=kill), n_max=14).clipped
+
     def test_truncated_when_ball_is_capped(self, spec_third, zz):
         # n_max 18 prunes with the radius-9 ball of Z^2 (181 elements); a cut
         # table undercounts, and the bracket it gave, [0.825, 0.842], missed 1

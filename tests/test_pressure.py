@@ -11,15 +11,20 @@ from gdms import (
     bowen_root,
     cli,
     kernel_counts,
+    perron_data,
     pressure,
     pressure_curve,
-    spectral_data,
-    transfer_matrix,
 )
 
 from conftest import brute_partition_sum, iter_reduced_words, kappa
 from kernel_reference import log_partition_sums
-from pressure_reference import gibbs_measure, is_admissible, log_weight
+from pressure_reference import (
+    gibbs_measure,
+    is_admissible,
+    log_weight,
+    perron_vectors,
+    transfer_matrix,
+)
 
 
 def ergodic_weight(spec, codes, s):
@@ -138,30 +143,47 @@ class TestTransferMatrix:
 
 
 class TestSpectralData:
+    """The one Lanczos solve of ``perron_data`` on S(s) = U^{1/2} A U^{1/2}."""
+
     def test_constant_row_sums(self, spec_third):
-        sd = spectral_data(transfer_matrix(spec_third, 1.0))
-        assert sd.rho == pytest.approx(1.0, abs=1e-12)
-        assert sd.residual <= 1e-12
+        res = perron_data(spec_third, 1.0)
+        assert res.value == pytest.approx(1.0, abs=1e-12)
+        assert res.residual <= 1e-12
 
     def test_counting_matrix(self, spec_third):
-        sd = spectral_data(transfer_matrix(spec_third, 0.0))
-        assert sd.rho == pytest.approx(3.0, abs=1e-12)
+        assert perron_data(spec_third, 0.0).value == pytest.approx(3.0, abs=1e-12)
 
     def test_growth_rate_oracle(self, spec_mixed):
         # rho must match the growth factor of the weighted word sums.
-        sd = spectral_data(transfer_matrix(spec_mixed, 1.0))
+        rho = perron_data(spec_mixed, 1.0).value
         logs = log_partition_sums(spec_mixed, 1.0, 31)
         ratio = math.exp(logs[30] - logs[29])
-        assert sd.rho == pytest.approx(ratio, abs=1e-6)
+        assert rho == pytest.approx(ratio, abs=1e-6)
 
-    def test_normalization_and_positivity(self, spec_nonsym):
-        sd = spectral_data(transfer_matrix(spec_nonsym, 0.9))
-        assert (sd.right_vec > 0).all() and (sd.left_vec > 0).all()
-        assert sd.right_vec.max() == pytest.approx(1.0, rel=1e-15)
-        assert float(sd.left_vec @ sd.right_vec) == pytest.approx(1.0, rel=1e-12)
-        m = transfer_matrix(spec_nonsym, 0.9)
-        assert np.max(np.abs(m @ sd.right_vec - sd.rho * sd.right_vec)) <= 1e-11
-        assert np.max(np.abs(sd.left_vec @ m - sd.rho * sd.left_vec)) <= 1e-11
+    def test_normalization_and_positivity(self, spec_mixed, spec_nonsym):
+        # r = U^{-1/2} y and l = U^{1/2} y are M(s)'s Perron vectors.
+        for spec in (spec_mixed, spec_nonsym):
+            rho, r, l = perron_vectors(spec, 0.9)
+            assert (r > 0).all() and (l > 0).all()
+            assert float(l @ r) == pytest.approx(1.0, rel=1e-12)
+            m = transfer_matrix(spec, 0.9)
+            assert np.max(np.abs(m @ r - rho * r)) <= 1e-11
+            assert np.max(np.abs(l @ m - rho * l)) <= 1e-11
+
+    @pytest.mark.parametrize("s", [0.3, 0.9, 1.7])
+    def test_slope_matches_central_difference(self, spec_mixed, spec_nonsym, s):
+        # Hellmann-Feynman: P'(s) = sum_v log c(v) y_v^2
+        h = 1e-4
+        for spec in (spec_mixed, spec_nonsym):
+            slope = float(spec.log_ratios @ perron_data(spec, s).vector ** 2)
+            central = (pressure(spec, s + h) - pressure(spec, s - h)) / (2 * h)
+            assert slope == pytest.approx(central, abs=1e-7)
+
+    def test_curve_counts_one_solve(self, spec_nonsym):
+        grid = [0.0, 0.25, 0.75, 1.5]
+        for s, row in zip(grid, pressure_curve(spec_nonsym, grid)):
+            res = perron_data(spec_nonsym, s)
+            assert row[2:] == (res.value, res.iterations, res.residual)
 
 
 class TestPressure:

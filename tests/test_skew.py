@@ -16,9 +16,8 @@ from gdms import (
     bowen_root,
     build_skew_operator,
     check_asymptotic_symmetry,
+    perron_data,
     pressure,
-    spectral_data,
-    transfer_matrix,
     walk_step,
 )
 from gdms.kernel import _scatter, forward_word_step
@@ -97,8 +96,7 @@ class TestSpectralRadius:
         s = 0.7
         op = build_skew_operator(spec_nonsym, trivial_group, s, 9)
         rho = skew_rho(op)
-        sd = spectral_data(transfer_matrix(spec_nonsym, s))
-        assert rho == pytest.approx(sd.rho, abs=1e-11)
+        assert rho == pytest.approx(perron_data(spec_nonsym, s).value, abs=1e-11)
 
     def test_trivial_group_at_root(self, spec_mixed, trivial_group):
         op = build_skew_operator(
