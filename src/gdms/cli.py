@@ -285,11 +285,17 @@ def cmd_render(spec, G, params: dict, outdir: Path, phase=None) -> dict:
         cloud = attractor_points(real, params["depth"], "full", point_cap=caps["points"])
         reference = bowen_root(spec)
         results["delta_full"] = exact(reference, tolerance=1e-12)
-    if "scales" not in params:
+    default_scales = "scales" not in params
+    if default_scales:
         params["scales"] = [max(spec.ratios) ** k for k in range(2, 7)]
     try:
         bc = box_counting(cloud, params["scales"])
-    except ConfigError:
+    except ConfigError as exc:
+        if default_scales:
+            raise ConfigError(
+                f"default box-counting scales max(ratio)**k, k = 2..6: {exc}; "
+                "give params.scales"
+            ) from exc
         raise
     except GdmsError as exc:  # too few distinct counts: no slope, but the render stands
         scales = sorted(map(float, params["scales"]))

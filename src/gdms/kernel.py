@@ -72,7 +72,6 @@ import numpy as np
 
 from .errors import CapExceededError, ConfigError, GdmsError
 from .groups import Ball, FreeQuotient, QuotientGroup, _read_only, ball
-from .linalg import perron_value_dense
 from .pressure import LinearGdmsSpec, bowen_root
 
 DEFAULT_LOOP_CAP = 500_000
@@ -600,15 +599,18 @@ def loop_transfer_matrix(sys: InducedSystem, s: float) -> np.ndarray:
 def induced_bowen_root(sys: InducedSystem) -> float:
     """Zero of the induced-system pressure: a lower bound for delta(N).
 
-    Nondecreasing in the loop cutoff; errors out when no zero exists below
-    the full-system Bowen root plus one.
+    Bisects on rho(s) = 1 for the 2d x 2d loop matrix, which is not
+    symmetric even for a symmetric spec, so rho comes from LAPACK: the
+    Perron value of a nonnegative matrix is its eigenvalue of largest real
+    part.  Nondecreasing in the loop cutoff; errors out when no zero exists
+    below the full-system Bowen root plus one.
     """
     if len(sys) == 0:
         raise GdmsError("induced system has no loops; increase L_max")
     hi = bowen_root(sys.spec) + 1.0
 
     def rho(s: float) -> float:
-        return perron_value_dense(loop_transfer_matrix(sys, s)).value
+        return float(np.linalg.eigvals(loop_transfer_matrix(sys, s)).real.max())
 
     lo = 0.0
     if rho(lo) < 1.0:

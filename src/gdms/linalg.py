@@ -1,21 +1,20 @@
-"""Restarted Krylov iterations for Perron values of nonnegative operators.
+"""Perron values of symmetric nonnegative operators by restarted Lanczos.
 
-All spectral radii in this package are computed by the same routine,
-``perron_value``: an exact nilpotency test on supports, then an explicitly
-restarted Krylov iteration from a deterministic uniform start, stopped by a
-sup-norm eigen-residual checked on an explicit matvec.  On a Dirichlet
-truncation whose spectral gap closes like 1/R^2 (Z^k balls), a Krylov method
-needs O(R) matvecs where power iteration needs O(R^2) (Saad, *Numerical
-Methods for Large Eigenvalue Problems*, 2011).  Each cycle is Arnoldi, which
-orthogonalises every new vector against the whole basis, unless the caller
-declares the operator symmetric: then it is Lanczos, whose three-term
-recurrence orthogonalises against the last two basis vectors only and
-spans the same Krylov space.  The symmetric walk ladders of ``walks`` and
-the pressure's symmetrised transfer matrix S(s) (``pressure.perron_data``)
-take Lanczos; the induced loop matrix, the tree-radial chain and every
-other nonsymmetric operator take Arnoldi.  Every Dirichlet truncation
-ladder of those spectral radii is read by the same limit rule,
-``truncation_limit``.
+Every spectral radius that a command computes by iteration comes from one
+routine, ``perron_value``: an explicitly restarted Lanczos iteration from a
+deterministic uniform start, stopped by a sup-norm eigen-residual checked
+on an explicit matvec.  Its operators are all symmetric: the pressure's
+symmetrised transfer matrix S(s) = U^{1/2} A U^{1/2}
+(``pressure.perron_data``), the Dirichlet walk steps of ``walks`` and the
+symmetrised tree-radial chain.  On a Dirichlet truncation whose spectral
+gap closes like 1/R^2 (Z^k balls), a Krylov method needs O(R) matvecs where
+power iteration needs O(R^2), and Lanczos' three-term recurrence
+orthogonalises against the last two basis vectors only (Saad, *Numerical
+Methods for Large Eigenvalue Problems*, 2011, ch. 6).  The one
+nonsymmetric matrix of a command, the induced system's 2d x 2d loop matrix,
+goes to LAPACK (``kernel.induced_bowen_root``); the nonsymmetric skew
+operator is solved only in tests.  Every Dirichlet truncation ladder of
+those spectral radii is read by the same limit rule, ``truncation_limit``.
 """
 
 from __future__ import annotations
@@ -49,43 +48,34 @@ def perron_value(
     dim: int,
     tol: float = 1e-12,
     max_iter: int = 1_000_000,
-    symmetric: bool = False,
 ) -> PerronResult:
-    """Perron value and vector of a nonnegative operator given by ``matvec``.
+    """Perron value and vector of a symmetric nonnegative operator ``matvec``.
 
-    A nilpotent operator (spectral radius 0) is recognised exactly by
-    ``_null_indicator`` and returns 0 with an exact null vector.  Otherwise
-    each cycle extends the current vector v to a Krylov basis of at most
-    KRYLOV_DIM vectors and restarts from the Ritz vector of the Ritz value
-    of largest real part, signed to a positive sum; for a nonnegative
-    operator that value tends to the Perron value, and choosing it by real
-    part rather than modulus passes over -rho of periodic incidence
-    structures.  The cycle is Arnoldi (Gram-Schmidt against the whole basis,
-    applied twice; Ritz pairs of the Hessenberg matrix), or, with
-    ``symmetric``, Lanczos: alpha_k = q_k.A q_k and
-    A q_k - alpha_k q_k - beta_{k-1} q_{k-1} give the next vector, and the
-    Ritz pairs are those of the symmetric tridiagonal T_k (``eigh``).  A
-    symmetric nonnegative operator has a real spectrum in [-rho, rho], so
-    the top Ritz value tends to rho.  Lanczos vectors lose orthogonality in
-    floating point and the caller's claim of symmetry is not checked here,
-    so neither cycle is trusted: before each cycle the residual
-    ||A v - lam v||_inf / ||v||_inf, with lam the Rayleigh quotient of v,
-    is checked on an explicit matvec, and it alone certifies the result.
-    The iteration stops when it falls below ``tol * max(1, lam)``, and
-    raises ConvergenceError (carrying the best residual) once ``max_iter``
-    matvecs have not reached it.  ``iterations`` counts matvecs, those of
-    the nilpotency test included.
+    Each cycle extends the current vector v to a Lanczos basis of at most
+    KRYLOV_DIM vectors: alpha_k = q_k.A q_k and A q_k - alpha_k q_k -
+    beta_{k-1} q_{k-1} give the next vector, and the cycle restarts from the
+    Ritz vector of the top eigenvalue of the symmetric tridiagonal T_k
+    (``eigh``), signed to a positive sum.  A symmetric nonnegative operator
+    has a real spectrum in [-rho, rho], so that Ritz value tends to rho.
+    Lanczos vectors lose orthogonality in floating point and the operator's
+    symmetry is not checked here, so the cycle is not trusted: before each
+    cycle the residual ||A v - lam v||_inf / ||v||_inf, with lam the
+    Rayleigh quotient of v, is checked on an explicit matvec, and it alone
+    certifies the result.  The zero operator passes that check on the first
+    matvec.  The iteration stops when the residual falls below
+    ``tol * max(1, lam)``, and raises ConvergenceError (carrying the best
+    residual) once ``max_iter`` matvecs have not reached it.
+    ``iterations`` counts matvecs.
     """
     if dim == 0:
         return PerronResult(0.0, np.zeros(0), 0, 0.0)
-    null, calls = _null_indicator(matvec, dim)
-    if null is not None:
-        return PerronResult(0.0, null / np.linalg.norm(null), calls, 0.0)
     v = np.full(dim, 1.0 / dim)
     v /= np.linalg.norm(v)
     m = min(KRYLOV_DIM, dim)
     basis = np.empty((m + 1, dim))
+    # hess[:k, :k] is kept as the full tridiagonal T_k
     hess = np.zeros((m + 1, m))
+    calls = 0
     best = np.inf
     while True:
         av = matvec(v)
@@ -101,25 +91,16 @@ def perron_value(
                 f"(best residual {best:.3e})",
                 residual=best,
             )
-        # One Krylov cycle from v, reusing A v as its first product.
+        # One Lanczos cycle from v, reusing A v as its first product.
         basis[0] = v
         w = av
         k = 0
         while True:
-            if symmetric:
-                # hess[:k, :k] is kept as the full tridiagonal T_k:
-                # w = A q_k - alpha_k q_k - beta_{k-1} q_{k-1}
-                j = max(k - 1, 0)
-                hess[k, k] = basis[k] @ w
-                hess[j, k] = hess[k, j]
-                w = w - hess[j : k + 1, k] @ basis[j : k + 1]
-            else:
-                q = basis[: k + 1]
-                h = q @ w
-                w = w - h @ q
-                h2 = q @ w
-                w -= h2 @ q
-                hess[: k + 1, k] = h + h2
+            # w = A q_k - alpha_k q_k - beta_{k-1} q_{k-1}
+            j = max(k - 1, 0)
+            hess[k, k] = basis[k] @ w
+            hess[j, k] = hess[k, j]
+            w = w - hess[j : k + 1, k] @ basis[j : k + 1]
             beta = float(np.linalg.norm(w))
             hess[k + 1, k] = beta
             k += 1
@@ -131,56 +112,18 @@ def perron_value(
             np.divide(w, beta, out=basis[k])
             w = matvec(basis[k])
             calls += 1
-        if symmetric:
-            s = np.linalg.eigh(hess[:k, :k])[1][:, -1]  # eigenvalues ascend
-        else:
-            theta, vecs = np.linalg.eig(hess[:k, :k])
-            s = vecs[:, int(np.argmax(theta.real))]
-            s = (s * np.conj(s[np.argmax(np.abs(s))])).real
+        s = np.linalg.eigh(hess[:k, :k])[1][:, -1]  # eigenvalues ascend
         y = s @ basis[:k]
         if y.sum() < 0.0:
             y = -y
         v = y / np.linalg.norm(y)
 
 
-def _null_indicator(
-    matvec: Callable[[np.ndarray], np.ndarray], dim: int
-) -> tuple[np.ndarray | None, int]:
-    """Exact nilpotency test of a nonnegative operator A on supports.
-
-    The supports S_k of A^k 1 are nested (S_1 lies in S_0, and S_{k+1} is
-    the set A reaches from S_k), so they either empty out, which happens
-    exactly when A is nilpotent, or stop shrinking at a nonempty set, which
-    proves A is not.  Each step applies A to the 0/1 indicator of S_k,
-    whose image has support S_{k+1}; no entry decays towards rounding level
-    as in A^k 1 itself.  Returns the indicator of the last nonempty S_k,
-    which A maps to zero, or None, and the number of matvecs.
-    """
-    x = np.ones(dim)
-    size = dim
-    calls = 0
-    while True:
-        live = matvec(x) != 0.0
-        calls += 1
-        n = int(np.count_nonzero(live))
-        if n == 0:
-            return x, calls
-        if n == size:
-            return None, calls
-        size = n
-        x = live.astype(float)
-
-
 def perron_value_dense(
-    matrix: np.ndarray,
-    tol: float = 1e-12,
-    max_iter: int = 1_000_000,
-    symmetric: bool = False,
+    matrix: np.ndarray, tol: float = 1e-12, max_iter: int = 1_000_000
 ) -> PerronResult:
     m = np.asarray(matrix, dtype=float)
-    return perron_value(
-        lambda v: m @ v, m.shape[0], tol=tol, max_iter=max_iter, symmetric=symmetric
-    )
+    return perron_value(lambda v: m @ v, m.shape[0], tol=tol, max_iter=max_iter)
 
 
 def truncation_limit(radii: Sequence[int], rho: Sequence[float]) -> tuple[float, bool]:

@@ -123,7 +123,7 @@ def perron_data(spec: LinearGdmsSpec, s: float) -> PerronResult:
     n = 2 * spec.d
     sym = np.outer(half, half)
     sym[np.arange(n), np.arange(n) ^ 1] = 0.0
-    return perron_value_dense(sym, symmetric=True)
+    return perron_value_dense(sym)
 
 
 def pressure(spec: LinearGdmsSpec, s: float) -> float:

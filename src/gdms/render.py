@@ -449,12 +449,13 @@ def box_counting(cloud: PointCloud, scales: Sequence[float]) -> BoxCountResult:
     scales = sorted(float(e) for e in scales)
     if len(scales) < 3:
         raise ConfigError("need at least 3 scales")
-    if scales[-1] / scales[0] < 4.0:
-        raise ConfigError("scales must span at least two octaves")
+    # first, so that a scale that underflowed to 0 never reaches the ratio
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         x = np.log(1.0 / np.array(scales))
     if not np.isfinite(x).all():  # then so is the smallest scale's
         raise ConfigError(f"scale {scales[0]!r} is too small: log(1/eps) is not finite")
+    if scales[-1] / scales[0] < 4.0:
+        raise ConfigError("scales must span at least two octaves")
     counts = []
     for eps in scales:
         boxes = np.ascontiguousarray(np.floor(cloud.points / eps))

@@ -22,8 +22,9 @@ The dichotomy is decided by Kesten's criterion for the walk mu_{s*} on G
 instead: by the weighted Ihara-Bass identity and the Bowen equation (see
 the ``walks`` module), this operator at s* has spectral radius 1 exactly
 when mu_{s*} does.  ``amenability_report`` runs ``walks.walk_ladder`` on
-|ball| symmetric states; the 2d * |ball| operator here is the reference
-the identity is tested against.
+|ball| symmetric states; the 2d * |ball| operator here, which is not
+symmetric, is the reference the identity is tested against, and only the
+tests solve it.
 
 The symmetry check compares the word sums at g and at g^-1.  It runs no
 loop of its own: it reads the sums of ``kernel.word_sums``, the one word

@@ -28,9 +28,9 @@ the Lanczos cycle of ``linalg.perron_value``.  A finite group is walked
 once on the whole group, also by Lanczos.  On a free quotient of
 rank k >= 2 with equal surviving weights the walk lives on the 2k-regular
 tree (lazily when killed letters carry weight) and its truncated Perron
-vector is radial, so an (R+1)-state chain on the spheres gives each rung
-(by Arnoldi: the chain is not symmetric); sqrt(2k-1)/k is the simple walk's
-limit.
+vector is radial, so an (R+1)-state chain on the spheres, symmetrised by
+the square roots of the sphere sizes, gives each rung; sqrt(2k-1)/k is the
+simple walk's limit.
 
 The isoperimetric scan reports boundary-to-volume ratios of nested balls; it
 is a Folner-style diagnostic only, since finite balls cannot decide
@@ -72,22 +72,21 @@ def walk_step(B: Ball, weights: Sequence[float]) -> Callable[[np.ndarray], np.nd
 
 
 def _tree_radial_chain(k: int, R: int, p: float, lazy: float) -> np.ndarray:
-    """Dirichlet walk on the 2k-regular tree ball, radialized.
+    """Dirichlet walk on the 2k-regular tree ball, radialized and symmetrised.
 
     Each of the 2k tree edges at a vertex carries weight ``p`` and the walk
     stays put with weight ``lazy``.  The truncated walk commutes with the
-    sphere-transitive automorphisms, so its Perron vector is radial and this
-    (R+1)-state chain on the spheres has the same Perron value.
+    sphere-transitive automorphisms, so its Perron vector is radial and the
+    (R+1)-state chain on the spheres has the same Perron value.  That chain
+    steps out with weight 2k p from the centre and (2k - 1) p further out,
+    and in with weight p; scaling by the square roots of the sphere sizes
+    1, 2k, 2k(2k - 1), ... makes it the symmetric tridiagonal matrix
+    returned here, with p sqrt(2k) between spheres 0 and 1 and
+    p sqrt(2k - 1) further out.
     """
-    m = lazy * np.eye(R + 1)
-    if R == 0:
-        return m
-    m[0, 1] = 2 * k * p
-    for r in range(1, R):
-        m[r, r - 1] = p
-        m[r, r + 1] = (2 * k - 1) * p
-    m[R, R - 1] = p
-    return m
+    off = np.full(R, p * np.sqrt(2 * k - 1))
+    off[:1] = p * np.sqrt(2 * k)
+    return lazy * np.eye(R + 1) + np.diag(off, 1) + np.diag(off, -1)
 
 
 @dataclass(frozen=True)
@@ -139,7 +138,7 @@ def walk_ladder(
     if G.finite:
         method = "finite"
         B = ball(G)  # the whole group; raises past the cap
-        exact = perron_value(walk_step(B, weights), len(B), tol=tol, symmetric=True)
+        exact = perron_value(walk_step(B, weights), len(B), tol=tol)
         copy = PerronResult(exact.value, exact.vector, 0, exact.residual)
         rungs = [exact] + [copy] * (len(radii) - 1)
     elif tree is not None:
@@ -152,7 +151,7 @@ def walk_ladder(
         ball(G, radii[-1])  # every smaller rung is a prefix of it
         for R in radii:
             B = ball(G, R)
-            rungs.append(perron_value(walk_step(B, weights), len(B), tol=tol, symmetric=True))
+            rungs.append(perron_value(walk_step(B, weights), len(B), tol=tol))
     rho_vals = [r.value for r in rungs]
     final, plateau = truncation_limit(radii, rho_vals)
     return WalkLadder(

@@ -35,10 +35,10 @@ from gdms import (
     pressure,
     srw_spectral_radius,
 )
-from gdms.linalg import perron_value
 
 from conftest import brute_kernel_sums, iter_reduced_words
 from kernel_reference import log_partition_sums
+from linalg_reference import arnoldi_perron
 from pressure_reference import gibbs_measure
 
 
@@ -146,7 +146,7 @@ def test_criterion_04_amenable_side_dichotomy():
         ok &= abs(res.delta - 1.0) <= 1e-3
         op = build_skew_operator(SPEC_THIRD, G, 1.0, 1)
         ok &= not op.truncated
-        ok &= abs(perron_value(op.matvec, op.n_states).value - 1.0) <= 1e-10
+        ok &= abs(arnoldi_perron(op.matvec, op.n_states).value - 1.0) <= 1e-10
     elapsed = time.perf_counter() - t0
     ok &= elapsed < 10.0
     report(4, "finite quotients: delta(N)=delta(F2)=1 and exact skew radius 1", ok)
@@ -179,7 +179,7 @@ def test_criterion_06_monotone_truncation_ladders():
         prev = 0.0
         for R in radii:
             op = build_skew_operator(spec, G, 1.0, R)
-            rho = perron_value(op.matvec, op.n_states, tol=1e-11).value
+            rho = arnoldi_perron(op.matvec, op.n_states, tol=1e-11).value
             ok &= rho >= prev - 1e-10
             ok &= rho <= bound + 1e-10
             prev = rho

@@ -458,6 +458,19 @@ class TestRenderRobustness:
         assert "Traceback" not in err
         assert not outdir.exists()
 
+    @pytest.mark.parametrize("ratio", [1e-100, 1e-160, 1e-200, 1e-300])
+    def test_underflowed_default_scales_refused(self, tmp_path, capsys, ratio):
+        # the default scales ratio**2 .. ratio**6 underflow to 0.0, which the
+        # two-octave check would divide by
+        cfg = {"gdms": {"d": 2, "ratio": ratio}, "params": {"depth": 3}}
+        code, outdir = run_cli("render", cfg, tmp_path)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert ("default box-counting scales max(ratio)**k, k = 2..6: "
+                "scale 0.0 is too small: log(1/eps) is not finite") in err
+        assert "Traceback" not in err
+        assert not outdir.exists()
+
 
 class TestExitCodes:
     def test_malformed_ratio_is_config_error(self, tmp_path, capsys):

@@ -26,10 +26,16 @@ from gdms import (
 )
 from gdms import kernel as kernel_mod
 from gdms.groups import ball, bfs_ball
-from gdms.kernel import _pruning_ball, forward_word_step
+from gdms.kernel import (
+    INDUCED_ROOT_TOL,
+    _pruning_ball,
+    forward_word_step,
+    loop_transfer_matrix,
+)
 
 from conftest import brute_first_returns, brute_kernel_sums, iter_reduced_words, naive_reduce
 from kernel_reference import loop_composition_log_counts
+from linalg_reference import arnoldi_perron_dense
 
 
 class TestKernelCounts:
@@ -478,6 +484,27 @@ class TestDeltaKernel:
         assert root / 2 <= res.lo <= res.delta <= res.hi
         assert not delta_kernel(spec, FreeQuotient(d, kill=kill), n_max=14).clipped
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 2: on an amenable quotient the bracket excludes "
+        "delta(N) = delta from below, where the clip to [delta/2, delta] cannot reach",
+    )
+    def test_amenable_bracket_contains_delta(self):
+        # measured brackets: [0.9625, 0.9711] and [0.9797, 0.9840] for Z at
+        # c = 1/3 (delta 1), [0.88988, 0.89384] for 2Z at c = 0.3 (delta 0.912489)
+        third = LinearGdmsSpec.equal_ratios(2, 1 / 3)
+        tenths = LinearGdmsSpec.equal_ratios(2, 0.3)
+        misses = []
+        for spec, G, n_max in (
+            (third, FreeQuotient(2, kill=[2]), 14),
+            (third, FreeQuotient(2, kill=[2]), 24),
+            (tenths, FreeAbelianQuotient(1, [[2], [0]]), 20),
+        ):
+            res = delta_kernel(spec, G, n_max=n_max)
+            if not res.lo <= bowen_root(spec) <= res.hi:
+                misses.append((n_max, res.lo, res.hi))
+        assert misses == []
+
     def test_truncated_when_ball_is_capped(self, spec_third, zz):
         # n_max 18 prunes with the radius-9 ball of Z^2 (181 elements); a cut
         # table undercounts, and the bracket it gave, [0.825, 0.842], missed 1
@@ -606,3 +633,24 @@ class TestInducedBowenRoot:
     def test_empty_system_raises(self, spec_third, free_f2):
         with pytest.raises(GdmsError):
             induced_bowen_root(induced_loops(spec_third, free_f2, 4))
+
+    @pytest.mark.parametrize("spec, G, L_max, root", [
+        # the shipped render_induced_z2 system
+        (LinearGdmsSpec.equal_ratios(2, 0.3333333333333333),
+         FinitePermQuotient(2, [[1, 0], [1, 0]]), 2, 0.9999999999708962),
+        # a non-symmetric system over Z
+        (LinearGdmsSpec(2, (0.1, 0.3, 0.2, 0.2)),
+         FreeAbelianQuotient(1, [[1], [0]]), 6, 0.5452834514289716),
+    ], ids=["z2", "nonsym-z"])
+    def test_lapack_root_equals_arnoldi_root(self, spec, G, L_max, root):
+        # rho of the nonsymmetric loop matrix comes from LAPACK; bisecting on
+        # the reference Arnoldi solver gives the same root, bit for bit
+        sys = induced_loops(spec, G, L_max)
+        lo, hi = 0.0, bowen_root(spec) + 1.0
+        while hi - lo > INDUCED_ROOT_TOL:
+            s = 0.5 * (lo + hi)
+            if arnoldi_perron_dense(loop_transfer_matrix(sys, s)).value >= 1.0:
+                lo = s
+            else:
+                hi = s
+        assert induced_bowen_root(sys) == 0.5 * (lo + hi) == root

@@ -1,4 +1,5 @@
-"""The Perron solver and the truncation-ladder rule of the walk ladders."""
+"""The Lanczos Perron solver, its nonsymmetric test reference, and the
+truncation-ladder rule of the walk ladders."""
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ import pytest
 from gdms import ConvergenceError, build_skew_operator
 from gdms.linalg import PLATEAU_TOL, perron_value, perron_value_dense, truncation_limit
 from gdms.walks import _tree_radial_chain
+
+from linalg_reference import arnoldi_perron, arnoldi_perron_dense
 
 
 def dense_perron(m):
@@ -24,9 +27,9 @@ def counted(m):
     return matvec, calls
 
 
-def assert_perron(m, tol=1e-12):
+def assert_perron(m, tol=1e-12, solver=arnoldi_perron):
     matvec, calls = counted(m)
-    res = perron_value(matvec, m.shape[0])
+    res = solver(matvec, m.shape[0])
     assert res.value == pytest.approx(dense_perron(m), abs=tol)
     assert res.iterations == len(calls)
     assert res.residual <= 1e-12 * max(1.0, res.value)
@@ -36,13 +39,18 @@ def assert_perron(m, tol=1e-12):
 
 
 class TestPerronValue:
+    """The nonsymmetric reference ``arnoldi_perron`` against LAPACK's ``eigvals``,
+    and the zero, empty and symmetric tree-radial cases on ``perron_value``."""
+
     def test_z2_skew_operator(self, spec_third, zz):
         m = build_skew_operator(spec_third, zz, 1.0, 6).dense()
         assert_perron(m)
 
     @pytest.mark.parametrize("R", range(4, 13))
     def test_tree_radial_chain(self, R):
-        assert_perron(_tree_radial_chain(2, R, 0.25, 0.0))
+        m = _tree_radial_chain(2, R, 0.25, 0.0)
+        assert np.array_equal(m, m.T)
+        assert_perron(m, solver=perron_value)
 
     def test_period_two(self):
         # Bipartite incidence: -rho is an eigenvalue of the same modulus.
@@ -73,16 +81,19 @@ class TestPerronValue:
         assert_perron(np.array(m))
 
     def test_zero_matrix(self):
+        # The zero operator is the one symmetric nilpotent operator: the
+        # residual check of the uniform start returns it on one matvec.
         res = perron_value_dense(np.zeros((5, 5)))
         assert res.value == 0.0
         assert res.residual == 0.0
         assert res.iterations == 1
+        assert arnoldi_perron_dense(np.zeros((5, 5))).iterations == 1
 
     def test_nilpotent_is_exactly_zero(self):
         # A single Jordan block: every shifted vector has a tiny residual
         # for pseudo-eigenvalues up to residual**(1/n), but rho is 0.
         m = np.diag(np.full(7, 0.5), 1)
-        res = perron_value_dense(m)
+        res = arnoldi_perron_dense(m)
         assert res.value == 0.0
         assert res.residual == 0.0
         assert res.iterations == 8
@@ -91,13 +102,14 @@ class TestPerronValue:
 
     def test_tree_skew_operator_is_nilpotent(self, spec_third, free_f2):
         op = build_skew_operator(spec_third, free_f2, 1.0, 4)
-        res = perron_value(op.matvec, op.n_states)
+        res = arnoldi_perron(op.matvec, op.n_states)
         assert res.value == 0.0
         assert res.iterations == 2 * 4 + 1
 
     def test_empty(self):
-        res = perron_value(lambda v: v, 0)
-        assert (res.value, res.iterations, res.residual) == (0.0, 0, 0.0)
+        for solver in (perron_value, arnoldi_perron):
+            res = solver(lambda v: v, 0)
+            assert (res.value, res.iterations, res.residual) == (0.0, 0, 0.0)
 
     def test_max_iter_reports_best_residual(self):
         m = np.random.default_rng(7).random((20, 20))
@@ -107,19 +119,19 @@ class TestPerronValue:
         lam = v @ m @ v
         first = np.max(np.abs(m @ v - lam * v)) / np.max(v)
         with pytest.raises(ConvergenceError, match="best residual") as exc:
-            perron_value_dense(m, max_iter=2)
+            arnoldi_perron_dense(m, max_iter=2)
         assert exc.value.residual == pytest.approx(first, rel=1e-12)
         matvec, calls = counted(m)
         with pytest.raises(ConvergenceError) as exc:
-            perron_value(matvec, 20, max_iter=6)
+            arnoldi_perron(matvec, 20, max_iter=6)
         assert len(calls) == 6
         assert 0.0 < exc.value.residual <= first
 
 
 def lanczos(m, **kw):
-    """The symmetric (Lanczos) cycle on a dense matrix, with its matvec calls."""
+    """``perron_value`` on a dense matrix, with its matvec calls."""
     matvec, calls = counted(m)
-    return perron_value(matvec, m.shape[0], symmetric=True, **kw), calls
+    return perron_value(matvec, m.shape[0], **kw), calls
 
 
 def assert_lanczos(m):
@@ -143,13 +155,13 @@ def sparse_symmetric(n, density, seed):
 
 
 class TestLanczosCycle:
-    """``perron_value(..., symmetric=True)`` against LAPACK's ``eigvalsh``."""
+    """``perron_value`` (Lanczos) against LAPACK's ``eigvalsh``."""
 
     @pytest.mark.parametrize("n, density, seed", [(40, 0.1, 0), (200, 0.02, 1), (500, 0.01, 2)])
     def test_sparse_symmetric(self, n, density, seed):
         m = sparse_symmetric(n, density, seed)
         res = assert_lanczos(m)
-        assert res.value == pytest.approx(perron_value_dense(m).value, abs=1e-12)
+        assert res.value == pytest.approx(arnoldi_perron_dense(m).value, abs=1e-12)
 
     def test_period_two(self):
         # Bipartite: -rho is an eigenvalue, and the top algebraic Ritz value
@@ -176,20 +188,23 @@ class TestLanczosCycle:
         ids=["dim-0", "dim-1", "dim-1-zero", "zero"],
     )
     def test_small_and_zero(self, m):
-        assert_lanczos(m)
+        res = assert_lanczos(m)
+        # the zero operator passes the first residual check: one matvec
+        if len(m) and not m.any():
+            assert (res.value, res.iterations, res.residual) == (0.0, 1, 0.0)
 
     def test_max_iter_reports_best_residual(self):
         m = sparse_symmetric(300, 0.02, 6)
-        # one matvec for the nilpotency test, one for the uniform start's
-        # residual; the third would be the first Lanczos step
+        # one matvec for the uniform start's residual; the second would be
+        # the first Lanczos step
         v = np.full(300, 300**-0.5)
         first = np.max(np.abs(m @ v - (v @ m @ v) * v)) / np.max(v)
         with pytest.raises(ConvergenceError, match="best residual") as exc:
-            lanczos(m, max_iter=2)
+            lanczos(m, max_iter=1)
         assert exc.value.residual == pytest.approx(first, rel=1e-12)
         matvec, calls = counted(m)
         with pytest.raises(ConvergenceError) as exc:
-            perron_value(matvec, 300, symmetric=True, max_iter=8)
+            perron_value(matvec, 300, max_iter=8)
         assert len(calls) == 8
         assert 0.0 < exc.value.residual <= first
 

@@ -391,6 +391,15 @@ class TestBoxCounting:
         with pytest.raises(ConfigError, match=r"scale 1e-310 is too small"):
             box_counting(cloud, [1e-300, 1e-310, 1e-290])
 
+    def test_underflowed_scale_refused_before_octave_ratio(self, spec_third):
+        # ratio 1e-100: the default scales c^2 .. c^6 are 1e-200, 1e-300 and
+        # three zeros; the span check would divide by the smallest
+        cloud = attractor_points(auto_layout(spec_third, 1), 6)
+        scales = [1e-100**k for k in range(2, 7)]
+        assert scales[2:] == [0.0, 0.0, 0.0]
+        with pytest.raises(ConfigError, match=r"scale 0\.0 is too small"):
+            box_counting(cloud, scales)
+
 
 class TestRenderImage:
     def test_empty_cloud_background(self, spec_third):

@@ -21,15 +21,15 @@ from gdms import (
     walk_step,
 )
 from gdms.kernel import _scatter, forward_word_step
-from gdms.linalg import perron_value
 from gdms.skew import VERDICT_AMENABLE, VERDICT_NON_AMENABLE
 
 from conftest import bfs_elements
+from linalg_reference import arnoldi_perron
 from symmetry_reference import full_ball_symmetry
 
 
 def skew_rho(op, tol=1e-12):
-    return perron_value(op.matvec, op.n_states, tol=tol).value
+    return arnoldi_perron(op.matvec, op.n_states, tol=tol).value
 
 
 def reference_dense_operator(spec, G, s, ball_obj):
@@ -332,6 +332,6 @@ class TestFactorisation:
             return forward_word_step(v.reshape(shape), moves, weights).reshape(-1)
 
         rho_skew = skew_rho(op)
-        rho_forward = perron_value(forward, op.n_states).value
+        rho_forward = arnoldi_perron(forward, op.n_states).value
         assert rho_skew > 0.0
         assert abs(rho_skew - rho_forward) <= 1e-12

@@ -18,8 +18,10 @@ from gdms import (
     walk_ladder,
     walk_step,
 )
-from gdms.linalg import perron_value
+from gdms.linalg import perron_value, perron_value_dense
+from gdms.walks import _tree_radial_chain
 
+from linalg_reference import arnoldi_perron
 from test_groups import Heisenberg
 
 
@@ -139,6 +141,35 @@ class TestWalkLadders:
         assert a.rho == pytest.approx(b.rho, abs=1e-12)
 
 
+def nonsymmetric_radial_chain(k, R, p, lazy):
+    """The radial chain as it steps: out with weight 2k p from the centre and
+    (2k - 1) p further out, in with weight p."""
+    m = lazy * np.eye(R + 1)
+    if R == 0:
+        return m
+    m[0, 1] = 2 * k * p
+    for r in range(1, R):
+        m[r, r - 1] = p
+        m[r, r + 1] = (2 * k - 1) * p
+    m[R, R - 1] = p
+    return m
+
+
+@pytest.mark.parametrize("lazy", [0.0, 0.3])
+@pytest.mark.parametrize("k", [2, 3])
+def test_tree_radial_chain_is_symmetrised_chain(k, lazy):
+    p = (1.0 - lazy) / (2 * k)
+    for R in range(13):
+        m = _tree_radial_chain(k, R, p, lazy)
+        assert np.array_equal(m, m.T)
+        chain = nonsymmetric_radial_chain(k, R, p, lazy)
+        # similar by the square roots of the sphere sizes 1, 2k, 2k(2k-1), ...
+        root = np.sqrt([1.0] + [2 * k * (2 * k - 1) ** (r - 1) for r in range(1, R + 1)])
+        assert np.allclose(root[:, None] * chain / root[None, :], m, rtol=1e-15, atol=0.0)
+        rho = float(np.linalg.eigvals(chain).real.max())
+        assert abs(perron_value_dense(m).value - rho) <= 1e-14
+
+
 # The walk (.3, .2, .5) per generator of F_3 on F_2 = F_3 / <<g_3>>: the
 # killed g_3 makes it lazy, and unequal surviving weights take the generic path.
 LAZY_F2_IN_F3 = [0.15, 0.15, 0.1, 0.1, 0.25, 0.25]
@@ -151,7 +182,7 @@ def dense_step(B, weights):
 
 
 class TestSymmetricRungs:
-    """Every ball rung runs the Lanczos cycle, which must agree with Arnoldi."""
+    """Every ball rung runs Lanczos, which must agree with the Arnoldi reference."""
 
     CASES = {
         # name: (group, weights or None for the simple walk, radii, method)
@@ -170,7 +201,7 @@ class TestSymmetricRungs:
         assert ladder.method == method
         for R, rho in zip(ladder.radii, ladder.rho):
             B = ball(G) if method == "finite" else ball(G, R)
-            arnoldi = perron_value(walk_step(B, w), len(B), tol=1e-12)
+            arnoldi = arnoldi_perron(walk_step(B, w), len(B), tol=1e-12)
             assert abs(rho - arnoldi.value) <= 1e-12
         B = ball(G) if method == "finite" else ball(G, min(radii))
         m = dense_step(B, w)
