@@ -127,14 +127,13 @@ def cmd_delta_kernel(spec, G, params: dict, outdir: Path) -> dict:
         div = divergence_check(spec, G, n_max=n_max)
         write_csv(
             outdir / "kernel_table_half.csv",
-            ["n", "log_a_n", "exact"],
-            [range(1, n_max + 1), div.table.log_a, [div.table.exact] * n_max],
+            ["n", "log_a_n"],
+            [range(1, n_max + 1), div.table.log_a],
         )
         results["divergence_at_half"] = {
             "s_half": div.s_half,
             "tail_nondecreasing": div.tail_nondecreasing,
             "tail_min_step": div.tail_min_step,
-            "exact": div.table.exact,
             "table_csv": "kernel_table_half.csv",
         }
     return results

@@ -107,9 +107,9 @@ class QuotientGroup(ABC):
     _capped: "Ball | None" = None
 
     @cached_property
-    def _kernel_tables(self) -> dict[tuple[int, int], np.ndarray]:
+    def _kernel_tables(self) -> dict[int, np.ndarray]:
         """Memo of ``kernel.kernel_counts`` at s = 0, read-only log word
-        counts keyed by (n_max, pruning-ball radius)."""
+        counts keyed by n_max: a cap refuses a table's ball, never cuts it."""
         return {}
 
     def _build_ball(self, radius: int) -> "Ball":
@@ -328,23 +328,24 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def ball(G: QuotientGroup, radius: int | None = None, fit: bool = False) -> Ball:
+def ball(G: QuotientGroup, radius: int | None = None) -> Ball:
     """All elements at word-metric distance <= radius, BFS-indexed; with no
     radius, the whole group.
 
     No ball holds more than ``G.ball_cap`` elements.  When this one would,
-    ``ball`` raises ``CapExceededError`` before materializing them, or with
-    ``fit`` returns the ball of the largest radius that fits, found in the
-    same one search; this is the only place a search is refused.  The whole
-    group is the ball of radius ``G.ball_cap``: a group with at most that
-    many elements has a smaller diameter, so the search runs out of elements
-    first, and a larger one is refused.  Balls are memoised per group and
-    radius, so repeated calls return the same ``Ball``.  A group builds one
-    ball at a time: a smaller radius is the breadth-first prefix of a
-    memoised larger ball, or of the whole group once a ball holds it.
-    Otherwise the backend's builder stops where the cap stops it and keeps
-    the spheres it completed; the group remembers that ball, and a request
-    for any larger radius reads it without searching again.
+    ``ball`` raises ``CapExceededError`` before materializing them, naming
+    the largest radius that fits, found in the same one search: a cap
+    refuses a ball, it never cuts one, and this is the only place a search
+    is refused.  The whole group is the ball of radius ``G.ball_cap``: a
+    group with at most that many elements has a smaller diameter, so the
+    search runs out of elements first, and a larger one is refused.  Balls
+    are memoised per group and radius, so repeated calls return the same
+    ``Ball``.  A group builds one ball at a time: a smaller radius is the
+    breadth-first prefix of a memoised larger ball, or of the whole group
+    once a ball holds it.  Otherwise the backend's builder stops where the
+    cap stops it and keeps the spheres it completed; the group remembers
+    that ball, and a request for any larger radius is refused from it
+    without searching again.
     """
     whole = radius is None
     if whole:
@@ -362,7 +363,7 @@ def ball(G: QuotientGroup, radius: int | None = None, fit: bool = False) -> Ball
         B = G._balls.setdefault(B.radius, B)
         if B.radius < radius:
             G._capped = B
-    if B.radius < radius and not fit:
+    if B.radius < radius:
         if whole:
             raise CapExceededError(f"the group has more than {G.ball_cap} elements")
         raise CapExceededError(

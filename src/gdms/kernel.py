@@ -42,8 +42,8 @@ s that ``letter_weights`` accepts and changes no bit of a normal number.
 With one ratio c for every letter, s enters the dynamic program only as the
 scalar c^s per appended letter: a_n(s) = N_n c^{sn}, where N_n is the
 number of kernel words of length n.  So the program runs once, at s = 0,
-where it counts those words; that table depends only on the group, ``n_max``
-and the pruning ball, it is memoised on the group, and every s reads
+where it counts those words; that table depends only on the group and
+``n_max``, it is memoised on the group, and every s reads
 log a_n = log N_n + n s log c from it.  Unequal ratios run the program at
 each s.
 
@@ -89,28 +89,17 @@ INDUCED_ROOT_TOL = 1e-10
 class KernelCountTable:
     """Per-length log kernel sums; -inf marks exact zeros.
 
-    ``exact`` is true when the pruning ball fit under the group's ball cap;
-    otherwise the table is a documented undercount of the true sums.
+    Every table is exact: a ball cap refuses the ball a table needs
+    (``CapExceededError``), it never cuts the table to an undercount.
     """
 
     s: float
     n_max: int
     log_a: np.ndarray
-    exact: bool
-    ball_radius: int
 
     def support(self) -> np.ndarray:
         """Lengths n (1-based) with a_n > 0."""
         return np.flatnonzero(np.isfinite(self.log_a)) + 1
-
-
-def _pruning_ball(G: QuotientGroup, n_max: int, fit: bool = True) -> tuple[Ball, bool]:
-    """The ball the dynamic program runs on, and whether it is the whole
-    radius-floor(n_max/2) ball the pruning needs: else, with ``fit``, the
-    largest that fits the group's ball cap."""
-    radius = n_max // 2
-    B = ball(G, radius, fit)
-    return B, B.radius == radius
 
 
 def _scatter(
@@ -262,38 +251,31 @@ def kernel_counts(
 ) -> KernelCountTable:
     """Weighted kernel-word counts a_n(s) for n = 1..n_max.
 
-    Exact via radius pruning whenever the radius-floor(n_max/2) ball fits the
-    group's ball cap; on overflow the largest ball that fits is used and
-    ``exact`` is False (states forced outside the ball are dropped, so the
-    table can only undercount).  With equal ratios the word counts at s = 0
-    are computed once per group, ``n_max`` and ball radius and shifted by
-    n s log c.  On a free quotient that table comes from the cone types of
-    the tree (``_cone_log_counts``), which reads no ball, so no cap cuts it:
-    it is always exact and reports the radius floor(n_max/2) the ball program
-    would have read.
+    Exact via radius pruning on the radius-floor(n_max/2) ball; when that
+    ball exceeds the group's ball cap, ``ball`` raises ``CapExceededError``
+    and no table is counted, since a cut table would undercount.  With equal
+    ratios the word counts at s = 0 are computed once per group and
+    ``n_max`` and shifted by n s log c.  On a free quotient that table comes
+    from the cone types of the tree (``_cone_log_counts``), which reads no
+    ball, so no cap applies to it.
     """
     if n_max < 1:
         raise ConfigError("n_max must be >= 1")
     if G.d != spec.d:
         raise ConfigError("quotient and GDMS rank mismatch")
     cone = _cone_applies(spec, G)
-    if cone:
-        B, radius, exact = None, n_max // 2, True
-    else:
-        B, exact = _pruning_ball(G, n_max)
-        radius = B.radius
+    B = None if cone else ball(G, n_max // 2)
     weights = spec.letter_weights(s)
     log_c = spec.log_ratios
     if not (log_c == log_c[0]).all():
-        return KernelCountTable(float(s), n_max, _log_counts(B, n_max, weights), exact, radius)
-    key = (n_max, radius)
-    log_N = G._kernel_tables.get(key)
+        return KernelCountTable(float(s), n_max, _log_counts(B, n_max, weights))
+    log_N = G._kernel_tables.get(n_max)
     if log_N is None:
-        log_N = G._kernel_tables[key] = _read_only(
+        log_N = G._kernel_tables[n_max] = _read_only(
             _cone_log_counts(G, n_max) if cone else _log_counts(B, n_max, np.ones_like(weights))
         )
     log_a = log_N + np.arange(1, n_max + 1) * (s * log_c[0])
-    return KernelCountTable(float(s), n_max, log_a, exact, radius)
+    return KernelCountTable(float(s), n_max, log_a)
 
 
 # ---------------------------------------------------------------------------
@@ -395,11 +377,10 @@ def delta_kernel(
     quotient, where no letter has a non-identity image, gives the full Bowen
     root (every word is a kernel word), and so does any finite quotient,
     after the ``tol`` check and the non-symmetric warning: N then has finite
-    index, and delta(N) = delta(F_d).  A table cut by the group's ball cap
-    undercounts and can move the bracket off the true value, so when the
-    tables read a ball (every case but the cone table of ``kernel_counts``)
-    ``ball`` refuses the pruning ball (``CapExceededError``) before any
-    table is counted; a ``tol`` of at least half the starting bracket
+    index, and delta(N) = delta(F_d).  A ball cap refuses, it never cuts:
+    when the tables read a ball (every case but the cone table of
+    ``kernel_counts``) that exceeds the group's cap, the first table raises
+    ``CapExceededError``.  A ``tol`` of at least half the starting bracket
     [0, bowen_root + 0.1] would bisect nothing, so it raises ``ConfigError``.
 
     An estimate is then clipped into [floor, delta], delta = bowen_root:
@@ -431,8 +412,6 @@ def delta_kernel(
     if G.finite:
         # N has finite index, so it has the exponent of F_d itself
         return DeltaKernelResult(root, root, root, False, True)
-    if not _cone_applies(spec, G):
-        _pruning_ball(G, n_max, fit=False)  # refuse a ball the cap cuts: its tables undercount
     evals = []
     ambiguous = False
     while hi - lo > 2 * tol:

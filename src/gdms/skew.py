@@ -131,7 +131,9 @@ class DichotomyReport:
     ``weights`` is mu_{s*} per letter code and ``ladder`` its Dirichlet
     truncation ladder, nondecreasing in the radius and at most 1.  ``gap``
     is 1 - sup_R rho; the verdict compares the ladder's limit estimate
-    against 1 - EPS_VERDICT.
+    against 1 - EPS_VERDICT.  ``kernel_pressure_estimate`` is None when the
+    count table is too short for an estimate or its ball exceeds the cap,
+    which refuses the table and never cuts it.
     """
 
     s_star: float
@@ -141,7 +143,6 @@ class DichotomyReport:
     verdict: str
     gap: float
     kernel_pressure_estimate: float | None
-    kernel_table_exact: bool | None
     notes: str
 
     def as_dict(self) -> dict:
@@ -159,7 +160,6 @@ class DichotomyReport:
             "rho_limit_estimate": self.ladder.final_estimate,
             "plateau": self.ladder.plateau,
             "kernel_pressure_estimate": self.kernel_pressure_estimate,
-            "kernel_table_exact": self.kernel_table_exact,
             "notes": self.notes,
         }
 
@@ -175,9 +175,9 @@ def amenability_report(
     Requires a symmetric system (the equality side of the dichotomy needs
     the reversal-inversion weight symmetry).  The verdict reads the ladder
     of the walk mu_{s*}; the kernel-pressure estimate from the counting
-    dynamic program is attached as a cross-check, with the exactness of its
-    count table: false when the group's ball cap cut the table to an
-    undercount, None when there is no estimate.
+    dynamic program is attached as a cross-check.  Its count table is exact
+    or refused: a table whose ball exceeds the group's cap raises, and the
+    estimate is then None, as it is for a table too short to read.
     """
     if not spec.symmetric:
         raise ConfigError("dichotomy requires symmetric GDMS")
@@ -190,10 +190,9 @@ def amenability_report(
     weights = w / w.sum()
     ladder = walk_ladder(G, weights, radii, tol=1e-12)
 
-    kp = kp_exact = None
+    kp = None
     try:
-        table = kernel_counts(spec, G, s_star, kernel_n_max)
-        kp, kp_exact = kernel_pressure(table).estimate, table.exact
+        kp = kernel_pressure(kernel_counts(spec, G, s_star, kernel_n_max)).estimate
     except GdmsError:
         pass
     notes = (
@@ -211,7 +210,6 @@ def amenability_report(
         verdict=ladder_verdict(ladder.final_estimate),
         gap=1.0 - max(ladder.rho),
         kernel_pressure_estimate=kp,
-        kernel_table_exact=kp_exact,
         notes=notes,
     )
 

@@ -121,7 +121,9 @@ def walk_ladder(
     for every radius; a free quotient of surviving rank >= 2 with equal
     surviving weights uses the radial chain; any other group runs
     ``walk_step`` on each radius-R ball.  A walk that is not symmetric
-    (``_require_symmetric``) is refused before any ball is built.
+    (``_require_symmetric``) is refused before any ball is built.  Weights
+    of total 1 give rho <= 1, so a rung that rounds above 1 (a finite
+    group's can) reads 1; its residual stays as solved.
     """
     if not radii:
         raise ConfigError("need at least one radius")
@@ -152,7 +154,7 @@ def walk_ladder(
         for R in radii:
             B = ball(G, R)
             rungs.append(perron_value(walk_step(B, weights), len(B), tol=tol))
-    rho_vals = [r.value for r in rungs]
+    rho_vals = [min(r.value, 1.0) for r in rungs]
     final, plateau = truncation_limit(radii, rho_vals)
     return WalkLadder(
         radii,

@@ -202,9 +202,9 @@ class TestHappyPaths:
 
     def test_amenability_flags_capped_kernel_table(self, tmp_path):
         # Z^2 at kernel_n_max 40 needs a radius-20 pruning ball (841
-        # elements); under a ball cap of 100 the count table is cut to
-        # radius 6 and undercounts, and the report says so beside the
-        # kernel pressure estimate, while the walk ladder still fits
+        # elements); a ball cap of 100 refuses it, so there is no kernel
+        # pressure estimate (a table cut to radius 6 undercounted and read
+        # -0.0933), while the walk ladder still fits and the run succeeds
         params = {"radii": [4, 6], "kernel_n_max": 40}
         dich = {}
         for name, caps in (("full", {}), ("capped", {"caps": {"ball": 100}})):
@@ -212,10 +212,10 @@ class TestHappyPaths:
             code, outdir = run_cli("amenability", cfg, tmp_path, name)
             assert code == 0
             dich[name] = json.loads((outdir / "report.json").read_text())["results"]["dichotomy"]
-        assert dich["full"]["kernel_table_exact"] is True
         assert dich["full"]["kernel_pressure_estimate"] == pytest.approx(-0.0250, abs=1e-4)
-        assert dich["capped"]["kernel_table_exact"] is False
-        assert dich["capped"]["kernel_pressure_estimate"] == pytest.approx(-0.0933, abs=1e-4)
+        assert dich["capped"]["kernel_pressure_estimate"] is None
+        assert dich["capped"]["rho"] == dich["full"]["rho"]
+        assert "kernel_table_exact" not in dich["full"]
 
     def test_pressure_curve(self, tmp_path):
         cfg = {"gdms": GDMS_THIRD, "params": {"s_grid": [0.0, 0.5, 1.0]}}
@@ -524,6 +524,21 @@ class TestExitCodes:
         assert "ball of radius 9 exceeds cap 100 (largest radius that fits: 6)" in (
             capsys.readouterr().err
         )
+        assert not outdir.exists()
+
+    def test_finite_delta_kernel_over_cap_writes_nothing(self, tmp_path, capsys):
+        # N has finite index in F_2 -> S_4, so delta(N) = delta without a table,
+        # but the divergence check at delta/2 counts one on the radius-12
+        # ball; a cap of 5 refuses it (a table cut to radius 1 read
+        # tail_nondecreasing false, though the series diverges)
+        cfg = {"gdms": GDMS_THIRD,
+               "quotient": {"type": "finite_perm", "degree": 4,
+                            "images": [[1, 2, 3, 0], [1, 0, 2, 3]]},
+               "params": {"n_max": 24, "caps": {"ball": 5}}}
+        code, outdir = run_cli("delta-kernel", cfg, tmp_path)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "ball of radius 12 exceeds cap 5 (largest radius that fits: 1)" in err
         assert not outdir.exists()
 
     def test_amenability_walk_failure_writes_nothing(self, tmp_path, capsys, monkeypatch):
@@ -895,7 +910,8 @@ class TestParamsTable:
         assert code == 0
         res = json.loads((outdir / "report.json").read_text())["results"]
         assert "truncated" not in res["delta_kernel"]
-        assert res["divergence_at_half"]["exact"] is True
+        assert "exact" not in res["divergence_at_half"]
+        assert (outdir / "kernel_table_half.csv").read_text().splitlines()[0] == "n,log_a_n"
         capped = {**cfg, "params": {"n_max": 18, "caps": {"ball": 60}}}
         code, outdir = run_cli("delta-kernel", capped, tmp_path, "capped")
         assert code == 3

@@ -224,23 +224,22 @@ def assert_ball_matches_bfs(G, radii):
 
 
 def assert_caps_match_bfs(make, radius, caps):
-    """Under each ball cap, ``ball(..., fit=True)`` is the fitted ``bfs_ball``
-    word for word, and ``ball`` refuses exactly where that ball falls short
-    of the radius, on a fresh group and on a memo hit alike."""
+    """Under each ball cap, ``ball`` refuses exactly where the fitted
+    ``bfs_ball`` falls short of the radius, naming its radius, on a search
+    and on a memo hit alike; the ball the search kept is that ``bfs_ball``
+    word for word."""
     for cap in caps:
         ref = bfs_ball(make(ball_cap=cap), radius)
         G = make(ball_cap=cap)
-        assert_same_ball(ball(G, radius, fit=True), ref)
-        for H in (make(ball_cap=cap), G):
+        for _ in range(2):
             if ref.radius < radius:
                 with pytest.raises(CapExceededError) as exc:
-                    ball(H, radius)
+                    ball(G, radius)
                 assert str(exc.value) == (
                     f"ball of radius {radius} exceeds cap {cap} "
                     f"(largest radius that fits: {ref.radius})"
                 )
-            else:
-                assert_same_ball(ball(H, radius), ref)
+            assert_same_ball(ball(G, ref.radius), ref)
 
 
 @pytest.fixture(scope="module")
@@ -362,14 +361,14 @@ class TestBalls:
         assert not B.letter_moves().flags.writeable
 
     def test_memoised_ball_still_capped(self):
-        # radius 3 of F_2 has 53 elements; a memoised fitted ball does not
-        # lift the cap
+        # radius 3 of F_2 has 53 elements; the ball a refused search kept
+        # does not lift the cap
         G = FreeQuotient(2, ball_cap=52)
-        B = ball(G, 3, fit=True)
-        assert B.radius == 2
-        with pytest.raises(CapExceededError, match="largest radius that fits: 2"):
-            ball(G, 3)
-        assert ball(G, 2) is B
+        for _ in range(2):
+            with pytest.raises(CapExceededError, match="largest radius that fits: 2"):
+                ball(G, 3)
+        B = ball(G, 2)
+        assert B.radius == 2 and B is G._capped
         assert len(ball(FreeQuotient(2, ball_cap=53), 3)) == 53
 
     def test_capped_search_runs_once(self, monkeypatch):
@@ -384,15 +383,12 @@ class TestBalls:
 
         monkeypatch.setattr(FreeAbelianQuotient, "_build_ball", counting)
         G = FreeAbelianQuotient(2, [[1, 0], [0, 1]], ball_cap=50)
-        B = ball(G, 10, fit=True)
+        for radius in (10, 10, 10, 12):
+            with pytest.raises(CapExceededError, match="largest radius that fits: 4"):
+                ball(G, radius)
+        B = ball(G, 4)
         assert (B.radius, len(B)) == (4, 41)
-        for _ in range(4):
-            assert ball(G, 10, fit=True) is B
-        assert ball(G, 12, fit=True) is B
-        assert ball(G, 4) is B
         assert len(ball(G, 3)) == 25
-        with pytest.raises(CapExceededError, match="largest radius that fits: 4"):
-            ball(G, 10)
         with pytest.raises(CapExceededError, match="the group has more than 50 elements"):
             ball(G)
         assert builds == [10]
@@ -526,7 +522,6 @@ class TestTwoMethodBackend:
         spec = request.getfixturevalue(spec_name)
         G = Heisenberg()
         table = kernel_counts(spec, G, s, 10)
-        assert table.exact
         # the shortest kernel words, such as [x, y][x^-1, y], have length 8
         assert table.support().tolist() == [8, 10]
         brute = brute_kernel_sums(spec, G, s, 10)

@@ -1,5 +1,6 @@
 """Kernel counting, kernel pressure, delta(N), induced systems."""
 
+import contextlib
 import math
 import time
 from collections import Counter
@@ -26,12 +27,7 @@ from gdms import (
 )
 from gdms import kernel as kernel_mod
 from gdms.groups import ball, bfs_ball
-from gdms.kernel import (
-    INDUCED_ROOT_TOL,
-    _pruning_ball,
-    forward_word_step,
-    loop_transfer_matrix,
-)
+from gdms.kernel import INDUCED_ROOT_TOL, forward_word_step, loop_transfer_matrix
 
 from conftest import brute_first_returns, brute_kernel_sums, iter_reduced_words, naive_reduce
 from kernel_reference import loop_composition_log_counts
@@ -54,7 +50,6 @@ class TestKernelCounts:
         spec = request.getfixturevalue(spec_fixture)
         n_max = 8
         table = kernel_counts(spec, G, s, n_max)
-        assert table.exact
         brute = brute_kernel_sums(spec, G, s, n_max)
         got = np.exp(table.log_a)
         assert np.allclose(got, brute, rtol=1e-12, atol=0.0)
@@ -83,15 +78,19 @@ class TestKernelCounts:
         table = kernel_counts(spec_third, free_f2, 1.0, 8)
         assert not np.isfinite(table.log_a).any()
 
-    def test_cap_falls_back_inexact(self, spec_third, zz):
-        # Z^2 at n_max 12 needs the radius-6 ball (85 elements); a free
-        # quotient's equal-ratio table reads no ball, so no cap cuts it
+    def test_cap_refuses_table(self, spec_third, spec_mixed):
+        # Z^2 at n_max 12 needs the radius-6 ball (85 elements); a cut table
+        # would undercount, so the cap refuses it at either kind of ratios
+        # and memoises none (a free quotient's equal-ratio table reads no
+        # ball, so no cap applies to it)
         capped = FreeAbelianQuotient(2, [[1, 0], [0, 1]], ball_cap=50)
-        table = kernel_counts(spec_third, capped, 1.0, 12)
-        assert not table.exact
-        full = kernel_counts(spec_third, zz, 1.0, 12)
-        # undercount only
-        assert (table.log_a <= full.log_a + 1e-12).all()
+        for spec in (spec_third, spec_mixed):
+            with pytest.raises(
+                CapExceededError, match=r"radius 6 exceeds cap 50 \(largest radius that fits: 4\)"
+            ):
+                kernel_counts(spec, capped, 1.0, 12)
+        assert capped._kernel_tables == {}
+        assert len(kernel_counts(spec_third, capped, 1.0, 8).log_a) == 8
 
 
 def full_width_kernel_counts(spec, G, s, n_max):
@@ -100,7 +99,7 @@ def full_width_kernel_counts(spec, G, s, n_max):
     The weights, and the sums after each step, are scaled by the power of
     two that puts their peak in [1/2, 1), with the exponents summed in e.
     """
-    B, _ = _pruning_ball(G, n_max)
+    B = ball(G, n_max // 2)
     moves = B.letter_moves()
     weights = spec.ratio_array ** s
     w_exp = math.frexp(float(weights.max()))[1]
@@ -160,18 +159,20 @@ class TestLiveWindow:
 
 
 def retried_pruning_ball(make, n_max, cap):
-    """Reference: the pruning ball as found by trying every radius down from
-    floor(n_max / 2) on a fresh group with the default cap until a ball has
-    at most ``cap`` elements (radius 0 always fits)."""
-    radius = n_max // 2
-    for r in range(radius, -1, -1):
+    """Reference: the largest ball of radius <= floor(n_max / 2) that fits
+    ``cap``, as found by trying every radius down on a fresh group with the
+    default cap until a ball has at most ``cap`` elements (radius 0 always
+    fits)."""
+    for r in range(n_max // 2, -1, -1):
         B = bfs_ball(make(), r)
         if len(B) <= cap or r == 0:
-            return B, r == radius
+            return B
 
 
 class TestPruningBall:
-    """One capped search finds the largest radius that fits, as the retries did."""
+    """The pruning ball of radius floor(n_max / 2) is built or refused; a
+    refusal names the largest radius that fits, found in one capped search
+    as the retries found it, and that ball is memoised."""
 
     @pytest.mark.parametrize("n_max, cap, radius, seconds", [
         (200, 5_000, 49, 0.5),  # the retries took 1.8 s
@@ -179,10 +180,16 @@ class TestPruningBall:
     ])
     def test_abelian_radius_in_one_search(self, n_max, cap, radius, seconds):
         make = lambda **kw: FreeAbelianQuotient(2, [[1, 0], [0, 1]], **kw)  # noqa: E731
+        G = make(ball_cap=cap)
         start = time.perf_counter()
-        B, exact = _pruning_ball(make(ball_cap=cap), n_max)
+        with pytest.raises(
+            CapExceededError,
+            match=rf"radius {n_max // 2} exceeds cap {cap} \(largest radius that fits: {radius}\)",
+        ):
+            kernel_counts(LinearGdmsSpec.equal_ratios(2, 1 / 3), G, 1.0, n_max)
         elapsed = time.perf_counter() - start
-        assert (B.radius, len(B), exact) == (radius, 2 * radius * (radius + 1) + 1, False)
+        B = ball(G, radius)  # the ball the refused search kept
+        assert (B.radius, len(B)) == (radius, 2 * radius * (radius + 1) + 1)
         ref = bfs_ball(make(), radius)
         assert (B.dist == ref.dist).all()
         assert (B.letter_moves() == ref.letter_moves()).all()
@@ -198,10 +205,17 @@ class TestPruningBall:
         for n_max, cap in [(1, 1), (8, 1), (8, 4), (8, 12), (8, 13), (12, 60), (16, 10**6)]:
             G = make(ball_cap=cap)
             if memo_radius is not None:
-                ball(G, memo_radius, fit=True)
-            B, exact = _pruning_ball(G, n_max)
-            ref, ref_exact = retried_pruning_ball(make, n_max, cap)
-            assert (B.radius, exact) == (ref.radius, ref_exact)
+                with contextlib.suppress(CapExceededError):
+                    ball(G, memo_radius)
+            ref = retried_pruning_ball(make, n_max, cap)
+            if ref.radius < n_max // 2:
+                with pytest.raises(CapExceededError) as exc:
+                    ball(G, n_max // 2)
+                assert str(exc.value).endswith(f"(largest radius that fits: {ref.radius})")
+                B = G._capped  # the ball the refused search kept
+            else:
+                B = ball(G, n_max // 2)
+            assert B.radius == ref.radius
             assert (B.dist == ref.dist).all()
             assert (B.letter_moves() == ref.letter_moves()).all()
             # the search memoised the ball it kept
@@ -356,8 +370,7 @@ class TestConeTable:
         G = FreeQuotient(3, kill=[3], ball_cap=1)
         res = delta_kernel(spec_fifth_d3, G, n_max=12)
         assert len(res.evaluations) > 1
-        table = divergence_check(spec_fifth_d3, G, 12).table
-        assert (table.exact, table.ball_radius) == (True, 6)
+        assert len(divergence_check(spec_fifth_d3, G, 12).table.log_a) == 12
         assert calls == [12] and steps == [] and G._balls == {}
         # unequal ratios read the ball, which the cap refuses
         with pytest.raises(CapExceededError, match="exceeds cap 1"):

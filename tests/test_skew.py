@@ -239,16 +239,21 @@ class TestAmenabilityReport:
         # counts up to n_max 6 are too few for an estimate, eight are enough
         rep = amenability_report(spec_third, zz, [1, 2], kernel_n_max=6)
         assert rep.kernel_pressure_estimate is None
-        assert rep.kernel_table_exact is None
         rep = amenability_report(spec_third, zz, [1, 2], kernel_n_max=18)
         assert rep.kernel_pressure_estimate is not None
-        assert rep.kernel_table_exact is True
+        # the radius-9 ball of n_max 18 has 181 elements: a cap of 100
+        # refuses the table, and the ladder, which fits, is unchanged
+        capped = FreeAbelianQuotient(2, [[1, 0], [0, 1]], ball_cap=100)
+        rep_capped = amenability_report(spec_third, capped, [1, 2], kernel_n_max=18)
+        assert rep_capped.kernel_pressure_estimate is None
+        assert rep_capped.ladder == rep.ladder
 
     def test_report_dict_keys(self, spec_third, z2):
         d = amenability_report(spec_third, z2, [1, 2]).as_dict()
         for key in ("s_star", "radii", "rho", "verdict", "gap",
-                    "kernel_pressure_estimate", "kernel_table_exact", "method", "weights"):
+                    "kernel_pressure_estimate", "method", "weights"):
             assert key in d
+        assert "kernel_table_exact" not in d
 
 
 class TestAsymptoticSymmetry:

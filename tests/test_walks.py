@@ -250,3 +250,28 @@ def test_finite_group_ladder_capped_at_one(s3):
     assert ladder.final_estimate <= 1.0
     assert ladder.final_estimate == pytest.approx(1.0, abs=1e-10)
     assert ladder.plateau
+
+
+def test_finite_rungs_at_most_one(spec_third):
+    # A walk of total weight 1 has rho <= 1, but the Lanczos value of the
+    # whole finite walk can round above it: on S_3 from a transposition and
+    # a 3-cycle it read 1.0000000000000002, which inverted the walks
+    # bracket [rho_R, 1] and made the dichotomy gap negative.  20 of these
+    # 100 random groups rounded above 1 before the rungs were capped.
+    rng = np.random.default_rng(0)
+    groups = [FinitePermQuotient(3, [[1, 0, 2], [2, 0, 1]])]
+    for _ in range(100):
+        degree = int(rng.integers(2, 7))
+        groups.append(
+            FinitePermQuotient(degree, [rng.permutation(degree).tolist() for _ in range(2)])
+        )
+    for G in groups:
+        if not G.generating_codes():
+            continue
+        ladder = srw_spectral_radius(G, [1, 2])
+        assert max(ladder.rho) <= 1.0
+        assert ladder.rho[-1] <= ladder.final_estimate <= 1.0
+        assert amenability_report(spec_third, G, [1, 2], kernel_n_max=2).gap >= 0.0
+    ladder = srw_spectral_radius(groups[0], [1, 2])
+    assert ladder.rho == (1.0, 1.0)
+    assert all(0.0 <= r <= 1e-11 for r in ladder.residuals)  # as solved
