@@ -245,6 +245,7 @@ def cmd_render(spec, G, params: dict, outdir: Path, phase=None) -> dict:
         attractor_points,
         auto_layout,
         box_counting,
+        level_sizes,
         raster_shape,
         render_image,
         write_pgm,
@@ -276,11 +277,9 @@ def cmd_render(spec, G, params: dict, outdir: Path, phase=None) -> dict:
         results["n_loops"] = len(sys_ind)
     else:
         if "depth" not in params:
-            # the deepest default level, of 2d (2d-1)^(k-1) points, that fits the cap
-            n, depth = 2 * spec.d, 10 if dimension == 1 else 7
-            while depth > 1 and n * (n - 1) ** (depth - 1) > caps["points"]:
-                depth -= 1
-            params["depth"] = depth
+            # the deepest default level that fits the cap (levels only grow), at least 1
+            sizes = zip(range(10 if dimension == 1 else 7), level_sizes(spec))
+            params["depth"] = max(1, sum(size <= caps["points"] for _, size in sizes))
         cloud = attractor_points(real, params["depth"], "full", point_cap=caps["points"])
         reference = bowen_root(spec)
         results["delta_full"] = exact(reference, tolerance=1e-12)

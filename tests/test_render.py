@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import tracemalloc
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -24,9 +25,12 @@ from gdms import (
     induced_loops,
     render_image,
 )
+from gdms import reports
 from gdms.groups import letter_name
-from gdms.render import MAX_RASTER_PIXELS, _distinct, pgm_bytes, raster_shape
+from gdms.render import MAX_RASTER_PIXELS, _distinct, level_sizes, pgm_bytes, raster_shape
+from gdms.reports import write_csv
 
+from render_reference import level_at_once_points
 from test_acceptance import REFERENCE_RUNS
 
 
@@ -273,10 +277,41 @@ def test_render_memory_budget(tmp_path):
     assert peak <= 12e6
 
 
+class TestBlocksMatchLevelAtOnce:
+    """Building a level in blocks moves no bit: at any block size the points
+    and every parent and piece array equal the level-at-once builder's, and
+    the levels have the sizes ``level_sizes`` counts."""
+
+    @pytest.mark.parametrize("block", [1, 7, 4096])
+    @pytest.mark.parametrize("dimension", [1, 2])
+    @pytest.mark.parametrize("subset", ["full", "induced"])
+    def test_depths_1_to_7(self, monkeypatch, block, dimension, subset):
+        monkeypatch.setattr(reports, "BLOCK_ROWS", block)
+        if subset == "induced":  # 6 loops, 41,634 words at depth 7
+            subset = induced_loops(UNEQUAL, FreeAbelianQuotient(1, [[1], [0]]), 3)
+        real = auto_layout(UNEQUAL, dimension)
+        for depth in range(1, 8):
+            got = attractor_points(real, depth, subset)
+            want = level_at_once_points(real, depth, subset)
+            assert got.points.shape == want.points.shape
+            assert got.points.tobytes() == want.points.tobytes()
+            for ours, theirs in [(got.words.parent, want.words.parent),
+                                 (got.words.piece, want.words.piece)]:
+                assert len(ours) == len(theirs) == depth
+                for a, b in zip(ours, theirs):
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            sizes = list(islice(level_sizes(real.spec, subset), depth))
+            assert [len(p) for p in got.words.piece] == sizes
+
+
+DEEP_CLOUD_POINTS = 4 * 3 ** 11  # depth 12 over F_2
+
+
 def test_deep_cloud_memory_budget():
-    """A depth-12 F_2 cloud (708,588 points) builds within 42 MB traced:
-    36.9 MB when each level gathers its index pair, tail and first letter
-    once and updates offset and scale in place, 53.9 MB before."""
+    """A depth-12 F_2 cloud (708,588 points, 14.2 MB retained) builds within
+    24 MB traced: 19.1 MB when each level is built in blocks into
+    preallocated arrays and the last level writes its points directly, 36.9 MB
+    when each level was built at once."""
     real = auto_layout(LinearGdmsSpec.equal_ratios(2, 1 / 3), 1)
     attractor_points(real, 2)  # first-call allocations
     tracemalloc.start()
@@ -285,8 +320,56 @@ def test_deep_cloud_memory_budget():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(cloud) == 4 * 3 ** 11
-    assert peak <= 42e6
+    assert len(cloud) == DEEP_CLOUD_POINTS
+    assert peak <= 24e6
+
+
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_deep_render_stage_memory(tmp_path):
+    """Beyond the depth-12 cloud, each later render stage holds one copy of
+    the points or one block, traced: box counting 6.4 MB (17.0 MB when each
+    scale divided, floored and sorted into fresh arrays), the raster 0.07 MB
+    (17.0 MB when it indexed every point at once) and points.csv 0.64 MB
+    (5.0 MB in blocks of 2**14 rows).  The CSV is traced over its first 2**16
+    rows, which its shorter x column sets: the peak is one block's, and
+    tracing slows the write of every row about tenfold."""
+    real = auto_layout(LinearGdmsSpec.equal_ratios(2, 1 / 3), 1)
+    cloud = attractor_points(real, 12)
+    scales = [3.0 ** -k for k in range(2, 7)]
+    csv_path = tmp_path / "points.csv"
+    rows = 1 << 16
+    stages = [
+        (lambda: box_counting(cloud, scales), 8e6),
+        (lambda: render_image(cloud, 512), 1e6),
+        (lambda: write_csv(csv_path, ["x", "word"], [cloud.points[:rows, 0], cloud.words.names()]), 2e6),
+    ]
+    for call, bound in stages:
+        call()  # first-call allocations
+        assert _traced_peak(call) <= bound
+    with open(csv_path) as fh:
+        assert sum(1 for _ in fh) == 1 + rows
+
+
+def test_over_cap_cloud_refused_before_any_level():
+    """Depth 13 of the 2-D F_2 cloud (2,125,764 points) is refused from the
+    level counts alone, within 1 MB traced; building the levels that fit
+    first took 97 MB of RSS."""
+    real = auto_layout(LinearGdmsSpec.equal_ratios(2, 1 / 3), 2)
+    attractor_points(real, 1)  # first-call allocations
+
+    def refuse():
+        with pytest.raises(CapExceededError, match=r"^full cloud level 13 has 2125764 points > cap 2000000$"):
+            attractor_points(real, 13)
+
+    assert _traced_peak(refuse) < 1e6
 
 
 # sha256 of the payloads of the two render runs in REFERENCE_RUNS: any change to

@@ -51,7 +51,7 @@ class SliceLog:
 
 
 def test_write_csv_in_blocks(tmp_path, monkeypatch):
-    monkeypatch.setattr(reports, "CSV_BLOCK_ROWS", 7)
+    monkeypatch.setattr(reports, "BLOCK_ROWS", 7)
     x = np.random.default_rng(3).normal(size=30)
     words = SliceLog([f"g{i}" for i in range(30)])
     write_csv(tmp_path / "t.csv", ["x", "n", "word"], [x, range(31), words])
