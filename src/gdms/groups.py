@@ -35,6 +35,7 @@ across workers.
 from __future__ import annotations
 
 import functools
+import math
 from abc import ABC, abstractmethod
 from functools import cached_property
 from typing import Hashable, Sequence
@@ -169,7 +170,9 @@ class FreeAbelianQuotient(QuotientGroup):
     """Quotient landing in Z^rank; generator images are integer vectors.
 
     For standard-basis images this is the abelianization of F_d, whose word
-    metric is the L1 norm.  Balls come from ``bfs_ball`` for any images.
+    metric is the L1 norm.  Balls of any images are built by array lookups
+    on packed integer keys (``_build_ball``), which reproduce ``bfs_ball``;
+    a ball whose keys would not fit int64 comes from ``bfs_ball`` itself.
     """
 
     def __init__(
@@ -193,6 +196,59 @@ class FreeAbelianQuotient(QuotientGroup):
 
     def apply_letter(self, g, code: int):
         return tuple(a + b for a, b in zip(g, self._images[code]))
+
+    def _build_ball(self, radius: int) -> "Ball":
+        """The ball by array lookups, one sphere at a time.
+
+        A product of at most ``reach`` letters has |x_i| <= reach * max_c
+        |image_c[i]| in each coordinate, so x packs into one int64 key in
+        mixed radix, and right multiplication by a letter adds that letter's
+        key step; a ball whose key range does not fit int64 is left to
+        ``bfs_ball``.  The products of sphere r lie in spheres r - 1, r and
+        r + 1, so each is looked up by ``searchsorted`` in the sorted keys of
+        spheres r - 1 and r, and those found in neither form sphere r + 1,
+        numbered in the order in which ``bfs_ball`` first meets them
+        (element by element, letters in code order).  A sphere that would
+        take the ball past its cap is dropped and the radius shrinks to the
+        one below, as in ``bfs_ball``.
+        """
+        n_codes = 2 * self.d
+        images = np.array([self._images[c] for c in range(n_codes)], dtype=np.int64)
+        images = images.reshape(n_codes, self.rank)
+        reach = min(radius, self.ball_cap) + 1
+        bound = [reach * int(b) for b in np.abs(images).max(axis=0)]
+        if math.prod(2 * b + 1 for b in bound) >= 2**63:
+            return bfs_ball(self, radius)
+        strides = np.cumprod([1] + [2 * b + 1 for b in bound], dtype=np.int64)[:-1]
+        step = images @ strides
+        spheres = [np.array([sum(b * int(t) for b, t in zip(bound, strides))], dtype=np.int64)]
+        starts = [0, 1]  # starts[r]: index of the first element of sphere r
+        rows = []
+        for r in range(radius + 1):
+            if r == len(spheres):
+                break  # the group ran out of elements
+            known = np.concatenate(spheres[max(r - 1, 0) : r + 1])
+            order = np.argsort(known)
+            ranked = known[order]
+            products = (spheres[r][:, None] + step).ravel()
+            pos = np.minimum(np.searchsorted(ranked, products), len(known) - 1)
+            found = ranked[pos] == products
+            moves = np.where(found, starts[max(r - 1, 0)] + order[pos], -1)
+            new = products[~found]
+            if r < radius and new.size:
+                keys, first = np.unique(new, return_index=True)
+                if starts[-1] + keys.size > self.ball_cap:
+                    radius = r
+                else:
+                    seen = np.argsort(first)
+                    number = np.empty_like(seen)
+                    number[seen] = np.arange(starts[-1], starts[-1] + keys.size)
+                    moves[~found] = number[np.searchsorted(keys, new)]
+                    spheres.append(keys[seen])
+                    starts.append(starts[-1] + keys.size)
+            rows.append(moves.reshape(-1, n_codes))
+        dist = np.repeat(np.arange(len(spheres), dtype=np.int64), np.diff(starts))
+        return Ball(radius, dist, np.ascontiguousarray(np.concatenate(rows).T))
 
 
 class FreeQuotient(QuotientGroup):
@@ -390,8 +446,9 @@ def bfs_ball(G: QuotientGroup, radius: int) -> Ball:
     """Breadth-first ball over group elements, uncached: the ball of the
     largest radius <= ``radius`` that fits ``G.ball_cap``.
 
-    The construction for backends without an array builder, and the
-    reference the array builders are tested against.  The move table is
+    The construction for backends without an array builder and for
+    abelian balls whose packed keys would overflow, and the reference the
+    array builders are tested against.  The move table is
     recorded from the products the search forms anyway; only the last
     sphere's products are formed just to tell which stay in the ball.  A
     search that needs more than the cap drops the sphere it was adding and

@@ -1,20 +1,23 @@
-"""Perron values of symmetric nonnegative operators by restarted Lanczos.
+"""Perron values of symmetric nonnegative operators by thick-restart Lanczos.
 
 Every spectral radius that a command computes by iteration comes from one
-routine, ``perron_value``: an explicitly restarted Lanczos iteration from a
-deterministic uniform start, stopped by a sup-norm eigen-residual checked
-on an explicit matvec.  Its operators are all symmetric: the pressure's
-symmetrised transfer matrix S(s) = U^{1/2} A U^{1/2}
-(``pressure.perron_data``), the Dirichlet walk steps of ``walks`` and the
-symmetrised tree-radial chain.  On a Dirichlet truncation whose spectral
-gap closes like 1/R^2 (Z^k balls), a Krylov method needs O(R) matvecs where
-power iteration needs O(R^2), and Lanczos' three-term recurrence
-orthogonalises against the last two basis vectors only (Saad, *Numerical
-Methods for Large Eigenvalue Problems*, 2011, ch. 6).  The one
-nonsymmetric matrix of a command, the induced system's 2d x 2d loop matrix,
-goes to LAPACK (``kernel.induced_bowen_root``); the nonsymmetric skew
-operator is solved only in tests.  Every Dirichlet truncation ladder of
-those spectral radii is read by the same limit rule, ``truncation_limit``.
+routine, ``perron_value``: a thick-restart Lanczos iteration (Wu and Simon,
+SIAM J. Matrix Anal. Appl. 22, 2000) from a deterministic uniform start,
+certified only by a sup-norm eigen-residual checked on an explicit matvec.
+Its operators are all symmetric: the pressure's symmetrised transfer
+matrix S(s) = U^{1/2} A U^{1/2} (``pressure.perron_data``), the Dirichlet
+walk steps of ``walks`` and the symmetrised tree-radial chain.  On a
+Dirichlet truncation whose spectral gap closes like 1/R^2 (Z^k balls), a
+Krylov method needs O(R) matvecs where power iteration needs O(R^2), and
+Lanczos' three-term recurrence orthogonalises against the last two basis
+vectors only (Saad, *Numerical Methods for Large Eigenvalue Problems*,
+2011, ch. 6).  A restart keeps the top Ritz vectors and the residual
+direction, so a slowly converging rung does not start each cycle again
+from one vector.  The one nonsymmetric matrix of a command, the induced
+system's 2d x 2d loop matrix, goes to LAPACK (``kernel.induced_bowen_root``);
+the nonsymmetric skew operator is solved only in tests.  Every Dirichlet
+truncation ladder of those spectral radii is read by the same limit rule,
+``truncation_limit``.
 """
 
 from __future__ import annotations
@@ -29,10 +32,12 @@ from .errors import ConvergenceError
 # A truncation ladder has plateaued when its last rung moved less than this.
 PLATEAU_TOL = 1e-3
 
-# Largest Krylov basis of one cycle before it restarts.
-KRYLOV_DIM = 30
+# Krylov basis of one cycle, and the Ritz vectors a restart keeps of it.
+KRYLOV_DIM = 16
+KEEP = 8
 
-EPS = np.finfo(float).eps
+# Columns per block when a restart rebuilds the kept Ritz vectors in place.
+BLOCK_COLS = 1 << 14
 
 
 @dataclass
@@ -51,72 +56,100 @@ def perron_value(
 ) -> PerronResult:
     """Perron value and vector of a symmetric nonnegative operator ``matvec``.
 
-    Each cycle extends the current vector v to a Lanczos basis of at most
-    KRYLOV_DIM vectors: alpha_k = q_k.A q_k and A q_k - alpha_k q_k -
-    beta_{k-1} q_{k-1} give the next vector, and the cycle restarts from the
-    Ritz vector of the top eigenvalue of the symmetric tridiagonal T_k
-    (``eigh``), signed to a positive sum.  A symmetric nonnegative operator
-    has a real spectrum in [-rho, rho], so that Ritz value tends to rho.
+    A basis of at most KRYLOV_DIM unit vectors holds p kept Ritz vectors
+    (none at first), then the Lanczos vectors of the current cycle, then
+    the residual direction.  A cycle's first product A q is orthogonalised
+    against the whole basis, since the kept vectors couple to q (the
+    arrowhead of the projected matrix T), and each later product against
+    the last two vectors; the cycle ends when the basis is full or the
+    next vector's norm beta, which bounds every Ritz residual |beta s_k|,
+    falls below ``tol * max(1, lam)``.  A restart keeps the KEEP Ritz
+    vectors of the largest Ritz values, rebuilt in place one block of
+    columns at a time, with T diagonal on them and coupled to the residual
+    direction by beta s_k, the top Ritz vector v signed to a positive sum.
+    A symmetric nonnegative operator has a real spectrum in [-rho, rho], so
+    the top Ritz value tends to rho.
+
     Lanczos vectors lose orthogonality in floating point and the operator's
-    symmetry is not checked here, so the cycle is not trusted: before each
-    cycle the residual ||A v - lam v||_inf / ||v||_inf, with lam the
-    Rayleigh quotient of v, is checked on an explicit matvec, and it alone
-    certifies the result.  The zero operator passes that check on the first
-    matvec.  The iteration stops when the residual falls below
+    symmetry is not checked here, so no cycle is trusted: the residual
+    ||A v - lam v||_inf / ||v||_inf, with lam the Rayleigh quotient of v,
+    is checked on an explicit matvec, and it alone certifies the result.
+    It is checked at the uniform start (whose product is also the first
+    Lanczos step) and after each restart, except while the Ritz estimate
+    |beta s_k| of v exceeds sqrt(dim) ||v||_inf tol max(1, lam): a 2-norm
+    residual that large cannot pass the sup-norm check, so that matvec
+    would be spent for nothing.  The zero operator passes the check on the
+    first matvec.  The iteration stops when the residual falls below
     ``tol * max(1, lam)``, and raises ConvergenceError (carrying the best
-    residual) once ``max_iter`` matvecs have not reached it.
-    ``iterations`` counts matvecs.
+    residual) once ``max_iter`` matvecs have not reached it; the last
+    matvec of the budget is always a check.  ``iterations`` counts matvecs.
     """
     if dim == 0:
         return PerronResult(0.0, np.zeros(0), 0, 0.0)
-    v = np.full(dim, 1.0 / dim)
-    v /= np.linalg.norm(v)
-    m = min(KRYLOV_DIM, dim)
-    basis = np.empty((m + 1, dim))
-    # hess[:k, :k] is kept as the full tridiagonal T_k
-    hess = np.zeros((m + 1, m))
+    m = min(KRYLOV_DIM, dim + 1)
+    basis = np.empty((m, dim))
+    basis[0] = 1.0 / dim
+    basis[0] /= np.linalg.norm(basis[0])
+    proj = np.zeros((m, m))  # T on basis[: k + 1], symmetric
+    p = 0  # kept Ritz vectors basis[:p]; a cycle expands from basis[p]
+    v = basis[0]
+    check = True
     calls = 0
     best = np.inf
     while True:
-        av = matvec(v)
-        calls += 1
-        lam = float(v @ av)  # Rayleigh quotient; v is kept at unit 2-norm
-        residual = float(np.max(np.abs(av - lam * v))) / float(np.max(np.abs(v)))
-        best = min(best, residual)
-        if residual <= tol * max(1.0, abs(lam)):
-            return PerronResult(lam, v, calls, residual)
+        if check:
+            w = matvec(v)
+            calls += 1
+            lam = float(v @ w)  # Rayleigh quotient; v is kept at unit 2-norm
+            residual = float(np.max(np.abs(w - lam * v))) / float(np.max(np.abs(v)))
+            best = min(best, residual)
+            if residual <= tol * max(1.0, abs(lam)):
+                return PerronResult(lam, v.copy(), calls, residual)
         if calls >= max_iter:
             raise ConvergenceError(
                 f"Krylov iteration did not reach tol={tol} in {max_iter} matvecs "
                 f"(best residual {best:.3e})",
                 residual=best,
             )
-        # One Lanczos cycle from v, reusing A v as its first product.
-        basis[0] = v
-        w = av
-        k = 0
-        while True:
-            # w = A q_k - alpha_k q_k - beta_{k-1} q_{k-1}
-            j = max(k - 1, 0)
-            hess[k, k] = basis[k] @ w
-            hess[j, k] = hess[k, j]
-            w = w - hess[j : k + 1, k] @ basis[j : k + 1]
-            beta = float(np.linalg.norm(w))
-            hess[k + 1, k] = beta
-            k += 1
-            # Stop at the basis size, at an invariant subspace, or where the
-            # next product would leave no matvec for the residual check.
-            invariant = beta <= EPS * np.linalg.norm(hess[: k + 1, k - 1])
-            if k == m or invariant or calls + 1 >= max_iter:
-                break
-            np.divide(w, beta, out=basis[k])
-            w = matvec(basis[k])
+        k = p
+        if p:
+            w = matvec(basis[p])
             calls += 1
-        s = np.linalg.eigh(hess[:k, :k])[1][:, -1]  # eigenvalues ascend
-        y = s @ basis[:k]
-        if y.sum() < 0.0:
-            y = -y
-        v = y / np.linalg.norm(y)
+        while True:
+            done = basis[0 if k == p else k - 1 : k + 1]
+            h = done @ w
+            q = basis[k + 1]
+            np.subtract(w, h @ done, out=q)
+            proj[k, k] = h[-1]
+            if k > p:
+                proj[k - 1, k] = proj[k, k - 1] = beta
+            beta = float(np.linalg.norm(q))
+            if k + 2 == m or calls + 1 >= max_iter or beta <= tol * max(1.0, abs(lam)):
+                break
+            q /= beta
+            w = matvec(q)
+            calls += 1
+            k += 1
+        theta, s = np.linalg.eigh(proj[: k + 1, : k + 1])  # ascending
+        p = min(KEEP, k + 1, m - 2)
+        keep = s[:, -p:].T
+        for a in range(0, dim, BLOCK_COLS):
+            cols = slice(a, a + BLOCK_COLS)
+            basis[:p, cols] = keep @ basis[: k + 1, cols]
+        couple = beta * s[k, -p:]
+        v = basis[p - 1]
+        sign = np.copysign(1.0, v.sum())
+        v *= sign / np.linalg.norm(v)
+        couple[-1] *= sign
+        q = basis[p]
+        q[:] = basis[k + 1]
+        q -= (basis[:p] @ q) @ basis[:p]
+        q /= np.linalg.norm(q) or 1.0  # a zero residual: the space is invariant
+        proj[:] = 0.0
+        proj[range(p), range(p)] = theta[-p:]
+        proj[:p, p] = proj[p, :p] = couple
+        passable = np.sqrt(dim) * max(v.max(), -v.min()) * tol * max(1.0, abs(theta[-1]))
+        check = abs(couple[-1]) <= passable or calls + 1 >= max_iter
 
 
 def perron_value_dense(

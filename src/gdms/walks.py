@@ -24,7 +24,7 @@ Infinite groups are truncated to word-metric balls with Dirichlet boundary,
 giving spectral radii that are nondecreasing in the radius and converge
 from below at a 1/R^2 rate; ``linalg.truncation_limit`` reads the ladder.
 The Dirichlet cut of a symmetric step is symmetric, so every ball rung runs
-the Lanczos cycle of ``linalg.perron_value``.  A finite group is walked
+the thick-restart Lanczos of ``linalg.perron_value``.  A finite group is walked
 once on the whole group, also by Lanczos.  On a free quotient of
 rank k >= 2 with equal surviving weights the walk lives on the 2k-regular
 tree (lazily when killed letters carry weight) and its truncated Perron
@@ -54,19 +54,35 @@ def walk_step(B: Ball, weights: Sequence[float]) -> Callable[[np.ndarray], np.nd
 
     ``weights`` holds one weight per letter code; the step reads x at
     g * image(c) for every code of nonzero weight and drops the moves that
-    leave the ball.  An identity image reads x at g itself (laziness), and
-    codes with the same image add their weights.
+    leave the ball.  A code's move row is keyed by its image, the row's
+    entry at the identity: codes with the same image add their weights,
+    identity images (laziness) fold into one diagonal term, and an image
+    off the ball (radius 0) reads nothing.  A call accumulates one output
+    vector a move row at a time: x times each distinct weight is written
+    once into a buffer whose extra last entry stays 0, so that the index -1
+    of a move off the ball reads 0, and every row of that weight gathers
+    from it.  A step holds three vectors whatever the number of codes.
     """
     weights = np.asarray(weights, dtype=float)
-    codes = np.flatnonzero(weights)
-    moves = B.letter_moves()[codes]
-    w = weights[codes]
-
-    zero = np.zeros(1)
+    moves = B.letter_moves()
+    by_image: dict[int, list] = {}
+    for c in np.flatnonzero(weights).tolist():
+        by_image.setdefault(int(moves[c, 0]), [c, 0.0])[1] += weights[c]
+    lazy = by_image.pop(0, (0, 0.0))[1]
+    by_image.pop(-1, None)
+    by_weight: dict[float, list] = {}
+    for c, w in by_image.values():
+        by_weight.setdefault(w, []).append(moves[c])
+    padded = np.zeros(len(B) + 1)
+    scaled = padded[:-1]
 
     def step(x: np.ndarray) -> np.ndarray:
-        # index -1 reads the appended zero: a move off the ball contributes 0
-        return w @ np.concatenate((x, zero))[moves]
+        out = lazy * x
+        for w, rows in by_weight.items():
+            np.multiply(x, w, out=scaled)
+            for row in rows:
+                out += padded[row]
+        return out
 
     return step
 

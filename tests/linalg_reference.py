@@ -3,10 +3,11 @@
 ``linalg.perron_value`` runs Lanczos, which needs a symmetric operator.
 The skew operator of ``skew.py``, the kernel step T o L and the test
 matrices with Jordan blocks or one-way couplings are not symmetric, so the
-tests solve them here: the same outer loop as ``perron_value`` (uniform
-start, Rayleigh quotient and sup-norm residual on an explicit matvec,
-restart after at most KRYLOV_DIM steps, sign fix), with Arnoldi cycles and
-an exact nilpotency test in front.  No command reads it.
+tests solve them here: the uniform start, Rayleigh quotient and sup-norm
+residual on an explicit matvec of ``perron_value``, but checked before
+every cycle, with Arnoldi cycles of at most KRYLOV_DIM steps that restart
+from one Ritz vector, signed to a positive sum, and an exact nilpotency
+test in front.  No command reads it.
 """
 
 from typing import Callable
@@ -14,7 +15,12 @@ from typing import Callable
 import numpy as np
 
 from gdms import ConvergenceError
-from gdms.linalg import EPS, KRYLOV_DIM, PerronResult
+from gdms.linalg import PerronResult
+
+# Largest Arnoldi basis of one cycle before it restarts.
+KRYLOV_DIM = 30
+
+EPS = np.finfo(float).eps
 
 
 def arnoldi_perron(

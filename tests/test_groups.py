@@ -414,6 +414,64 @@ class TestBalls:
             assert (B.letter_moves() == ref.letter_moves()).all()
 
 
+ABELIAN_IMAGES = {
+    "z": [[1]],
+    "z-lazy": [[1], [0]],
+    "z-2-3": [[2], [3]],
+    "zz": [[1, 0], [0, 1]],
+    "zz-2-3": [[2, 0], [0, 3]],
+    "zz-diagonal": [[1, 1], [1, -1]],
+    "zz-repeated": [[1, 0], [1, 0]],
+    "zzz": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+}
+
+
+class TestAbelianBuilder:
+    """``FreeAbelianQuotient``'s array builder is ``bfs_ball`` word for word."""
+
+    @pytest.mark.parametrize("name", sorted(ABELIAN_IMAGES))
+    def test_matches_bfs(self, name):
+        images = ABELIAN_IMAGES[name]
+        G = FreeAbelianQuotient(len(images[0]), images)
+        for radius in range(13):
+            assert_same_ball(G._build_ball(radius), bfs_ball(G, radius))
+
+    @pytest.mark.parametrize("name", sorted(ABELIAN_IMAGES))
+    def test_caps_match_bfs(self, name):
+        images = ABELIAN_IMAGES[name]
+        make = lambda **kw: FreeAbelianQuotient(len(images[0]), images, **kw)  # noqa: E731
+        # every cap up to one past the ball on small radii; on larger ones the
+        # caps at each sphere boundary, where the refusal changes
+        for radius in range(13):
+            ref = bfs_ball(make(), radius)
+            if radius <= 3:
+                caps = range(len(ref) + 2)
+            else:
+                ends = np.cumsum(ref.sphere_sizes()).tolist()
+                caps = sorted({0, len(ref) + 1} | {e + i for e in ends for i in (-1, 0, 1)})
+            assert_caps_match_bfs(make, radius, caps)
+
+    def test_key_overflow_takes_bfs_path(self, monkeypatch):
+        import gdms.groups as groups
+
+        calls = []
+        reference = groups.bfs_ball
+
+        def counting(G, radius):
+            calls.append(radius)
+            return reference(G, radius)
+
+        monkeypatch.setattr(groups, "bfs_ball", counting)
+        # a radius-2 ball of these images spans 2 * 3 * 2^31 + 1 values per
+        # coordinate: the packed key would need more than 63 bits
+        G = FreeAbelianQuotient(2, [[2**31, 0], [0, 2**31]])
+        assert_same_ball(G._build_ball(2), reference(G, 2))
+        assert calls == [2]
+        zz = FreeAbelianQuotient(2, [[2**20, 0], [0, 2**20]])
+        assert_same_ball(zz._build_ball(2), reference(zz, 2))
+        assert calls == [2]
+
+
 class TestBackendsMisc:
     def test_s3_closure(self, s3):
         B = ball(s3)

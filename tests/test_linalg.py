@@ -1,10 +1,12 @@
 """The Lanczos Perron solver, its nonsymmetric test reference, and the
 truncation-ladder rule of the walk ladders."""
 
+import math
+
 import numpy as np
 import pytest
 
-from gdms import ConvergenceError, build_skew_operator
+from gdms import ConvergenceError, FreeAbelianQuotient, ball, build_skew_operator, walk_step
 from gdms.linalg import PLATEAU_TOL, perron_value, perron_value_dense, truncation_limit
 from gdms.walks import _tree_radial_chain
 
@@ -207,6 +209,42 @@ class TestLanczosCycle:
             perron_value(matvec, 300, max_iter=8)
         assert len(calls) == 8
         assert 0.0 < exc.value.residual <= first
+
+
+def z2_ball_step(R):
+    """The simple walk on the L1 ball of Z^2 of radius R, Dirichlet boundary."""
+    B = ball(FreeAbelianQuotient(2, [[1, 0], [0, 1]]), R)
+    return walk_step(B, np.full(4, 0.25)), len(B)
+
+
+class TestLanczosOracle:
+    """Exact Perron values and matvec budgets of ``perron_value``.
+
+    In u = x + y, v = x - y the four steps of Z^2 are (+-1, +-1), so the
+    simple walk on the L1 ball |u|, |v| <= R is the tensor product of two
+    path walks on 2R + 1 sites, restricted to u = v mod 2, and its Perron
+    value is cos(pi / (2R + 2))^2.
+    """
+
+    @pytest.mark.parametrize("R", range(1, 41))
+    def test_z2_l1_ball(self, R):
+        step, n = z2_ball_step(R)
+        res = perron_value(step, n)
+        assert res.value == pytest.approx(math.cos(math.pi / (2 * R + 2)) ** 2, abs=1e-13)
+
+    def test_z2_ladder_budget(self):
+        rungs = {R: perron_value(*z2_ball_step(R)).iterations for R in range(4, 41, 4)}
+        # a restart keeps its Ritz vectors, and a cycle on the 41-state ball,
+        # whose Krylov space from the uniform start has dimension 7, stops
+        # once its next vector vanishes
+        assert rungs[4] <= 15
+        assert sum(rungs.values()) <= 1000
+
+    def test_tree_chain_budget(self):
+        m = _tree_radial_chain(2, 500, 0.25, 0.0)
+        res = perron_value_dense(m)
+        assert res.iterations <= 3000
+        assert res.value == pytest.approx(np.linalg.eigvalsh(m)[-1], abs=1e-12)
 
 
 def model(R):

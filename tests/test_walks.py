@@ -1,6 +1,7 @@
 """Cayley balls, walk spectral radii, isoperimetric diagnostics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -225,6 +226,59 @@ class TestSymmetricRungs:
         # two codes with one image: the totals are compared, not the codes
         zz = FreeAbelianQuotient(2, [[1, 0], [1, 0]])
         walk_ladder(zz, [0.1, 0.3, 0.4, 0.2], [2])
+
+
+def move_matrix(B, weights):
+    """Reference walk step as a dense matrix: one entry per code and element."""
+    moves = B.letter_moves()
+    m = np.zeros((len(B), len(B)))
+    for c, w in enumerate(weights):
+        for i, j in enumerate(moves[c].tolist()):
+            if j >= 0:
+                m[i, j] += w
+    return m
+
+
+class TestWalkStep:
+    """``walk_step`` folds codes by image but steps like the dense sum over codes."""
+
+    CASES = {
+        # name: (group, radius or None for the whole group, per-code weights)
+        "lazy-f2-of-f3": (lambda: FreeQuotient(3, kill=[3]), 3, LAZY_F2_IN_F3),
+        "repeated-images": (
+            lambda: FreeAbelianQuotient(2, [[1, 0], [1, 0]]), 3, [0.1, 0.3, 0.4, 0.2]
+        ),
+        "identity-image": (lambda: FreeAbelianQuotient(1, [[1], [0]]), 4, [0.2, 0.2, 0.5, 0.1]),
+        "radius-zero": (lambda: FreeAbelianQuotient(2, [[1, 0], [0, 1]]), 0, [0.4, 0.1, 0.3, 0.2]),
+        "unequal-codes": (lambda: FreeQuotient(2), 3, [0.05, 0.25, 0.0, 0.7]),
+        "s4-involution": (lambda: FinitePermQuotient(4, S4_IMAGES), None, [0.5, 0.0, 0.3, 0.2]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_matches_dense_reference(self, name):
+        make, radius, weights = self.CASES[name]
+        G = make()
+        B = ball(G) if radius is None else ball(G, radius)
+        np.testing.assert_allclose(
+            dense_step(B, weights), move_matrix(B, weights), rtol=0.0, atol=1e-15
+        )
+        x = np.random.default_rng(1).random(len(B))
+        np.testing.assert_allclose(
+            walk_step(B, weights)(x), move_matrix(B, weights) @ x, rtol=1e-14, atol=0.0
+        )
+
+    def test_one_step_holds_three_vectors(self):
+        # the radius-10 ball of F_2 in F_3 (118,097 elements) under six codes,
+        # two of them lazy: the step never gathers a (codes x elements) array
+        B = ball(FreeQuotient(3, kill=[3]), 10)
+        x = np.random.default_rng(2).random(len(B))
+        tracemalloc.start()
+        try:
+            walk_step(B, LAZY_F2_IN_F3)(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * x.nbytes + 64 * 1024
 
 
 class TestIsoperimetric:
