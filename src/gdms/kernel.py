@@ -153,9 +153,11 @@ def word_sums(B: Ball, weights: np.ndarray, n_max: int, reach: int = 0):
 
     X[v, i] * 2**e is the total weight of the length-n words that end in
     letter v at ball element i, exact at every element within ``reach`` of
-    the identity; X has a column for each element of the live window (see
-    the module docstring), fewer than ``B`` has once the window narrows.
-    The peak of X lies in [1/2, 1).  Sums that die out end the iteration.
+    the identity; X has a column for each element that the next step or a
+    caller reads, the live window of the module docstring, so fewer than
+    ``B`` has once the window narrows.  The peak of X lies in [1/2, 1), so
+    a table's bits do not depend on the ball beyond the window.  Sums that
+    die out end the iteration.
     """
     moves = B.letter_moves()
 
@@ -175,6 +177,7 @@ def word_sums(B: Ball, weights: np.ndarray, n_max: int, reach: int = 0):
         live = min(n - 1, reach + n_max - n + 1)
         k = within(live)
         X = forward_word_step(X[:, :k], moves[:, :k], weights, within(live + 1))
+        X = X[:, : within(min(n, reach + n_max - n))]  # the next step's inputs
         peak = float(X.max())
         if peak <= 0.0:
             return
@@ -284,19 +287,15 @@ def kernel_counts(
 
 @dataclass(frozen=True)
 class KernelPressureEstimate:
-    """Ratio-based estimate of limsup (1/n) log a_n with diagnostics.
+    """Ratio-based estimate of limsup (1/n) log a_n.
 
-    ``estimate`` is the last stride-p ratio; ``dead_band`` the spread of the
-    final two ratios (the honesty margin used by the bisection); ``trend``
-    one of increasing / decreasing / mixed.
+    ``estimate`` is the last stride-p ratio and ``dead_band`` the spread of
+    the final two ratios (the honesty margin used by the bisection).
     """
 
     estimate: float
     period: int
-    ratios: np.ndarray
-    trend: str
     dead_band: float
-    n_used: int
 
 
 def kernel_pressure(table: KernelCountTable) -> KernelPressureEstimate:
@@ -324,23 +323,10 @@ def kernel_pressure(table: KernelCountTable) -> KernelPressureEstimate:
             ratios.append((log_a[n - 1] - log_a[m - 1]) / period)
     if len(ratios) < 2:
         raise GdmsError("not enough consecutive kernel counts for a ratio estimate")
-    ratios = np.array(ratios)
-    tail = ratios[-min(5, len(ratios)):]
-    diffs = np.diff(tail)
-    if np.all(diffs >= -1e-12):
-        trend = "increasing"
-    elif np.all(diffs <= 1e-12):
-        trend = "decreasing"
-    else:
-        trend = "mixed"
-    dead_band = abs(float(ratios[-1] - ratios[-2]))
     return KernelPressureEstimate(
         estimate=float(ratios[-1]),
         period=period,
-        ratios=ratios,
-        trend=trend,
-        dead_band=dead_band,
-        n_used=int(support[-1]),
+        dead_band=abs(float(ratios[-1] - ratios[-2])),
     )
 
 

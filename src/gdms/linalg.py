@@ -5,8 +5,8 @@ routine, ``perron_value``: a thick-restart Lanczos iteration (Wu and Simon,
 SIAM J. Matrix Anal. Appl. 22, 2000) from a deterministic uniform start,
 certified only by a sup-norm eigen-residual checked on an explicit matvec.
 Its operators are all symmetric: the pressure's symmetrised transfer
-matrix S(s) = U^{1/2} A U^{1/2} (``pressure.perron_data``), the Dirichlet
-walk steps of ``walks`` and the symmetrised tree-radial chain.  On a
+matrix S(s) = U^{1/2} A U^{1/2} (``pressure.perron_data``) and the
+Dirichlet walk steps of the generic and finite walk ladders (``walks``).  On a
 Dirichlet truncation whose spectral gap closes like 1/R^2 (Z^k balls), a
 Krylov method needs O(R) matvecs where power iteration needs O(R^2), and
 Lanczos' three-term recurrence orthogonalises against the last two basis
@@ -150,13 +150,6 @@ def perron_value(
         proj[:p, p] = proj[p, :p] = couple
         passable = np.sqrt(dim) * max(v.max(), -v.min()) * tol * max(1.0, abs(theta[-1]))
         check = abs(couple[-1]) <= passable or calls + 1 >= max_iter
-
-
-def perron_value_dense(
-    matrix: np.ndarray, tol: float = 1e-12, max_iter: int = 1_000_000
-) -> PerronResult:
-    m = np.asarray(matrix, dtype=float)
-    return perron_value(lambda v: m @ v, m.shape[0], tol=tol, max_iter=max_iter)
 
 
 def truncation_limit(radii: Sequence[int], rho: Sequence[float]) -> tuple[float, bool]:

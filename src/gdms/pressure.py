@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .groups import letter_name
-from .linalg import PerronResult, perron_value_dense
+from .linalg import PerronResult, perron_value
 
 BOWEN_TOL = 1e-12
 
@@ -123,7 +123,7 @@ def perron_data(spec: LinearGdmsSpec, s: float) -> PerronResult:
     n = 2 * spec.d
     sym = np.outer(half, half)
     sym[np.arange(n), np.arange(n) ^ 1] = 0.0
-    return perron_value_dense(sym)
+    return perron_value(lambda v: sym @ v, n)
 
 
 def pressure(spec: LinearGdmsSpec, s: float) -> float:

@@ -23,14 +23,17 @@ on it:
 Infinite groups are truncated to word-metric balls with Dirichlet boundary,
 giving spectral radii that are nondecreasing in the radius and converge
 from below at a 1/R^2 rate; ``linalg.truncation_limit`` reads the ladder.
-The Dirichlet cut of a symmetric step is symmetric, so every ball rung runs
-the thick-restart Lanczos of ``linalg.perron_value``.  A finite group is walked
-once on the whole group, also by Lanczos.  On a free quotient of
-rank k >= 2 with equal surviving weights the walk lives on the 2k-regular
-tree (lazily when killed letters carry weight) and its truncated Perron
-vector is radial, so an (R+1)-state chain on the spheres, symmetrised by
-the square roots of the sphere sizes, gives each rung; sqrt(2k-1)/k is the
-simple walk's limit.
+``walk_ladder`` has three methods, chosen by the group.  A finite group is
+walked once on the whole group by the thick-restart Lanczos of
+``linalg.perron_value``.  An infinite free quotient's ball is a tree,
+whatever the weights: eliminating lam I - P_R from the leaves up gives
+pivots that depend only on a vertex's last generator and remaining depth,
+and by Sylvester's law of inertia lam lies above the top eigenvalue
+exactly when every pivot is positive.  So a bisection on lam over that
+scalar recursion (``_tree_rung``) gives each rung, reading no ball and
+doing no matvec; the Akemann-Ostrand value (Amer. J. Math. 1976) is its
+limit.  Any other group runs Lanczos on each ball's Dirichlet walk, which
+is symmetric.
 
 The isoperimetric scan reports boundary-to-volume ratios of nested balls; it
 is a Folner-style diagnostic only, since finite balls cannot decide
@@ -46,7 +49,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .groups import Ball, FreeQuotient, QuotientGroup, ball, letter_name
-from .linalg import PerronResult, perron_value, perron_value_dense, truncation_limit
+from .linalg import perron_value, truncation_limit
 
 
 def walk_step(B: Ball, weights: Sequence[float]) -> Callable[[np.ndarray], np.ndarray]:
@@ -87,22 +90,43 @@ def walk_step(B: Ball, weights: Sequence[float]) -> Callable[[np.ndarray], np.nd
     return step
 
 
-def _tree_radial_chain(k: int, R: int, p: float, lazy: float) -> np.ndarray:
-    """Dirichlet walk on the 2k-regular tree ball, radialized and symmetrised.
+def _tree_rung(p: list[float], lazy: float, R: int) -> tuple[float, float]:
+    """lambda_max of the Dirichlet walk on a free group's radius-R ball, and
+    the width of the bracket it was bisected to.
 
-    Each of the 2k tree edges at a vertex carries weight ``p`` and the walk
-    stays put with weight ``lazy``.  The truncated walk commutes with the
-    sphere-transitive automorphisms, so its Perron vector is radial and the
-    (R+1)-state chain on the spheres has the same Perron value.  That chain
-    steps out with weight 2k p from the centre and (2k - 1) p further out,
-    and in with weight p; scaling by the square roots of the sphere sizes
-    1, 2k, 2k(2k - 1), ... makes it the symmetric tridiagonal matrix
-    returned here, with p sqrt(2k) between spheres 0 and 1 and
-    p sqrt(2k - 1) further out.
+    ``p[j]`` weighs each of the two letters of surviving generator j and
+    ``lazy`` the step that stays put.  The ball is a tree, so eliminating
+    lam I - P_R from the leaves up leaves pivots that depend only on a
+    vertex's last generator j and its remaining depth h: pivot(j, 0) =
+    lam - lazy and pivot(j, h) = lam - lazy - 2 T + t_j, with t_j = p_j^2 /
+    pivot(j, h - 1) and T = sum_j t_j (two children along every other
+    generator, one along j); the root's pivot is lam - lazy - 2 T.  By
+    Sylvester's law of inertia lam > lambda_max(P_R) exactly when every
+    pivot is positive, so lam is bisected on [lazy, lazy + 2 sum p] down to
+    adjacent floats.  The lower end, where some pivot was not positive, is
+    returned: the side a lower bound needs.  R = 0 gives ``lazy``.
     """
-    off = np.full(R, p * np.sqrt(2 * k - 1))
-    off[:1] = p * np.sqrt(2 * k)
-    return lazy * np.eye(R + 1) + np.diag(off, 1) + np.diag(off, -1)
+
+    def above(lam: float) -> bool:
+        root = lam - lazy
+        pivots = [root] * len(p)
+        for _ in range(R):
+            if min(pivots) <= 0.0:
+                return False
+            t = [q * q / x for q, x in zip(p, pivots)]
+            root = lam - lazy - 2.0 * sum(t)
+            pivots = [root + x for x in t]
+        return root > 0.0
+
+    lo, hi = lazy, lazy + 2.0 * sum(p)
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        if above(mid):
+            hi = mid
+        else:
+            lo = mid
+        mid = 0.5 * (lo + hi)
+    return lo, hi - lo
 
 
 @dataclass(frozen=True)
@@ -111,9 +135,11 @@ class WalkLadder:
 
     ``final_estimate`` and ``plateau`` come from ``linalg.truncation_limit``
     (a 1/R^2 extrapolation of a rising ladder, else its supremum, capped at
-    1).  ``iterations`` and ``residuals`` give each rung's matvec count and
+    1).  ``method`` is "finite", "tree" or "generic" (``walk_ladder``).
+    ``iterations`` counts each rung's matvecs and ``residuals`` holds its
     final eigen-residual; a rung copied from the whole finite group took 0
-    matvecs.  ``method`` is "finite", "tree-radial" or "generic".
+    matvecs, and a tree rung takes none: its residual is the width of its
+    final bisection bracket.
     """
 
     radii: tuple[int, ...]
@@ -133,54 +159,47 @@ def walk_ladder(
 ) -> WalkLadder:
     """Spectral-radius ladder of the walk with these letter weights.
 
-    A finite group is walked once, on the whole group, and that rung stands
-    for every radius; a free quotient of surviving rank >= 2 with equal
-    surviving weights uses the radial chain; any other group runs
-    ``walk_step`` on each radius-R ball.  A walk that is not symmetric
-    (``_require_symmetric``) is refused before any ball is built.  Weights
-    of total 1 give rho <= 1, so a rung that rounds above 1 (a finite
-    group's can) reads 1; its residual stays as solved.
+    The method follows the group.  "finite": the whole group is walked
+    once, by Lanczos, and that rung stands for every radius.  "tree": an
+    infinite free quotient reads no ball; each rung is ``_tree_rung`` on the
+    weight of each surviving generator (the mean of its two codes) with the
+    killed letters' weight as laziness.  "generic": any other group runs
+    ``walk_step`` on each radius-R ball by Lanczos to ``tol``.  A walk that
+    is not symmetric (``_require_symmetric``) is refused before any ball is
+    built.  Weights of total 1 give rho <= 1, so a rung that rounds above 1
+    (a finite group's can) reads 1; its residual stays as solved.
     """
     if not radii:
         raise ConfigError("need at least one radius")
     radii = tuple(sorted(int(r) for r in radii))
     weights = np.asarray(weights, dtype=float)
     _require_symmetric(G, weights)
-    tree = None
-    if isinstance(G, FreeQuotient) and G.surviving_rank() >= 2:
-        alive = np.array([c not in G.killed_codes for c in range(2 * G.d)])
-        p = weights[alive]
-        if (p == p[0]).all():
-            tree = G.surviving_rank(), float(p[0]), float(weights[~alive].sum())
-    rungs: list[PerronResult] = []
+    rungs = []  # (value, matvecs, residual) per radius
     if G.finite:
         method = "finite"
         B = ball(G)  # the whole group; raises past the cap
         exact = perron_value(walk_step(B, weights), len(B), tol=tol)
-        copy = PerronResult(exact.value, exact.vector, 0, exact.residual)
-        rungs = [exact] + [copy] * (len(radii) - 1)
-    elif tree is not None:
-        method = "tree-radial"
-        k, p, lazy = tree
+        rungs = [(exact.value, exact.iterations, exact.residual)]
+        rungs += [(exact.value, 0, exact.residual)] * (len(radii) - 1)
+    elif isinstance(G, FreeQuotient):
+        method = "tree"
+        pairs = weights.reshape(G.d, 2)
+        alive = np.array([j + 1 not in G.kill for j in range(G.d)])
+        p, lazy = pairs[alive].mean(axis=1).tolist(), float(pairs[~alive].sum())
         for R in radii:
-            rungs.append(perron_value_dense(_tree_radial_chain(k, R, p, lazy), tol=tol))
+            value, width = _tree_rung(p, lazy, R)
+            rungs.append((value, 0, width))
     else:
         method = "generic"
         ball(G, radii[-1])  # every smaller rung is a prefix of it
         for R in radii:
             B = ball(G, R)
-            rungs.append(perron_value(walk_step(B, weights), len(B), tol=tol))
-    rho_vals = [min(r.value, 1.0) for r in rungs]
+            res = perron_value(walk_step(B, weights), len(B), tol=tol)
+            rungs.append((res.value, res.iterations, res.residual))
+    values, iterations, residuals = zip(*rungs)
+    rho_vals = tuple(min(v, 1.0) for v in values)
     final, plateau = truncation_limit(radii, rho_vals)
-    return WalkLadder(
-        radii,
-        tuple(rho_vals),
-        tuple(r.iterations for r in rungs),
-        tuple(r.residual for r in rungs),
-        final,
-        plateau,
-        method,
-    )
+    return WalkLadder(radii, rho_vals, iterations, residuals, final, plateau, method)
 
 
 def _require_symmetric(G: QuotientGroup, weights: np.ndarray) -> None:

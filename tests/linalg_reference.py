@@ -7,7 +7,8 @@ tests solve them here: the uniform start, Rayleigh quotient and sup-norm
 residual on an explicit matvec of ``perron_value``, but checked before
 every cycle, with Arnoldi cycles of at most KRYLOV_DIM steps that restart
 from one Ritz vector, signed to a positive sum, and an exact nilpotency
-test in front.  No command reads it.
+test in front.  No command reads it.  ``tree_radial_chain`` is a symmetric
+test operator for the Lanczos solver.
 """
 
 from typing import Callable
@@ -123,3 +124,17 @@ def null_indicator(
 def arnoldi_perron_dense(matrix: np.ndarray, **kw) -> PerronResult:
     m = np.asarray(matrix, dtype=float)
     return arnoldi_perron(lambda v: m @ v, m.shape[0], **kw)
+
+
+def tree_radial_chain(k: int, R: int, p: float, lazy: float) -> np.ndarray:
+    """Dirichlet walk on the 2k-regular tree ball, radialized and symmetrised.
+
+    Each tree edge carries weight ``p`` and the walk stays put with weight
+    ``lazy``; the (R+1)-state chain on the spheres, scaled by the square
+    roots of the sphere sizes 1, 2k, 2k(2k - 1), ..., is symmetric
+    tridiagonal with p sqrt(2k) between spheres 0 and 1 and p sqrt(2k - 1)
+    further out, and its Perron value is the ball's.
+    """
+    off = np.full(R, p * np.sqrt(2 * k - 1))
+    off[:1] = p * np.sqrt(2 * k)
+    return lazy * np.eye(R + 1) + np.diag(off, 1) + np.diag(off, -1)

@@ -111,12 +111,29 @@ class TestHappyPaths:
         assert code == 0
         res = json.loads((outdir / "report.json").read_text())["results"]
         dich = res["dichotomy"]
-        assert dich["method"] == "tree-radial"
+        assert dich["method"] == "tree"
         assert dich["weights"] == [0.25] * 4
         assert dich["rho"] == pytest.approx(res["walk"]["rho"], abs=1e-14)
         assert 0.0 < dich["rho"][0] < dich["rho"][1] < math.sqrt(3) / 2
         assert dich["verdict"] == "consistent-with-non-amenable"
         assert res["verdict"] == "consistent-with-non-amenable"
+
+    def test_amenability_unequal_free_quotient_to_radius_1000(self, tmp_path):
+        # Unequal ratios on F_3/<<g_3>>: the tree rungs read no ball, so a
+        # radius-1000 rung runs where a ball of F_2 would be refused (exit 3).
+        cfg = {
+            "gdms": {"d": 3, "ratios_by_generator": [0.3, 0.2, 0.5]},
+            "quotient": {"type": "free_quotient", "kill": [3]},
+            "params": {"radii": [2, 4, 8, 1000]},
+        }
+        code, outdir = run_cli("amenability", cfg, tmp_path)
+        assert code == 0
+        res = json.loads((outdir / "report.json").read_text())["results"]
+        dich = res["dichotomy"]
+        assert dich["method"] == res["walk"]["method"] == "tree"
+        assert dich["iterations"] == [0, 0, 0, 0]
+        assert all(a < b for a, b in zip(dich["rho"], dich["rho"][1:]))
+        assert dich["verdict"] == res["verdict"] == "consistent-with-non-amenable"
 
     @pytest.mark.parametrize(
         "quotient, radii",
@@ -246,7 +263,7 @@ class TestHappyPaths:
         assert code == 0
         res = json.loads((outdir / "report.json").read_text())["results"]
         assert res["final_estimate"]["kind"] == "estimate"
-        assert res["method"] == "tree-radial"
+        assert res["method"] == "tree"
         assert len(res["iterations"]) == len(res["residuals"]) == 3
 
     def test_render_full(self, tmp_path):

@@ -12,15 +12,17 @@ from gdms import (
     FinitePermQuotient,
     FreeAbelianQuotient,
     FreeQuotient,
+    LinearGdmsSpec,
     amenability_report,
     ball,
     isoperimetric_scan,
     srw_spectral_radius,
     walk_ladder,
     walk_step,
+    walks,
 )
-from gdms.linalg import perron_value, perron_value_dense
-from gdms.walks import _tree_radial_chain
+from gdms.linalg import perron_value
+from gdms.walks import _tree_rung
 
 from linalg_reference import arnoldi_perron
 from test_groups import Heisenberg
@@ -112,7 +114,7 @@ class TestWalkLadders:
 
     def test_tree_radial_matches_generic(self, free_f2, spec_fifth_d3, f2_of_f3):
         radial = srw_spectral_radius(free_f2, [3, 4, 5])
-        assert radial.method == "tree-radial"
+        assert radial.method == "tree"
         for R, rho in zip(radial.radii, radial.rho):
             B = ball(free_f2, R)
             step = walk_step(B, srw_weights(free_f2))
@@ -121,7 +123,7 @@ class TestWalkLadders:
         # the lazy walk mu_{s*} on F_2 in F_3: the killed letters stay put
         mu = amenability_report(spec_fifth_d3, f2_of_f3, [1], kernel_n_max=2).weights
         lazy = walk_ladder(f2_of_f3, mu, range(1, 8), tol=1e-13)
-        assert lazy.method == "tree-radial"
+        assert lazy.method == "tree"
         for R, rho in zip(lazy.radii, lazy.rho):
             B = ball(f2_of_f3, R)
             generic = perron_value(walk_step(B, mu), len(B), tol=1e-13).value
@@ -158,21 +160,33 @@ def nonsymmetric_radial_chain(k, R, p, lazy):
 
 @pytest.mark.parametrize("lazy", [0.0, 0.3])
 @pytest.mark.parametrize("k", [2, 3])
-def test_tree_radial_chain_is_symmetrised_chain(k, lazy):
+def test_tree_rung_is_radial_chain_root(k, lazy):
     p = (1.0 - lazy) / (2 * k)
     for R in range(13):
-        m = _tree_radial_chain(k, R, p, lazy)
-        assert np.array_equal(m, m.T)
-        chain = nonsymmetric_radial_chain(k, R, p, lazy)
-        # similar by the square roots of the sphere sizes 1, 2k, 2k(2k-1), ...
-        root = np.sqrt([1.0] + [2 * k * (2 * k - 1) ** (r - 1) for r in range(1, R + 1)])
-        assert np.allclose(root[:, None] * chain / root[None, :], m, rtol=1e-15, atol=0.0)
-        rho = float(np.linalg.eigvals(chain).real.max())
-        assert abs(perron_value_dense(m).value - rho) <= 1e-14
+        rho = float(np.linalg.eigvals(nonsymmetric_radial_chain(k, R, p, lazy)).real.max())
+        assert abs(_tree_rung([p] * k, lazy, R)[0] - rho) <= 1e-14
+
+
+def akemann_ostrand(p, lazy):
+    """rho = lazy + min_t [sum_i sqrt(t^2 + 4 p_i^2) - (k - 1) t] of the walk
+    on F_k with weight p_i on each letter of generator i (Akemann-Ostrand,
+    Amer. J. Math. 1976).  The bracket is convex in t, so its minimiser
+    solves sum_i t / sqrt(t^2 + 4 p_i^2) = k - 1, found by bisection."""
+    k = len(p)
+    lo, hi = 0.0, 1.0
+    assert sum(hi / math.hypot(hi, 2 * q) for q in p) > k - 1
+    for _ in range(200):
+        t = 0.5 * (lo + hi)
+        if sum(t / math.hypot(t, 2 * q) for q in p) < k - 1:
+            lo = t
+        else:
+            hi = t
+    return lazy + sum(math.hypot(t, 2 * q) for q in p) - (k - 1) * t
 
 
 # The walk (.3, .2, .5) per generator of F_3 on F_2 = F_3 / <<g_3>>: the
-# killed g_3 makes it lazy, and unequal surviving weights take the generic path.
+# killed g_3 makes it lazy, and its unequal surviving weights take the tree
+# path, like every infinite free quotient's walk.
 LAZY_F2_IN_F3 = [0.15, 0.15, 0.1, 0.1, 0.25, 0.25]
 S4_IMAGES = [[1, 0, 2, 3], [1, 2, 3, 0]]  # a transposition and a 4-cycle
 
@@ -190,7 +204,7 @@ class TestSymmetricRungs:
         "zz": (lambda: FreeAbelianQuotient(2, [[1, 0], [0, 1]]), None, range(4, 41, 4), "generic"),
         "s4": (lambda: FinitePermQuotient(4, S4_IMAGES), None, [1, 2], "finite"),
         "heisenberg": (Heisenberg, None, [2, 4, 6, 8], "generic"),
-        "lazy-f2-of-f3": (lambda: FreeQuotient(3, kill=[3]), LAZY_F2_IN_F3, [2, 4, 6], "generic"),
+        "lazy-f2-of-f3": (lambda: FreeQuotient(3, kill=[3]), LAZY_F2_IN_F3, [2, 4, 6], "tree"),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
@@ -226,6 +240,63 @@ class TestSymmetricRungs:
         # two codes with one image: the totals are compared, not the codes
         zz = FreeAbelianQuotient(2, [[1, 0], [1, 0]])
         walk_ladder(zz, [0.1, 0.3, 0.4, 0.2], [2])
+
+
+class TestTreeRungs:
+    """Every infinite free quotient's rung comes from the pivot recursion."""
+
+    CASES = {
+        # name: (rank, killed generators, ratio per generator, radii); the
+        # walk is the dichotomy walk mu_{s*} of these ratios
+        "f2": (2, [], (0.3, 0.2), range(2, 9)),
+        "f2-of-f3-kill-g3": (3, [3], (0.3, 0.2, 0.5), range(2, 9)),
+        "f2-of-f3-kill-g1": (3, [1], (0.3, 0.1, 0.2), range(2, 9)),
+        "z-of-f2": (2, [2], (0.3, 0.2), range(4, 33, 4)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_matches_ball_rungs(self, name):
+        d, kill, ratios, radii = self.CASES[name]
+        spec = LinearGdmsSpec.symmetric_ratios(ratios)
+        G = FreeQuotient(d, kill=kill)
+        mu = np.array(amenability_report(spec, G, [1], kernel_n_max=2).weights)
+        ladder = walk_ladder(G, mu, radii)
+        assert ladder.method == "tree"
+        assert set(ladder.iterations) == {0}
+        for R, rho in zip(ladder.radii, ladder.rho):
+            B = ball(G, R)
+            assert abs(rho - perron_value(walk_step(B, mu), len(B)).value) <= 1e-13
+
+    @pytest.mark.parametrize(
+        "G, weights, p, lazy, limit",
+        [
+            (FreeQuotient(2), [0.3, 0.3, 0.2, 0.2], (0.3, 0.2), 0.0, 0.87037748502139),
+            (FreeQuotient(3, kill=[3]), [1 / 6] * 6, (1 / 6, 1 / 6), 1 / 3, 0.9106836025229592),
+        ],
+        ids=["f2", "lazy-f2-of-f3"],
+    )
+    def test_rises_to_akemann_ostrand(self, G, weights, p, lazy, limit):
+        assert akemann_ostrand(p, lazy) == pytest.approx(limit, abs=1e-14)
+        ladder = walk_ladder(G, weights, [1, 2, 4, 8, 16, 64, 250, 1000])
+        assert all(a < b for a, b in zip(ladder.rho, ladder.rho[1:]))
+        assert 0.0 < limit - ladder.rho[-1] <= 1e-5
+
+    def test_reads_no_ball_and_runs_no_lanczos(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a free quotient's walk ladder built a ball or ran Lanczos")
+
+        monkeypatch.setattr(walks, "ball", refuse)
+        monkeypatch.setattr(walks, "perron_value", refuse)
+        G = FreeQuotient(3, kill=[3])
+        ladder = walk_ladder(G, LAZY_F2_IN_F3, [0, 12])
+        assert not G._balls
+        # R = 0 is the lazy weight; R = 12 is the generic ball rung, whose
+        # ball has 1,062,881 elements
+        assert ladder.rho[0] == 0.5
+        assert ladder.rho[1] == pytest.approx(0.9257937135463088, abs=1e-13)
+        assert ladder.iterations == (0, 0)
+        # a residual is the width of the final bisection bracket: one ulp
+        assert ladder.residuals[1] == math.ulp(ladder.rho[1])
 
 
 def move_matrix(B, weights):
