@@ -26,10 +26,10 @@ word metric) and its move table (the Cayley graph cut to the ball); no
 element is kept once the ball is built.  A backend is built with its ball
 cap, the most elements any of its balls may hold; no backend explores its
 group otherwise, so every search is capped, and ``ball`` is the one place
-that refuses a search the cap stops.  ``ball(G)`` is the whole group of a
-finite backend (``finite``), or a refusal when it has more elements than
-the cap.  All objects are immutable after construction and safe to share
-across workers.
+that refuses a search the cap stops.  ``ball(G)`` is the ball of radius
+``G.ball_cap``: the whole group when it has at most that many elements,
+else a refusal.  All objects are immutable after construction and safe to
+share across workers.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ class QuotientGroup(ABC):
     """A quotient G = F_d / N given by the images of the 2d letters."""
 
     d: int
-    finite: bool = False  # if so, ``ball(G)`` is all of G or raises
+    finite: bool = False  # exactly when G is a finite group
     ball_cap: int = DEFAULT_BALL_CAP  # the most elements a ball may hold
 
     @abstractmethod
@@ -103,9 +103,6 @@ class QuotientGroup(ABC):
     def _balls(self) -> dict[int, "Ball"]:
         """Memo of ``ball``: radius -> Ball (the group is immutable)."""
         return {}
-
-    # the ball a cap stopped a search at, if any: no larger radius fits
-    _capped: "Ball | None" = None
 
     @cached_property
     def _kernel_tables(self) -> dict[int, np.ndarray]:
@@ -170,7 +167,8 @@ class FreeAbelianQuotient(QuotientGroup):
     """Quotient landing in Z^rank; generator images are integer vectors.
 
     For standard-basis images this is the abelianization of F_d, whose word
-    metric is the L1 norm.  Balls of any images are built by array lookups
+    metric is the L1 norm; all-zero images give the trivial group, the one
+    ``finite`` case.  Balls of any images are built by array lookups
     on packed integer keys (``_build_ball``), which reproduce ``bfs_ball``;
     a ball whose keys would not fit int64 comes from ``bfs_ball`` itself.
     """
@@ -190,6 +188,7 @@ class FreeAbelianQuotient(QuotientGroup):
                 raise ConfigError(f"image of g{i + 1} must have {rank} entries")
             self._images[2 * i] = vec
             self._images[2 * i + 1] = tuple(-x for x in vec)
+        self.finite = not any(map(any, self._images.values()))
 
     def identity(self):
         return (0,) * self.rank
@@ -386,42 +385,34 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 def ball(G: QuotientGroup, radius: int | None = None) -> Ball:
     """All elements at word-metric distance <= radius, BFS-indexed; with no
-    radius, the whole group.
+    radius, the ball of radius ``G.ball_cap``.
 
     No ball holds more than ``G.ball_cap`` elements.  When this one would,
     ``ball`` raises ``CapExceededError`` before materializing them, naming
     the largest radius that fits, found in the same one search: a cap
     refuses a ball, it never cuts one, and this is the only place a search
-    is refused.  The whole group is the ball of radius ``G.ball_cap``: a
-    group with at most that many elements has a smaller diameter, so the
-    search runs out of elements first, and a larger one is refused.  Balls
+    is refused.  ``ball(G)`` is the whole group when G has at most
+    ``G.ball_cap`` elements, since its diameter is then smaller and the
+    search runs out of elements first; a larger group is refused.  Balls
     are memoised per group and radius, so repeated calls return the same
-    ``Ball``.  A group builds one ball at a time: a smaller radius is the
-    breadth-first prefix of a memoised larger ball, or of the whole group
-    once a ball holds it.  Otherwise the backend's builder stops where the
-    cap stops it and keeps the spheres it completed; the group remembers
-    that ball, and a request for any larger radius is refused from it
-    without searching again.
+    ``Ball``.  A smaller radius is the breadth-first prefix of a memoised
+    larger ball, or of the whole group once a ball holds it.  Otherwise the
+    backend's builder stops where the cap stops it and keeps the spheres it
+    completed, a ball memoised at its own radius; the refusal itself is not
+    remembered, so a refused radius asked again is searched again.
     """
-    whole = radius is None
-    if whole:
+    if radius is None:
         radius = G.ball_cap
     if radius < 0:
         raise ConfigError("ball radius must be >= 0")
     B = G._balls.get(radius)
-    if B is None and G._capped is not None and radius > G._capped.radius:
-        B = G._capped
     if B is None:
         # every memoised ball fits the cap, and one whose search ran out of
         # elements before its radius is the group
         larger = [A for A in G._balls.values() if A.radius >= radius or A.dist[-1] < A.radius]
         B = _prefix(min(larger, key=len), radius) if larger else G._build_ball(radius)
         B = G._balls.setdefault(B.radius, B)
-        if B.radius < radius:
-            G._capped = B
     if B.radius < radius:
-        if whole:
-            raise CapExceededError(f"the group has more than {G.ball_cap} elements")
         raise CapExceededError(
             f"ball of radius {radius} exceeds cap {G.ball_cap} "
             f"(largest radius that fits: {B.radius})"

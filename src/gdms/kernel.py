@@ -359,11 +359,10 @@ def delta_kernel(
     """The exponent of convergence of the kernel Poincare series.
 
     Bisection on the sign of the kernel-pressure estimate.  Exact cases: a
-    trivial kernel gives 0 (only the identity contributes), the trivial
-    quotient, where no letter has a non-identity image, gives the full Bowen
-    root (every word is a kernel word), and so does any finite quotient,
-    after the ``tol`` check and the non-symmetric warning: N then has finite
-    index, and delta(N) = delta(F_d).  A ball cap refuses, it never cuts:
+    trivial kernel gives 0 (only the identity contributes), and a finite
+    quotient, the trivial one included, gives the full Bowen root after the
+    ``tol`` check and the non-symmetric warning: N then has finite index,
+    and delta(N) = delta(F_d).  A ball cap refuses, it never cuts:
     when the tables read a ball (every case but the cone table of
     ``kernel_counts``) that exceeds the group's cap, the first table raises
     ``CapExceededError``.  A ``tol`` of at least half the starting bracket
@@ -379,8 +378,6 @@ def delta_kernel(
     if G.kernel_is_trivial():
         return DeltaKernelResult(0.0, 0.0, 0.0, False, True)
     root = bowen_root(spec)
-    if not G.generating_codes():
-        return DeltaKernelResult(root, root, root, False, True)
     lo = 0.0
     hi = root + 0.1
     if hi - lo <= 2 * tol:

@@ -6,7 +6,7 @@ SIAM J. Matrix Anal. Appl. 22, 2000) from a deterministic uniform start,
 certified only by a sup-norm eigen-residual checked on an explicit matvec.
 Its operators are all symmetric: the pressure's symmetrised transfer
 matrix S(s) = U^{1/2} A U^{1/2} (``pressure.perron_data``) and the
-Dirichlet walk steps of the generic and finite walk ladders (``walks``).  On a
+Dirichlet walk steps of the generic walk ladder (``walks``).  On a
 Dirichlet truncation whose spectral gap closes like 1/R^2 (Z^k balls), a
 Krylov method needs O(R) matvecs where power iteration needs O(R^2), and
 Lanczos' three-term recurrence orthogonalises against the last two basis
@@ -35,6 +35,9 @@ PLATEAU_TOL = 1e-3
 # Krylov basis of one cycle, and the Ritz vectors a restart keeps of it.
 KRYLOV_DIM = 16
 KEEP = 8
+
+# Consecutive residual checks without a new best residual that end a solve.
+STALL_CHECKS = 8
 
 # Columns per block when a restart rebuilds the kept Ritz vectors in place.
 BLOCK_COLS = 1 << 14
@@ -81,8 +84,11 @@ def perron_value(
     would be spent for nothing.  The zero operator passes the check on the
     first matvec.  The iteration stops when the residual falls below
     ``tol * max(1, lam)``, and raises ConvergenceError (carrying the best
-    residual) once ``max_iter`` matvecs have not reached it; the last
-    matvec of the budget is always a check.  ``iterations`` counts matvecs.
+    residual) once ``max_iter`` matvecs have not reached it, or once
+    STALL_CHECKS checks in a row set no new best residual: a residual
+    stuck at the rounding floor of the operator above ``tol`` never passes.
+    The last matvec of the budget is always a check.  ``iterations`` counts
+    matvecs.
     """
     if dim == 0:
         return PerronResult(0.0, np.zeros(0), 0, 0.0)
@@ -96,18 +102,20 @@ def perron_value(
     check = True
     calls = 0
     best = np.inf
+    stalled = 0  # checks since the last new best residual
     while True:
         if check:
             w = matvec(v)
             calls += 1
             lam = float(v @ w)  # Rayleigh quotient; v is kept at unit 2-norm
             residual = float(np.max(np.abs(w - lam * v))) / float(np.max(np.abs(v)))
-            best = min(best, residual)
             if residual <= tol * max(1.0, abs(lam)):
                 return PerronResult(lam, v.copy(), calls, residual)
-        if calls >= max_iter:
+            stalled = 0 if residual < best else stalled + 1
+            best = min(best, residual)
+        if calls >= max_iter or stalled >= STALL_CHECKS:
             raise ConvergenceError(
-                f"Krylov iteration did not reach tol={tol} in {max_iter} matvecs "
+                f"Krylov iteration did not reach tol={tol} in {calls} matvecs "
                 f"(best residual {best:.3e})",
                 residual=best,
             )

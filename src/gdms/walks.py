@@ -23,9 +23,10 @@ on it:
 Infinite groups are truncated to word-metric balls with Dirichlet boundary,
 giving spectral radii that are nondecreasing in the radius and converge
 from below at a 1/R^2 rate; ``linalg.truncation_limit`` reads the ladder.
-``walk_ladder`` has three methods, chosen by the group.  A finite group is
-walked once on the whole group by the thick-restart Lanczos of
-``linalg.perron_value``.  An infinite free quotient's ball is a tree,
+``walk_ladder`` has three methods, chosen by the group.  On a finite group
+every move stays in the group, so the constant vector is a Perron vector of
+the walk and its spectral radius is the total weight: no ball is read and
+no matvec is done.  An infinite free quotient's ball is a tree,
 whatever the weights: eliminating lam I - P_R from the leaves up gives
 pivots that depend only on a vertex's last generator and remaining depth,
 and by Sylvester's law of inertia lam lies above the top eigenvalue
@@ -42,6 +43,7 @@ amenability.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -137,9 +139,9 @@ class WalkLadder:
     (a 1/R^2 extrapolation of a rising ladder, else its supremum, capped at
     1).  ``method`` is "finite", "tree" or "generic" (``walk_ladder``).
     ``iterations`` counts each rung's matvecs and ``residuals`` holds its
-    final eigen-residual; a rung copied from the whole finite group took 0
-    matvecs, and a tree rung takes none: its residual is the width of its
-    final bisection bracket.
+    final eigen-residual; a finite group's rung takes none and is exact
+    (residual 0), and a tree rung takes none: its residual is the width of
+    its final bisection bracket.
     """
 
     radii: tuple[int, ...]
@@ -159,15 +161,15 @@ def walk_ladder(
 ) -> WalkLadder:
     """Spectral-radius ladder of the walk with these letter weights.
 
-    The method follows the group.  "finite": the whole group is walked
-    once, by Lanczos, and that rung stands for every radius.  "tree": an
+    The method follows the group.  "finite": every rung is the total
+    weight, the row sum of the walk on the whole group.  "tree": an
     infinite free quotient reads no ball; each rung is ``_tree_rung`` on the
     weight of each surviving generator (the mean of its two codes) with the
     killed letters' weight as laziness.  "generic": any other group runs
     ``walk_step`` on each radius-R ball by Lanczos to ``tol``.  A walk that
     is not symmetric (``_require_symmetric``) is refused before any ball is
     built.  Weights of total 1 give rho <= 1, so a rung that rounds above 1
-    (a finite group's can) reads 1; its residual stays as solved.
+    (a finite group's total can) reads 1; its residual stays as solved.
     """
     if not radii:
         raise ConfigError("need at least one radius")
@@ -177,10 +179,7 @@ def walk_ladder(
     rungs = []  # (value, matvecs, residual) per radius
     if G.finite:
         method = "finite"
-        B = ball(G)  # the whole group; raises past the cap
-        exact = perron_value(walk_step(B, weights), len(B), tol=tol)
-        rungs = [(exact.value, exact.iterations, exact.residual)]
-        rungs += [(exact.value, 0, exact.residual)] * (len(radii) - 1)
+        rungs = [(math.fsum(weights.tolist()), 0, 0.0)] * len(radii)
     elif isinstance(G, FreeQuotient):
         method = "tree"
         pairs = weights.reshape(G.d, 2)
@@ -255,17 +254,18 @@ class IsoperimetricReport:
 
 
 def isoperimetric_scan(G: QuotientGroup, R: int) -> IsoperimetricReport:
-    """Scan |dA|/|A| over the balls A = B(id, r) for r = 1..R."""
+    """Scan |dA|/|A| over the balls A = B(id, r) for r = 1..R, each read
+    from the radius-R ball."""
     if R < 1:
         raise ConfigError("radius must be >= 1")
-    B = ball(G, R + 1)
+    B = ball(G, R)
     moves = B.letter_moves()[G.generating_codes()]
     dist = B.dist
     # an element of A = B(id, r) is on its boundary when a generator takes
-    # it out of A, i.e. to the next sphere (or off the ball)
+    # it out of A: to the next sphere, or, from sphere R, off the ball (-1)
     leaves = ((moves < 0) | (dist[moves] == dist + 1)).any(axis=0)
-    boundary = np.bincount(dist[leaves], minlength=R + 2)
-    volume = np.cumsum(np.bincount(dist, minlength=R + 2))
+    boundary = np.bincount(dist[leaves], minlength=R + 1)
+    volume = np.cumsum(np.bincount(dist, minlength=R + 1))
     ratios = [int(boundary[r]) / int(volume[r]) for r in range(1, R + 1)]
     return IsoperimetricReport(
         tuple(range(1, R + 1)), tuple(ratios), float(min(ratios))

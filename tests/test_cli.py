@@ -138,7 +138,7 @@ class TestHappyPaths:
     @pytest.mark.parametrize(
         "quotient, radii",
         [
-            # S_4: both ladders run once, on the whole group
+            # S_4: both ladders are the walks' total weight, 1
             ({"type": "finite_perm", "degree": 4,
               "images": [[1, 2, 3, 0], [1, 0, 2, 3]]}, [1, 2]),
             # Z^2: two rungs are enough to extrapolate
@@ -188,8 +188,8 @@ class TestHappyPaths:
             assert walk["rho"] != dich["rho"]
 
     def test_amenability_trivial_abelian_quotient(self, tmp_path):
-        # both letters map to 0 in Z: the quotient is trivial although the
-        # abelian backend does not know its order, and it has no Cayley edges
+        # both letters map to 0 in Z: the quotient is trivial, so finite,
+        # and it has no Cayley edges
         cfg = {
             "gdms": GDMS_THIRD,
             "quotient": {"type": "abelianization", "rank": 1, "images": [[0], [0]]},
@@ -200,6 +200,7 @@ class TestHappyPaths:
         res = json.loads((outdir / "report.json").read_text())["results"]
         assert res["verdict"] == "consistent-with-amenable"
         assert res["dichotomy"]["rho"] == [1.0, 1.0]
+        assert res["dichotomy"]["method"] == "finite"
         assert res["walk"] is None
         assert not (outdir / "walk_ladder.csv").exists()
 
@@ -495,9 +496,10 @@ class TestExitCodes:
         assert code == 2
         assert "ratio" in capsys.readouterr().err
 
-    def test_finite_group_over_ball_cap(self, tmp_path, capsys):
-        # the walk needs all of S_9; the search stops at the cap, having
-        # built 1,000 elements, not 362,880 (110.6 MB traced)
+    def test_finite_group_over_ball_cap(self, tmp_path):
+        # S_9 has 362,880 elements, far over the cap, but a finite group's
+        # walk reads no ball: each rung is the walk's total weight, so only
+        # the radius-3 isoperimetric ball is built
         cfg = {"gdms": GDMS_THIRD, "quotient": S9_QUOTIENT,
                "params": {"radii": [2, 4], "radius": 3, "caps": {"ball": 1000}}}
         tracemalloc.start()
@@ -506,9 +508,12 @@ class TestExitCodes:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert code == 3
-        assert "cap exceeded: the group has more than 1000 elements" in capsys.readouterr().err
-        assert not outdir.exists()
+        assert code == 0
+        res = json.loads((outdir / "report.json").read_text())["results"]
+        assert res["method"] == "finite"
+        assert res["final_estimate"]["value"] == 1.0
+        assert res["iterations"] == [0, 0] and res["residuals"] == [0.0, 0.0]
+        assert (outdir / "walk_ladder.csv").read_text().splitlines()[1:] == ["2,1.0", "4,1.0"]
         assert peak <= 2e6
 
     @pytest.mark.parametrize("command, cfg, where", [
@@ -533,12 +538,12 @@ class TestExitCodes:
 
     def test_walks_over_ball_cap_writes_nothing(self, tmp_path, capsys):
         # the radius-2 ladder fits a cap of 100, but the isoperimetric scan
-        # to radius 8 needs the radius-9 ball of Z^2 (181 elements)
+        # to radius 8 needs the radius-8 ball of Z^2 (145 elements)
         cfg = {"gdms": GDMS_THIRD, "quotient": ZZ_QUOTIENT,
                "params": {"radii": [2], "radius": 8, "caps": {"ball": 100}}}
         code, outdir = run_cli("walks", cfg, tmp_path)
         assert code == 3
-        assert "ball of radius 9 exceeds cap 100 (largest radius that fits: 6)" in (
+        assert "ball of radius 8 exceeds cap 100 (largest radius that fits: 6)" in (
             capsys.readouterr().err
         )
         assert not outdir.exists()

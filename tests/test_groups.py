@@ -362,18 +362,19 @@ class TestBalls:
 
     def test_memoised_ball_still_capped(self):
         # radius 3 of F_2 has 53 elements; the ball a refused search kept
-        # does not lift the cap
+        # is memoised at its own radius and does not lift the cap
         G = FreeQuotient(2, ball_cap=52)
         for _ in range(2):
             with pytest.raises(CapExceededError, match="largest radius that fits: 2"):
                 ball(G, 3)
-        B = ball(G, 2)
-        assert B.radius == 2 and B is G._capped
+        assert list(G._balls) == [2]
+        assert ball(G, 2) is G._balls[2]
         assert len(ball(FreeQuotient(2, ball_cap=53), 3)) == 53
 
-    def test_capped_search_runs_once(self, monkeypatch):
+    def test_refused_search_runs_again(self, monkeypatch):
         # Z^2 under a cap of 50 stops at radius 4 (41 elements); the group
-        # remembers that search, so no later request runs another
+        # keeps that ball but not the refusal, so a refused radius asked
+        # again is searched again and refused with the same message
         builds = []
         build = FreeAbelianQuotient._build_ball
 
@@ -383,15 +384,18 @@ class TestBalls:
 
         monkeypatch.setattr(FreeAbelianQuotient, "_build_ball", counting)
         G = FreeAbelianQuotient(2, [[1, 0], [0, 1]], ball_cap=50)
-        for radius in (10, 10, 10, 12):
-            with pytest.raises(CapExceededError, match="largest radius that fits: 4"):
+        for radius in (10, 10, 12):
+            with pytest.raises(
+                CapExceededError,
+                match=rf"ball of radius {radius} exceeds cap 50 \(largest radius that fits: 4\)",
+            ):
                 ball(G, radius)
         B = ball(G, 4)
         assert (B.radius, len(B)) == (4, 41)
         assert len(ball(G, 3)) == 25
-        with pytest.raises(CapExceededError, match="the group has more than 50 elements"):
+        with pytest.raises(CapExceededError, match="ball of radius 50 exceeds cap 50"):
             ball(G)
-        assert builds == [10]
+        assert builds == [10, 10, 12, 50]
 
     @pytest.mark.parametrize(
         "make",
@@ -484,6 +488,9 @@ class TestBackendsMisc:
     def test_finiteness_flags(self, s3, trivial_group, free_f2, f2_of_f3, zz):
         assert s3.finite and trivial_group.finite
         assert not (free_f2.finite or f2_of_f3.finite or zz.finite)
+        # Z^k is torsion-free: its one finite subgroup is the trivial one
+        assert FreeAbelianQuotient(2, [[0, 0], [0, 0]]).finite
+        assert not FreeAbelianQuotient(2, [[0, 0], [0, 2]]).finite
 
     def test_s9_explored_only_as_far_as_asked(self):
         # S_9 has 362,880 elements; building them all took 110.6 MB traced
@@ -501,7 +508,7 @@ class TestBackendsMisc:
         assert (B.letter_moves() == ref.letter_moves()).all()
         assert len(B) == 46
         assert peak <= 2e6
-        with pytest.raises(CapExceededError, match="the group has more than 10000 elements"):
+        with pytest.raises(CapExceededError, match="ball of radius 10000 exceeds cap 10000"):
             ball(G)
 
     def test_bad_permutation_rejected(self):

@@ -237,7 +237,8 @@ class TestPruningBall:
                 with pytest.raises(CapExceededError) as exc:
                     ball(G, n_max // 2)
                 assert str(exc.value).endswith(f"(largest radius that fits: {ref.radius})")
-                B = G._capped  # the ball the refused search kept
+                assert ref.radius in G._balls  # the ball the refused search kept
+                B = ball(G, ref.radius)
             else:
                 B = ball(G, n_max // 2)
             assert B.radius == ref.radius
@@ -481,6 +482,12 @@ class TestDeltaKernel:
         res = delta_kernel(spec_mixed, trivial_group)
         assert res.exact
         assert res.delta == bowen_root(spec_mixed)
+        # the trivial group is finite on every backend: no table is counted
+        for G in (FreeAbelianQuotient(1, [[0], [0]]), FinitePermQuotient(2, [[0, 1], [0, 1]])):
+            res = delta_kernel(spec_mixed, G)
+            assert res.exact
+            assert res.delta == res.lo == res.hi == bowen_root(spec_mixed)
+            assert not G._balls
 
     def test_trivial_kernel_is_zero(self, spec_third, free_f2):
         res = delta_kernel(spec_third, free_f2)

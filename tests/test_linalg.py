@@ -6,7 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from gdms import ConvergenceError, FreeAbelianQuotient, ball, build_skew_operator, walk_step
+from gdms import (
+    ConvergenceError, FreeAbelianQuotient, FreeQuotient, ball, build_skew_operator, walk_step,
+)
 from gdms.linalg import PLATEAU_TOL, perron_value, truncation_limit
 
 from linalg_reference import arnoldi_perron, arnoldi_perron_dense, tree_radial_chain
@@ -209,6 +211,23 @@ class TestLanczosCycle:
             perron_value(matvec, 300, max_iter=8)
         assert len(calls) == 8
         assert 0.0 < exc.value.residual <= first
+
+    def test_stalled_residual_raises_early(self):
+        # the lazy walk on the radius-3 ball of F_2 in F_3 (53 states) reaches
+        # its best residual, 2.46e-13, at matvec 16 and never improves on it,
+        # so the solve stops long before max_iter = 1,000,000 matvecs
+        B = ball(FreeQuotient(3, kill=[3]), 3)
+        step = walk_step(B, [0.15, 0.15, 0.1, 0.1, 0.25, 0.25])
+        calls = []
+
+        def matvec(v):
+            calls.append(1)
+            return step(v)
+
+        with pytest.raises(ConvergenceError, match="best residual 2.46") as exc:
+            perron_value(matvec, len(B), tol=1e-13)
+        assert len(calls) <= 200
+        assert 1e-13 < exc.value.residual < 3e-13
 
 
 def z2_ball_step(R):

@@ -69,7 +69,7 @@ class TestOperatorStructure:
         images = [[1, 0, 2], [1, 2, 0]]
         op = build_skew_operator(spec_third, FinitePermQuotient(3, images, ball_cap=6), 1.0, 1)
         assert op.n_states == 4 * 6 and not op.truncated
-        with pytest.raises(CapExceededError, match="the group has more than 5 elements"):
+        with pytest.raises(CapExceededError, match="ball of radius 5 exceeds cap 5"):
             build_skew_operator(spec_third, FinitePermQuotient(3, images, ball_cap=5), 1.0, 1)
 
     def test_d3_truncated_state_count(self, spec_fifth_d3, f2_of_f3):

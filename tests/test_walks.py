@@ -21,6 +21,7 @@ from gdms import (
     walk_step,
     walks,
 )
+from gdms.groups import bfs_ball
 from gdms.linalg import perron_value
 from gdms.walks import _tree_rung
 
@@ -86,26 +87,47 @@ class TestCayleyBalls:
 class TestWalkLadders:
     def test_finite_rho_one_at_diameter(self, s3):
         ladder = srw_spectral_radius(s3, [1, 2, 3, 4])
-        assert ladder.rho[-1] == pytest.approx(1.0, abs=1e-12)
-        # a finite group is walked once, on the whole group
+        # a finite group's rung is the walk's total weight, exactly
         assert ladder.method == "finite"
-        assert ladder.rho == (ladder.rho[0],) * 4
-        assert ladder.iterations[0] > 0 and ladder.iterations[1:] == (0, 0, 0)
+        assert ladder.rho == (1.0,) * 4
+        assert ladder.iterations == (0,) * 4 and ladder.residuals == (0.0,) * 4
 
     def test_ladders_within_ball_cap(self):
-        # S_3 has 6 elements; the radius-4 ball of Z^2 has 41, radius 3 has 25
+        # S_3 has 6 elements, but its walk reads no ball; the radius-4 ball
+        # of Z^2 has 41 elements, radius 3 has 25
         s3 = FinitePermQuotient(3, [[1, 0, 2], [1, 2, 0]], ball_cap=5)
-        with pytest.raises(CapExceededError, match="the group has more than 5 elements"):
-            srw_spectral_radius(s3, [1, 2])
+        assert srw_spectral_radius(s3, [1, 2]).rho == (1.0, 1.0)
         zz = FreeAbelianQuotient(2, [[1, 0], [0, 1]], ball_cap=40)
         assert srw_spectral_radius(zz, [2, 3]).radii == (2, 3)
         with pytest.raises(
             CapExceededError, match=r"radius 6 exceeds cap 40 \(largest radius that fits: 3\)"
         ):
             srw_spectral_radius(zz, [2, 6])
-        assert isoperimetric_scan(zz, 2).radii == (1, 2)
-        with pytest.raises(CapExceededError, match="ball of radius 4 exceeds cap 40"):
-            isoperimetric_scan(zz, 3)
+        assert isoperimetric_scan(zz, 3).radii == (1, 2, 3)
+        with pytest.raises(
+            CapExceededError, match=r"radius 4 exceeds cap 40 \(largest radius that fits: 3\)"
+        ):
+            isoperimetric_scan(zz, 4)
+
+    @pytest.mark.parametrize("make", [
+        lambda: FinitePermQuotient(3, [[1, 0, 2], [1, 2, 0]], ball_cap=5),
+        lambda: FinitePermQuotient(9, [[1, 0, *range(2, 9)], [*range(1, 9), 0]]),
+        lambda: FreeAbelianQuotient(1, [[0], [0]]),
+        lambda: FreeQuotient(2, kill=[1, 2]),
+    ], ids=["s3-over-cap", "s9", "trivial-abelian", "trivial-free"])
+    def test_finite_ladder_reads_no_ball(self, make, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a finite group's walk ladder built a ball or ran Lanczos")
+
+        monkeypatch.setattr(walks, "ball", refuse)
+        monkeypatch.setattr(walks, "perron_value", refuse)
+        G = make()
+        weights = np.full(2 * G.d, 1.0 / (2 * G.d))
+        ladder = walk_ladder(G, weights, [1, 3, 50])
+        assert ladder.method == "finite"
+        assert ladder.rho == (1.0,) * 3
+        assert ladder.iterations == (0,) * 3 and ladder.residuals == (0.0,) * 3
+        assert not G._balls
 
     def test_monotone_and_capped(self, zz):
         ladder = srw_spectral_radius(zz, [2, 4, 6, 8])
@@ -197,7 +219,8 @@ def dense_step(B, weights):
 
 
 class TestSymmetricRungs:
-    """Every ball rung runs Lanczos, which must agree with the Arnoldi reference."""
+    """Every rung agrees with the Arnoldi reference on its ball, or on the
+    whole group for a finite one, whose rung is the walk's total weight."""
 
     CASES = {
         # name: (group, weights or None for the simple walk, radii, method)
@@ -353,6 +376,25 @@ class TestWalkStep:
 
 
 class TestIsoperimetric:
+    @pytest.mark.parametrize("make, R", [
+        (lambda: FreeAbelianQuotient(2, [[1, 0], [0, 1]]), 8),
+        (lambda: FreeQuotient(2), 6),
+        (lambda: FinitePermQuotient(4, S4_IMAGES), 5),
+    ], ids=["zz", "f2", "s4"])
+    def test_reads_the_radius_R_ball(self, make, R):
+        G = make()
+        rep = isoperimetric_scan(G, R)
+        assert max(G._balls) == R
+        # reference: each B_r's boundary read on the radius-(R + 1) ball,
+        # where every move that leaves B_r lands on the next sphere
+        B = bfs_ball(make(), R + 1)
+        moves, dist = B.letter_moves()[G.generating_codes()], B.dist
+        leaves = (dist[moves] == dist + 1).any(axis=0)
+        ratios = tuple(
+            int((leaves & (dist == r)).sum()) / int((dist <= r).sum()) for r in range(1, R + 1)
+        )
+        assert rep.ratios == ratios
+
     def test_zz_ratio_decays(self, zz):
         rep = isoperimetric_scan(zz, 8)
         assert rep.ratios[-1] < rep.ratios[0]
@@ -379,7 +421,7 @@ def test_finite_group_ladder_capped_at_one(s3):
 
 def test_finite_rungs_at_most_one(spec_third):
     # A walk of total weight 1 has rho <= 1, but the Lanczos value of the
-    # whole finite walk can round above it: on S_3 from a transposition and
+    # whole finite walk could round above it: on S_3 from a transposition and
     # a 3-cycle it read 1.0000000000000002, which inverted the walks
     # bracket [rho_R, 1] and made the dichotomy gap negative.  20 of these
     # 100 random groups rounded above 1 before the rungs were capped.
