@@ -50,7 +50,7 @@ _EXPORTS = {
         "kernel_counts", "kernel_pressure",
     ),
     "pressure": (
-        "LinearGdmsSpec", "bowen_root", "perron_data", "pressure", "pressure_curve",
+        "LinearGdmsSpec", "bowen_root", "pressure", "pressure_curve",
     ),
     "render": (
         "BoxCountResult", "GeometricRealization", "PointCloud", "attractor_points",

@@ -72,13 +72,11 @@ import numpy as np
 
 from .errors import CapExceededError, ConfigError, GdmsError
 from .groups import Ball, FreeQuotient, QuotientGroup, _read_only, ball
-from .pressure import LinearGdmsSpec, bowen_root
+from .pressure import LinearGdmsSpec, bisect_floats, bowen_root
 
 DEFAULT_LOOP_CAP = 500_000
 # Nonzero kernel counts a pressure estimate needs.
 MIN_KERNEL_ENTRIES = 8
-# Width at which the induced Bowen root's bisection stops.
-INDUCED_ROOT_TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -561,30 +559,23 @@ def loop_transfer_matrix(sys: InducedSystem, s: float) -> np.ndarray:
 def induced_bowen_root(sys: InducedSystem) -> float:
     """Zero of the induced-system pressure: a lower bound for delta(N).
 
-    Bisects on rho(s) = 1 for the 2d x 2d loop matrix, which is not
-    symmetric even for a symmetric spec, so rho comes from LAPACK: the
-    Perron value of a nonnegative matrix is its eigenvalue of largest real
-    part.  Nondecreasing in the loop cutoff; errors out when no zero exists
-    below the full-system Bowen root plus one.
+    Bisects on rho(s) = 1 for the 2d x 2d loop matrix to adjacent floats and
+    returns the lower end.  The matrix is not symmetric even for a symmetric
+    spec, so rho comes from LAPACK: the Perron value of a nonnegative matrix
+    is its eigenvalue of largest real part.  Nondecreasing in the loop
+    cutoff; errors out when no zero exists below the Bowen root plus one.
     """
     if len(sys) == 0:
         raise GdmsError("induced system has no loops; increase L_max")
     hi = bowen_root(sys.spec) + 1.0
 
-    def rho(s: float) -> float:
-        return float(np.linalg.eigvals(loop_transfer_matrix(sys, s)).real.max())
+    def above(s: float) -> bool:
+        return np.linalg.eigvals(loop_transfer_matrix(sys, s)).real.max() < 1.0
 
-    lo = 0.0
-    if rho(lo) < 1.0:
+    if above(0.0):
         raise GdmsError(
             "induced pressure already negative at s=0; no root in bracket"
         )
-    if rho(hi) >= 1.0:  # pragma: no cover - impossible below delta+1
+    if not above(hi):  # pragma: no cover - impossible below delta+1
         raise GdmsError("induced pressure has no root below the delta+1 bracket")
-    while hi - lo > INDUCED_ROOT_TOL:
-        s = 0.5 * (lo + hi)
-        if rho(s) >= 1.0:
-            lo = s
-        else:
-            hi = s
-    return 0.5 * (lo + hi)
+    return bisect_floats(above, 0.0, hi)[0]

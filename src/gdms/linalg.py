@@ -1,23 +1,20 @@
 """Perron values of symmetric nonnegative operators by thick-restart Lanczos.
 
-Every spectral radius that a command computes by iteration comes from one
-routine, ``perron_value``: a thick-restart Lanczos iteration (Wu and Simon,
-SIAM J. Matrix Anal. Appl. 22, 2000) from a deterministic uniform start,
+``perron_value`` is a thick-restart Lanczos iteration (Wu and Simon, SIAM
+J. Matrix Anal. Appl. 22, 2000) from a deterministic uniform start,
 certified only by a sup-norm eigen-residual checked on an explicit matvec.
-Its operators are all symmetric: the pressure's symmetrised transfer
-matrix S(s) = U^{1/2} A U^{1/2} (``pressure.perron_data``) and the
-Dirichlet walk steps of the generic walk ladder (``walks``).  On a
-Dirichlet truncation whose spectral gap closes like 1/R^2 (Z^k balls), a
-Krylov method needs O(R) matvecs where power iteration needs O(R^2), and
-Lanczos' three-term recurrence orthogonalises against the last two basis
-vectors only (Saad, *Numerical Methods for Large Eigenvalue Problems*,
-2011, ch. 6).  A restart keeps the top Ritz vectors and the residual
-direction, so a slowly converging rung does not start each cycle again
-from one vector.  The one nonsymmetric matrix of a command, the induced
-system's 2d x 2d loop matrix, goes to LAPACK (``kernel.induced_bowen_root``);
-the nonsymmetric skew operator is solved only in tests.  Every Dirichlet
-truncation ladder of those spectral radii is read by the same limit rule,
-``truncation_limit``.
+The generic walk ladder (``walks``) is its one caller, on Dirichlet walk
+steps, which are symmetric.  On a Dirichlet truncation whose spectral gap
+closes like 1/R^2 (Z^k balls), a Krylov method needs O(R) matvecs where
+power iteration needs O(R^2), and Lanczos' three-term recurrence
+orthogonalises against the last two basis vectors only (Saad, *Numerical
+Methods for Large Eigenvalue Problems*, 2011, ch. 6).  A restart keeps the
+top Ritz vectors and the residual direction, so a slowly converging rung
+does not start each cycle again from one vector.  The one nonsymmetric
+matrix of a command, the induced system's 2d x 2d loop matrix, goes to
+LAPACK (``kernel.induced_bowen_root``); the nonsymmetric skew operator is
+solved only in tests.  Every Dirichlet truncation ladder is read by the
+same limit rule, ``truncation_limit``.
 """
 
 from __future__ import annotations

@@ -2,49 +2,61 @@
 
 A linear system over F_d assigns each letter v a contraction ratio c(v) in
 (0,1); admissible words are reduced words, and the weight of a word is the
-product of its letter ratios raised to an exponent s.  The weighted word sums
+product of its letter ratios raised to an exponent s.  The weighted sums
+Z_n(s) of the admissible words of length n grow like the Perron root rho(s)
+of the transfer matrix M(s)[v][w] = c(w)^s (0 at w = v^-1), and the
+pressure P(s) = log rho(s) is strictly decreasing and convex with a unique
+zero, the Bowen root: the exponent of convergence of the full Poincare
+series and the dimension of the limit set of any realization with the open
+set condition.  The sums Z_n are the kernel counts of the trivial quotient
+(``kernel.word_sums``); this module runs no series.
 
-    Z_n(s) = sum over admissible words of length n of prod_i c(w_i)^s
+rho(s) is the root of a secular equation.  Put u_v = c(v)^s, so M = (J - P)U
+with J all ones, P the swap v <-> v^-1 and U = diag(u).  If M x = lam x,
+y = U x and sigma = sum y, row v reads lam y_v / u_v = sigma - y_{v^-1}; a
+generator's two rows, a = u_v and b = u_{v^-1}, solve to y_v = sigma a
+(lam - b) / (lam^2 - ab), and summing y over all letters gives
 
-grow like the Perron eigenvalue rho(s) of the (2d x 2d) transfer matrix
+    F_s(lam) = sum over generators of (lam (a + b) - 2ab) / (lam^2 - ab) = 1,
 
-    M(s)[v][w] = c(w)^s   if w != v^-1,   else 0,
+where a symmetric pair contributes 2a / (lam + a).  A root above max u makes
+y positive, as only the Perron root can; F_s(max u) > 1 >= F_s(sum u) and
+each term decreases above sqrt(ab), so rho(s) is the one root between.
+F_s(1) increases in every u (its a-derivative is (1 - b)^2 / (1 - ab)^2), so
+it falls strictly in s, and delta is the unique root of F_s(1) = 1: for
+symmetric ratios sum_v u_v / (1 + u_v) = 1, the Bowen equation of ``walks``.
 
-so the pressure function is P(s) = log rho(s).  P is strictly decreasing and
-convex in s, positive at s=0 and eventually negative, so it has a unique
-zero: the Bowen root, which is both the exponent of convergence of the full
-Poincare series and the Hausdorff dimension of the limit set of any
-geometric realization satisfying the open set condition.
-
-M(s) = A U(s), with A the symmetric 0/1 matrix of non-backtracking pairs and
-U(s) = diag(c(v)^s), is similar to the symmetric S(s) = U^{1/2} A U^{1/2}.
-So one Lanczos solve on S(s) gives rho(s) and a unit vector y, from which
-M's right and left Perron vectors are U^{-1/2} y and U^{1/2} y, and the
-slope is P'(s) = sum_v log c(v) y_v^2 (Hellmann-Feynman).
-
-P(s) is defined by a limit of length-windowed sums; for the locally constant
-weights used here that limit exists and equals log rho(s), and the package
-computes the eigenvalue throughout.  The sums Z_n themselves are the kernel
-counts of the trivial quotient, where every word is a kernel word, so one
-word dynamic program (``kernel.word_sums``) serves every series and this
-module runs none.
+Both roots are bisected to adjacent floats (``bisect_floats``) on the terms
+(a (lam - b) + b (lam - a)) / (lam (lam - a) + a (lam - b)), or 2a / (lam + a),
+with 1 - u_v = -expm1(s log c(v)) at lam = 1: sums and products of nonnegative
+numbers, so the computed F_s(1) is within gamma_{d+18} F <= (d + 19) u F,
+u = 2^-53 (c^s within 2u, the expm1 within 5u, a term within 19u; Higham,
+*Accuracy and Stability of Numerical Algorithms*, 2002, sec. 3.1).
+``bowen_root`` trusts the sign of F_s(1) - 1 beyond that bound only, settles
+it nearer 1 in 25-digit decimal (DECIMAL), and returns the upper end: delta
+is the least float with F_s(1) <= 1 (to DECIMAL_MARGIN), never below the
+exact root for the float ratios (for c = 1/3 at rank 2 the root is
+1 - 5.1e-17 and delta = 1.0), the side on which ``kernel.delta_kernel``
+clips delta(N) at delta.  rho(s) takes its upper end too.
 """
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .errors import ConfigError
-from .groups import letter_name
-from .linalg import PerronResult, perron_value
+from .groups import _read_only, letter_name
 
-BOWEN_TOL = 1e-12
-
+# The precision of the decimal F_s(1) that settles a sign the floats leave
+# open, and the margin below 1 it must clear, far above its rounding.
+DECIMAL = decimal.Context(prec=25)
+DECIMAL_MARGIN = decimal.Decimal("1e-19")
 
 # ---------------------------------------------------------------------------
 # System specification
@@ -77,21 +89,15 @@ class LinearGdmsSpec:
 
     @property
     def symmetric(self) -> bool:
-        return all(
-            self.ratios[2 * i] == self.ratios[2 * i + 1] for i in range(self.d)
-        )
+        return self.ratios[::2] == self.ratios[1::2]
 
     @cached_property
     def ratio_array(self) -> np.ndarray:
-        a = np.array(self.ratios, dtype=float)
-        a.flags.writeable = False
-        return a
+        return _read_only(np.array(self.ratios, dtype=float))
 
     @cached_property
     def log_ratios(self) -> np.ndarray:
-        a = np.log(self.ratio_array)
-        a.flags.writeable = False
-        return a
+        return _read_only(np.log(self.ratio_array))
 
     def letter_weights(self, s: float) -> np.ndarray:
         """The weight c(v)^s of each letter.  None may overflow and the largest
@@ -113,64 +119,68 @@ class LinearGdmsSpec:
 
 
 # ---------------------------------------------------------------------------
-# The symmetrised transfer matrix and the Bowen root
+# The secular equation: pressure, Bowen root and pressure curve
 # ---------------------------------------------------------------------------
 
-def perron_data(spec: LinearGdmsSpec, s: float) -> PerronResult:
-    """One Lanczos solve on S(s) = U^{1/2} A U^{1/2}: its value is rho(s),
-    and its unit vector y gives r = U^{-1/2} y, l = U^{1/2} y (l . r = 1)."""
-    half = np.sqrt(spec.letter_weights(s))
-    n = 2 * spec.d
-    sym = np.outer(half, half)
-    sym[np.arange(n), np.arange(n) ^ 1] = 0.0
-    return perron_value(lambda v: sym @ v, n)
+def bisect_floats(above: Callable[[float], bool], lo: float, hi: float):
+    """Bisect [lo, hi] down to adjacent floats, keeping ``above`` false at
+    lo and true at hi; it is asked only at midpoints strictly inside."""
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        if above(mid):
+            hi = mid
+        else:
+            lo = mid
+        mid = 0.5 * (lo + hi)
+    return lo, hi
+
+
+def _secular(lam, u: list, gap: list):
+    """F(lam) from the letter weights u and gap[v] = lam - u[v] (code order)."""
+    return sum(
+        2 * a / (lam + a) if a == b else (a * gb + b * ga) / (lam * ga + a * gb)
+        for a, b, ga, gb in zip(u[::2], u[1::2], gap[::2], gap[1::2])
+    )
+
+
+def _rho(spec: LinearGdmsSpec, s: float) -> tuple[float, float]:
+    """Adjacent floats around rho(M(s))."""
+    u = spec.letter_weights(s).tolist()
+    return bisect_floats(
+        lambda lam: _secular(lam, u, [lam - x for x in u]) <= 1.0, max(u), sum(u)
+    )
 
 
 def pressure(spec: LinearGdmsSpec, s: float) -> float:
     """P(s) = log rho(M(s)); strictly decreasing and convex in s."""
-    return math.log(perron_data(spec, s).value)
+    return math.log(_rho(spec, s)[1])
 
 
 def bowen_root(spec: LinearGdmsSpec) -> float:
-    """The unique zero of the pressure function, to |P| <= BOWEN_TOL.
+    """The zero of the pressure: the least float s with F_s(1) <= 1."""
+    ratios = spec.ratios
+    log_c = [math.log(c) for c in ratios]
+    margin = (spec.d + 19) * 2.0**-53
+    with decimal.localcontext(DECIMAL):
+        exact_log_c = {c: decimal.Decimal(c).ln() for c in set(ratios)}
 
-    Bracketed bisection with Newton polish; the slope is
-    P'(s) = sum_v log c(v) y_v^2 (Hellmann-Feynman on S(s)).
-    """
-    lo = 0.0
-    hi = math.log(2 * spec.d - 1) / (-math.log(max(spec.ratios))) + 1.0
-    p_lo = pressure(spec, lo)
-    p_hi = pressure(spec, hi)
-    if not (p_lo > 0.0 > p_hi):  # pragma: no cover - guaranteed by construction
-        raise ConfigError("pressure bracket failed; ratios out of range?")
-    s = 0.5 * (lo + hi)
-    log_c = spec.log_ratios
-    for _ in range(200):
-        res = perron_data(spec, s)
-        p = math.log(res.value)
-        if abs(p) <= BOWEN_TOL:
-            return s
-        if p > 0:
-            lo = s
-        else:
-            hi = s
-        step = s - p / float(log_c @ res.vector**2)
-        s = step if lo < step < hi else 0.5 * (lo + hi)
-    return s
+    def above(s: float) -> bool:
+        f = _secular(1.0, [c**s for c in ratios], [-math.expm1(s * x) for x in log_c])
+        if abs(f - 1.0) > margin:
+            return f < 1.0
+        with decimal.localcontext(DECIMAL):
+            weight = {c: (decimal.Decimal(s) * x).exp() for c, x in exact_log_c.items()}
+            u = [weight[c] for c in ratios]
+            return _secular(1, u, [1 - a for a in u]) <= 1 - DECIMAL_MARGIN
 
+    # rho(hi) <= (2d - 1) max(c)^hi = max(c) < 1
+    hi = math.log(2 * spec.d - 1) / (-math.log(max(ratios))) + 1.0
+    return bisect_floats(above, 0.0, hi)[1]
 
-# ---------------------------------------------------------------------------
-# Pressure curve
-# ---------------------------------------------------------------------------
 
 def pressure_curve(spec: LinearGdmsSpec, s_values: Iterable[float]):
-    """Rows (s, P(s), rho, iterations, residual) for ``pressure_curve.csv``.
-
-    ``iterations`` is the number of matvecs of the one Perron solve
-    (``perron_data``) and ``residual`` its final eigen-residual on S(s).
-    """
-    rows = []
-    for s in s_values:
-        res = perron_data(spec, float(s))
-        rows.append((float(s), math.log(res.value), res.value, res.iterations, res.residual))
-    return rows
+    """Rows (s, P(s), rho, iterations, residual) for ``pressure_curve.csv``:
+    no matvec is done, so ``iterations`` is 0, and ``residual`` is the width
+    of rho's bisection bracket."""
+    brackets = ((float(s), _rho(spec, float(s))) for s in s_values)
+    return [(s, math.log(hi), hi, 0, hi - lo) for s, (lo, hi) in brackets]

@@ -133,7 +133,7 @@ class DichotomyReport:
     is 1 - sup_R rho; the verdict compares the ladder's limit estimate
     against 1 - EPS_VERDICT.  ``kernel_pressure_estimate`` is None when the
     count table is too short for an estimate or its ball exceeds the cap,
-    which refuses the table and never cuts it.
+    which refuses the table and never cuts it, and on a finite quotient.
     """
 
     s_star: float
@@ -177,7 +177,8 @@ def amenability_report(
     of the walk mu_{s*}; the kernel-pressure estimate from the counting
     dynamic program is attached as a cross-check.  Its count table is exact
     or refused: a table whose ball exceeds the group's cap raises, and the
-    estimate is then None, as it is for a table too short to read.
+    estimate is then None, as it is for a table too short to read and for a
+    finite quotient, which reads no table: its kernel pressure at s* is 0.
     """
     if not spec.symmetric:
         raise ConfigError("dichotomy requires symmetric GDMS")
@@ -191,10 +192,6 @@ def amenability_report(
     ladder = walk_ladder(G, weights, radii, tol=1e-12)
 
     kp = None
-    try:
-        kp = kernel_pressure(kernel_counts(spec, G, s_star, kernel_n_max)).estimate
-    except GdmsError:
-        pass
     notes = (
         "Kesten's criterion for the walk mu_{s*}, weights ~ u/(1-u^2) with "
         "u = c^{s*}: by the weighted Ihara-Bass identity and the Bowen equation "
@@ -202,6 +199,13 @@ def amenability_report(
         "when this walk does; verdict from sup rho_R and a 1/R^2 Richardson "
         "extrapolation of its ladder, a recorded heuristic"
     )
+    if G.finite:
+        notes += "; no kernel cross-check: N has finite index, so the kernel pressure at s* is 0"
+    else:
+        try:
+            kp = kernel_pressure(kernel_counts(spec, G, s_star, kernel_n_max)).estimate
+        except GdmsError:
+            pass
     return DichotomyReport(
         s_star=s_star,
         rho_full=rho_full,

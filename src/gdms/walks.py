@@ -52,6 +52,7 @@ import numpy as np
 from .errors import ConfigError
 from .groups import Ball, FreeQuotient, QuotientGroup, ball, letter_name
 from .linalg import perron_value, truncation_limit
+from .pressure import bisect_floats
 
 
 def walk_step(B: Ball, weights: Sequence[float]) -> Callable[[np.ndarray], np.ndarray]:
@@ -120,14 +121,7 @@ def _tree_rung(p: list[float], lazy: float, R: int) -> tuple[float, float]:
             pivots = [root + x for x in t]
         return root > 0.0
 
-    lo, hi = lazy, lazy + 2.0 * sum(p)
-    mid = 0.5 * (lo + hi)
-    while lo < mid < hi:
-        if above(mid):
-            hi = mid
-        else:
-            lo = mid
-        mid = 0.5 * (lo + hi)
+    lo, hi = bisect_floats(above, lazy, lazy + 2.0 * sum(p))
     return lo, hi - lo
 
 

@@ -1,7 +1,6 @@
 """Reference for word weights and the Gibbs measure of the non-backtracking
 shift: admissibility, log weights and the stationary Markov measure built
-from the Perron data of ``pressure.perron_data``, and the transfer matrix
-M(s) itself.
+from the Perron vectors of the transfer matrix M(s), and M(s) itself.
 
 No command reads these; the tests use them to check the pressure module
 against word-by-word weights and the Gibbs property on cylinders.
@@ -13,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from gdms import ConfigError, LinearGdmsSpec, perron_data
+from gdms import ConfigError, LinearGdmsSpec
 
 
 def transfer_matrix(spec: LinearGdmsSpec, s: float) -> np.ndarray:
@@ -26,11 +25,20 @@ def transfer_matrix(spec: LinearGdmsSpec, s: float) -> np.ndarray:
 
 
 def perron_vectors(spec: LinearGdmsSpec, s: float) -> tuple[float, np.ndarray, np.ndarray]:
-    """rho(s) and M(s)'s right and left Perron vectors r = U^{-1/2} y and
-    l = U^{1/2} y, from the unit vector y of ``perron_data`` (l . r = 1)."""
-    res = perron_data(spec, s)
-    half = np.sqrt(spec.letter_weights(s))
-    return res.value, res.vector / half, res.vector * half
+    """rho(s) and M(s)'s positive right and left Perron vectors r and l,
+    scaled to l . r = 1, from LAPACK's eigen-decompositions of M and M^T."""
+    m = transfer_matrix(spec, s)
+    (rho, r), (_, l) = (_top_eigenpair(a) for a in (m, m.T))
+    return rho, r / (l @ r), l
+
+
+def _top_eigenpair(m: np.ndarray) -> tuple[float, np.ndarray]:
+    """The eigenvalue of largest real part and its eigenvector, signed to a
+    positive sum; for an irreducible nonnegative M these are real."""
+    values, vectors = np.linalg.eig(m)
+    k = int(np.argmax(values.real))
+    vector = vectors[:, k].real
+    return float(values[k].real), vector * np.copysign(1.0, vector.sum())
 
 
 def is_admissible(codes: Sequence[int]) -> bool:

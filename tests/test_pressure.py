@@ -1,6 +1,7 @@
 """Transfer matrices, pressure, Bowen roots, Gibbs measures."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from gdms import (
     bowen_root,
     cli,
     kernel_counts,
-    perron_data,
     pressure,
     pressure_curve,
 )
@@ -143,27 +143,26 @@ class TestTransferMatrix:
 
 
 class TestSpectralData:
-    """The one Lanczos solve of ``perron_data`` on S(s) = U^{1/2} A U^{1/2}."""
+    """rho(s) from the secular equation of M(s), against LAPACK."""
 
     def test_constant_row_sums(self, spec_third):
-        res = perron_data(spec_third, 1.0)
-        assert res.value == pytest.approx(1.0, abs=1e-12)
-        assert res.residual <= 1e-12
+        (row,) = pressure_curve(spec_third, [1.0])
+        assert row[2] == pytest.approx(1.0, abs=1e-15)
 
     def test_counting_matrix(self, spec_third):
-        assert perron_data(spec_third, 0.0).value == pytest.approx(3.0, abs=1e-12)
+        assert math.exp(pressure(spec_third, 0.0)) == pytest.approx(3.0, abs=1e-14)
 
     def test_growth_rate_oracle(self, spec_mixed):
         # rho must match the growth factor of the weighted word sums.
-        rho = perron_data(spec_mixed, 1.0).value
+        rho = math.exp(pressure(spec_mixed, 1.0))
         logs = log_partition_sums(spec_mixed, 1.0, 31)
         ratio = math.exp(logs[30] - logs[29])
         assert rho == pytest.approx(ratio, abs=1e-6)
 
     def test_normalization_and_positivity(self, spec_mixed, spec_nonsym):
-        # r = U^{-1/2} y and l = U^{1/2} y are M(s)'s Perron vectors.
         for spec in (spec_mixed, spec_nonsym):
             rho, r, l = perron_vectors(spec, 0.9)
+            assert rho == pytest.approx(math.exp(pressure(spec, 0.9)), rel=1e-14)
             assert (r > 0).all() and (l > 0).all()
             assert float(l @ r) == pytest.approx(1.0, rel=1e-12)
             m = transfer_matrix(spec, 0.9)
@@ -172,18 +171,71 @@ class TestSpectralData:
 
     @pytest.mark.parametrize("s", [0.3, 0.9, 1.7])
     def test_slope_matches_central_difference(self, spec_mixed, spec_nonsym, s):
-        # Hellmann-Feynman: P'(s) = sum_v log c(v) y_v^2
+        # P'(s) = sum_v log c(v) l_v r_v, with l . r = 1
         h = 1e-4
         for spec in (spec_mixed, spec_nonsym):
-            slope = float(spec.log_ratios @ perron_data(spec, s).vector ** 2)
+            _, r, l = perron_vectors(spec, s)
+            slope = float(spec.log_ratios @ (l * r))
             central = (pressure(spec, s + h) - pressure(spec, s - h)) / (2 * h)
             assert slope == pytest.approx(central, abs=1e-7)
 
-    def test_curve_counts_one_solve(self, spec_nonsym):
+    def test_curve_rows_are_brackets(self, spec_nonsym):
         grid = [0.0, 0.25, 0.75, 1.5]
         for s, row in zip(grid, pressure_curve(spec_nonsym, grid)):
-            res = perron_data(spec_nonsym, s)
-            assert row[2:] == (res.value, res.iterations, res.residual)
+            assert row[:2] == (s, pressure(spec_nonsym, s)) and row[1] == math.log(row[2])
+            assert row[3] == 0 and 0.0 < row[4] <= 2 * math.ulp(row[2])
+
+    def test_underflowed_letters_drop_out(self):
+        # at s = 400 only the 0.9 letter keeps a normal weight (5e-19): the
+        # others underflow to 0, M has the one nonzero column, rho = 0.9^400
+        spec = LinearGdmsSpec(2, (0.9, 0.1, 0.1, 0.1))
+        assert math.exp(pressure(spec, 400.0)) == pytest.approx(0.9**400, rel=1e-13)
+
+
+def random_specs(count: int, seed: int):
+    """Seeded specs of rank 2-6, ratios in (0.01, 0.99), every other one symmetric."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        d = int(rng.integers(2, 7))
+        if i % 2:
+            yield LinearGdmsSpec.symmetric_ratios(rng.uniform(0.01, 0.99, d).tolist())
+        else:
+            yield LinearGdmsSpec(d, tuple(rng.uniform(0.01, 0.99, 2 * d).tolist()))
+
+
+def secular_at_one(spec: LinearGdmsSpec, s: float) -> Decimal:
+    """F_s(1) of the ``pressure`` docstring in 50-digit decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        u = [Decimal(c) ** Decimal(s) for c in spec.ratios]
+        return sum(
+            (a + b - 2 * a * b) / (1 - a * b) for a, b in zip(u[::2], u[1::2])
+        )
+
+
+class TestSecularEquation:
+    def test_random_specs(self):
+        # 1,200 seeded specs; a Lanczos solve on the symmetrised S(s), as the
+        # pressure once ran, raised ConvergenceError in bowen_root on 280
+        for spec in random_specs(1200, seed=34):
+            delta = bowen_root(spec)
+            assert secular_at_one(spec, delta) <= 1, spec
+            top = np.linalg.eigvals(transfer_matrix(spec, delta)).real.max()
+            assert abs(top - 1.0) <= 1e-14, spec
+            for s in (0.0, 0.4, 1.0, 2.5):
+                rho = np.abs(np.linalg.eigvals(transfer_matrix(spec, s))).max()
+                assert math.exp(pressure(spec, s)) == pytest.approx(rho, rel=1e-14), spec
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 6])
+    @pytest.mark.parametrize("c", [1 / 3, 0.05, 0.5, 0.97])
+    def test_equal_ratios_round_up(self, d, c):
+        # delta = log(2d - 1) / log(1/c), in 50 digits for the float c:
+        # bowen_root gives the least float at or above it
+        with localcontext() as ctx:
+            ctx.prec = 50
+            exact = Decimal(2 * d - 1).ln() / -Decimal(c).ln()
+        delta = bowen_root(LinearGdmsSpec.equal_ratios(d, c))
+        assert Decimal(math.nextafter(delta, 0.0)) < exact <= Decimal(delta)
 
 
 class TestPressure:

@@ -16,7 +16,6 @@ from gdms import (
     bowen_root,
     build_skew_operator,
     check_asymptotic_symmetry,
-    perron_data,
     pressure,
     walk_step,
 )
@@ -96,7 +95,7 @@ class TestSpectralRadius:
         s = 0.7
         op = build_skew_operator(spec_nonsym, trivial_group, s, 9)
         rho = skew_rho(op)
-        assert rho == pytest.approx(perron_data(spec_nonsym, s).value, abs=1e-11)
+        assert rho == pytest.approx(math.exp(pressure(spec_nonsym, s)), abs=1e-11)
 
     def test_trivial_group_at_root(self, spec_mixed, trivial_group):
         op = build_skew_operator(
@@ -247,6 +246,17 @@ class TestAmenabilityReport:
         rep_capped = amenability_report(spec_third, capped, [1, 2], kernel_n_max=18)
         assert rep_capped.kernel_pressure_estimate is None
         assert rep_capped.ladder == rep.ladder
+
+    def test_finite_quotient_reads_no_count_table(self, spec_third):
+        # S_10 from a transposition and a 10-cycle: N has finite index, so the
+        # kernel pressure at s* is 0 and no table is read (the radius-10 ball
+        # of the default kernel_n_max 20 has 2,093 elements)
+        G = FinitePermQuotient(10, [[1, 0, *range(2, 10)], [*range(1, 10), 0]])
+        rep = amenability_report(spec_third, G, [2, 4])
+        assert rep.kernel_pressure_estimate is None
+        assert "finite index" in rep.notes
+        assert rep.verdict == VERDICT_AMENABLE and rep.ladder.method == "finite"
+        assert not G._balls
 
     def test_report_dict_keys(self, spec_third, z2):
         d = amenability_report(spec_third, z2, [1, 2]).as_dict()
