@@ -49,7 +49,7 @@ from .groups import (
     FreeQuotient,
     letter_name,
 )
-from .pressure import LinearGdmsSpec, bowen_root, pressure_curve
+from .pressure import LinearGdmsSpec, pressure_curve
 from .reports import RunReport, estimate, exact, write_csv
 
 # (error class, exit code, stderr label); the first class that matches wins
@@ -70,14 +70,13 @@ def _word_str(codes) -> str:
     return " ".join(map(letter_name, codes))
 
 
-def _pressure_csv(spec, params: dict, outdir: Path, points: int, root=None) -> int:
+def _pressure_csv(spec, params: dict, outdir: Path, points: int) -> int:
     """Write ``pressure_curve.csv`` over ``params["s_grid"]``; return its rows.
 
     The default grid is ``points`` exponents from 0 to 1.5 delta(F_d).
     """
     if "s_grid" not in params:
-        root = root or bowen_root(spec)
-        params["s_grid"] = [round(x, 12) for x in np.linspace(0.0, 1.5 * root, points)]
+        params["s_grid"] = [round(x, 12) for x in np.linspace(0.0, 1.5 * spec.delta, points)]
     rows = pressure_curve(spec, params["s_grid"])
     write_csv(
         outdir / "pressure_curve.csv",
@@ -88,10 +87,9 @@ def _pressure_csv(spec, params: dict, outdir: Path, points: int, root=None) -> i
 
 
 def cmd_delta_full(spec, G, params: dict, outdir: Path) -> dict:
-    root = bowen_root(spec)
-    _pressure_csv(spec, params, outdir, 16, root)
+    _pressure_csv(spec, params, outdir, 16)
     return {
-        "delta_full": exact(root, tolerance=1e-12),
+        "delta_full": exact(spec.delta, tolerance=1e-12),
         "symmetric": spec.symmetric,
         "pressure_curve_csv": "pressure_curve.csv",
     }
@@ -106,7 +104,7 @@ def cmd_delta_kernel(spec, G, params: dict, outdir: Path) -> dict:
     from .kernel import delta_kernel, divergence_check
 
     n_max = params["n_max"]
-    root = bowen_root(spec)
+    root = spec.delta
     res = delta_kernel(spec, G, n_max=n_max, tol=params["delta_tol"])
     if res.exact:
         delta_payload = exact(res.delta)
@@ -281,7 +279,7 @@ def cmd_render(spec, G, params: dict, outdir: Path, phase=None) -> dict:
             sizes = zip(range(10 if dimension == 1 else 7), level_sizes(spec))
             params["depth"] = max(1, sum(size <= caps["points"] for _, size in sizes))
         cloud = attractor_points(real, params["depth"], "full", point_cap=caps["points"])
-        reference = bowen_root(spec)
+        reference = spec.delta
         results["delta_full"] = exact(reference, tolerance=1e-12)
     default_scales = "scales" not in params
     if default_scales:
@@ -321,7 +319,7 @@ def cmd_render(spec, G, params: dict, outdir: Path, phase=None) -> dict:
         "points": len(cloud),
         "image_pgm": "attractor.pgm",
         "points_csv": "points.csv",
-        "osc_margin": real.osc_margin(),
+        "osc_margin": real.osc_margin,
     }
 
 

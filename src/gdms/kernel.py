@@ -72,7 +72,7 @@ import numpy as np
 
 from .errors import CapExceededError, ConfigError, GdmsError
 from .groups import Ball, FreeQuotient, QuotientGroup, _read_only, ball
-from .pressure import LinearGdmsSpec, bisect_floats, bowen_root
+from .pressure import LinearGdmsSpec, bisect_floats
 
 DEFAULT_LOOP_CAP = 500_000
 # Nonzero kernel counts a pressure estimate needs.
@@ -375,7 +375,7 @@ def delta_kernel(
     """
     if G.kernel_is_trivial():
         return DeltaKernelResult(0.0, 0.0, 0.0, False, True)
-    root = bowen_root(spec)
+    root = spec.delta
     lo = 0.0
     hi = root + 0.1
     if hi - lo <= 2 * tol:
@@ -441,7 +441,7 @@ def divergence_check(
 ) -> DivergenceReport:
     if not spec.symmetric:
         raise ConfigError("divergence check requires a symmetric system")
-    s_half = bowen_root(spec) / 2.0
+    s_half = spec.delta / 2.0
     table = kernel_counts(spec, G, s_half, n_max)
     support = table.support()
     if support.size == 0:
@@ -472,21 +472,17 @@ class InducedSystem:
     proper nonempty prefix has a nontrivial image.  Loops compose exactly
     when the last letter of one and the first letter of the next do not
     backtrack; compositions of loops enumerate kernel words bijectively.
+    ``first_letters`` and ``last_letters`` hold each loop's end letter codes.
     """
 
     spec: LinearGdmsSpec
-    L_max: int
     loops: tuple[tuple[int, ...], ...]
     log_weights: np.ndarray
+    first_letters: np.ndarray
+    last_letters: np.ndarray
 
     def __len__(self):
         return len(self.loops)
-
-    def first_letters(self) -> np.ndarray:
-        return np.array([w[0] for w in self.loops], dtype=np.int64)
-
-    def last_letters(self) -> np.ndarray:
-        return np.array([w[-1] for w in self.loops], dtype=np.int64)
 
 
 def induced_loops(
@@ -538,7 +534,11 @@ def induced_loops(
 
     extend(0, [], 0.0)
     return InducedSystem(
-        spec, L_max, tuple(loops), np.array(weights, dtype=float)
+        spec,
+        tuple(loops),
+        np.array(weights, dtype=float),
+        np.array([w[0] for w in loops], dtype=np.int64),
+        np.array([w[-1] for w in loops], dtype=np.int64),
     )
 
 
@@ -552,7 +552,7 @@ def loop_transfer_matrix(sys: InducedSystem, s: float) -> np.ndarray:
     n = 2 * sys.spec.d
     by_pair = np.zeros((n, n))
     w = np.exp(s * sys.log_weights)
-    np.add.at(by_pair, (sys.first_letters(), sys.last_letters()), w)
+    np.add.at(by_pair, (sys.first_letters, sys.last_letters), w)
     return _complement(by_pair)
 
 
@@ -567,7 +567,7 @@ def induced_bowen_root(sys: InducedSystem) -> float:
     """
     if len(sys) == 0:
         raise GdmsError("induced system has no loops; increase L_max")
-    hi = bowen_root(sys.spec) + 1.0
+    hi = sys.spec.delta + 1.0
 
     def above(s: float) -> bool:
         return np.linalg.eigvals(loop_transfer_matrix(sys, s)).real.max() < 1.0

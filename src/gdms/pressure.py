@@ -99,6 +99,11 @@ class LinearGdmsSpec:
     def log_ratios(self) -> np.ndarray:
         return _read_only(np.log(self.ratio_array))
 
+    @cached_property
+    def delta(self) -> float:
+        """The Bowen root, computed once per spec (``bowen_root``)."""
+        return bowen_root(self)
+
     def letter_weights(self, s: float) -> np.ndarray:
         """The weight c(v)^s of each letter.  None may overflow and the largest
         must be a normal float; one that vanishes beside it only drops out."""

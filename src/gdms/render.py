@@ -5,7 +5,9 @@ or disks in the plane) and one similarity per admissible letter pair, with
 ratio depending only on the initial letter.  Realizations are laid out
 automatically so that the images of distinct edges have disjoint interiors
 (the open set condition); infeasible ratio data fails loudly with the
-violated inequality.
+violated inequality.  ``auto_layout`` computes the whole realization once,
+as a record of data: the phase sets, their centres and bounding box, the
+translation of every edge map, and the open-set margin.
 
 Attractor approximations follow one construction: a cloud composes
 ``depth`` pieces, and each composition contributes the image of its terminal
@@ -40,7 +42,7 @@ import numpy as np
 
 from . import reports
 from .errors import CapExceededError, ConfigError, GdmsError, LayoutInfeasibleError
-from .groups import letter_name
+from .groups import _read_only, letter_name
 from .pressure import LinearGdmsSpec
 
 if TYPE_CHECKING:  # a full render never loads the kernel layer
@@ -55,90 +57,42 @@ MAX_RASTER_PIXELS = 2**26
 # Realizations
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields: compared and hashed by identity
 class GeometricRealization:
-    """Phase sets and edge similarities of a realized linear system.
+    """Phase sets and edge similarities of a realized linear system, as data
+    that ``auto_layout`` computes once.
 
     ``phase`` holds per-letter intervals (a, b) in dimension 1 or disks
-    (cx, cy, r) in dimension 2.  ``slot_offsets[v]`` positions the image of
-    the w-th successor inside the phase set of v; every edge map is
-    x -> c(v) * x + t with a translation depending on the slot.
+    (cx, cy, r) in dimension 2, ``centers`` (2d x dim) their centres, and
+    ``lo``, ``hi`` the corners of their bounding box.  The edge map of an
+    admissible pair (v, w) takes phase set w into phase set v as
+    x -> c(v) * x + shift[v, w] (``shift`` is 2d x 2d x dim; a backtracking
+    pair's entry stays 0 and is never read).  ``osc_margin`` is the smallest
+    gap between sibling first-level images (0 = touching).
     """
 
     spec: LinearGdmsSpec
     dimension: int
     phase: tuple
-    slot_offsets: tuple
+    centers: np.ndarray
+    shift: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    osc_margin: float
 
     def successors(self, v: int) -> list[int]:
         return [w for w in range(2 * self.spec.d) if w != (v ^ 1)]
 
     def edge_map(self, v: int, w: int):
-        """(scale, offset) of the similarity taking phase set w into phase set v."""
+        """(scale, shift) of the similarity taking phase set w into phase set v."""
         if w == (v ^ 1):
             raise ConfigError("backtracking pair has no edge map")
-        slot = self.successors(v).index(w)
-        c = self.spec.ratios[v]
-        if self.dimension == 1:
-            a_w = self.phase[w][0]
-            a_v = self.phase[v][0]
-            # maps [a_w, a_w + |X_w|] onto a subinterval at the slot offset
-            return c, a_v + self.slot_offsets[v][slot] - c * a_w
-        cx_w, cy_w, _ = self.phase[w]
-        cx_v, cy_v, _ = self.phase[v]
-        ox, oy = self.slot_offsets[v][slot]
-        return c, np.array([cx_v + ox - c * cx_w, cy_v + oy - c * cy_w])
-
-    def center(self, v: int) -> np.ndarray:
-        if self.dimension == 1:
-            a, b = self.phase[v]
-            return np.array([0.5 * (a + b)])
-        cx, cy, _ = self.phase[v]
-        return np.array([cx, cy])
-
-    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        if self.dimension == 1:
-            los = [p[0] for p in self.phase]
-            his = [p[1] for p in self.phase]
-            return np.array([min(los)]), np.array([max(his)])
-        los = [(cx - r, cy - r) for cx, cy, r in self.phase]
-        his = [(cx + r, cy + r) for cx, cy, r in self.phase]
-        return np.array(los).min(axis=0), np.array(his).max(axis=0)
-
-    def osc_margin(self) -> float:
-        """Smallest gap between sibling first-level images (0 = touching)."""
-        worst = math.inf
-        for v in range(2 * self.spec.d):
-            c = self.spec.ratios[v]
-            if self.dimension == 1:
-                length = self.phase[v][1] - self.phase[v][0]
-                spans = sorted(
-                    (off, off + c * (self.phase[w][1] - self.phase[w][0]))
-                    for off, w in zip(self.slot_offsets[v], self.successors(v))
-                )
-                worst = min(worst, spans[0][0] - 0.0)
-                worst = min(worst, length - spans[-1][1])
-                for (_, b0), (a1, _) in zip(spans, spans[1:]):
-                    worst = min(worst, a1 - b0)
-            else:
-                r_v = self.phase[v][2]
-                subs = [
-                    (np.array(off), c * self.phase[w][2])
-                    for off, w in zip(self.slot_offsets[v], self.successors(v))
-                ]
-                for i in range(len(subs)):
-                    oi, ri = subs[i]
-                    worst = min(worst, r_v - (float(np.linalg.norm(oi)) + ri))
-                    for j in range(i + 1, len(subs)):
-                        oj, rj = subs[j]
-                        worst = min(
-                            worst, float(np.linalg.norm(oi - oj)) - (ri + rj)
-                        )
-        return worst
+        return self.spec.ratios[v], self.shift[v, w]
 
 
 def auto_layout(spec: LinearGdmsSpec, dimension: int, phase=None) -> GeometricRealization:
-    """Place phase sets and sub-copies so the open set condition holds.
+    """Place phase sets and sub-copies so the open set condition holds, and
+    compute the realization's edge maps, centres, bounds and OSC margin.
 
     Dimension 1 uses unit intervals on a line, sub-intervals packed left to
     right with equal slack; feasibility requires (2d-1) * c(v) <= 1.
@@ -151,6 +105,9 @@ def auto_layout(spec: LinearGdmsSpec, dimension: int, phase=None) -> GeometricRe
         raise ConfigError("dimension must be 1 or 2")
     n = 2 * spec.d
     k = n - 1  # sub-copies per phase set
+    succ = [[w for w in range(n) if w != (v ^ 1)] for v in range(n)]
+    shift = np.zeros((n, n, dimension))
+    margin = math.inf  # the smallest gap between sibling first-level images
     if dimension == 1:
         if phase is not None:
             if len(phase) != n:
@@ -164,11 +121,10 @@ def auto_layout(spec: LinearGdmsSpec, dimension: int, phase=None) -> GeometricRe
                         raise ConfigError("phase intervals must be disjoint")
         else:
             phase = tuple((i * 1.25, i * 1.25 + 1.0) for i in range(n))
-        offsets = []
         for v in range(n):
             c = spec.ratios[v]
             length = phase[v][1] - phase[v][0]
-            widths = [c * (phase[w][1] - phase[w][0]) for w in range(n) if w != (v ^ 1)]
+            widths = [c * (phase[w][1] - phase[w][0]) for w in succ[v]]
             need = sum(widths)
             if need > length:
                 raise LayoutInfeasibleError(
@@ -177,13 +133,19 @@ def auto_layout(spec: LinearGdmsSpec, dimension: int, phase=None) -> GeometricRe
                     f"would exceed the ambient dimension 1)"
                 )
             slack = (length - need) / (k + 1)
-            offs = []
+            spans = []
             pos = slack
-            for wdt in widths:
-                offs.append(pos)
+            for w, wdt in zip(succ[v], widths):
+                # maps [a_w, b_w] onto the sub-interval at offset pos in X_v
+                shift[v, w] = phase[v][0] + pos - c * phase[w][0]
+                spans.append((pos, pos + wdt))
                 pos += wdt + slack
-            offsets.append(tuple(offs))
-        real = GeometricRealization(spec, 1, phase, tuple(offsets))
+            spans.sort()
+            margin = min(margin, spans[0][0] - 0.0, length - spans[-1][1])
+            for (_, b0), (a1, _) in zip(spans, spans[1:]):
+                margin = min(margin, a1 - b0)
+        centers = [(0.5 * (a + b),) for a, b in phase]
+        lo, hi = [min(a for a, _ in phase)], [max(b for _, b in phase)]
     else:
         if phase is not None:
             if len(phase) != n:
@@ -207,11 +169,10 @@ def auto_layout(spec: LinearGdmsSpec, dimension: int, phase=None) -> GeometricRe
                 dy = phase[i][1] - phase[j][1]
                 if math.hypot(dx, dy) < phase[i][2] + phase[j][2]:
                     raise ConfigError("phase disks must be disjoint")
-        offsets = []
         for v in range(n):
             c = spec.ratios[v]
-            r_v = phase[v][2]
-            sub_r = [c * phase[w][2] for w in range(n) if w != (v ^ 1)]
+            cx_v, cy_v, r_v = phase[v]
+            sub_r = [c * phase[w][2] for w in succ[v]]
             r_max = max(sub_r)
             ring = 0.97 * (r_v - r_max)
             if ring <= 0 or 2 * ring * math.sin(math.pi / k) < 2 * r_max:
@@ -222,21 +183,26 @@ def auto_layout(spec: LinearGdmsSpec, dimension: int, phase=None) -> GeometricRe
                     f"inside a radius-{r_v:.6g} disk for letter code {v} "
                     f"(ring chord 2*{ring:.6g}*sin(pi/{k}) < 2*{r_max:.6g})"
                 )
-            offs = tuple(
-                (
-                    ring * math.cos(2 * math.pi * slot / k),
-                    ring * math.sin(2 * math.pi * slot / k),
-                )
-                for slot in range(k)
-            )
-            offsets.append(offs)
-        real = GeometricRealization(spec, 2, phase, tuple(offsets))
-    margin = real.osc_margin()
+            angles = [2 * math.pi * slot / k for slot in range(k)]
+            offs = [ring * np.array((math.cos(t), math.sin(t))) for t in angles]
+            for w, (ox, oy) in zip(succ[v], offs):
+                shift[v, w] = cx_v + ox - c * phase[w][0], cy_v + oy - c * phase[w][1]
+            for i in range(k):
+                margin = min(margin, r_v - (float(np.linalg.norm(offs[i])) + sub_r[i]))
+                for j in range(i + 1, k):
+                    margin = min(
+                        margin,
+                        float(np.linalg.norm(offs[i] - offs[j])) - (sub_r[i] + sub_r[j]),
+                    )
+        centers = [(cx, cy) for cx, cy, _ in phase]
+        lo = np.min([(cx - r, cy - r) for cx, cy, r in phase], axis=0)
+        hi = np.max([(cx + r, cy + r) for cx, cy, r in phase], axis=0)
     if margin < -1e-12:
         raise LayoutInfeasibleError(
             f"open set condition violated by {-margin:.3g} after layout"
         )
-    return real
+    arrays = (_read_only(np.array(a, dtype=float)) for a in (centers, shift, lo, hi))
+    return GeometricRealization(spec, dimension, phase, *arrays, margin)
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +303,6 @@ class PointCloud:
 
     points: np.ndarray
     words: Sequence
-    depth: int
     provenance: str
     lo: np.ndarray
     hi: np.ndarray
@@ -346,27 +311,25 @@ class PointCloud:
         return len(self.points)
 
 
-def _pieces(n: int, subset: str | InducedSystem) -> tuple[tuple, str]:
-    """The pieces a cloud composes, and its provenance."""
+def _pieces(n: int, subset: str | InducedSystem) -> tuple[tuple, np.ndarray, np.ndarray, str]:
+    """The pieces a cloud composes, their first and last letters, and its
+    provenance."""
     if isinstance(subset, str):
         if subset != "full":
             raise ConfigError(f"unknown subset {subset!r}")
-        return tuple((v,) for v in range(n)), "full"
+        return tuple((v,) for v in range(n)), np.arange(n), np.arange(n), "full"
     if len(subset) == 0:
         raise GdmsError("induced system has no loops")
-    return subset.loops, "induced"
+    return subset.loops, subset.first_letters, subset.last_letters, "induced"
 
 
-def _follows(n: int, pieces: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each piece's first and last letter, and which piece may follow a word
-    ending in each letter: a piece may unless its first letter backtracks on
-    that last letter.  Row n stands for the empty word, which every piece
-    follows."""
-    first = np.array([p[0] for p in pieces], dtype=np.int32)
-    last = np.array([p[-1] for p in pieces], dtype=np.int32)
-    follows = np.ones((n + 1, len(pieces)), dtype=bool)
+def _follows(n: int, first: np.ndarray) -> np.ndarray:
+    """Which piece may follow a word ending in each letter: a piece may
+    unless its first letter backtracks on that last letter.  Row n stands for
+    the empty word, which every piece follows."""
+    follows = np.ones((n + 1, len(first)), dtype=bool)
     follows[:n] = first[None, :] != (np.arange(n) ^ 1)[:, None]
-    return first, last, follows
+    return follows
 
 
 def level_sizes(spec: LinearGdmsSpec, subset: str | InducedSystem = "full") -> Iterator[int]:
@@ -378,7 +341,8 @@ def level_sizes(spec: LinearGdmsSpec, subset: str | InducedSystem = "full") -> I
     at level k.  Nothing of the cloud is built.
     """
     n = 2 * spec.d
-    _, last, follows = _follows(n, _pieces(n, subset)[0])
+    _, first, last, _ = _pieces(n, subset)
+    follows = _follows(n, first)
     moves = (follows.astype(np.int64) @ (last[:, None] == np.arange(n + 1))).tolist()
     count = [0] * n + [1]  # the empty word
     while True:
@@ -412,7 +376,7 @@ def attractor_points(
     if depth < 1:
         raise ConfigError("depth must be >= 1")
     n = 2 * real.spec.d
-    pieces, provenance = _pieces(n, subset)
+    pieces, first, last, provenance = _pieces(n, subset)
     sizes = []
     for level, size in zip(range(1, depth + 1), level_sizes(real.spec, subset)):
         if size > point_cap:
@@ -424,11 +388,10 @@ def attractor_points(
     # edge tables; row n stands for the empty word, which every piece
     # follows through the identity map
     edge_c = np.ones((n + 1, n))
+    edge_c[:n] = real.spec.ratio_array[:, None]
     edge_t = np.zeros((n + 1, n, dim))
-    for v in range(n):
-        for w in real.successors(v):
-            edge_c[v, w], edge_t[v, w] = real.edge_map(v, w)
-    first, last, follows = _follows(n, pieces)
+    edge_t[:n] = real.shift
+    follows = _follows(n, first)
     # each piece's internal map, folded left to right
     c_in = np.ones(len(pieces))
     t_in = np.zeros((len(pieces), dim))
@@ -437,7 +400,6 @@ def attractor_points(
             t_in[j] += c_in[j] * edge_t[a, b]
             c_in[j] *= edge_c[a, b]
     edge_c, edge_t = edge_c.reshape(-1), edge_t.reshape(-1, dim)
-    centers = np.stack([real.center(v) for v in range(n)])
     # the pieces that may follow each last letter, in piece order
     n_next = follows.sum(axis=1)
     allowed = np.zeros((n + 1, n_next.max()), dtype=np.int32)
@@ -474,7 +436,7 @@ def attractor_points(
             off += c_j[:, None] * t_in[j]
             c_j *= c_in[j]  # the child's scale
             if final:
-                off += c_j[:, None] * centers[last[j]]
+                off += c_j[:, None] * real.centers[last[j]]
                 pts[start:stop] = off
             else:
                 next_scale[start:stop] = c_j
@@ -486,9 +448,8 @@ def attractor_points(
         piece_of.append(piece)
         if not final:
             scale, offset, tail = next_scale, next_offset, next_tail
-    lo, hi = real.bounds()
     words = Words(pieces, tuple(parents), tuple(piece_of))
-    return PointCloud(pts, words, depth, provenance, lo, hi)
+    return PointCloud(pts, words, provenance, real.lo, real.hi)
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ import numpy as np
 from .errors import ConfigError, GdmsError
 from .groups import Ball, QuotientGroup, ball
 from .kernel import _complement, _scatter, kernel_counts, kernel_pressure, word_sums
-from .pressure import LinearGdmsSpec, bowen_root, pressure
+from .pressure import LinearGdmsSpec, pressure
 from .walks import WalkLadder, walk_ladder
 
 VERDICT_AMENABLE = "consistent-with-amenable"
@@ -184,7 +184,7 @@ def amenability_report(
         raise ConfigError("dichotomy requires symmetric GDMS")
     if G.d != spec.d:
         raise ConfigError("quotient and GDMS rank mismatch")
-    s_star = bowen_root(spec)
+    s_star = spec.delta
     rho_full = math.exp(pressure(spec, s_star))
     u = spec.letter_weights(s_star)
     w = u / (1.0 - u**2)

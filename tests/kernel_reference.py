@@ -31,8 +31,8 @@ def loop_composition_log_counts(sys: InducedSystem, s: float, n_max: int) -> np.
     # may follow, i.e. L applied to their weights by last letter.
     follow = [np.zeros(n) for _ in range(n_max + 1)]
     out = np.full(n_max, -np.inf)
-    firsts = sys.first_letters()
-    lasts = sys.last_letters()
+    firsts = sys.first_letters
+    lasts = sys.last_letters
     w = np.exp(s * sys.log_weights)
     lens = np.array([len(p) for p in sys.loops])
     order = np.argsort(lens, kind="stable")

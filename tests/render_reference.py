@@ -57,7 +57,5 @@ def level_at_once_points(real, depth: int, subset="full") -> PointCloud:
         tail = last[j]
         parents.append(i)
         piece_of.append(j)
-    centers = np.stack([real.center(v) for v in range(n)])
-    pts = scale[:, None] * centers[tail] + offset
-    lo, hi = real.bounds()
-    return PointCloud(pts, Words(pieces, tuple(parents), tuple(piece_of)), depth, provenance, lo, hi)
+    pts = scale[:, None] * real.centers[tail] + offset
+    return PointCloud(pts, Words(pieces, tuple(parents), tuple(piece_of)), provenance, real.lo, real.hi)

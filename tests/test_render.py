@@ -37,14 +37,14 @@ from test_acceptance import REFERENCE_RUNS
 class TestAutoLayout:
     def test_exact_packing_third(self, spec_third):
         real = auto_layout(spec_third, 1)
-        assert real.osc_margin() == pytest.approx(0.0, abs=1e-12)
+        assert real.osc_margin == pytest.approx(0.0, abs=1e-12)
         for v in range(4):
             a, b = real.phase[v]
             assert b - a == pytest.approx(1.0)
 
     def test_strict_gaps_quarter(self, spec_quarter):
         real = auto_layout(spec_quarter, 1)
-        assert real.osc_margin() > 0.0
+        assert real.osc_margin > 0.0
 
     def test_infeasible_ratio_names_inequality(self):
         spec = LinearGdmsSpec.equal_ratios(2, 0.6)
@@ -53,7 +53,7 @@ class TestAutoLayout:
 
     def test_disks_pass_osc_scan(self, spec_third):
         real = auto_layout(spec_third, 2)
-        assert real.osc_margin() > 0.0
+        assert real.osc_margin > 0.0
 
     def test_explicit_intervals_respected(self, spec_quarter):
         real = auto_layout(spec_quarter, 1, phase=[[0, 1], [2, 3], [4, 5], [6, 7]])
@@ -166,7 +166,7 @@ def _folded_point(real, word):
         c, t = real.edge_map(v, w)
         offset = offset + scale * np.atleast_1d(t)
         scale *= c
-    return scale * real.center(word[-1]) + offset
+    return scale * real.centers[word[-1]] + offset
 
 
 UNEQUAL = LinearGdmsSpec.symmetric_ratios([0.3, 0.2])
@@ -372,8 +372,33 @@ def test_over_cap_cloud_refused_before_any_level():
     assert _traced_peak(refuse) < 1e6
 
 
-# sha256 of the payloads of the two render runs in REFERENCE_RUNS: any change to
-# point arithmetic, word order, word names or CSV formatting shows here
+# the two render runs of REFERENCE_RUNS, then a 2-D default layout, explicit
+# disks, explicit intervals and a 2-D induced cloud
+DIGEST_RUNS = [cfg for command, cfg in REFERENCE_RUNS if command == "render"] + [
+    {"gdms": {"d": 2, "ratio": 1 / 3}, "params": {"dimension": 2, "depth": 6}},
+    {
+        "gdms": {"d": 2, "ratio": 0.2, "geometry": {"disks": [
+            [0.1, 0.2, 1.3], [3.7, 0.1, 0.9], [0.3, 4.1, 1.1], [4.4, 4.9, 0.7],
+        ]}},
+        "params": {"dimension": 2, "depth": 5},
+    },
+    {
+        "gdms": {"d": 2, "ratio": 0.2, "geometry": {"intervals": [
+            [0.1, 1.7], [2.3, 3.9], [4.05, 5.4], [6, 7.77],
+        ]}},
+        "params": {"depth": 5},
+    },
+    {
+        "gdms": {"d": 2, "ratio": 1 / 3},
+        "quotient": {"type": "finite_perm", "degree": 2, "images": [[1, 0], [1, 0]]},
+        "params": {"subset": "induced", "L_max": 4, "composition_depth": 2, "dimension": 2},
+    },
+]
+
+# sha256 of the payloads of DIGEST_RUNS: any change to the layout, point
+# arithmetic, word order, word names or CSV formatting shows here.  The 2-D
+# layouts call math.cos and math.sin, so their digests hold for the libm
+# they were taken with (glibc on x86-64 Linux).
 RENDER_DIGESTS = [
     {
         "points.csv": "79839709ccacffb28e126ed0eacbdf5ad9c2a657de22940af0bbc30f6a09f1ff",
@@ -383,13 +408,29 @@ RENDER_DIGESTS = [
         "points.csv": "d2bdc47cfb9ef31d09407ee72ef25a289716c5419b0b74b5dd57068656434868",
         "attractor.pgm": "e420bcd2db00e9a30185389dcc854650084e5e2dadd1f8dcaadf26e238c725e0",
     },
+    {
+        "points.csv": "37d96befc71b33a7791ed103939bccb4b9dfaeeaffff0cc8a497274533a5e981",
+        "attractor.pgm": "e53cb08c8597f205561cb4fe0dec94ee7af3291589efe8f47a3cc4f0e6f94ee1",
+    },
+    {
+        "points.csv": "6646af76eab0e851aef51a538ab192e7fc49a0e20a4af8c353a5bb7ee200fe3b",
+        "attractor.pgm": "1a0b61db7b9972cb197e90d82b95ea641f48d1ef3bdfc33c62367e7dfa2d1d60",
+    },
+    {
+        "points.csv": "a56362f6ec52b2eb91b43996e31070819775b105234dc64797654f461bdb6d6f",
+        "attractor.pgm": "e9bc3244d67257f84dee73f6c71d02028f62d2705ad9da38024ba91dfe59afa2",
+    },
+    {
+        "points.csv": "b72250e748e32348dc80b2b74a0a1fca311727b48e0e1f1a2ff70e87525a16f3",
+        "attractor.pgm": "c7e5f39a96cfd1248dc4b046a7375c14cc97e9a4acf90c787448edf6ff25cf23",
+    },
 ]
 
 
 @pytest.mark.parametrize(
     "cfg, digests",
-    list(zip([cfg for command, cfg in REFERENCE_RUNS if command == "render"], RENDER_DIGESTS)),
-    ids=["full", "induced"],
+    list(zip(DIGEST_RUNS, RENDER_DIGESTS)),
+    ids=["full", "induced", "2d-full", "2d-disks", "1d-intervals", "2d-induced"],
 )
 def test_render_payload_digests(tmp_path, cfg, digests):
     cfg_path = tmp_path / "cfg.json"
@@ -418,7 +459,7 @@ class TestBoxCounting:
         cloud = attractor_points(auto_layout(spec_quarter, dimension), 6)
         # also a Fortran-ordered cloud with negative coordinates
         pts = np.asfortranarray(np.random.default_rng(7).normal(size=(2000, dimension)))
-        scattered = type(cloud)(pts, (), 1, "full", pts.min(axis=0), pts.max(axis=0))
+        scattered = type(cloud)(pts, (), "full", pts.min(axis=0), pts.max(axis=0))
         scales = [2.0 ** k for k in range(-5, 2)]
         for c in (cloud, scattered):
             want = [len(np.unique(np.floor(c.points / e), axis=0)) for e in scales]
@@ -432,7 +473,7 @@ class TestBoxCounting:
         pts = rng.normal(size=(1500, dimension))
         zeros = np.array([[0.0, 0.0], [-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0]])
         pts = np.concatenate([pts, pts[:500], zeros[:, :dimension]])
-        cloud = PointCloud(pts, (), 1, "full", pts.min(axis=0), pts.max(axis=0))
+        cloud = PointCloud(pts, (), "full", pts.min(axis=0), pts.max(axis=0))
         scales = [2.0 ** k for k in range(-5, 2)]
         want = []
         for eps in scales:
@@ -452,7 +493,7 @@ class TestBoxCounting:
         real = auto_layout(spec_third, 1)
         cloud = attractor_points(real, 1)
         tiny = type(cloud)(
-            cloud.points[:1], cloud.words[:1], 1, "full", cloud.lo, cloud.hi
+            cloud.points[:1], cloud.words[:1], "full", cloud.lo, cloud.hi
         )
         with pytest.raises(GdmsError, match="degenerate"):
             box_counting(tiny, [0.5, 0.1, 0.02])
@@ -489,7 +530,7 @@ class TestRenderImage:
         real = auto_layout(spec_third, 1)
         cloud = attractor_points(real, 1)
         empty = type(cloud)(
-            np.zeros((0, 1)), (), 1, "full", cloud.lo, cloud.hi
+            np.zeros((0, 1)), (), "full", cloud.lo, cloud.hi
         )
         img = render_image(empty, 64)
         assert (img == 0).all()
